@@ -9,8 +9,8 @@ rejected.  Every run writes a JSON run record listing inputs, tolerances,
 derived scalars and all artifact paths; identical configurations produce
 byte-identical artifacts.
 
-Exit codes: 0 success, 1 usage or validation error, 2 numerical
-non-convergence (diagnostics on standard error).
+Exit codes: 0 success, 1 usage or validation error or an unwritable output
+path, 2 numerical non-convergence (diagnostics on standard error).
 """
 
 import argparse
@@ -21,9 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import MembraneLabError, NotAdmissible, ParseError
+from .errors import IoFailure, MembraneLabError, NotAdmissible, ParseError
 from .linearized import solve_h
 from .profile import (
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
+    DEFAULT_TAU0_FACTOR,
     ModelParams,
     StopCondition,
     integrate_profile,
@@ -32,9 +35,9 @@ from .profile import (
 from .shooting import BoundaryCircle, family_sweep, shoot_sigma0
 from .spectral import certify, eigen_solve
 from .surfaces import (
-    ArtifactEntry,
     RunRecord,
     branch_linear_mesh,
+    export_csv,
     export_json,
     export_mesh_obj,
     export_profile_csv,
@@ -129,8 +132,8 @@ PARAM_SPECS = {
 
 _GLOBAL_SPECS = {
     "out": ("str", None, "output directory"),
-    "rtol": ("float", 1e-10, "integrator relative tolerance"),
-    "atol": ("float", 1e-12, "integrator absolute tolerance"),
+    "rtol": ("float", DEFAULT_RTOL, "integrator relative tolerance"),
+    "atol": ("float", DEFAULT_ATOL, "integrator absolute tolerance"),
 }
 
 RECIPES = ("fig1", "fig2", "fig3", "table1")
@@ -213,21 +216,12 @@ def load_config(path=None, command=None, flag_pairs=None):
     return CommandConfig(command=command, params=params)
 
 
-def _record(config, tolerances, derived, artifacts):
-    return RunRecord(
-        inputs={"command": config.command, **config.params},
-        tolerances=tolerances,
-        derived=derived,
-        artifacts=artifacts,
-        version=__version__,
+def _finish(outdir, inputs, tolerances, derived, artifacts):
+    """Write ``run_record.json`` for a finished command or recipe; exit code 0."""
+    record = RunRecord(
+        inputs=inputs, tolerances=tolerances, derived=derived, artifacts=artifacts
     )
-
-
-def _finish(config, outdir, tolerances, derived, artifacts):
-    entry = export_json(
-        _record(config, tolerances, derived, artifacts),
-        os.path.join(outdir, "run_record.json"),
-    )
+    entry = export_json(record, os.path.join(outdir, "run_record.json"))
     print(f"wrote {len(artifacts)} artifact(s) + {entry.path}")
     return 0
 
@@ -238,10 +232,6 @@ def _params_from(config):
 
 def _tolerances(config):
     return {"rtol": config.params["rtol"], "atol": config.params["atol"]}
-
-
-def _rel(outdir, name):
-    return os.path.join(outdir, name)
 
 
 def _run_trace(config):
@@ -261,7 +251,7 @@ def _run_trace(config):
     curve = integrate_profile(params, stop, rtol=p["rtol"], atol=p["atol"])
     outdir = _ensure_out(p["out"])
     artifacts = [
-        export_profile_csv(curve, _rel(outdir, "profile.csv"), n=p["samples"])
+        export_profile_csv(curve, os.path.join(outdir, "profile.csv"), n=p["samples"])
     ]
     derived = {
         "ell": curve.ell,
@@ -269,7 +259,7 @@ def _run_trace(config):
         "endpoint": list(curve.state_at(curve.ell)),
     }
     print(f"trace: ell = {curve.ell:.12g}, stop = {curve.stop_reason.value}")
-    return _finish(config, outdir, _tolerances(config), derived, artifacts)
+    return outdir, derived, artifacts
 
 
 def _run_sigma0(config):
@@ -277,7 +267,9 @@ def _run_sigma0(config):
     sig = shoot_sigma0(BoundaryCircle(p["R"], p["Z"]))
     outdir = _ensure_out(p["out"])
     artifacts = [
-        export_profile_csv(sig.curve, _rel(outdir, "sigma0_profile.csv"), n=p["samples"])
+        export_profile_csv(
+            sig.curve, os.path.join(outdir, "sigma0_profile.csv"), n=p["samples"]
+        )
     ]
     derived = {
         "c_o": sig.params.c_o,
@@ -290,21 +282,18 @@ def _run_sigma0(config):
         f"sigma0: c_o = {sig.params.c_o:.12g}, z_o = {sig.params.z_o:.12g}, "
         f"mismatch = {sig.match_residual:.3e}"
     )
-    return _finish(config, outdir, _tolerances(config), derived, artifacts)
+    return outdir, derived, artifacts
 
 
 def _family_csv(members, path):
-    lines = ["c,z_o,contact_angle,ell,match_residual"]
-    for m in members:
-        lines.append(
-            ",".join(
-                "%.17g" % v
-                for v in (m.c, m.z_o, m.contact_angle, m.curve.ell, m.match_residual)
-            )
-        )
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return ArtifactEntry(kind="family", format="csv", path=str(path))
+    columns = [
+        [m.c for m in members],
+        [m.z_o for m in members],
+        [m.contact_angle for m in members],
+        [m.curve.ell for m in members],
+        [m.match_residual for m in members],
+    ]
+    return export_csv(path, "c,z_o,contact_angle,ell,match_residual", columns, "family")
 
 
 def _run_family(config):
@@ -312,11 +301,11 @@ def _run_family(config):
     circle = BoundaryCircle(p["R"], p["Z"])
     sweep = family_sweep(circle, p["c_min"], p["c_max"], p["n"])
     outdir = _ensure_out(p["out"])
-    artifacts = [_family_csv(sweep.members, _rel(outdir, "family.csv"))]
+    artifacts = [_family_csv(sweep.members, os.path.join(outdir, "family.csv"))]
     for i, m in enumerate(sweep.members):
         artifacts.append(
             export_profile_csv(
-                m.curve, _rel(outdir, f"member_{i:02d}.csv"), n=p["samples"]
+                m.curve, os.path.join(outdir, f"member_{i:02d}.csv"), n=p["samples"]
             )
         )
     derived = {
@@ -325,7 +314,7 @@ def _run_family(config):
         "contact_angles": [m.contact_angle for m in sweep.members],
     }
     print(f"family: {len(sweep.members)} members, {len(sweep.failures)} failures")
-    return _finish(config, outdir, _tolerances(config), derived, artifacts)
+    return outdir, derived, artifacts
 
 
 def _run_linearize(config):
@@ -340,45 +329,49 @@ def _run_linearize(config):
     psi = lin.kernel.psi_at(taus)
     h = lin.h_at(taus)
     w = lin.w_at(taus)
-    lines = ["tau,sigma,psi,h,w"]
-    for row in zip(taus, curve.ell - taus, psi, h, w):
-        lines.append(",".join("%.17g" % v for v in row))
-    path = _rel(outdir, "linearized.csv")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    artifacts = [ArtifactEntry(kind="linearized", format="csv", path=str(path))]
+    artifacts = [
+        export_csv(
+            os.path.join(outdir, "linearized.csv"),
+            "tau,sigma,psi,h,w",
+            [taus, curve.ell - taus, psi, h, w],
+            "linearized",
+        )
+    ]
     derived = {"h_prime_boundary": lin.h_prime_boundary, "alpha": lin.alpha}
     print(f"linearize: h_prime_boundary = {lin.h_prime_boundary:.10g}")
-    return _finish(config, outdir, _tolerances(config), derived, artifacts)
+    return outdir, derived, artifacts
 
 
 def _run_table1(config):
     p = config.params
-    rows = []
-    for z_o in p["z_o_list"]:
+    z_list = p["z_o_list"]
+    slopes, counts = [], []
+    for z_o in z_list:
         params = ModelParams(p["c_o"], z_o)
         if not params.sigma0_admissible:
             raise NotAdmissible(f"z_o = {z_o} is not below -1/c_o")
         curve = integrate_profile(params, sigma0_stop(), rtol=p["rtol"], atol=p["atol"])
         lin = solve_h(curve)
-        rows.append((p["c_o"], z_o, lin.h_prime_boundary, curve.taus.size))
+        slopes.append(lin.h_prime_boundary)
+        counts.append(curve.taus.size)
         print(f"table1: z_o = {z_o:g}  h_prime_boundary = {lin.h_prime_boundary:.6f}")
     outdir = _ensure_out(p["out"])
-    lines = ["c_o,z_o,h_prime_boundary"]
-    for c_o, z_o, hp, _ns in rows:
-        lines.append(",".join("%.17g" % v for v in (c_o, z_o, hp)))
-    path = _rel(outdir, "table1.csv")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    artifacts = [ArtifactEntry(kind="table", format="csv", path=str(path))]
+    artifacts = [
+        export_csv(
+            os.path.join(outdir, "table1.csv"),
+            "c_o,z_o,h_prime_boundary",
+            [[p["c_o"]] * len(z_list), z_list, slopes],
+            "table",
+        )
+    ]
     meta = {
         "tolerances": _tolerances(config),
-        "tau0_factor": 1e-6,
-        "sample_counts": {str(z): ns for (_c, z, _h, ns) in rows},
+        "tau0_factor": DEFAULT_TAU0_FACTOR,
+        "sample_counts": {str(z): n for z, n in zip(z_list, counts)},
     }
-    artifacts.append(export_json(meta, _rel(outdir, "table1_meta.json")))
-    derived = {"h_prime_boundary": {str(z): h for (_c, z, h, _n) in rows}}
-    return _finish(config, outdir, _tolerances(config), derived, artifacts)
+    artifacts.append(export_json(meta, os.path.join(outdir, "table1_meta.json")))
+    derived = {"h_prime_boundary": {str(z): h for z, h in zip(z_list, slopes)}}
+    return outdir, derived, artifacts
 
 
 def _run_eigen(config):
@@ -396,20 +389,19 @@ def _run_eigen(config):
         "eigenvalues_coarse": res.eigenvalues_coarse.tolist(),
         "discrete_residuals": res.discrete_residuals.tolist(),
     }
-    artifacts = [export_json(payload, _rel(outdir, "eigen.json"))]
+    artifacts = [export_json(payload, os.path.join(outdir, "eigen.json"))]
     if p["eigenfunctions"]:
-        lines = ["tau," + ",".join(f"u{k}" for k in range(p["count"]))]
-        for i, t in enumerate(res.mesh):
-            vals = [t] + [res.eigenfunctions[i, k] for k in range(p["count"])]
-            lines.append(",".join("%.17g" % v for v in vals))
-        path = _rel(outdir, "eigenfunctions.csv")
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        count = p["count"]
         artifacts.append(
-            ArtifactEntry(kind="eigenfunctions", format="csv", path=str(path))
+            export_csv(
+                os.path.join(outdir, "eigenfunctions.csv"),
+                "tau," + ",".join(f"u{k}" for k in range(count)),
+                [res.mesh] + [res.eigenfunctions[:, k] for k in range(count)],
+                "eigenfunctions",
+            )
         )
     print(f"eigen m={res.m}: {np.array2string(res.eigenvalues, precision=8)}")
-    return _finish(config, outdir, _tolerances(config), payload, artifacts)
+    return outdir, payload, artifacts
 
 
 def _run_certify(config):
@@ -429,10 +421,10 @@ def _run_certify(config):
         "diagnostics": cert.diagnostics,
         "sigma0": {"c_o": sig.params.c_o, "z_o": sig.params.z_o, "ell": sig.curve.ell},
     }
-    artifacts = [export_json(payload, _rel(outdir, "certificate.json"))]
+    artifacts = [export_json(payload, os.path.join(outdir, "certificate.json"))]
     derived = {"verdict": cert.verdict, "h_prime_boundary": cert.h_prime_boundary}
     print(f"certify: verdict = {cert.verdict}, conditions = {cert.conditions}")
-    return _finish(config, outdir, _tolerances(config), derived, artifacts)
+    return outdir, derived, artifacts
 
 
 def _run_mesh(config):
@@ -459,7 +451,7 @@ def _run_mesh(config):
             )
     else:
         raise ParseError(f"unknown mesh kind {p['kind']!r}")
-    artifacts = [export_mesh_obj(mesh, _rel(outdir, f"{p['kind']}.obj"))]
+    artifacts = [export_mesh_obj(mesh, os.path.join(outdir, f"{p['kind']}.obj"))]
     derived = {
         "vertices": int(mesh.vertices.shape[0]),
         "faces": int(mesh.faces.shape[0]),
@@ -467,9 +459,10 @@ def _run_mesh(config):
         "amplitude": p["amplitude"],
     }
     print(f"mesh: {derived['vertices']} vertices, {derived['faces']} faces")
-    return _finish(config, outdir, _tolerances(config), derived, artifacts)
+    return outdir, derived, artifacts
 
 
+# each command returns (outdir, derived, artifacts); ``run`` writes the record
 _DISPATCH = {
     "trace": _run_trace,
     "sigma0": _run_sigma0,
@@ -483,96 +476,93 @@ _DISPATCH = {
 
 
 def _ensure_out(outdir):
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {outdir}: {exc}") from exc
     return outdir
 
 
 def run(config):
     """Execute a resolved configuration; returns the process exit code."""
-    return _DISPATCH[config.command](config)
+    outdir, derived, artifacts = _DISPATCH[config.command](config)
+    inputs = {"command": config.command, **config.params}
+    return _finish(outdir, inputs, _tolerances(config), derived, artifacts)
+
+
+def _recipe_fig1(outdir):
+    artifacts = []
+    for z_o in _TABLE1_ZO:
+        curve = integrate_profile(ModelParams(2.0, z_o), sigma0_stop())
+        tag = ("m%.2f" % -z_o).replace(".", "p")
+        artifacts.append(
+            export_profile_csv(curve, os.path.join(outdir, f"profile_{tag}.csv"), n=400)
+        )
+        artifacts.append(
+            export_mesh_obj(
+                revolve(curve, 64), os.path.join(outdir, f"surface_{tag}.obj")
+            )
+        )
+    inputs = {"c_o": 2.0, "z_o_list": list(_TABLE1_ZO)}
+    return inputs, {"dashed_line": -0.5}, artifacts
+
+
+def _recipe_fig2(outdir):
+    sweep = family_sweep(BoundaryCircle(0.5, -3.0), 1.2, 1.8, 13)
+    artifacts = [_family_csv(sweep.members, os.path.join(outdir, "family.csv"))]
+    for m in sweep.members:
+        tag = ("c%.2f" % m.c).replace(".", "p")
+        artifacts.append(
+            export_profile_csv(
+                m.curve, os.path.join(outdir, f"member_{tag}.csv"), n=400
+            )
+        )
+        if any(abs(m.c - c) < 1e-9 for c in (1.8, 1.5, 1.3, 1.2)):
+            artifacts.append(
+                export_mesh_obj(
+                    revolve(m.curve, 64), os.path.join(outdir, f"surface_{tag}.obj")
+                )
+            )
+    inputs = {"R": 0.5, "Z": -3.0, "c_min": 1.2, "c_max": 1.8, "n": 13}
+    derived = {"contact_angles": [m.contact_angle for m in sweep.members]}
+    return inputs, derived, artifacts
+
+
+def _recipe_fig3(outdir):
+    sig = shoot_sigma0(BoundaryCircle(0.5, -3.0))
+    artifacts = [
+        export_profile_csv(
+            sig.curve, os.path.join(outdir, "sigma0_profile.csv"), n=400
+        ),
+        export_mesh_obj(revolve(sig.curve, 64), os.path.join(outdir, "sigma0.obj")),
+    ]
+    amplitudes = (-0.2, -0.1, 0.1, 0.2)
+    for s in amplitudes:
+        tag = ("s%+.2f" % s).replace(".", "p").replace("+", "p").replace("-", "m")
+        artifacts.append(
+            export_mesh_obj(
+                branch_linear_mesh(sig, s, 64),
+                os.path.join(outdir, f"branch_{tag}.obj"),
+            )
+        )
+    inputs = {"R": 0.5, "Z": -3.0, "amplitudes": list(amplitudes)}
+    derived = {"c_o": sig.params.c_o, "z_o": sig.params.z_o}
+    return inputs, derived, artifacts
+
+
+# figure recipes: outdir -> (inputs, derived, artifacts)
+_FIGURE_RECIPES = {"fig1": _recipe_fig1, "fig2": _recipe_fig2, "fig3": _recipe_fig3}
 
 
 def _run_recipe(name, out_base):
     if name == "table1":
-        cfg = load_config(command="table1", flag_pairs={"out": out_base})
-        return run(cfg)
-    if name == "fig1":
-        outdir = _ensure_out(out_base)
-        artifacts = []
-        for z_o in _TABLE1_ZO:
-            curve = integrate_profile(ModelParams(2.0, z_o), sigma0_stop())
-            tag = ("m%.2f" % -z_o).replace(".", "p")
-            artifacts.append(
-                export_profile_csv(curve, _rel(outdir, f"profile_{tag}.csv"), n=400)
-            )
-            artifacts.append(
-                export_mesh_obj(revolve(curve, 64), _rel(outdir, f"surface_{tag}.obj"))
-            )
-        cfg = CommandConfig("table1", {"recipe": "fig1"})
-        rec = RunRecord(
-            inputs={"recipe": "fig1", "c_o": 2.0, "z_o_list": list(_TABLE1_ZO)},
-            tolerances={"rtol": 1e-10, "atol": 1e-12},
-            derived={"dashed_line": -0.5},
-            artifacts=artifacts,
-            version=__version__,
-        )
-        export_json(rec, _rel(outdir, "run_record.json"))
-        print(f"fig1: wrote {len(artifacts)} artifacts to {outdir}")
-        return 0
-    if name == "fig2":
-        outdir = _ensure_out(out_base)
-        circle = BoundaryCircle(0.5, -3.0)
-        sweep = family_sweep(circle, 1.2, 1.8, 13)
-        artifacts = [_family_csv(sweep.members, _rel(outdir, "family.csv"))]
-        for m in sweep.members:
-            tag = ("c%.2f" % m.c).replace(".", "p")
-            artifacts.append(
-                export_profile_csv(m.curve, _rel(outdir, f"member_{tag}.csv"), n=400)
-            )
-            if any(abs(m.c - c) < 1e-9 for c in (1.8, 1.5, 1.3, 1.2)):
-                artifacts.append(
-                    export_mesh_obj(
-                        revolve(m.curve, 64), _rel(outdir, f"surface_{tag}.obj")
-                    )
-                )
-        rec = RunRecord(
-            inputs={"recipe": "fig2", "R": 0.5, "Z": -3.0, "c_min": 1.2,
-                    "c_max": 1.8, "n": 13},
-            tolerances={"rtol": 1e-10, "atol": 1e-12},
-            derived={"contact_angles": [m.contact_angle for m in sweep.members]},
-            artifacts=artifacts,
-            version=__version__,
-        )
-        export_json(rec, _rel(outdir, "run_record.json"))
-        print(f"fig2: wrote {len(artifacts)} artifacts to {outdir}")
-        return 0
-    if name == "fig3":
-        outdir = _ensure_out(out_base)
-        sig = shoot_sigma0(BoundaryCircle(0.5, -3.0))
-        artifacts = [
-            export_profile_csv(sig.curve, _rel(outdir, "sigma0_profile.csv"), n=400),
-            export_mesh_obj(revolve(sig.curve, 64), _rel(outdir, "sigma0.obj")),
-        ]
-        amplitudes = (-0.2, -0.1, 0.1, 0.2)
-        for s in amplitudes:
-            tag = ("s%+.2f" % s).replace(".", "p").replace("+", "p").replace("-", "m")
-            artifacts.append(
-                export_mesh_obj(
-                    branch_linear_mesh(sig, s, 64), _rel(outdir, f"branch_{tag}.obj")
-                )
-            )
-        rec = RunRecord(
-            inputs={"recipe": "fig3", "R": 0.5, "Z": -3.0,
-                    "amplitudes": list(amplitudes)},
-            tolerances={"rtol": 1e-10, "atol": 1e-12},
-            derived={"c_o": sig.params.c_o, "z_o": sig.params.z_o},
-            artifacts=artifacts,
-            version=__version__,
-        )
-        export_json(rec, _rel(outdir, "run_record.json"))
-        print(f"fig3: wrote {len(artifacts)} artifacts to {outdir}")
-        return 0
-    raise ParseError(f"unknown recipe {name!r}")
+        return run(load_config(command="table1", flag_pairs={"out": out_base}))
+    if name not in _FIGURE_RECIPES:
+        raise ParseError(f"unknown recipe {name!r}")
+    outdir = _ensure_out(out_base)
+    inputs, derived, artifacts = _FIGURE_RECIPES[name](outdir)
+    tolerances = {"rtol": DEFAULT_RTOL, "atol": DEFAULT_ATOL}
+    return _finish(outdir, {"recipe": name, **inputs}, tolerances, derived, artifacts)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -589,11 +579,9 @@ def _build_parser():
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--config", help="flat key = value configuration file")
     sub = parser.add_subparsers(dest="command")
-    for command, spec in PARAM_SPECS.items():
+    for command in PARAM_SPECS:
         p = sub.add_parser(command, add_help=True)
-        merged = dict(_GLOBAL_SPECS)
-        merged.update(spec)
-        for key, (_typename, default, help_text) in merged.items():
+        for key, (_typename, _default, help_text) in _spec_for(command).items():
             if key == "out":
                 continue
             p.add_argument(f"--{key}", help=help_text, default=None)
@@ -628,7 +616,7 @@ def main(argv=None):
             path=args.config, command=args.command, flag_pairs=flag_pairs
         )
         return run(config)
-    except (ParseError, NotAdmissible, ValueError) as exc:
+    except (ParseError, NotAdmissible, IoFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MembraneLabError as exc:

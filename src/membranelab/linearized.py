@@ -22,6 +22,10 @@ boundary, by augmenting the profile system with (h, w = h_s) and starting
 from an even power series at the axis.  The boundary slope of h in the
 boundary-based orientation, h_prime_boundary, is the transversality scalar
 of the bifurcation certificate.
+
+C and D (and dphi/ds inside D) come from the single coefficient function
+``membranelab.profile.operator_coeffs``, which every right-hand side here
+and the sampled ``radial_operator_coeffs`` call.
 """
 
 import math
@@ -36,8 +40,7 @@ from .profile import (
     _safe_sin_over_r,
     axis_seed,
     geometry_at,
-    integrate_profile,
-    sigma0_stop,
+    operator_coeffs,
 )
 from .shooting import shoot_family_member, shoot_sigma0
 
@@ -110,11 +113,8 @@ class LinearizedSolution:
 def radial_operator_coeffs(r, z, phi, params):
     """(C, D): first order and potential coefficients of P at given states."""
     sor = _safe_sin_over_r(r, z, phi, params)
-    s = np.sin(phi)
-    c = np.cos(phi)
-    phi_s = -2.0 * c / z - sor + 2.0 * params.c_o
-    C = c / np.where(np.asarray(r) > 0, r, np.inf) - 2.0 * s / z
-    D = sor * sor + phi_s * phi_s - 2.0 * (c / z) ** 2
+    r_pos = np.where(np.asarray(r) > 0, r, np.inf)
+    _, C, D = operator_coeffs(np.cos(phi), np.sin(phi), sor, r_pos, z, params.c_o)
     return C, D
 
 
@@ -143,30 +143,43 @@ def extended_rhs(state, params):
         raise AxisSingularity("extended system evaluated at r = 0")
     c = math.cos(phi)
     s = math.sin(phi)
-    phi_s = -2.0 * c / z - s / r + 2.0 * params.c_o
-    sff = (s / r) ** 2 + phi_s * phi_s
-    D = sff - 2.0 * (c / z) ** 2
-    C = c / r - 2.0 * s / z
+    phi_s, C, D = operator_coeffs(c, s, s / r, r, z, params.c_o)
     return np.array([c, s, phi_s, w, -D * h - C * w - 2.0])
 
 
-def _axis_series_coefficients(params, inhom):
-    """Quadratic axis coefficient u2 of an even start u = u0 + u2 tau^2.
+def _extended_rhs_tau(c_o):
+    """Integrated right-hand side: (r, z, phi), P[psi] = 0 and P[p] = -2 in tau.
+
+    tau runs against the boundary orientation: ``extended_rhs`` rows negated.
+    """
+
+    def rhs(tau, y):
+        r, z, phi, psi, wpsi, p, wp = y
+        c = math.cos(phi)
+        s = math.sin(phi)
+        phi_s, C, D = operator_coeffs(c, s, s / r, r, z, c_o)
+        return (-c, -s, -phi_s, -wpsi, D * psi + C * wpsi, -wp, D * p + C * wp + 2.0)
+
+    return rhs
+
+
+def _axis_series_start(params, u0, inhom, tau0):
+    """(u, u_s) at tau0 of the even axis start u = u0 + u2 tau^2 of P[u] = -inhom.
 
     Near the axis P reduces to u'' + u'/tau + D(0) u with
     D(0) = 2 a^2 - 2/z_o^2, so 4 u2 + D(0) u0 = -inhom.
     """
     a = params.axis_curvature
     D0 = 2.0 * a * a - 2.0 / (params.z_o * params.z_o)
-    return D0, lambda u0: -(inhom + D0 * u0) / 4.0
+    u2 = -(inhom + D0 * u0) / 4.0
+    return u0 + u2 * tau0 * tau0, -2.0 * u2 * tau0
 
 
 def _integrate_extended(curve, *, rtol=None, atol=None, tau0=None):
     """Co-integrate profile, kernel and particular response from the axis.
 
-    State layout: (r, z, phi, psi, w_psi, p, w_p) in the from-axis parameter
-    tau; w-components store boundary-oriented derivatives, so the tau
-    derivatives of the linear states are negated relative to extended_rhs.
+    State layout and right-hand side as in ``_extended_rhs_tau``;
+    w-components store boundary-oriented derivatives.
     """
     params = curve.params
     # tighter than the profile defaults: downstream finite-difference
@@ -178,41 +191,15 @@ def _integrate_extended(curve, *, rtol=None, atol=None, tau0=None):
     if tau0 is None:
         tau0 = curve.tau0
     seed = axis_seed(params, tau0)
-    D0, u2_of = _axis_series_coefficients(params, inhom=0.0)
-    psi2 = u2_of(1.0)
-    p2 = -0.5  # from 4 u2 = -2 with u0 = 0
     y0 = (
         seed.r,
         seed.z,
         seed.phi,
-        1.0 + psi2 * tau0 * tau0,
-        -2.0 * psi2 * tau0,
-        p2 * tau0 * tau0,
-        -2.0 * p2 * tau0,
+        *_axis_series_start(params, 1.0, 0.0, tau0),
+        *_axis_series_start(params, 0.0, 2.0, tau0),
     )
-    c_o = params.c_o
-
-    def rhs(tau, y):
-        r, z, phi, psi, wpsi, p, wp = y
-        c = math.cos(phi)
-        s = math.sin(phi)
-        sor = s / r
-        phi_s = -2.0 * c / z - sor + 2.0 * c_o
-        D = sor * sor + phi_s * phi_s - 2.0 * (c / z) ** 2
-        C = c / r - 2.0 * s / z
-        # tau runs against the boundary orientation: negate every s-derivative
-        return (
-            -c,
-            -s,
-            -phi_s,
-            -wpsi,
-            D * psi + C * wpsi,
-            -wp,
-            D * p + C * wp + 2.0,
-        )
-
     sol = solve_ivp(
-        rhs,
+        _extended_rhs_tau(params.c_o),
         (tau0, curve.ell),
         y0,
         method="DOP853",
@@ -226,15 +213,8 @@ def _integrate_extended(curve, *, rtol=None, atol=None, tau0=None):
     return sol
 
 
-def solve_axisymmetric_kernel(curve, **kw):
-    """Radial kernel of P along the curve, normalized to 1 at the boundary.
-
-    The raw solution starts from psi = 1 at the axis with the even series
-    start; its boundary value must not vanish (the radial kernel meets the
-    boundary nontrivially), and a vanishing value is reported as a numerical
-    failure rather than absorbed.
-    """
-    sol = _integrate_extended(curve, **kw)
+def _kernel_from(sol):
+    """Kernel normalized to 1 at the boundary from an extended solution."""
     raw_b = float(sol.y[3, -1])
     scale = float(np.max(np.abs(sol.y[3])))
     if abs(raw_b) < 1e-10 * scale:
@@ -250,6 +230,17 @@ def solve_axisymmetric_kernel(curve, **kw):
     )
 
 
+def solve_axisymmetric_kernel(curve, **kw):
+    """Radial kernel of P along the curve, normalized to 1 at the boundary.
+
+    The raw solution starts from psi = 1 at the axis with the even series
+    start; its boundary value must not vanish (the radial kernel meets the
+    boundary nontrivially), and a vanishing value is reported as a numerical
+    failure rather than absorbed.
+    """
+    return _kernel_from(_integrate_extended(curve, **kw))
+
+
 def solve_h(curve, **kw):
     """Response h of P[h] = -2 vanishing at the boundary, by superposition.
 
@@ -258,20 +249,8 @@ def solve_h(curve, **kw):
     slope h_prime_boundary is taken in the boundary-based orientation.
     """
     sol = _integrate_extended(curve, **kw)
-    raw_b = float(sol.y[3, -1])
-    scale = float(np.max(np.abs(sol.y[3])))
-    if abs(raw_b) < 1e-10 * scale:
-        raise BoundaryValueVanishes(
-            "radial kernel vanished at the boundary within tolerance"
-        )
-    kernel = KernelSolution(
-        taus=sol.t,
-        psi=sol.y[3] / raw_b,
-        w=sol.y[4] / raw_b,
-        raw_boundary_value=raw_b,
-        _dense=sol.sol,
-    )
-    alpha = -float(sol.y[5, -1]) / raw_b
+    kernel = _kernel_from(sol)
+    alpha = -float(sol.y[5, -1]) / kernel.raw_boundary_value
     h = sol.y[5] + alpha * sol.y[3]
     w = sol.y[6] + alpha * sol.y[4]
     return LinearizedSolution(
@@ -331,10 +310,9 @@ def residual_Pnu3(curve, n=1000):
     a = 0.02 * curve.ell
     b = 0.98 * curve.ell
     taus = np.linspace(a, b, n)
-    _, z, phi = curve.state_at(taus)
+    r, z, phi = curve.state_at(taus)
     nu3 = -np.cos(phi)
     h = taus[1] - taus[0]
-    r, z, phi = curve.state_at(taus)
     C, D = radial_operator_coeffs(r, z, phi, curve.params)
     res = fd2(nu3, h) - C * fd1(nu3, h) + D * nu3 + 2.0 * nu3 / (z * z)
     keep = fd_interior_slice(n)

@@ -20,6 +20,11 @@ internal parameter is tau, the arc length measured from the axis, and all
 stored states keep the boundary-oriented tangent angle phi (which decreases
 from pi as tau grows).  Boundary-based arc length is sigma = ell - tau.
 
+dphi/ds and the coefficients C, D of its linearization (see
+``membranelab.linearized``) are written once, in ``dphi_ds`` and
+``operator_coeffs``; every right-hand side and sampled diagnostic of the
+package calls them.
+
 Sign conventions used throughout the package:
 
     nu3   = -cos(phi)                    vertical normal component
@@ -211,11 +216,7 @@ class ProfileCurve:
         if np.any(~seeded):
             out[:, ~seeded] = self._dense(t[~seeded])
         if np.any(seeded):
-            ts = t[seeded]
-            a = self.params.axis_curvature
-            out[0, seeded] = ts
-            out[1, seeded] = self.params.z_o - 0.5 * a * ts * ts
-            out[2, seeded] = np.pi - a * ts
+            out[:, seeded] = _axis_series(self.params, t[seeded])
         if scalar:
             return float(out[0, 0]), float(out[1, 0]), float(out[2, 0])
         return out[0], out[1], out[2]
@@ -264,12 +265,27 @@ def axis_seed(params, tau0):
         raise InvalidOffset(
             f"tau0 = {tau0} outside [0, {1e-3 * abs(params.z_o)}]"
         )
-    return ProfileState(
-        tau=tau0,
-        r=tau0,
-        z=params.z_o - 0.5 * a * tau0 * tau0,
-        phi=math.pi - a * tau0,
-    )
+    return ProfileState(tau0, *_axis_series(params, tau0))
+
+
+def _axis_series(params, tau):
+    """(r, z, phi) of the second-order axis series, scalar or array tau."""
+    a = params.axis_curvature
+    return tau, params.z_o - 0.5 * a * tau * tau, math.pi - a * tau
+
+
+def dphi_ds(c, sor, z, c_o):
+    """dphi/ds (s boundary-based) from c = cos(phi) and sor = sin(phi)/r.
+
+    Pure arithmetic: runs on floats in the right-hand sides and on arrays.
+    """
+    return -2.0 * c / z - sor + 2.0 * c_o
+
+
+def operator_coeffs(c, s, sor, r, z, c_o):
+    """(dphi/ds, C, D) of P[u] = u_ss + C u_s + D u, with s = sin(phi)."""
+    phi_s = dphi_ds(c, sor, z, c_o)
+    return phi_s, c / r - 2.0 * s / z, sor * sor + phi_s * phi_s - 2.0 * (c / z) ** 2
 
 
 def _profile_rhs(c_o):
@@ -277,7 +293,8 @@ def _profile_rhs(c_o):
         r, z, phi = y
         c = math.cos(phi)
         s = math.sin(phi)
-        return (-c, -s, 2.0 * c / z + s / r - 2.0 * c_o)
+        # tau runs against the boundary orientation
+        return (-c, -s, -dphi_ds(c, s / r, z, c_o))
 
     return rhs
 
@@ -451,7 +468,7 @@ def geometry_at(curve, tau):
     s = np.sin(phi)
     c = np.cos(phi)
     sor = _safe_sin_over_r(r, z, phi, p)
-    phi_s = -2.0 * c / z - sor + 2.0 * p.c_o
+    phi_s = dphi_ds(c, sor, z, p.c_o)
     H = -0.5 * (phi_s + sor)
     K = phi_s * sor
     nu3 = -c

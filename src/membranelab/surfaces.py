@@ -12,10 +12,11 @@ symmetry-breaking branch uses s * sin(phi) * cos(theta) (first angular mode,
 even in theta), the axisymmetric family uses t * h(tau).  Both fields vanish
 on the boundary ring, so every perturbed mesh spans the same circle.
 
-File artifacts: profile CSV with the fixed header
-``tau,sigma,r,z,phi,H,K,nu3,kappa,q,xi``, ASCII OBJ with v/f records only,
-JSON run records; all floats with 17 significant digits, all outputs
-deterministic functions of their inputs.
+File artifacts: CSV tables written by ``export_csv`` (among them the
+profile CSV with the fixed header ``tau,sigma,r,z,phi,H,K,nu3,kappa,q,xi``),
+ASCII OBJ with v/f records only, JSON run records; all floats with 17
+significant digits, all outputs deterministic functions of their inputs, and
+every write failure raised as IoFailure.
 """
 
 import json
@@ -24,6 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .errors import AmplitudeTooLarge, IoFailure
 from .profile import geometry_at
 
@@ -85,7 +87,7 @@ class RunRecord:
     tolerances: dict
     derived: dict
     artifacts: list = field(default_factory=list)
-    version: str = "0.1.0"
+    version: str = __version__
 
     def to_dict(self):
         d = asdict(self)
@@ -246,15 +248,18 @@ def profile_table(curve, n=None):
     }
 
 
+def export_csv(path, header, columns, kind):
+    """CSV of equal-length columns under ``header``; empty columns give the header."""
+    rows = np.column_stack([np.atleast_1d(col) for col in columns]).tolist()
+    lines = [header] + [",".join(_FMT % v for v in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
+    return ArtifactEntry(kind=kind, format="csv", path=str(path))
+
+
 def export_profile_csv(curve, path, n=None):
     table = profile_table(curve, n=n)
-    cols = PROFILE_CSV_HEADER.split(",")
-    lines = [PROFILE_CSV_HEADER]
-    data = np.column_stack([np.atleast_1d(table[c]) for c in cols])
-    for row in data:
-        lines.append(",".join(_FMT % v for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
-    return ArtifactEntry(kind="profile", format="csv", path=str(path))
+    columns = [table[c] for c in PROFILE_CSV_HEADER.split(",")]
+    return export_csv(path, PROFILE_CSV_HEADER, columns, "profile")
 
 
 def read_profile_csv(path):

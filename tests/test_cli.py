@@ -165,6 +165,31 @@ def test_cli_mesh_kinds(tmp_path):
     assert run_cli(["mesh", "--kind", "branch", "--out", str(tmp_path / "m3")]) == 1
 
 
+@pytest.mark.parametrize(
+    "args, blocked",
+    [
+        (["linearize", "--c_o", "2", "--z_o", "-0.6"], "linearized.csv"),
+        (["trace", "--c_o", "2", "--z_o", "-0.6", "--samples", "20"], "profile.csv"),
+    ],
+)
+def test_cli_unwritable_artifact_exit_1(tmp_path, capsys, args, blocked):
+    # a directory squatting on the artifact path makes the write fail
+    (tmp_path / blocked).mkdir()
+    assert run_cli(args + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
+
+
+def test_cli_out_under_regular_file_exit_1(tmp_path, capsys):
+    blocker = tmp_path / "plain"
+    blocker.write_text("")
+    rc = run_cli(["trace", "--c_o", "2", "--z_o", "-0.6", "--samples", "20",
+                  "--out", str(blocker / "sub")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
 def test_cli_no_command(capsys):
     assert run_cli([]) == 1
     assert "required" in capsys.readouterr().err

@@ -17,10 +17,12 @@ from membranelab import (
 )
 from membranelab.errors import AxisSingularity
 from membranelab.linearized import (
+    _extended_rhs_tau,
     linearized_coeffs,
     operator_residual,
     radial_operator_coeffs,
 )
+from membranelab.profile import _profile_rhs
 from membranelab._util import gauss_panels
 
 from _oracles import (
@@ -64,6 +66,26 @@ def test_extended_rhs_matches_geometry(curve26):
     assert D[0] == pytest.approx(g.sff_norm2 - 2.0 * (g.nu3 / z) ** 2, rel=1e-12)
     assert out[4] == pytest.approx(-D[0] * h - C[0] * w - 2.0, rel=1e-12)
     assert out[2] == pytest.approx(-g.kappa, rel=1e-12)
+
+
+def test_integrated_rhs_matches_extended_rhs(curve26):
+    # the right-hand sides handed to solve_ivp run in tau = ell - s, so they
+    # must be the negated boundary-oriented rows of extended_rhs
+    params = curve26.params
+    rhs_tau = _extended_rhs_tau(params.c_o)
+    profile_tau = _profile_rhs(params.c_o)
+    for tau in np.linspace(0.05, 0.95, 7) * curve26.ell:
+        r, z, phi = curve26.state_at(tau)
+        psi, wpsi, p, wp = 0.8, -0.3, 0.21, -0.37
+        y = (r, z, phi, psi, wpsi, p, wp)
+        out = rhs_tau(tau, y)
+        p_rows = extended_rhs((r, z, phi, p, wp), params)
+        psi_rows = extended_rhs((r, z, phi, psi, wpsi), params)
+        assert out[5:] == (-p_rows[3], -p_rows[4])
+        assert out[3] == -psi_rows[3]
+        assert out[4] == pytest.approx(-(psi_rows[4] + 2.0), rel=1e-14, abs=1e-14)
+        assert out[:3] == tuple(-psi_rows[:3])
+        assert profile_tau(tau, (r, z, phi)) == tuple(-psi_rows[:3])
 
 
 def test_extended_rhs_axis_error():
