@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import IoFailure, MembraneLabError, NotAdmissible, ParseError
+from .errors import (
+    IoFailure,
+    MembraneLabError,
+    NoConvergence,
+    NotAdmissible,
+    ParseError,
+)
 from .linearized import solve_h
 from .profile import (
     DEFAULT_ATOL,
@@ -248,8 +254,8 @@ def _run_trace(config):
         stop = StopCondition.at_arc_length(p["arc"])
     else:
         raise ParseError(f"unknown stop kind {p['stop']!r}")
-    curve = integrate_profile(params, stop, rtol=p["rtol"], atol=p["atol"])
     outdir = _ensure_out(p["out"])
+    curve = integrate_profile(params, stop, rtol=p["rtol"], atol=p["atol"])
     artifacts = [
         export_profile_csv(curve, os.path.join(outdir, "profile.csv"), n=p["samples"])
     ]
@@ -264,8 +270,8 @@ def _run_trace(config):
 
 def _run_sigma0(config):
     p = config.params
-    sig = shoot_sigma0(BoundaryCircle(p["R"], p["Z"]))
     outdir = _ensure_out(p["out"])
+    sig = shoot_sigma0(BoundaryCircle(p["R"], p["Z"]))
     artifacts = [
         export_profile_csv(
             sig.curve, os.path.join(outdir, "sigma0_profile.csv"), n=p["samples"]
@@ -298,9 +304,14 @@ def _family_csv(members, path):
 
 def _run_family(config):
     p = config.params
+    if p["n"] < 1:
+        raise ValueError("family needs n >= 1 members")
+    outdir = _ensure_out(p["out"])
     circle = BoundaryCircle(p["R"], p["Z"])
     sweep = family_sweep(circle, p["c_min"], p["c_max"], p["n"])
-    outdir = _ensure_out(p["out"])
+    if not sweep.members:
+        failed = "; ".join(f"c = {c}: {why}" for c, why in sweep.failures)
+        raise NoConvergence(f"no family member converged ({failed})")
     artifacts = [_family_csv(sweep.members, os.path.join(outdir, "family.csv"))]
     for i, m in enumerate(sweep.members):
         artifacts.append(
@@ -322,9 +333,9 @@ def _run_linearize(config):
     params = _params_from(config)
     if not params.sigma0_admissible:
         raise NotAdmissible("linearize requires z_o < -1/c_o")
+    outdir = _ensure_out(p["out"])
     curve = integrate_profile(params, sigma0_stop(), rtol=p["rtol"], atol=p["atol"])
     lin = solve_h(curve)
-    outdir = _ensure_out(p["out"])
     taus = np.linspace(0.0, curve.ell, p["samples"])
     psi = lin.kernel.psi_at(taus)
     h = lin.h_at(taus)
@@ -345,6 +356,7 @@ def _run_linearize(config):
 def _run_table1(config):
     p = config.params
     z_list = p["z_o_list"]
+    outdir = _ensure_out(p["out"])
     slopes, counts = [], []
     for z_o in z_list:
         params = ModelParams(p["c_o"], z_o)
@@ -355,7 +367,6 @@ def _run_table1(config):
         slopes.append(lin.h_prime_boundary)
         counts.append(curve.taus.size)
         print(f"table1: z_o = {z_o:g}  h_prime_boundary = {lin.h_prime_boundary:.6f}")
-    outdir = _ensure_out(p["out"])
     artifacts = [
         export_csv(
             os.path.join(outdir, "table1.csv"),
@@ -379,9 +390,9 @@ def _run_eigen(config):
     params = _params_from(config)
     if not params.sigma0_admissible:
         raise NotAdmissible("eigen requires z_o < -1/c_o")
+    outdir = _ensure_out(p["out"])
     curve = integrate_profile(params, sigma0_stop(), rtol=p["rtol"], atol=p["atol"])
     res = eigen_solve(curve, p["m"], p["count"], n=p["n"])
-    outdir = _ensure_out(p["out"])
     payload = {
         "m": res.m,
         "eigenvalues": res.eigenvalues.tolist(),
@@ -406,10 +417,10 @@ def _run_eigen(config):
 
 def _run_certify(config):
     p = config.params
+    outdir = _ensure_out(p["out"])
     sig = shoot_sigma0(BoundaryCircle(p["R"], p["Z"]))
     lin = solve_h(sig.curve)
     cert = certify(sig, lin, count=p["count"], n=p["n"])
-    outdir = _ensure_out(p["out"])
     payload = {
         "verdict": cert.verdict,
         "conditions": cert.conditions,

@@ -16,7 +16,9 @@ File artifacts: CSV tables written by ``export_csv`` (among them the
 profile CSV with the fixed header ``tau,sigma,r,z,phi,H,K,nu3,kappa,q,xi``),
 ASCII OBJ with v/f records only, JSON run records; all floats with 17
 significant digits, all outputs deterministic functions of their inputs, and
-every write failure raised as IoFailure.
+every write failure raised as IoFailure.  CSV and OBJ rows go through one
+writer, ``_write_rows``, which formats and writes ``_BLOCK_ROWS`` rows at a
+time, so no file is ever held in memory as text.
 """
 
 import json
@@ -31,6 +33,7 @@ from .profile import geometry_at
 
 PROFILE_CSV_HEADER = "tau,sigma,r,z,phi,H,K,nu3,kappa,q,xi"
 _FMT = "%.17g"
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -48,11 +51,21 @@ class SurfaceMesh:
         self.displacement.setflags(write=False)
 
     def edge_count(self):
-        e = np.concatenate(
-            [self.faces[:, [0, 1]], self.faces[:, [1, 2]], self.faces[:, [2, 0]]]
+        # each undirected edge (lo, hi) as the single key lo * n + hi; a sort
+        # and a count of the steps between neighbours is far cheaper than
+        # np.unique, with or without axis=0
+        n = self.vertices.shape[0]
+        a, b, c = self.faces.astype(np.int64, copy=False).T
+        keys = np.concatenate(
+            [
+                np.minimum(p, q) * n + np.maximum(p, q)
+                for p, q in ((a, b), (b, c), (c, a))
+            ]
         )
-        e.sort(axis=1)
-        return np.unique(e, axis=0).shape[0]
+        if keys.size == 0:
+            return 0
+        keys.sort()
+        return 1 + int(np.count_nonzero(np.diff(keys)))
 
     def euler_characteristic(self):
         return self.vertices.shape[0] - self.edge_count() + self.faces.shape[0]
@@ -97,54 +110,55 @@ class RunRecord:
         return d
 
 
-def _mesh_fields(curve, n_theta, n_profile):
-    taus = np.linspace(0.0, curve.ell, n_profile)
-    r, z, phi = curve.state_at(taus)
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    return taus, r, z, phi, thetas
+def _disc_faces(n_theta, n_rings):
+    """Apex fan, then two triangles per quad ring by ring, as int64 rows.
+
+    Quad j between rings a and b = a + n_theta gives (a+j, b+j, b+jn) and
+    (a+j, b+jn, a+jn) with jn = (j + 1) mod n_theta, in that order.
+    """
+    j = np.arange(n_theta, dtype=np.int64)
+    jn = (j + 1) % n_theta
+    fan = np.stack([np.zeros_like(j), 1 + j, 1 + jn], axis=1)
+    a = (1 + n_theta * np.arange(n_rings - 1, dtype=np.int64))[:, None]
+    b = a + n_theta
+    quads = np.stack([a + j, b + j, b + jn, a + j, b + jn, a + jn], axis=-1)
+    return np.concatenate([fan, quads.reshape(-1, 3)])
 
 
 def _assemble(curve, n_theta, n_profile, scalar_field, meta):
-    """Build the disc mesh with normal displacement ``scalar_field(i, theta)``.
+    """Build the disc mesh with normal displacement ``scalar_field``.
 
-    ``scalar_field`` maps (profile index array, theta array) broadcast to the
-    per-vertex displacement magnitude.
+    ``scalar_field(taus, phi, thetas)`` maps the profile stations and the
+    ring angles to the (n_profile, n_theta) displacement magnitudes; the
+    apex takes the value at station 0 and theta = 0.
     """
-    taus, r, z, phi, thetas = _mesh_fields(curve, n_theta, n_profile)
+    if n_profile < 2:
+        raise ValueError("n_profile must be at least 2 (the apex and one ring)")
+    taus = np.linspace(0.0, curve.ell, n_profile)
+    r, z, phi = curve.state_at(taus)
+    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
     cos_t = np.cos(thetas)
     sin_t = np.sin(thetas)
     n_rings = n_profile - 1
     verts = np.empty((1 + n_rings * n_theta, 3))
     disp = np.empty(verts.shape[0])
+    field = scalar_field(taus, phi, thetas)
     # apex: the exact axis point; its normal is vertical
-    apex_disp = scalar_field(np.array([0]), np.array([0.0]))[0, 0]
+    apex_disp = field[0, 0]
     verts[0] = (0.0, 0.0, z[0] + apex_disp)
     disp[0] = apex_disp
-    idx = np.arange(1, n_profile)
-    d = scalar_field(idx, thetas)  # (n_rings, n_theta)
-    nr = np.sin(phi[idx])[:, None]
-    nz = -np.cos(phi[idx])[:, None]
-    rr = r[idx][:, None] + d * nr
-    zz = z[idx][:, None] + d * nz
+    d = field[1:]  # (n_rings, n_theta)
+    nr = np.sin(phi[1:])[:, None]
+    nz = -np.cos(phi[1:])[:, None]
+    rr = r[1:][:, None] + d * nr
+    zz = z[1:][:, None] + d * nz
     verts[1:, 0] = (rr * cos_t[None, :]).ravel()
     verts[1:, 1] = (rr * sin_t[None, :]).ravel()
     verts[1:, 2] = np.broadcast_to(zz, (n_rings, n_theta)).ravel()
     disp[1:] = d.ravel()
-
-    faces = []
-    ring0 = 1
-    for j in range(n_theta):
-        faces.append((0, ring0 + j, ring0 + (j + 1) % n_theta))
-    for i in range(n_rings - 1):
-        a = 1 + i * n_theta
-        b = 1 + (i + 1) * n_theta
-        for j in range(n_theta):
-            jn = (j + 1) % n_theta
-            faces.append((a + j, b + j, b + jn))
-            faces.append((a + j, b + jn, a + jn))
     mesh = SurfaceMesh(
         vertices=verts,
-        faces=np.asarray(faces, dtype=np.int64),
+        faces=_disc_faces(n_theta, n_rings),
         displacement=disp,
         meta=meta,
     )
@@ -157,6 +171,11 @@ def _assemble(curve, n_theta, n_profile, scalar_field, meta):
             "triangle area below threshold)"
         )
     return mesh
+
+
+def _require_finite_amplitude(amplitude):
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude!r}")
 
 
 def revolve(curve, n_theta, n_profile=200):
@@ -176,7 +195,7 @@ def revolve(curve, n_theta, n_profile=200):
         "n_profile": n_profile,
         "amplitude": 0.0,
     }
-    zero = lambda idx, thetas: np.zeros((idx.size, thetas.size))
+    zero = lambda taus, phi, thetas: np.zeros((taus.size, thetas.size))
     return _assemble(curve, n_theta, n_profile, zero, meta)
 
 
@@ -188,10 +207,8 @@ def branch_linear_mesh(sigma0, s, n_theta, n_profile=200):
     The apex and the boundary ring carry zero displacement (sin(phi)
     vanishes at both ends), so the boundary circle is pinned exactly.
     """
+    _require_finite_amplitude(s)
     curve = sigma0.curve
-    taus = np.linspace(0.0, curve.ell, n_profile)
-    _, _, phi = curve.state_at(taus)
-    zs = np.sin(phi)
     meta = {
         "kind": "branch_linear",
         "c_o": curve.params.c_o,
@@ -201,15 +218,16 @@ def branch_linear_mesh(sigma0, s, n_theta, n_profile=200):
         "n_profile": n_profile,
         "amplitude": float(s),
     }
-    fieldfun = lambda idx, thetas: s * zs[idx][:, None] * np.cos(thetas)[None, :]
+    fieldfun = lambda taus, phi, thetas: (
+        s * np.sin(phi)[:, None] * np.cos(thetas)[None, :]
+    )
     return _assemble(curve, n_theta, n_profile, fieldfun, meta)
 
 
 def family_linear_mesh(sigma0, lin, t, n_theta, n_profile=200):
     """First-order axisymmetric family perturbation with displacement t * h."""
+    _require_finite_amplitude(t)
     curve = sigma0.curve
-    taus = np.linspace(0.0, curve.ell, n_profile)
-    h_vals = np.asarray(lin.h_at(taus), dtype=float)
     meta = {
         "kind": "family_linear",
         "c_o": curve.params.c_o,
@@ -219,9 +237,9 @@ def family_linear_mesh(sigma0, lin, t, n_theta, n_profile=200):
         "n_profile": n_profile,
         "amplitude": float(t),
     }
-    fieldfun = lambda idx, thetas: t * np.broadcast_to(
-        h_vals[idx][:, None], (idx.size, thetas.size)
-    ).copy()
+    fieldfun = lambda taus, phi, thetas: np.broadcast_to(
+        t * np.asarray(lin.h_at(taus), dtype=float)[:, None], (taus.size, thetas.size)
+    )
     return _assemble(curve, n_theta, n_profile, fieldfun, meta)
 
 
@@ -250,9 +268,9 @@ def profile_table(curve, n=None):
 
 def export_csv(path, header, columns, kind):
     """CSV of equal-length columns under ``header``; empty columns give the header."""
-    rows = np.column_stack([np.atleast_1d(col) for col in columns]).tolist()
-    lines = [header] + [",".join(_FMT % v for v in row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = np.column_stack([np.atleast_1d(col) for col in columns])
+    row = ",".join([_FMT] * rows.shape[1]) + "\n"
+    _write_rows(path, header + "\n", [(row, rows)])
     return ArtifactEntry(kind=kind, format="csv", path=str(path))
 
 
@@ -273,12 +291,8 @@ def read_profile_csv(path):
 
 
 def export_mesh_obj(mesh, path):
-    lines = []
-    for v in mesh.vertices:
-        lines.append("v " + " ".join(_FMT % x for x in v))
-    for f in mesh.faces:
-        lines.append("f %d %d %d" % (f[0] + 1, f[1] + 1, f[2] + 1))
-    _write_text(path, "\n".join(lines) + "\n")
+    vertex = "v " + " ".join([_FMT] * 3) + "\n"
+    _write_rows(path, "", [(vertex, mesh.vertices), ("f %d %d %d\n", mesh.faces + 1)])
     return ArtifactEntry(kind="mesh", format="obj", path=str(path))
 
 
@@ -300,7 +314,7 @@ def read_mesh_obj(path):
 
 def export_json(obj, path):
     payload = obj.to_dict() if hasattr(obj, "to_dict") else obj
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_rows(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return ArtifactEntry(kind="record", format="json", path=str(path))
 
 
@@ -315,9 +329,19 @@ def export(artifact, format, path):
     raise IoFailure(f"unsupported export format: {format}")
 
 
-def _write_text(path, text):
+def _write_rows(path, head, sections=()):
+    """Write ``head``, then the rows of each (row template, 2-D array) section.
+
+    Rows go out ``_BLOCK_ROWS`` at a time: a block is formatted by one ``%``
+    of the template repeated per row on the block's values as Python
+    numbers, so the file is never held in memory as text.
+    """
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+            fh.write(head)
+            for row, array in sections:
+                for start in range(0, array.shape[0], _BLOCK_ROWS):
+                    block = array[start : start + _BLOCK_ROWS]
+                    fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc

@@ -1,9 +1,11 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+from membranelab import cli
 from membranelab.cli import load_config, main
 from membranelab.errors import ParseError
 from membranelab.surfaces import read_profile_csv
@@ -188,6 +190,63 @@ def test_cli_out_under_regular_file_exit_1(tmp_path, capsys):
                   "--out", str(blocker / "sub")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["trace", "--c_o", "2", "--z_o", "-0.6"],
+        ["sigma0", "--R", "0.5", "--Z", "-3"],
+        ["family", "--R", "0.5", "--Z", "-3", "--c_min", "1.4", "--c_max", "1.6"],
+        ["linearize", "--c_o", "2", "--z_o", "-0.6"],
+        ["table1"],
+        ["eigen", "--c_o", "2", "--z_o", "-0.6"],
+        ["certify", "--R", "0.5", "--Z", "-3"],
+    ],
+)
+def test_cli_unwritable_out_found_before_compute(tmp_path, capsys, monkeypatch, args):
+    def computed(*_args, **_kw):
+        raise AssertionError("computed before the output directory was made")
+
+    for name in ("integrate_profile", "shoot_sigma0", "family_sweep"):
+        monkeypatch.setattr(cli, name, computed)
+    blocker = tmp_path / "plain"
+    blocker.write_text("")
+    assert run_cli(args + ["--out", str(blocker / "sub")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
+def test_cli_family_without_members_exit_2(tmp_path, capsys):
+    out = tmp_path / "f"
+    rc = run_cli([
+        "family", "--R", "0.5", "--Z", "-3", "--c_min", "0.01",
+        "--c_max", "20", "--n", "2", "--out", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "no family member converged" in err and "c = 20.0" in err
+    assert not (out / "family.csv").exists()
+    assert run_cli(["family", "--R", "0.5", "--Z", "-3", "--c_min", "1.4",
+                    "--c_max", "1.6", "--n", "0", "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--kind", "revolve", "--c_o", "2", "--z_o", "-0.6", "--n_profile", "1"],
+        ["--kind", "revolve", "--c_o", "2", "--z_o", "-0.6", "--n_profile", "0"],
+        ["--kind", "branch", "--R", "0.5", "--Z", "-3", "--amplitude", "nan"],
+        ["--kind", "family", "--R", "0.5", "--Z", "-3", "--amplitude", "inf"],
+    ],
+)
+def test_cli_mesh_bad_input_exit_1(tmp_path, capsys, args):
+    out = tmp_path / "m"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["mesh"] + args + ["--n_theta", "16", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("n_profile" in err or "amplitude" in err)
+    assert not any(out.glob("*.obj"))
 
 
 def test_cli_no_command(capsys):

@@ -12,9 +12,13 @@ from membranelab import (
 )
 from membranelab.errors import AmplitudeTooLarge, IoFailure
 from membranelab.surfaces import (
+    _BLOCK_ROWS,
     PROFILE_CSV_HEADER,
+    SurfaceMesh,
+    export_csv,
     export_mesh_obj,
     export_profile_csv,
+    profile_table,
     read_mesh_obj,
     read_profile_csv,
 )
@@ -126,6 +130,62 @@ def test_family_linear_mesh_first_order_accuracy(sig053, lin053):
     assert 3.0 < ratio < 5.0  # O(t^2) defect against the true member
 
 
+def _face(idx, n_theta):
+    """Vertex indices of face ``idx`` of the apex-fan disc triangulation."""
+    if idx < n_theta:
+        return [0, 1 + idx, 1 + (idx + 1) % n_theta]
+    i, rest = divmod(idx - n_theta, 2 * n_theta)
+    j, second = divmod(rest, 2)
+    a, b, jn = 1 + i * n_theta, 1 + (i + 1) * n_theta, (j + 1) % n_theta
+    return [a + j, b + jn, a + jn] if second else [a + j, b + j, b + jn]
+
+
+def _edge_set_count(faces):
+    return len(
+        {frozenset((f[k], f[(k + 1) % 3])) for f in faces.tolist() for k in range(3)}
+    )
+
+
+@pytest.mark.parametrize("n_theta, n_profile", [(16, 2), (17, 3), (32, 7)])
+def test_faces_closed_form_and_edge_count(sig053, n_theta, n_profile):
+    m = revolve(sig053.curve, n_theta, n_profile)
+    assert m.faces.dtype == np.int64
+    expected = [_face(k, n_theta) for k in range(m.faces.shape[0])]
+    assert m.faces.tolist() == expected
+    assert m.edge_count() == _edge_set_count(m.faces)
+    assert m.euler_characteristic() == 1
+
+
+def test_edge_count_closed_surface():
+    # a tetrahedron: 4 faces, 6 edges, Euler characteristic 2
+    m = SurfaceMesh(
+        vertices=np.eye(4)[:, :3].copy(),
+        faces=np.array([[0, 1, 2], [0, 3, 1], [1, 3, 2], [2, 3, 0]], dtype=np.int64),
+        displacement=np.zeros(4),
+        meta={},
+    )
+    assert m.edge_count() == 6 == _edge_set_count(m.faces)
+    assert m.euler_characteristic() == 2
+
+
+@pytest.mark.parametrize("n_profile", [1, 0, -3])
+def test_mesh_rejects_short_profile(sig053, lin053, n_profile):
+    with pytest.raises(ValueError, match="n_profile"):
+        revolve(sig053.curve, 32, n_profile)
+    with pytest.raises(ValueError, match="n_profile"):
+        branch_linear_mesh(sig053, 0.1, 32, n_profile)
+    with pytest.raises(ValueError, match="n_profile"):
+        family_linear_mesh(sig053, lin053, 0.01, 32, n_profile)
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+def test_mesh_rejects_non_finite_amplitude(sig053, lin053, amplitude):
+    with pytest.raises(ValueError, match="amplitude"):
+        branch_linear_mesh(sig053, amplitude, 32, 101)
+    with pytest.raises(ValueError, match="amplitude"):
+        family_linear_mesh(sig053, lin053, amplitude, 32, 101)
+
+
 def test_amplitude_guard(sig053, lin053):
     with pytest.raises(AmplitudeTooLarge):
         branch_linear_mesh(sig053, 5.0, 32, 101)
@@ -193,3 +253,60 @@ def test_export_dispatch_and_determinism(tmp_path, curve26, sig053):
 def test_export_io_failure(curve26, tmp_path):
     with pytest.raises(IoFailure):
         export_profile_csv(curve26, tmp_path / "nodir" / "x.csv")
+
+
+# the text formats, pinned: 17 significant digits through "%.17g"
+_AWKWARD = [0.1, -0.0, 1.0 / 3.0, 1e-300, 2.0**53 + 1]
+
+
+def test_obj_literal_text(tmp_path):
+    m = SurfaceMesh(
+        vertices=np.array([_AWKWARD[:3], _AWKWARD[2:]]),
+        faces=np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int64),
+        displacement=np.zeros(2),
+        meta={},
+    )
+    path = tmp_path / "tiny.obj"
+    export_mesh_obj(m, path)
+    assert path.read_bytes() == (
+        b"v 0.10000000000000001 -0 0.33333333333333331\n"
+        b"v 0.33333333333333331 1e-300 9007199254740992\n"
+        b"f 1 2 2\n"
+        b"f 2 1 1\n"
+    )
+
+
+def test_csv_literal_text(tmp_path):
+    path = tmp_path / "tiny.csv"
+    export_csv(path, "a,b", [_AWKWARD[:3], [-2.0, 1.5, 1e22]], "table")
+    assert path.read_bytes() == (
+        b"a,b\n"
+        b"0.10000000000000001,-2\n"
+        b"-0,1.5\n"
+        b"0.33333333333333331,1e+22\n"
+    )
+    export_csv(path, "a,b", [[], []], "table")
+    assert path.read_bytes() == b"a,b\n"
+
+
+def test_obj_and_csv_match_per_line_reference(tmp_path, sig053):
+    m = revolve(sig053.curve, 64, 200)
+    assert m.vertices.shape[0] > _BLOCK_ROWS and m.faces.shape[0] > 2 * _BLOCK_ROWS
+    lines = ["v " + " ".join("%.17g" % x for x in v) for v in m.vertices]
+    lines += ["f %d %d %d" % (f[0] + 1, f[1] + 1, f[2] + 1) for f in m.faces]
+    path = tmp_path / "mesh.obj"
+    export_mesh_obj(m, path)
+    assert path.read_text(encoding="ascii") == "\n".join(lines) + "\n"
+
+    n = _BLOCK_ROWS + 17
+    table = profile_table(sig053.curve, n=n)
+    rows = zip(*(table[c] for c in PROFILE_CSV_HEADER.split(",")))
+    lines = [PROFILE_CSV_HEADER] + [",".join("%.17g" % v for v in row) for row in rows]
+    path = tmp_path / "profile.csv"
+    export_profile_csv(sig053.curve, path, n=n)
+    assert path.read_text(encoding="ascii") == "\n".join(lines) + "\n"
+
+
+def test_obj_io_failure(tmp_path, sig053):
+    with pytest.raises(IoFailure):
+        export_mesh_obj(revolve(sig053.curve, 16, 3), tmp_path / "nodir" / "x.obj")
