@@ -42,6 +42,7 @@ from .shooting import BoundaryCircle, family_sweep, shoot_sigma0
 from .spectral import certify, eigen_solve
 from .surfaces import (
     RunRecord,
+    _require_finite_amplitude,
     branch_linear_mesh,
     export_csv,
     export_json,
@@ -440,6 +441,7 @@ def _run_certify(config):
 
 def _run_mesh(config):
     p = config.params
+    _require_finite_amplitude(p["amplitude"])
     outdir = _ensure_out(p["out"])
     if p["kind"] == "revolve":
         if p["c_o"] is None or p["z_o"] is None:

@@ -139,6 +139,10 @@ class StopCondition:
         )
         if primary != 1:
             raise ValueError("exactly one primary stop kind must be given")
+        if self.arc_length is not None and not (0.0 < self.arc_length < math.inf):
+            raise ValueError(
+                f"arc length must be finite and positive, got {self.arc_length!r}"
+            )
 
     @classmethod
     def phi_reaches(cls, value, **guards):

@@ -1,11 +1,11 @@
 """Boundary matching: the tangential disc and its fixed-boundary family.
 
-Two problems are solved here by shooting from the axis seed:
+Two problems are solved here by shooting from the axis seed, both by the
+one damped-Newton driver ``_newton``:
 
 * the tangential disc through a prescribed circle (R, Z): find (c_o, z_o)
   with z_o < -1/c_o such that the profile integrated until phi = 0 ends at
-  (R, Z); two unknowns, damped Newton with a finite-difference Jacobian and
-  a coarse admissible-region grid restart as fallback;
+  (R, Z), with a coarse admissible-region grid restart as fallback;
 * a family member at given spontaneous curvature c sharing the circle:
   find (z_o, L) such that the profile for (c, z_o) passes through (R, Z)
   at arc length L; the curve is truncated at the first passage and the
@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ArcLimitReached,
-    MembraneLabError,
-    NoConvergence,
-    SingularityHit,
-)
+from .errors import MembraneLabError, NoConvergence
 from .profile import (
     ModelParams,
     StopCondition,
@@ -40,6 +35,7 @@ SHOOT_ATOL = 1e-14
 
 _MAX_NEWTON = 50
 _MAX_HALVINGS = 8
+_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -88,6 +84,67 @@ class FamilySweep:
     failures: list
 
 
+def _newton(residual, x, jacobian, tol, trace, what, point=tuple):
+    """Damped Newton iteration with step halving (Deuflhard 2004).
+
+    ``residual(x)`` returns ``(F, aux)``, or None for an infeasible iterate;
+    ``jacobian(x, F, aux)`` returns dF/dx, or None.  A step is halved until
+    the max-norm of F decreases.  Accepted iterates go to ``trace`` as
+    ``(point(x), norm)``.  Returns ``(x, aux, norm)`` once the norm is below
+    ``tol``; otherwise raises NoConvergence naming ``what``.
+    """
+    out = residual(x)
+    if out is None:
+        raise NoConvergence(f"{what} start infeasible", trace)
+    F, aux = out
+    for _ in range(_MAX_NEWTON):
+        norm = float(np.max(np.abs(F)))
+        trace.append((point(x), norm))
+        if norm < tol:
+            return x, aux, norm
+        J = jacobian(x, F, aux)
+        if J is None:
+            raise NoConvergence(f"{what} Jacobian evaluation infeasible", trace)
+        try:
+            delta = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            raise NoConvergence(f"singular {what} Jacobian", trace) from None
+        lam = 1.0
+        for _ in range(_MAX_HALVINGS):
+            x_new = x + lam * delta
+            out = residual(x_new)
+            if out is not None and np.max(np.abs(out[0])) < norm:
+                break
+            lam *= 0.5
+        else:
+            raise NoConvergence(f"{what} damping stalled at {norm:.3e}", trace)
+        x = x_new
+        F, aux = out
+    raise NoConvergence(f"{what} did not converge in {_MAX_NEWTON} iterations", trace)
+
+
+def _fd_columns(residual, x, F, n):
+    """First n columns of dF/dx: forward differences, else backward, else None."""
+    cols = []
+    for j in range(n):
+        dx = np.zeros(x.size)
+        dx[j] = _FD_STEP * max(1.0, abs(x[j]))
+        for sign in (1.0, -1.0):
+            out = residual(x + sign * dx)
+            if out is not None:
+                cols.append(sign * (out[0] - F) / dx[j])
+                break
+        else:
+            return None
+    return np.column_stack(cols)
+
+
+def _match(circle, curve, length):
+    """Match residual (r, z)(length) - (R, Z), with aux (curve, phi(length))."""
+    r_end, z_end, phi_end = curve.state_at(length)
+    return np.array([r_end - circle.R, z_end - circle.Z]), (curve, phi_end)
+
+
 def _default_seed(circle):
     """Heuristic starting point; the grid fallback repairs bad cases."""
     c_o = 1.5 * max(1.0 / abs(circle.Z), 1.0 / circle.R)
@@ -97,43 +154,36 @@ def _default_seed(circle):
     return ModelParams(c_o, z_o)
 
 
-def _sigma0_endpoint(c_o, z_o, *, rtol=SHOOT_RTOL, atol=SHOOT_ATOL):
-    """Endpoint (r, z) of the phi -> 0 curve, or None when infeasible."""
-    if c_o <= 0.0 or z_o >= -1.0 / c_o:
+def _tangential_curve(c_o, z_o, *, rtol=SHOOT_RTOL, atol=SHOOT_ATOL):
+    """The profile integrated until phi = 0, or None when infeasible."""
+    if z_o >= -1.0 / c_o:
         return None
     try:
-        curve = integrate_profile(
+        return integrate_profile(
             ModelParams(c_o, z_o), sigma0_stop(), rtol=rtol, atol=atol
         )
-    except (SingularityHit, ArcLimitReached, MembraneLabError):
+    except MembraneLabError:
         return None
-    r_end, z_end, _ = curve.state_at(curve.ell)
-    return curve, r_end, z_end
 
 
 def _grid_reseed(circle, n=32):
     """Coarse logarithmic sweep of the admissible region; best mismatch wins."""
-    best = None
     scale = max(circle.R, abs(circle.Z))
-    c_grid = np.geomspace(0.05 / scale, 50.0 / scale, n)
-    for c_o in c_grid:
-        z_top = -1.0 / c_o
-        lo = abs(circle.Z) * 4.0
-        offsets = np.geomspace(1e-3 * scale, lo, n)
-        for off in offsets:
-            z_o = z_top - off
-            if z_o <= circle.Z:
+    offsets = np.geomspace(1e-3 * scale, abs(circle.Z) * 4.0, n)
+    best = (math.inf, None, None)
+    for c_o in np.geomspace(0.05 / scale, 50.0 / scale, n):
+        z_os = -1.0 / c_o - offsets
+        for z_o in z_os[z_os > circle.Z]:
+            curve = _tangential_curve(c_o, z_o, rtol=1e-8, atol=1e-10)
+            if curve is None:
                 continue
-            out = _sigma0_endpoint(c_o, z_o, rtol=1e-8, atol=1e-10)
-            if out is None:
-                continue
-            _, r_end, z_end = out
-            miss = math.hypot(r_end - circle.R, z_end - circle.Z)
-            if best is None or miss < best[0]:
+            F, _ = _match(circle, curve, curve.ell)
+            miss = math.hypot(F[0], F[1])
+            if miss < best[0]:
                 best = (miss, c_o, z_o)
-    if best is None:
+    if best[1] is None:
         raise NoConvergence("grid reseed found no feasible parameters")
-    return best[1], best[2]
+    return best[1:]
 
 
 def shoot_sigma0(circle, seed=None, *, tol=None, rtol=SHOOT_RTOL, atol=SHOOT_ATOL):
@@ -141,107 +191,78 @@ def shoot_sigma0(circle, seed=None, *, tol=None, rtol=SHOOT_RTOL, atol=SHOOT_ATO
 
     Damped Newton iteration on the endpoint mismatch (r_end - R, z_end - Z)
     over the unconstrained variables (log c_o, log(-z_o - 1/c_o)), which keep
-    every iterate strictly inside the admissible region.  Convergence is
-    declared when the mismatch norm drops below ``tol`` (default
-    1e-11 * max(R, |Z|, 1)).
+    every iterate strictly inside the admissible region; the Jacobian is a
+    two-column finite difference.  Convergence is declared when the mismatch
+    norm drops below ``tol`` (default 1e-11 * max(R, |Z|, 1)).  After any
+    failure the iteration restarts once from the best point of a coarse
+    grid over the admissible region.
     """
     if tol is None:
         tol = 1e-11 * max(circle.R, abs(circle.Z), 1.0)
     if seed is None:
         seed = _default_seed(circle)
-    u = np.array([math.log(seed.c_o), math.log(-seed.z_o - 1.0 / seed.c_o)])
     trace = []
 
-    def params_of(u_vec):
-        c_o = math.exp(u_vec[0])
-        z_o = -1.0 / c_o - math.exp(u_vec[1])
-        return c_o, z_o
+    def params_of(u):
+        c_o = math.exp(u[0])
+        return c_o, -1.0 / c_o - math.exp(u[1])
 
-    def mismatch(u_vec):
-        c_o, z_o = params_of(u_vec)
-        out = _sigma0_endpoint(c_o, z_o, rtol=rtol, atol=atol)
-        if out is None:
-            return None, None
-        curve, r_end, z_end = out
-        return np.array([r_end - circle.R, z_end - circle.Z]), curve
-
-    F, curve = mismatch(u)
-    reseeded = False
-    for iteration in range(_MAX_NEWTON):
-        if F is None:
-            if reseeded:
-                raise NoConvergence("infeasible iterate after grid restart", trace)
-            c_o, z_o = _grid_reseed(circle)
-            u = np.array([math.log(c_o), math.log(-z_o - 1.0 / c_o)])
-            F, curve = mismatch(u)
-            reseeded = True
-            continue
-        norm = float(np.max(np.abs(F)))
-        trace.append((params_of(u), norm))
-        if norm < tol:
-            r_end, z_end, phi_end = curve.state_at(curve.ell)
-            c_o, z_o = params_of(u)
-            return Sigma0Solution(
-                params=ModelParams(c_o, z_o),
-                curve=curve,
-                boundary_phi=float(phi_end),
-                match_residual=norm,
-                circle=circle,
-            )
-        J = np.empty((2, 2))
-        step = 1e-6
-        jac_ok = True
-        for j in range(2):
-            du = np.zeros(2)
-            du[j] = step * max(1.0, abs(u[j]))
-            Fp, _ = mismatch(u + du)
-            if Fp is None:
-                Fp, _ = mismatch(u - du)
-                if Fp is None:
-                    jac_ok = False
-                    break
-                J[:, j] = (F - Fp) / du[j]
-            else:
-                J[:, j] = (Fp - F) / du[j]
-        if not jac_ok:
-            F = None
-            continue
+    def residual(u):
         try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            F = None
-            continue
-        # damped update: halve until the residual actually decreases
-        lam = 1.0
-        for _ in range(_MAX_HALVINGS):
-            F_new, curve_new = mismatch(u + lam * delta)
-            if F_new is not None and np.max(np.abs(F_new)) < norm:
-                break
-            lam *= 0.5
-        else:
-            if reseeded:
-                raise NoConvergence(
-                    f"damping stalled at mismatch {norm:.3e}", trace
-                )
-            c_o, z_o = _grid_reseed(circle)
-            u = np.array([math.log(c_o), math.log(-z_o - 1.0 / c_o)])
-            F, curve = mismatch(u)
-            reseeded = True
-            continue
-        u = u + lam * delta
-        F, curve = F_new, curve_new
-    raise NoConvergence(f"no convergence after {_MAX_NEWTON} iterations", trace)
+            c_o, z_o = params_of(u)
+        except (OverflowError, ZeroDivisionError):
+            return None  # exp over- or underflowed: no admissible point
+        curve = _tangential_curve(c_o, z_o, rtol=rtol, atol=atol)
+        return None if curve is None else _match(circle, curve, curve.ell)
 
+    def jacobian(u, F, aux):
+        return _fd_columns(residual, u, F, 2)
 
-def _member_state(c, z_o, length, *, rtol, atol):
-    """Integrate a candidate member out to ``length`` and return the curve."""
-    guard = max(2.5 * length, 10.0 * abs(z_o))
-    return integrate_profile(
-        ModelParams(c, z_o),
-        StopCondition.at_arc_length(length, max_arc=guard),
-        rtol=rtol,
-        atol=atol,
+    def solve(c_o, z_o):
+        u = np.array([math.log(c_o), math.log(-z_o - 1.0 / c_o)])
+        return _newton(residual, u, jacobian, tol, trace, "sigma0", params_of)
+
+    try:
+        u, (curve, phi_end), norm = solve(seed.c_o, seed.z_o)
+    except NoConvergence:
+        u, (curve, phi_end), norm = solve(*_grid_reseed(circle))
+    return Sigma0Solution(
+        params=ModelParams(*params_of(u)),
+        curve=curve,
+        boundary_phi=float(phi_end),
+        match_residual=norm,
+        circle=circle,
     )
+
+
+def _member_problem(c, circle, *, rtol, atol):
+    """Residual and Jacobian over (z_o, L) for the member at curvature c."""
+
+    def residual(x):
+        z_o, length = x
+        if not (-math.inf < z_o < 0.0 < length < math.inf):
+            return None
+        guard = max(2.5 * length, 10.0 * abs(z_o))
+        try:
+            curve = integrate_profile(
+                ModelParams(c, z_o),
+                StopCondition.at_arc_length(length, max_arc=guard),
+                rtol=rtol,
+                atol=atol,
+            )
+        except MembraneLabError:
+            return None
+        return _match(circle, curve, length)
+
+    def jacobian(x, F, aux):
+        Jz = _fd_columns(residual, x, F, 1)
+        if Jz is None:
+            return None
+        # analytic L-column: d endpoint / dL = (-cos phi, -sin phi)
+        phi_end = aux[1]
+        return np.column_stack([Jz, [-math.cos(phi_end), -math.sin(phi_end)]])
+
+    return residual, jacobian
 
 
 def shoot_family_member(c, circle, seed, *, tol=None, rtol=SHOOT_RTOL,
@@ -260,78 +281,29 @@ def shoot_family_member(c, circle, seed, *, tol=None, rtol=SHOOT_RTOL,
     """
     if tol is None:
         tol = 1e-11 * max(circle.R, abs(circle.Z), 1.0)
-    c_seed = seed.params.c_o if isinstance(seed, Sigma0Solution) else seed.c
+    disc = isinstance(seed, Sigma0Solution)
+    c_seed, z_o = (seed.params.c_o, seed.params.z_o) if disc else (seed.c, seed.z_o)
     if max_step is None:
         max_step = 0.03 * abs(c_seed)
-    if abs(c - c_seed) > max_step:
-        n_sub = int(math.ceil(abs(c - c_seed) / max_step))
-        member = seed
-        for c_mid in np.linspace(c_seed, c, n_sub + 1)[1:]:
-            member = shoot_family_member(
-                float(c_mid), circle, member, tol=tol, rtol=rtol, atol=atol,
-                max_step=math.inf,
-            )
-        return member
-    z_o = seed.params.z_o if isinstance(seed, Sigma0Solution) else seed.z_o
-    L = seed.curve.ell
+    gap = abs(c - c_seed)
+    n_sub = int(math.ceil(gap / max_step)) if gap > max_step else 1
+    curve = seed.curve
     trace = []
-
-    def endpoint(z_val, length):
-        try:
-            curve = _member_state(c, z_val, length, rtol=rtol, atol=atol)
-        except (SingularityHit, ArcLimitReached, MembraneLabError):
-            return None
-        r_end, z_end, phi_end = curve.state_at(length)
-        return curve, np.array([r_end - circle.R, z_end - circle.Z]), phi_end
-
-    out = endpoint(z_o, L)
-    if out is None:
-        raise NoConvergence(f"member seed infeasible at c = {c}", trace)
-    curve, F, phi_end = out
-    for iteration in range(_MAX_NEWTON):
-        norm = float(np.max(np.abs(F)))
-        trace.append(((z_o, L), norm))
-        if norm < tol:
-            final = _member_state(c, z_o, L, rtol=rtol, atol=atol)
-            r_end, z_end, phi_L = final.state_at(L)
-            return FamilyMember(
-                c=c,
-                z_o=z_o,
-                curve=final,
-                contact_angle=float(phi_L),
-                match_residual=norm,
-                circle=circle,
-                left_admissible_region=not ModelParams(c, z_o).sigma0_admissible,
-            )
-        # analytic L-column: d endpoint / dL = (-cos phi, -sin phi)
-        JL = np.array([-math.cos(phi_end), -math.sin(phi_end)])
-        dz = 1e-6 * max(1.0, abs(z_o))
-        out_p = endpoint(z_o + dz, L)
-        if out_p is None:
-            out_p = endpoint(z_o - dz, L)
-            if out_p is None:
-                raise NoConvergence("Jacobian evaluation infeasible", trace)
-            Jz = (F - out_p[1]) / dz
-        else:
-            Jz = (out_p[1] - F) / dz
-        J = np.column_stack([Jz, JL])
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            raise NoConvergence("singular member Jacobian", trace)
-        lam = 1.0
-        for _ in range(_MAX_HALVINGS):
-            z_new = z_o + lam * delta[0]
-            L_new = L + lam * delta[1]
-            out_new = endpoint(z_new, L_new) if z_new < 0 and L_new > 0 else None
-            if out_new is not None and np.max(np.abs(out_new[1])) < norm:
-                break
-            lam *= 0.5
-        else:
-            raise NoConvergence(f"member damping stalled at {norm:.3e}", trace)
-        z_o, L = z_new, L_new
-        curve, F, phi_end = out_new
-    raise NoConvergence(f"member did not converge at c = {c}", trace)
+    for c_step in np.linspace(c_seed, c, n_sub + 1)[1:].tolist():
+        residual, jacobian = _member_problem(c_step, circle, rtol=rtol, atol=atol)
+        x, (curve, phi_end), norm = _newton(
+            residual, np.array([z_o, curve.ell]), jacobian, tol, trace, "member"
+        )
+        z_o = float(x[0])
+    return FamilyMember(
+        c=c_step,
+        z_o=z_o,
+        curve=curve,
+        contact_angle=float(phi_end),
+        match_residual=norm,
+        circle=circle,
+        left_admissible_region=not ModelParams(c_step, z_o).sigma0_admissible,
+    )
 
 
 def family_sweep(circle, c_min, c_max, n, *, sigma0=None, **kw):

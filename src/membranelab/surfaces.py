@@ -132,6 +132,8 @@ def _assemble(curve, n_theta, n_profile, scalar_field, meta):
     ring angles to the (n_profile, n_theta) displacement magnitudes; the
     apex takes the value at station 0 and theta = 0.
     """
+    if n_theta < 16:
+        raise ValueError("n_theta must be at least 16")
     if n_profile < 2:
         raise ValueError("n_profile must be at least 2 (the apex and one ring)")
     taus = np.linspace(0.0, curve.ell, n_profile)
@@ -184,8 +186,6 @@ def revolve(curve, n_theta, n_profile=200):
     Vertex count is (n_profile - 1) * n_theta + 1: one apex plus one ring
     per resampled interior/boundary station.
     """
-    if n_theta < 16:
-        raise ValueError("n_theta must be at least 16")
     meta = {
         "kind": "revolve",
         "c_o": curve.params.c_o,

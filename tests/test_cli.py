@@ -102,6 +102,24 @@ def test_cli_trace_arc(tmp_path):
     assert data["tau"][-1] == pytest.approx(0.4, abs=1e-12)
 
 
+@pytest.mark.parametrize("arc", ["-1", "0"])
+def test_cli_trace_bad_arc_exit_1(tmp_path, capsys, arc):
+    out = tmp_path / "tr"
+    rc = run_cli(["trace", "--c_o", "2", "--z_o", "-0.6", "--stop", "arc",
+                  "--arc", arc, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: arc length")
+    assert not out.exists()
+
+
+def test_cli_sigma0_underflowing_iterate_exit_2(tmp_path, capsys):
+    # a Newton step drives log c_o so low that exp underflows to c_o = 0
+    rc = run_cli(["sigma0", "--R", "100", "--Z", "-0.01", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+
+
 def test_cli_sigma0(tmp_path):
     out = tmp_path / "s"
     assert run_cli(["sigma0", "--R", "0.5", "--Z", "-3", "--out", str(out)]) == 0
@@ -237,6 +255,7 @@ def test_cli_family_without_members_exit_2(tmp_path, capsys):
         ["--kind", "revolve", "--c_o", "2", "--z_o", "-0.6", "--n_profile", "0"],
         ["--kind", "branch", "--R", "0.5", "--Z", "-3", "--amplitude", "nan"],
         ["--kind", "family", "--R", "0.5", "--Z", "-3", "--amplitude", "inf"],
+        ["--kind", "revolve", "--c_o", "2", "--z_o", "-0.6", "--amplitude", "nan"],
     ],
 )
 def test_cli_mesh_bad_input_exit_1(tmp_path, capsys, args):

@@ -335,6 +335,9 @@ def test_stop_condition_validation():
         StopCondition()
     with pytest.raises(ValueError):
         StopCondition(phi_target=0.0, arc_length=1.0)
+    for arc in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="arc length"):
+            StopCondition.at_arc_length(arc)
 
 
 def test_point_stop_hits(curve26):

@@ -169,3 +169,43 @@ def test_sweep_records_partial_failures(circle053, sig053, monkeypatch):
     sw = shooting_mod.family_sweep(circle053, 1.2, 1.8, 13, sigma0=sig053)
     assert len(sw.failures) == 1 and abs(sw.failures[0][0] - 1.25) < 1e-9
     assert len(sw.members) == 12
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """Counter of the profile integrations that the shooting layer runs."""
+    count = [0]
+    real = shooting_mod.integrate_profile
+
+    def counting(*args, **kw):
+        count[0] += 1
+        return real(*args, **kw)
+
+    monkeypatch.setattr(shooting_mod, "integrate_profile", counting)
+    return count
+
+
+def test_member_returns_the_curve_of_its_last_residual(circle053, sig053,
+                                                       integrations):
+    m = shoot_family_member(sig053.params.c_o, circle053, sig053)
+    assert integrations[0] == 1
+    r, z, phi = m.curve.state_at(m.curve.ell)
+    assert max(abs(r - circle053.R), abs(z - circle053.Z)) < 1e-10
+    assert phi == pytest.approx(m.contact_angle, abs=1e-12)
+
+
+def test_sweep_integration_budget(circle053, sig053, integrations):
+    c0 = sig053.params.c_o
+    sw = shooting_mod.family_sweep(circle053, 0.98 * c0, 1.02 * c0, 5, sigma0=sig053)
+    assert len(sw.members) == 5 and not sw.failures
+    assert integrations[0] <= 29
+
+
+def test_member_stall_message_and_trace(circle053, sig053):
+    with pytest.raises(NoConvergence) as info:
+        shoot_family_member(0.6, circle053, sig053)
+    assert str(info.value).startswith("member damping stalled at ")
+    assert info.value.trace
+    for point, norm in info.value.trace:
+        z_o, length = point
+        assert z_o < 0.0 < length and norm > 0.0

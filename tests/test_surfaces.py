@@ -42,6 +42,13 @@ def test_revolve_requires_min_theta(sig053):
         revolve(sig053.curve, 8)
 
 
+def test_linear_meshes_require_min_theta(sig053, lin053):
+    with pytest.raises(ValueError, match="n_theta"):
+        branch_linear_mesh(sig053, 0.1, 8)
+    with pytest.raises(ValueError, match="n_theta"):
+        family_linear_mesh(sig053, lin053, 0.01, 8)
+
+
 def test_boundary_ring_on_circle(sig053):
     m = revolve(sig053.curve, 64, 201)
     b = m.vertices[m.boundary_vertex_indices()]
