@@ -56,15 +56,15 @@ def gauss_panels(a_edges, b_edges, npts):
     return mid + half * x[None, :], half * w[None, :]
 
 
-def cumulative_gauss(f, knots, npts=6):
+def cumulative_gauss(f, knots):
     """Cumulative integral of vectorized f from knots[0] to every knot.
 
-    Composite Gauss-Legendre with ``npts`` nodes per knot interval; exact for
-    polynomials of degree 2*npts - 1, which makes the quadrature error
-    negligible against the dense-output interpolation it is applied to.
+    Composite Gauss-Legendre with 6 nodes per knot interval; exact for
+    polynomials of degree 11, which makes the quadrature error negligible
+    against the dense-output interpolation it is applied to.
     """
     knots = np.asarray(knots, dtype=float)
-    nodes, weights = gauss_panels(knots[:-1], knots[1:], npts)
+    nodes, weights = gauss_panels(knots[:-1], knots[1:], 6)
     panel = (f(nodes.ravel()).reshape(nodes.shape) * weights).sum(axis=1)
     out = np.empty_like(knots)
     out[0] = 0.0

@@ -35,15 +35,17 @@ from .profile import (
     DEFAULT_TAU0_FACTOR,
     ModelParams,
     StopCondition,
+    check_tolerances,
     integrate_profile,
     sigma0_stop,
 )
 from .shooting import BoundaryCircle, family_sweep, shoot_sigma0
-from .spectral import certify, eigen_solve
+from .spectral import certify, check_eigen_size, eigen_solve
 from .surfaces import (
     RunRecord,
     _require_finite_amplitude,
     branch_linear_mesh,
+    check_mesh_size,
     export_csv,
     export_json,
     export_mesh_obj,
@@ -80,6 +82,12 @@ _CONVERTERS = {
     "float_list": _parse_float_list,
 }
 
+# only for commands that integrate at them: shooting has its own, fixed
+_TOLERANCE_SPECS = {
+    "rtol": ("float", DEFAULT_RTOL, "integrator relative tolerance"),
+    "atol": ("float", DEFAULT_ATOL, "integrator absolute tolerance"),
+}
+
 # per-command parameter specifications: name -> (type name, default, help)
 PARAM_SPECS = {
     "trace": {
@@ -88,6 +96,7 @@ PARAM_SPECS = {
         "stop": ("str", "phi0", "stop kind: phi0 (tangential) or arc"),
         "arc": ("float", 1.0, "arc length for stop=arc"),
         "samples": ("int", 400, "CSV resample count"),
+        **_TOLERANCE_SPECS,
     },
     "sigma0": {
         "R": ("float", _REQUIRED, "boundary circle radius"),
@@ -106,10 +115,12 @@ PARAM_SPECS = {
         "c_o": ("float", _REQUIRED, "spontaneous curvature"),
         "z_o": ("float", _REQUIRED, "axis height (< 0)"),
         "samples": ("int", 400, "CSV resample count"),
+        **_TOLERANCE_SPECS,
     },
     "table1": {
         "c_o": ("float", 2.0, "spontaneous curvature"),
         "z_o_list": ("float_list", list(_TABLE1_ZO), "axis heights"),
+        **_TOLERANCE_SPECS,
     },
     "eigen": {
         "c_o": ("float", _REQUIRED, "spontaneous curvature"),
@@ -118,6 +129,7 @@ PARAM_SPECS = {
         "count": ("int", 6, "eigenpair count"),
         "n": ("int", 1536, "mesh cells"),
         "eigenfunctions": ("bool", False, "also export eigenfunction CSV"),
+        **_TOLERANCE_SPECS,
     },
     "certify": {
         "R": ("float", _REQUIRED, "boundary circle radius"),
@@ -134,14 +146,11 @@ PARAM_SPECS = {
         "amplitude": ("float", 0.1, "perturbation amplitude"),
         "n_theta": ("int", 64, "angular resolution"),
         "n_profile": ("int", 200, "profile resolution"),
+        **_TOLERANCE_SPECS,
     },
 }
 
-_GLOBAL_SPECS = {
-    "out": ("str", None, "output directory"),
-    "rtol": ("float", DEFAULT_RTOL, "integrator relative tolerance"),
-    "atol": ("float", DEFAULT_ATOL, "integrator absolute tolerance"),
-}
+_GLOBAL_SPECS = {"out": ("str", None, "output directory")}
 
 RECIPES = ("fig1", "fig2", "fig3", "table1")
 
@@ -223,8 +232,13 @@ def load_config(path=None, command=None, flag_pairs=None):
     return CommandConfig(command=command, params=params)
 
 
-def _finish(outdir, inputs, tolerances, derived, artifacts):
-    """Write ``run_record.json`` for a finished command or recipe; exit code 0."""
+def _tolerances(curve):
+    return {"rtol": curve.rtol, "atol": curve.atol}
+
+
+def _finish(outdir, inputs, curve, derived, artifacts):
+    """Write ``run_record.json`` with the tolerances of the artifacts' ``curve``."""
+    tolerances = _tolerances(curve)
     record = RunRecord(
         inputs=inputs, tolerances=tolerances, derived=derived, artifacts=artifacts
     )
@@ -235,10 +249,6 @@ def _finish(outdir, inputs, tolerances, derived, artifacts):
 
 def _params_from(config):
     return ModelParams(config.params["c_o"], config.params["z_o"])
-
-
-def _tolerances(config):
-    return {"rtol": config.params["rtol"], "atol": config.params["atol"]}
 
 
 def _run_trace(config):
@@ -266,7 +276,7 @@ def _run_trace(config):
         "endpoint": list(curve.state_at(curve.ell)),
     }
     print(f"trace: ell = {curve.ell:.12g}, stop = {curve.stop_reason.value}")
-    return outdir, derived, artifacts
+    return outdir, curve, derived, artifacts
 
 
 def _run_sigma0(config):
@@ -289,7 +299,7 @@ def _run_sigma0(config):
         f"sigma0: c_o = {sig.params.c_o:.12g}, z_o = {sig.params.z_o:.12g}, "
         f"mismatch = {sig.match_residual:.3e}"
     )
-    return outdir, derived, artifacts
+    return outdir, sig.curve, derived, artifacts
 
 
 def _family_csv(members, path):
@@ -326,7 +336,7 @@ def _run_family(config):
         "contact_angles": [m.contact_angle for m in sweep.members],
     }
     print(f"family: {len(sweep.members)} members, {len(sweep.failures)} failures")
-    return outdir, derived, artifacts
+    return outdir, sweep.members[0].curve, derived, artifacts
 
 
 def _run_linearize(config):
@@ -351,18 +361,21 @@ def _run_linearize(config):
     ]
     derived = {"h_prime_boundary": lin.h_prime_boundary, "alpha": lin.alpha}
     print(f"linearize: h_prime_boundary = {lin.h_prime_boundary:.10g}")
-    return outdir, derived, artifacts
+    return outdir, curve, derived, artifacts
 
 
 def _run_table1(config):
     p = config.params
     z_list = p["z_o_list"]
+    if not z_list:
+        raise ValueError("table1 needs at least one z_o")
+    discs = [ModelParams(p["c_o"], z_o) for z_o in z_list]
+    for params in discs:
+        if not params.sigma0_admissible:
+            raise NotAdmissible(f"z_o = {params.z_o} is not below -1/c_o")
     outdir = _ensure_out(p["out"])
     slopes, counts = [], []
-    for z_o in z_list:
-        params = ModelParams(p["c_o"], z_o)
-        if not params.sigma0_admissible:
-            raise NotAdmissible(f"z_o = {z_o} is not below -1/c_o")
+    for z_o, params in zip(z_list, discs):
         curve = integrate_profile(params, sigma0_stop(), rtol=p["rtol"], atol=p["atol"])
         lin = solve_h(curve)
         slopes.append(lin.h_prime_boundary)
@@ -377,13 +390,13 @@ def _run_table1(config):
         )
     ]
     meta = {
-        "tolerances": _tolerances(config),
+        "tolerances": _tolerances(curve),
         "tau0_factor": DEFAULT_TAU0_FACTOR,
         "sample_counts": {str(z): n for z, n in zip(z_list, counts)},
     }
     artifacts.append(export_json(meta, os.path.join(outdir, "table1_meta.json")))
     derived = {"h_prime_boundary": {str(z): h for z, h in zip(z_list, slopes)}}
-    return outdir, derived, artifacts
+    return outdir, curve, derived, artifacts
 
 
 def _run_eigen(config):
@@ -391,6 +404,7 @@ def _run_eigen(config):
     params = _params_from(config)
     if not params.sigma0_admissible:
         raise NotAdmissible("eigen requires z_o < -1/c_o")
+    check_eigen_size(p["n"], p["count"])
     outdir = _ensure_out(p["out"])
     curve = integrate_profile(params, sigma0_stop(), rtol=p["rtol"], atol=p["atol"])
     res = eigen_solve(curve, p["m"], p["count"], n=p["n"])
@@ -413,11 +427,12 @@ def _run_eigen(config):
             )
         )
     print(f"eigen m={res.m}: {np.array2string(res.eigenvalues, precision=8)}")
-    return outdir, payload, artifacts
+    return outdir, curve, payload, artifacts
 
 
 def _run_certify(config):
     p = config.params
+    check_eigen_size(p["n"], p["count"])
     outdir = _ensure_out(p["out"])
     sig = shoot_sigma0(BoundaryCircle(p["R"], p["Z"]))
     lin = solve_h(sig.curve)
@@ -436,12 +451,13 @@ def _run_certify(config):
     artifacts = [export_json(payload, os.path.join(outdir, "certificate.json"))]
     derived = {"verdict": cert.verdict, "h_prime_boundary": cert.h_prime_boundary}
     print(f"certify: verdict = {cert.verdict}, conditions = {cert.conditions}")
-    return outdir, derived, artifacts
+    return outdir, sig.curve, derived, artifacts
 
 
 def _run_mesh(config):
     p = config.params
     _require_finite_amplitude(p["amplitude"])
+    check_mesh_size(p["n_theta"], p["n_profile"])
     outdir = _ensure_out(p["out"])
     if p["kind"] == "revolve":
         if p["c_o"] is None or p["z_o"] is None:
@@ -455,6 +471,7 @@ def _run_mesh(config):
         if p["R"] is None or p["Z"] is None:
             raise ParseError(f"mesh kind={p['kind']} needs R and Z")
         sig = shoot_sigma0(BoundaryCircle(p["R"], p["Z"]))
+        curve = sig.curve
         if p["kind"] == "branch":
             mesh = branch_linear_mesh(sig, p["amplitude"], p["n_theta"], p["n_profile"])
         else:
@@ -472,10 +489,11 @@ def _run_mesh(config):
         "amplitude": p["amplitude"],
     }
     print(f"mesh: {derived['vertices']} vertices, {derived['faces']} faces")
-    return outdir, derived, artifacts
+    return outdir, curve, derived, artifacts
 
 
-# each command returns (outdir, derived, artifacts); ``run`` writes the record
+# each command returns (outdir, curve, derived, artifacts), ``curve`` being
+# the profile the artifacts came from; ``run`` writes the record
 _DISPATCH = {
     "trace": _run_trace,
     "sigma0": _run_sigma0,
@@ -498,9 +516,11 @@ def _ensure_out(outdir):
 
 def run(config):
     """Execute a resolved configuration; returns the process exit code."""
-    outdir, derived, artifacts = _DISPATCH[config.command](config)
+    if "rtol" in config.params:
+        check_tolerances(config.params["rtol"], config.params["atol"])
+    outdir, curve, derived, artifacts = _DISPATCH[config.command](config)
     inputs = {"command": config.command, **config.params}
-    return _finish(outdir, inputs, _tolerances(config), derived, artifacts)
+    return _finish(outdir, inputs, curve, derived, artifacts)
 
 
 def _recipe_fig1(outdir):
@@ -517,7 +537,7 @@ def _recipe_fig1(outdir):
             )
         )
     inputs = {"c_o": 2.0, "z_o_list": list(_TABLE1_ZO)}
-    return inputs, {"dashed_line": -0.5}, artifacts
+    return inputs, curve, {"dashed_line": -0.5}, artifacts
 
 
 def _recipe_fig2(outdir):
@@ -538,7 +558,7 @@ def _recipe_fig2(outdir):
             )
     inputs = {"R": 0.5, "Z": -3.0, "c_min": 1.2, "c_max": 1.8, "n": 13}
     derived = {"contact_angles": [m.contact_angle for m in sweep.members]}
-    return inputs, derived, artifacts
+    return inputs, sweep.members[0].curve, derived, artifacts
 
 
 def _recipe_fig3(outdir):
@@ -560,10 +580,10 @@ def _recipe_fig3(outdir):
         )
     inputs = {"R": 0.5, "Z": -3.0, "amplitudes": list(amplitudes)}
     derived = {"c_o": sig.params.c_o, "z_o": sig.params.z_o}
-    return inputs, derived, artifacts
+    return inputs, sig.curve, derived, artifacts
 
 
-# figure recipes: outdir -> (inputs, derived, artifacts)
+# figure recipes: outdir -> (inputs, curve, derived, artifacts)
 _FIGURE_RECIPES = {"fig1": _recipe_fig1, "fig2": _recipe_fig2, "fig3": _recipe_fig3}
 
 
@@ -573,9 +593,8 @@ def _run_recipe(name, out_base):
     if name not in _FIGURE_RECIPES:
         raise ParseError(f"unknown recipe {name!r}")
     outdir = _ensure_out(out_base)
-    inputs, derived, artifacts = _FIGURE_RECIPES[name](outdir)
-    tolerances = {"rtol": DEFAULT_RTOL, "atol": DEFAULT_ATOL}
-    return _finish(outdir, {"recipe": name, **inputs}, tolerances, derived, artifacts)
+    inputs, curve, derived, artifacts = _FIGURE_RECIPES[name](outdir)
+    return _finish(outdir, {"recipe": name, **inputs}, curve, derived, artifacts)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -49,15 +49,14 @@ from .shooting import shoot_family_member, shoot_sigma0
 class LinearizedCoeffs:
     """Samples of the radial operator data along a profile.
 
-    U is the potential of the divergence form, weight = r/z^2 the measure
-    density making the operator self adjoint, and p_coeff = r/z^2 the flux
-    coefficient of the separated problems.
+    U is the potential of the divergence form and weight = r/z^2 the measure
+    density making the operator self adjoint, which is also the flux
+    coefficient p of the separated problems.
     """
 
     taus: np.ndarray
     U: np.ndarray
     weight: np.ndarray
-    p_coeff: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,6 @@ def linearized_coeffs(curve, taus):
         taus=np.asarray(taus, dtype=float),
         U=D / (z * z),
         weight=r / (z * z),
-        p_coeff=r / (z * z),
     )
 
 
@@ -344,14 +342,14 @@ def _normal_displacement(sigma0_curve, member_curve, sigmas):
     return (rm - rb) * nr + (zm - zb) * nz
 
 
-def family_derivative_check(circle, delta, *, sigma0=None, lin=None, n_eval=400):
+def family_derivative_check(circle, delta, *, sigma0=None, lin=None):
     """Central-difference derivative of the fixed-boundary family versus h.
 
     Members at spontaneous curvature c +/- delta (and +/- delta/2) are shot
     with the shared boundary circle; their normal displacement relative to
     the tangential disc, divided by 2 delta, is compared with h on a matched
-    boundary-based arc-length grid.  Reports the relative sup error at delta
-    and the Richardson order between delta and delta/2.
+    boundary-based arc-length grid of 400 points.  Reports the relative sup
+    error at delta and the Richardson order between delta and delta/2.
     """
     if sigma0 is None:
         sigma0 = shoot_sigma0(circle)
@@ -363,7 +361,7 @@ def family_derivative_check(circle, delta, *, sigma0=None, lin=None, n_eval=400)
         plus = shoot_family_member(c0 + d, circle, sigma0)
         minus = shoot_family_member(c0 - d, circle, sigma0)
         max_sigma = min(sigma0.curve.ell, plus.curve.ell, minus.curve.ell)
-        sigmas = np.linspace(0.0, max_sigma, n_eval)
+        sigmas = np.linspace(0.0, max_sigma, 400)
         fp = _normal_displacement(sigma0.curve, plus.curve, sigmas)
         fm = _normal_displacement(sigma0.curve, minus.curve, sigmas)
         return sigmas, (fp - fm) / (2.0 * d)

@@ -64,6 +64,8 @@ DEFAULT_MAX_ARC_FACTOR = 40.0
 DEFAULT_MIN_ABS_Z_FACTOR = 1e-8
 #: below this multiple of |z_o|, sin(phi)/r is replaced by its axis limit
 _AXIS_R_CUT = 1e-7
+#: solve_ivp raises a smaller rtol to this floor with only a warning
+_MIN_RTOL = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,6 @@ class ProfileState:
 
 class StopReason(enum.Enum):
     TANGENT_HORIZONTAL = "tangent_horizontal"
-    TARGET_POINT_HIT = "target_point_hit"
     ARC_LIMIT = "arc_limit"
     SINGULARITY = "singularity"
 
@@ -120,24 +121,17 @@ class StopReason(enum.Enum):
 class StopCondition:
     """Primary stop event plus always-active guards.
 
-    Exactly one of ``phi_target``, ``point``, ``arc_length`` must be set.
-    ``point`` is a (r, z, tolerance) triple; the curve stops at the first
-    local minimum of the distance to (r, z) that falls below the tolerance.
-    Guards default to ``DEFAULT_MAX_ARC_FACTOR * |z_o|`` and
-    ``DEFAULT_MIN_ABS_Z_FACTOR * |z_o|`` when left as None.
+    Exactly one of ``phi_target`` and ``arc_length`` must be set.  The arc
+    guard ``max_arc`` defaults to ``DEFAULT_MAX_ARC_FACTOR * |z_o|`` when
+    left as None; the |z| floor is always ``DEFAULT_MIN_ABS_Z_FACTOR * |z_o|``.
     """
 
     phi_target: float | None = None
-    point: tuple[float, float, float] | None = None
     arc_length: float | None = None
     max_arc: float | None = None
-    min_abs_z: float | None = None
 
     def __post_init__(self):
-        primary = sum(
-            x is not None for x in (self.phi_target, self.point, self.arc_length)
-        )
-        if primary != 1:
+        if (self.phi_target is None) == (self.arc_length is None):
             raise ValueError("exactly one primary stop kind must be given")
         if self.arc_length is not None and not (0.0 < self.arc_length < math.inf):
             raise ValueError(
@@ -147,10 +141,6 @@ class StopCondition:
     @classmethod
     def phi_reaches(cls, value, **guards):
         return cls(phi_target=float(value), **guards)
-
-    @classmethod
-    def point_hit(cls, r, z, tol, **guards):
-        return cls(point=(float(r), float(z), float(tol)), **guards)
 
     @classmethod
     def at_arc_length(cls, limit, **guards):
@@ -235,15 +225,14 @@ class ProfileCurve:
         """Boundary-based arc length sigma = ell - tau."""
         return self.ell - np.asarray(tau, dtype=float)
 
-    def unit_speed_residual(self, step=None):
+    def unit_speed_residual(self):
         """max |r'^2 + z'^2 - 1| with derivatives from the dense output.
 
         The velocities are recomputed by centered differencing of the dense
         output rather than read off the right-hand side, so this actually
         exercises integrator consistency.
         """
-        if step is None:
-            step = 1e-6 * max(abs(self.params.z_o), 1.0)
+        step = 1e-6 * max(abs(self.params.z_o), 1.0)
         t = self.taus[(self.taus > self.tau0 + step) & (self.taus < self.ell - step)]
         if t.size == 0:
             return 0.0
@@ -303,6 +292,14 @@ def _profile_rhs(c_o):
     return rhs
 
 
+def check_tolerances(rtol, atol):
+    """Raise ValueError unless the integrator would use rtol and atol as given."""
+    if not (math.isfinite(rtol) and rtol >= _MIN_RTOL):
+        raise ValueError(f"rtol must be finite and >= {_MIN_RTOL:.3g}, got {rtol!r}")
+    if not (math.isfinite(atol) and atol >= 0.0):
+        raise ValueError(f"atol must be finite and nonnegative, got {atol!r}")
+
+
 def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau0=None):
     """Integrate the generating curve outward from the axis seed.
 
@@ -310,8 +307,10 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
     dense output by the integrator's sign-bracketed root refinement.  Guards
     (arc-length cap, |z| floor, r returning to 0) are always active; if one
     fires before the requested primary stop, SingularityHit or
-    ArcLimitReached is raised with the partial curve attached.
+    ArcLimitReached is raised with the partial curve attached.  A tolerance
+    that ``check_tolerances`` rejects raises ValueError.
     """
+    check_tolerances(rtol, atol)
     if tau0 is None:
         tau0 = DEFAULT_TAU0_FACTOR * abs(params.z_o)
     if tau0 <= 0.0:
@@ -320,9 +319,7 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
     max_arc = stop.max_arc
     if max_arc is None:
         max_arc = DEFAULT_MAX_ARC_FACTOR * abs(params.z_o)
-    min_abs_z = stop.min_abs_z
-    if min_abs_z is None:
-        min_abs_z = DEFAULT_MIN_ABS_Z_FACTOR * abs(params.z_o)
+    min_abs_z = DEFAULT_MIN_ABS_Z_FACTOR * abs(params.z_o)
     if stop.arc_length is not None:
         t_end = stop.arc_length
     else:
@@ -353,7 +350,6 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
     vertical_tangent.direction = -1.0
     events.append(vertical_tangent)
 
-    primary_index = None
     if stop.phi_target is not None:
         target = stop.phi_target
 
@@ -363,18 +359,6 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
         phi_event.terminal = True
         phi_event.direction = -1.0
         events.append(phi_event)
-        primary_index = len(events) - 1
-    elif stop.point is not None:
-        pr, pz, _ = stop.point
-
-        def closest_approach(tau, y):
-            # d/dtau of half the squared distance to the target point
-            return -(y[0] - pr) * math.cos(y[2]) - (y[1] - pz) * math.sin(y[2])
-
-        closest_approach.terminal = False
-        closest_approach.direction = 1.0
-        events.append(closest_approach)
-        primary_index = len(events) - 1
 
     sol = solve_ivp(
         _profile_rhs(params.c_o),
@@ -423,24 +407,13 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
         raise SingularityHit("r returned to 0 before the stop event", curve)
 
     if stop.phi_target is not None:
-        hits = sol.t_events[primary_index]
+        hits = sol.t_events[-1]  # the phi event, appended last
         if hits.size == 0:
             curve = build(float(sol.t[-1]), StopReason.ARC_LIMIT)
             raise ArcLimitReached(
                 f"phi never reached {stop.phi_target} within the arc guard", curve
             )
         return build(float(hits[0]), StopReason.TANGENT_HORIZONTAL)
-
-    if stop.point is not None:
-        pr, pz, tol = stop.point
-        for t_hit in sol.t_events[primary_index]:
-            rh, zh, _ = sol.sol(t_hit)
-            if math.hypot(rh - pr, zh - pz) < tol:
-                return build(float(t_hit), StopReason.TARGET_POINT_HIT)
-        curve = build(float(sol.t[-1]), StopReason.ARC_LIMIT)
-        raise ArcLimitReached(
-            "no close approach to the target point within the arc guard", curve
-        )
 
     return build(float(sol.t[-1]), StopReason.ARC_LIMIT)
 
@@ -488,7 +461,7 @@ def geometry_at(curve, tau):
     return GeometryPoint(tau_arr, H, K, nu3, kappa, q, sff, xi)
 
 
-def first_integral_residual(curve, npts=6):
+def first_integral_residual(curve):
     """Sup over samples of the exact first integral of the profile system.
 
     Along any solution, c_o r^2 - r sin(phi) equals the integral of
@@ -504,7 +477,7 @@ def first_integral_residual(curve, npts=6):
         return -2.0 * c * c / z * r
 
     knots = np.concatenate(([0.0], curve.taus))
-    cum = cumulative_gauss(integrand, knots, npts=npts)
+    cum = cumulative_gauss(integrand, knots)
     r, z, phi = curve.state_at(knots)
     F = p.c_o * r * r - r * np.sin(phi) - cum
     return float(np.max(np.abs(F)))
@@ -564,11 +537,12 @@ def fourth_order_residual(curve, n=4000):
     return float(np.max(np.abs(res[keep])))
 
 
-def energy(curve, epsabs=1e-9):
+def energy(curve):
     """Functional 2*pi * int (1/z^2 + 2 c_o nu3 / z) r dtau over the curve.
 
-    Adaptive quadrature on the dense output; both terms are invariant under
-    the scaling (c_o, z_o) -> (c_o/mu, mu z_o).
+    Adaptive quadrature on the dense output to an absolute 1e-9; both terms
+    are invariant under the scaling (c_o, z_o) -> (c_o/mu, mu z_o), so one
+    absolute tolerance serves every scale.
     """
     c_o = curve.params.c_o
 
@@ -577,7 +551,7 @@ def energy(curve, epsabs=1e-9):
         nu3 = -math.cos(phi)
         return (1.0 / (z * z) + 2.0 * c_o * nu3 / z) * r
 
-    val, _ = quad(integrand, 0.0, curve.ell, epsabs=epsabs, epsrel=1e-11, limit=200)
+    val, _ = quad(integrand, 0.0, curve.ell, epsabs=1e-9, epsrel=1e-11, limit=200)
     return 2.0 * math.pi * val
 
 

@@ -36,6 +36,8 @@ SHOOT_ATOL = 1e-14
 _MAX_NEWTON = 50
 _MAX_HALVINGS = 8
 _FD_STEP = 1e-6
+#: largest continuation sub-step of a member, relative to the seed curvature
+_SUB_STEP = 0.03
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,11 @@ def _fd_columns(residual, x, F, n):
     return np.column_stack(cols)
 
 
+def _match_tol(circle):
+    """Converged endpoint mismatch: 1e-11 of the circle's scale (SHOOT_RTOL)."""
+    return 1e-11 * max(circle.R, abs(circle.Z), 1.0)
+
+
 def _match(circle, curve, length):
     """Match residual (r, z)(length) - (R, Z), with aux (curve, phi(length))."""
     r_end, z_end, phi_end = curve.state_at(length)
@@ -186,21 +193,20 @@ def _grid_reseed(circle, n=32):
     return best[1:]
 
 
-def shoot_sigma0(circle, seed=None, *, tol=None, rtol=SHOOT_RTOL, atol=SHOOT_ATOL):
+def shoot_sigma0(circle, seed=None):
     """Solve for the tangential disc spanning the circle.
 
     Damped Newton iteration on the endpoint mismatch (r_end - R, z_end - Z)
     over the unconstrained variables (log c_o, log(-z_o - 1/c_o)), which keep
     every iterate strictly inside the admissible region; the Jacobian is a
     two-column finite difference.  Convergence is declared when the mismatch
-    norm drops below ``tol`` (default 1e-11 * max(R, |Z|, 1)).  After any
-    failure the iteration restarts once from the best point of a coarse
-    grid over the admissible region.
+    norm drops below ``_match_tol(circle)``.  After any failure the iteration
+    restarts once from the best point of a coarse grid over the admissible
+    region.
     """
-    if tol is None:
-        tol = 1e-11 * max(circle.R, abs(circle.Z), 1.0)
     if seed is None:
         seed = _default_seed(circle)
+    tol = _match_tol(circle)
     trace = []
 
     def params_of(u):
@@ -212,7 +218,7 @@ def shoot_sigma0(circle, seed=None, *, tol=None, rtol=SHOOT_RTOL, atol=SHOOT_ATO
             c_o, z_o = params_of(u)
         except (OverflowError, ZeroDivisionError):
             return None  # exp over- or underflowed: no admissible point
-        curve = _tangential_curve(c_o, z_o, rtol=rtol, atol=atol)
+        curve = _tangential_curve(c_o, z_o)
         return None if curve is None else _match(circle, curve, curve.ell)
 
     def jacobian(u, F, aux):
@@ -235,7 +241,7 @@ def shoot_sigma0(circle, seed=None, *, tol=None, rtol=SHOOT_RTOL, atol=SHOOT_ATO
     )
 
 
-def _member_problem(c, circle, *, rtol, atol):
+def _member_problem(c, circle):
     """Residual and Jacobian over (z_o, L) for the member at curvature c."""
 
     def residual(x):
@@ -247,8 +253,8 @@ def _member_problem(c, circle, *, rtol, atol):
             curve = integrate_profile(
                 ModelParams(c, z_o),
                 StopCondition.at_arc_length(length, max_arc=guard),
-                rtol=rtol,
-                atol=atol,
+                rtol=SHOOT_RTOL,
+                atol=SHOOT_ATOL,
             )
         except MembraneLabError:
             return None
@@ -265,8 +271,7 @@ def _member_problem(c, circle, *, rtol, atol):
     return residual, jacobian
 
 
-def shoot_family_member(c, circle, seed, *, tol=None, rtol=SHOOT_RTOL,
-                        atol=SHOOT_ATOL, max_step=None):
+def shoot_family_member(c, circle, seed):
     """Family member at curvature c through the circle, seeded by continuation.
 
     Newton iteration on (z_o, L) for the two conditions r(L) = R, z(L) = Z.
@@ -276,21 +281,20 @@ def shoot_family_member(c, circle, seed, *, tol=None, rtol=SHOOT_RTOL,
 
     The (z_o, L) problem at fixed c has multiple solutions away from the
     seed; to return the continuation-connected member the solve walks from
-    the seed curvature in sub-steps of at most ``max_step`` (default 3
-    percent of the seed curvature) and re-seeds each step from the last.
+    the seed curvature in sub-steps of at most ``_SUB_STEP`` times the seed
+    curvature and re-seeds each step from the last.  Convergence is declared
+    below ``_match_tol(circle)``.
     """
-    if tol is None:
-        tol = 1e-11 * max(circle.R, abs(circle.Z), 1.0)
     disc = isinstance(seed, Sigma0Solution)
     c_seed, z_o = (seed.params.c_o, seed.params.z_o) if disc else (seed.c, seed.z_o)
-    if max_step is None:
-        max_step = 0.03 * abs(c_seed)
+    max_step = _SUB_STEP * abs(c_seed)
     gap = abs(c - c_seed)
     n_sub = int(math.ceil(gap / max_step)) if gap > max_step else 1
     curve = seed.curve
+    tol = _match_tol(circle)
     trace = []
     for c_step in np.linspace(c_seed, c, n_sub + 1)[1:].tolist():
-        residual, jacobian = _member_problem(c_step, circle, rtol=rtol, atol=atol)
+        residual, jacobian = _member_problem(c_step, circle)
         x, (curve, phi_end), norm = _newton(
             residual, np.array([z_o, curve.ell]), jacobian, tol, trace, "member"
         )
@@ -306,7 +310,7 @@ def shoot_family_member(c, circle, seed, *, tol=None, rtol=SHOOT_RTOL,
     )
 
 
-def family_sweep(circle, c_min, c_max, n, *, sigma0=None, **kw):
+def family_sweep(circle, c_min, c_max, n, *, sigma0=None):
     """n members by continuation outward from the tangential disc.
 
     The c grid is uniform on [c_min, c_max], which must bracket the
@@ -329,7 +333,7 @@ def family_sweep(circle, c_min, c_max, n, *, sigma0=None, **kw):
             if direction * (c - c0) < 0 or idx in members:
                 continue
             try:
-                member = shoot_family_member(c, circle, seed, **kw)
+                member = shoot_family_member(c, circle, seed)
             except NoConvergence as exc:
                 failures.append((c, str(exc)))
                 continue

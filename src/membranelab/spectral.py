@@ -35,6 +35,14 @@ from .shooting import family_sweep
 #: mesh grading exponent: tau_k = ell * (k/n)^1.5 clusters nodes at the axis
 _GRADING = 1.5
 _GAUSS_PTS = 7
+_MIN_CELLS = 200
+#: condition (i): members over c0 * (1 -/+ halfwidth); the odd count puts one
+#: on the disc, and 2 % stays within one 3 % continuation sub-step
+_FAMILY_POINTS = 5
+_FAMILY_HALFWIDTH = 0.02
+#: condition (ii): zero band over the first mode-1 gap; on the reference discs
+#: the zero eigenvalue is ~1e-12 of the gap and the next one >= 2e-2 of it
+_ZERO_BAND_FACTOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -107,8 +115,8 @@ def assemble_mode(curve, m, n):
     on the dense output, which keeps the pencil symmetric and second order
     accurate on the graded mesh.
     """
-    if n < 200:
-        raise GridTooCoarse("mode assembly needs n >= 200")
+    if n < _MIN_CELLS:
+        raise GridTooCoarse(f"mode assembly needs n >= {_MIN_CELLS}")
     if m < 0 or m != int(m):
         raise ValueError("mode index m must be a nonnegative integer")
     taus = _mode_grid(curve, n)
@@ -160,6 +168,23 @@ def assemble_mode(curve, m, n):
     )
 
 
+def _apply(op, funcs):
+    """A times each column of ``funcs`` for the tridiagonal pencil matrix A."""
+    Au = op.diag[:, None] * funcs
+    Au[:-1] += op.offdiag[:, None] * funcs[1:]
+    Au[1:] += op.offdiag[:, None] * funcs[:-1]
+    return Au
+
+
+def check_eigen_size(n, count):
+    """Raise ValueError unless ``eigen_solve`` takes n cells and count pairs."""
+    if n < _MIN_CELLS:
+        raise ValueError(f"eigen mesh needs n >= {_MIN_CELLS} cells, got {n}")
+    # the coarse pencil of a mode m >= 1 has n - 1 unknowns
+    if not 1 <= count < n:
+        raise ValueError(f"eigenpair count must lie in [1, n - 1], got {count}")
+
+
 def _solve_pencil(op, count):
     d = op.diag / op.weights
     e = op.offdiag / np.sqrt(op.weights[:-1] * op.weights[1:])
@@ -181,26 +206,21 @@ def _solve_pencil(op, count):
     # makes the congruenced tridiagonal matrix huge in norm, and LAPACK's
     # absolute accuracy eps * |T| would swamp eigenvalues near zero; the
     # quadratic forms below have no large-magnitude cancellation
+    Au = _apply(op, funcs)
     rq = np.empty(vals.size)
     for k in range(vals.size):
-        u = funcs[:, k]
-        Au = op.diag * u
-        Au[:-1] += op.offdiag * u[1:]
-        Au[1:] += op.offdiag * u[:-1]
-        rq[k] = float(u @ Au)  # u'Bu = 1 by normalization
+        rq[k] = float(funcs[:, k] @ Au[:, k])  # u'Bu = 1 by normalization
     return rq, funcs
 
 
 def _discrete_residual(op, vals, funcs):
     res = np.empty(vals.size)
-    a, b, w = op.diag, op.offdiag, op.weights
-    op_scale = np.max(np.abs(a)) + 2.0 * np.max(np.abs(b))
+    w = op.weights
+    op_scale = np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.offdiag))
+    Au = _apply(op, funcs)
     for k in range(vals.size):
         u = funcs[:, k]
-        Au = a * u
-        Au[:-1] += b * u[1:]
-        Au[1:] += b * u[:-1]
-        num = np.max(np.abs(Au - vals[k] * w * u))
+        num = np.max(np.abs(Au[:, k] - vals[k] * w * u))
         den = (op_scale + abs(vals[k]) * np.max(w)) * np.max(np.abs(u))
         res[k] = num / den if den > 0 else 0.0
     return res
@@ -212,8 +232,9 @@ def eigen_solve(curve, m, count, n=1536):
     The pencil is solved on meshes of n and 2n cells with the same grading;
     the extrapolated eigenvalues (4 fine - coarse)/3 remove the second order
     mesh error.  Eigenfunctions are reported on the fine mesh with the
-    Dirichlet zeros reattached.
+    Dirichlet zeros reattached.  Sizes are checked by ``check_eigen_size``.
     """
+    check_eigen_size(n, count)
     op_c = assemble_mode(curve, m, n)
     op_f = assemble_mode(curve, m, 2 * n)
     vals_c, _ = _solve_pencil(op_c, count)
@@ -234,39 +255,30 @@ def eigen_solve(curve, m, count, n=1536):
     )
 
 
-def kernel_residual_m1(curve, n=1000):
+def kernel_residual_m1(curve):
     """FD sup residual of sin(phi) in the mode-1, lambda = 0 equation.
 
     sin(phi) is the vertical velocity of the generating curve and spans the
     mode-1 kernel exactly (horizontal translation invariance), so this is a
-    direct probe of the separated operator coefficients.  Moderate default
-    resample for the same reason as residual_Pnu3.
+    direct probe of the separated operator coefficients.  The 1000-point
+    resample is moderate for the same reason as residual_Pnu3's.
     """
-    taus = np.linspace(0.02 * curve.ell, 0.98 * curve.ell, n)
+    taus = np.linspace(0.02 * curve.ell, 0.98 * curve.ell, 1000)
     _, _, phi = curve.state_at(taus)
     return operator_residual(curve, taus, np.sin(phi), mode=1)
 
 
-def certify(
-    sigma0,
-    lin=None,
-    *,
-    count=6,
-    n=1536,
-    family_points=5,
-    family_halfwidth=0.02,
-    zero_band_factor=1e-6,
-):
+def certify(sigma0, lin=None, *, count=6, n=1536):
     """Assemble the bifurcation certificate on a tangential disc.
 
-    Condition (i) is witnessed by a successful fixed-boundary family sweep
-    across +/- family_halfwidth (relative) in spontaneous curvature;
-    condition (ii) by a single zero eigenvalue (within
-    zero_band_factor * the first mode-1 spectral gap) across modes 0, 1, 2,
-    located in mode 1; condition (iii) by the transversality scalar
-    h_prime_boundary exceeding 1000x the linear solver tolerance.  Surfaces
-    outside the tangential-disc parameter region get verdict
-    "not_applicable".
+    Condition (i) is witnessed by a successful ``_FAMILY_POINTS``-member
+    fixed-boundary family sweep across +/- ``_FAMILY_HALFWIDTH`` (relative)
+    in spontaneous curvature; condition (ii) by a single zero eigenvalue
+    (within ``_ZERO_BAND_FACTOR`` times the first mode-1 spectral gap)
+    across modes 0, 1, 2, located in mode 1; condition (iii) by the
+    transversality scalar h_prime_boundary exceeding 1000x the linear
+    solver tolerance.  Surfaces outside the tangential-disc parameter
+    region get verdict "not_applicable".
     """
     params = sigma0.params
     if not params.sigma0_admissible:
@@ -288,7 +300,7 @@ def certify(
     eigs = {m: eigen_solve(sigma0.curve, m, count, n=n) for m in (0, 1, 2)}
     lam1 = eigs[1].eigenvalues
     gap_scale = float(lam1[1] - lam1[0])
-    zero_band = zero_band_factor * gap_scale
+    zero_band = _ZERO_BAND_FACTOR * gap_scale
     near_zero = {
         m: int(np.sum(np.abs(e.eigenvalues) < zero_band)) for m, e in eigs.items()
     }
@@ -300,12 +312,12 @@ def certify(
     c0 = params.c_o
     sweep = family_sweep(
         sigma0.circle,
-        c0 * (1.0 - family_halfwidth),
-        c0 * (1.0 + family_halfwidth),
-        family_points,
+        c0 * (1.0 - _FAMILY_HALFWIDTH),
+        c0 * (1.0 + _FAMILY_HALFWIDTH),
+        _FAMILY_POINTS,
         sigma0=sigma0,
     )
-    cond_i = len(sweep.members) == family_points and not sweep.failures
+    cond_i = len(sweep.members) == _FAMILY_POINTS and not sweep.failures
 
     cond_ii = (
         kernel_dim_even == 1

@@ -125,17 +125,23 @@ def _disc_faces(n_theta, n_rings):
     return np.concatenate([fan, quads.reshape(-1, 3)])
 
 
-def _assemble(curve, n_theta, n_profile, scalar_field, meta):
-    """Build the disc mesh with normal displacement ``scalar_field``.
-
-    ``scalar_field(taus, phi, thetas)`` maps the profile stations and the
-    ring angles to the (n_profile, n_theta) displacement magnitudes; the
-    apex takes the value at station 0 and theta = 0.
-    """
+def check_mesh_size(n_theta, n_profile):
+    """Raise ValueError unless a disc mesh of this size is well formed."""
     if n_theta < 16:
         raise ValueError("n_theta must be at least 16")
     if n_profile < 2:
         raise ValueError("n_profile must be at least 2 (the apex and one ring)")
+
+
+def _assemble(curve, n_theta, n_profile, scalar_field, kind, amplitude):
+    """Build the disc mesh with normal displacement ``scalar_field``.
+
+    ``scalar_field(taus, phi, thetas)`` maps the profile stations and the
+    ring angles to the (n_profile, n_theta) displacement magnitudes; the
+    apex takes the value at station 0 and theta = 0.  ``kind`` and the
+    ``amplitude`` of the field go into the mesh's ``meta``.
+    """
+    check_mesh_size(n_theta, n_profile)
     taus = np.linspace(0.0, curve.ell, n_profile)
     r, z, phi = curve.state_at(taus)
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
@@ -162,7 +168,15 @@ def _assemble(curve, n_theta, n_profile, scalar_field, meta):
         vertices=verts,
         faces=_disc_faces(n_theta, n_rings),
         displacement=disp,
-        meta=meta,
+        meta={
+            "kind": kind,
+            "c_o": curve.params.c_o,
+            "z_o": curve.params.z_o,
+            "ell": curve.ell,
+            "n_theta": n_theta,
+            "n_profile": n_profile,
+            "amplitude": amplitude,
+        },
     )
     r_b = float(r[-1])
     # folding through the axis makes rings collapse or invert before any
@@ -186,17 +200,8 @@ def revolve(curve, n_theta, n_profile=200):
     Vertex count is (n_profile - 1) * n_theta + 1: one apex plus one ring
     per resampled interior/boundary station.
     """
-    meta = {
-        "kind": "revolve",
-        "c_o": curve.params.c_o,
-        "z_o": curve.params.z_o,
-        "ell": curve.ell,
-        "n_theta": n_theta,
-        "n_profile": n_profile,
-        "amplitude": 0.0,
-    }
     zero = lambda taus, phi, thetas: np.zeros((taus.size, thetas.size))
-    return _assemble(curve, n_theta, n_profile, zero, meta)
+    return _assemble(curve, n_theta, n_profile, zero, "revolve", 0.0)
 
 
 def branch_linear_mesh(sigma0, s, n_theta, n_profile=200):
@@ -208,39 +213,23 @@ def branch_linear_mesh(sigma0, s, n_theta, n_profile=200):
     vanishes at both ends), so the boundary circle is pinned exactly.
     """
     _require_finite_amplitude(s)
-    curve = sigma0.curve
-    meta = {
-        "kind": "branch_linear",
-        "c_o": curve.params.c_o,
-        "z_o": curve.params.z_o,
-        "ell": curve.ell,
-        "n_theta": n_theta,
-        "n_profile": n_profile,
-        "amplitude": float(s),
-    }
     fieldfun = lambda taus, phi, thetas: (
         s * np.sin(phi)[:, None] * np.cos(thetas)[None, :]
     )
-    return _assemble(curve, n_theta, n_profile, fieldfun, meta)
+    return _assemble(
+        sigma0.curve, n_theta, n_profile, fieldfun, "branch_linear", float(s)
+    )
 
 
 def family_linear_mesh(sigma0, lin, t, n_theta, n_profile=200):
     """First-order axisymmetric family perturbation with displacement t * h."""
     _require_finite_amplitude(t)
-    curve = sigma0.curve
-    meta = {
-        "kind": "family_linear",
-        "c_o": curve.params.c_o,
-        "z_o": curve.params.z_o,
-        "ell": curve.ell,
-        "n_theta": n_theta,
-        "n_profile": n_profile,
-        "amplitude": float(t),
-    }
     fieldfun = lambda taus, phi, thetas: np.broadcast_to(
         t * np.asarray(lin.h_at(taus), dtype=float)[:, None], (taus.size, thetas.size)
     )
-    return _assemble(curve, n_theta, n_profile, fieldfun, meta)
+    return _assemble(
+        sigma0.curve, n_theta, n_profile, fieldfun, "family_linear", float(t)
+    )
 
 
 def profile_table(curve, n=None):

@@ -8,6 +8,7 @@ import pytest
 from membranelab import cli
 from membranelab.cli import load_config, main
 from membranelab.errors import ParseError
+from membranelab.shooting import SHOOT_ATOL, SHOOT_RTOL
 from membranelab.surfaces import read_profile_csv
 
 
@@ -266,6 +267,66 @@ def test_cli_mesh_bad_input_exit_1(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and ("n_profile" in err or "amplitude" in err)
     assert not any(out.glob("*.obj"))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mesh", "--kind", "family", "--R", "0.5", "--Z", "-3",
+         "--n_theta", "2", "--n_profile", "50"],
+        ["table1", "--z_o_list=-0.55,-0.1"],
+        ["table1", "--z_o_list="],
+        ["eigen", "--c_o", "2", "--z_o", "-0.6", "--count", "0"],
+        ["eigen", "--c_o", "2", "--z_o", "-0.6", "--count", "500", "--n", "200"],
+        ["eigen", "--c_o", "2", "--z_o", "-0.6", "--n", "100"],
+        ["certify", "--R", "0.5", "--Z", "-3", "--count", "0"],
+        ["certify", "--R", "0.5", "--Z", "-3", "--n", "100"],
+        ["trace", "--c_o", "2", "--z_o", "-0.6", "--rtol", "0"],
+        ["trace", "--c_o", "2", "--z_o", "-0.6", "--rtol", "nan"],
+        ["linearize", "--c_o", "2", "--z_o", "-0.6", "--atol", "-1"],
+    ],
+)
+def test_cli_bad_input_exit_1_before_compute(tmp_path, capsys, monkeypatch, args):
+    def computed(*_args, **_kw):
+        raise AssertionError("computed before the input was checked")
+
+    for name in ("integrate_profile", "shoot_sigma0"):
+        monkeypatch.setattr(cli, name, computed)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_cli_tolerances_only_where_they_act(tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sigma0", "--R", "0.5", "--Z", "-3", "--rtol", "1e-3",
+                 "--out", str(out)])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --rtol" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = certify\nR = 0.5\nZ = -3\nrtol = 1e-3\nout = {out}\n")
+    assert run_cli(["--config", str(cfg)]) == 1
+    assert "unknown key 'rtol'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, rtol, atol",
+    [
+        (["sigma0", "--R", "0.5", "--Z", "-3"], SHOOT_RTOL, SHOOT_ATOL),
+        (["linearize", "--c_o", "2", "--z_o", "-0.6", "--rtol", "1e-9"], 1e-9, 1e-12),
+    ],
+)
+def test_cli_record_tolerances_of_the_curve(tmp_path, args, rtol, atol):
+    out = tmp_path / "o"
+    assert run_cli(args + ["--samples", "20", "--out", str(out)]) == 0
+    record = json.loads((out / "run_record.json").read_text())
+    assert record["tolerances"] == {"rtol": rtol, "atol": atol}
+    assert ("rtol" in record["inputs"]) == (args[0] == "linearize")
 
 
 def test_cli_no_command(capsys):

@@ -340,24 +340,14 @@ def test_stop_condition_validation():
             StopCondition.at_arc_length(arc)
 
 
-def test_point_stop_hits(curve26):
-    r_end, z_end, _ = curve26.state_at(curve26.ell)
-    c = integrate_profile(
-        curve26.params,
-        StopCondition.point_hit(r_end, z_end, 1e-7),
-    )
-    assert c.stop_reason is StopReason.TARGET_POINT_HIT
-    assert c.ell == pytest.approx(curve26.ell, abs=1e-6)
-
-
-def test_point_stop_miss_raises(curve26):
-    with pytest.raises(ArcLimitReached) as err:
-        integrate_profile(
-            curve26.params,
-            StopCondition.point_hit(50.0, -50.0, 1e-8, max_arc=3.0),
-        )
-    assert err.value.curve is not None
-    assert err.value.curve.stop_reason is StopReason.ARC_LIMIT
+@pytest.mark.parametrize(
+    "rtol, atol", [(0.0, 1e-12), (1e-15, 1e-12), (math.nan, 1e-12), (1e-10, -1.0),
+                   (1e-10, math.inf)]
+)
+def test_integrate_rejects_unusable_tolerances(rtol, atol):
+    # scipy would clamp rtol below 100 eps with only a warning
+    with pytest.raises(ValueError, match="tol must be"):
+        integrate_profile(ModelParams(2.0, -0.6), sigma0_stop(), rtol=rtol, atol=atol)
 
 
 def test_singularity_guard():
@@ -372,10 +362,12 @@ def test_singularity_guard():
 
 
 def test_arc_guard_raises():
-    with pytest.raises(ArcLimitReached):
+    with pytest.raises(ArcLimitReached) as err:
         integrate_profile(
             ModelParams(2.0, -0.6), sigma0_stop(max_arc=0.5)
         )
+    assert err.value.curve is not None
+    assert err.value.curve.stop_reason is StopReason.ARC_LIMIT
 
 
 def test_samples_and_sigma(curve26):
