@@ -40,7 +40,7 @@ from .profile import (
     sigma0_stop,
 )
 from .shooting import BoundaryCircle, family_sweep, shoot_sigma0
-from .spectral import certify, check_eigen_size, eigen_solve
+from .spectral import certify, check_eigen_size, check_mode, eigen_solve
 from .surfaces import (
     RunRecord,
     _require_finite_amplitude,
@@ -232,8 +232,9 @@ def load_config(path=None, command=None, flag_pairs=None):
     return CommandConfig(command=command, params=params)
 
 
-def _tolerances(curve):
-    return {"rtol": curve.rtol, "atol": curve.atol}
+def _tolerances(solution):
+    """The rtol and atol a curve or linearized solution was integrated at."""
+    return {"rtol": solution.rtol, "atol": solution.atol}
 
 
 def _finish(outdir, inputs, curve, derived, artifacts):
@@ -279,10 +280,15 @@ def _run_trace(config):
     return outdir, curve, derived, artifacts
 
 
+def _circle_from(config):
+    return BoundaryCircle(config.params["R"], config.params["Z"])
+
+
 def _run_sigma0(config):
     p = config.params
+    circle = _circle_from(config)
     outdir = _ensure_out(p["out"])
-    sig = shoot_sigma0(BoundaryCircle(p["R"], p["Z"]))
+    sig = shoot_sigma0(circle)
     artifacts = [
         export_profile_csv(
             sig.curve, os.path.join(outdir, "sigma0_profile.csv"), n=p["samples"]
@@ -317,8 +323,8 @@ def _run_family(config):
     p = config.params
     if p["n"] < 1:
         raise ValueError("family needs n >= 1 members")
+    circle = _circle_from(config)
     outdir = _ensure_out(p["out"])
-    circle = BoundaryCircle(p["R"], p["Z"])
     sweep = family_sweep(circle, p["c_min"], p["c_max"], p["n"])
     if not sweep.members:
         failed = "; ".join(f"c = {c}: {why}" for c, why in sweep.failures)
@@ -359,7 +365,11 @@ def _run_linearize(config):
             "linearized",
         )
     ]
-    derived = {"h_prime_boundary": lin.h_prime_boundary, "alpha": lin.alpha}
+    derived = {
+        "h_prime_boundary": lin.h_prime_boundary,
+        "alpha": lin.alpha,
+        "h_tolerances": _tolerances(lin),
+    }
     print(f"linearize: h_prime_boundary = {lin.h_prime_boundary:.10g}")
     return outdir, curve, derived, artifacts
 
@@ -395,7 +405,10 @@ def _run_table1(config):
         "sample_counts": {str(z): n for z, n in zip(z_list, counts)},
     }
     artifacts.append(export_json(meta, os.path.join(outdir, "table1_meta.json")))
-    derived = {"h_prime_boundary": {str(z): h for z, h in zip(z_list, slopes)}}
+    derived = {
+        "h_prime_boundary": {str(z): h for z, h in zip(z_list, slopes)},
+        "h_tolerances": _tolerances(lin),
+    }
     return outdir, curve, derived, artifacts
 
 
@@ -404,6 +417,7 @@ def _run_eigen(config):
     params = _params_from(config)
     if not params.sigma0_admissible:
         raise NotAdmissible("eigen requires z_o < -1/c_o")
+    check_mode(p["m"])
     check_eigen_size(p["n"], p["count"])
     outdir = _ensure_out(p["out"])
     curve = integrate_profile(params, sigma0_stop(), rtol=p["rtol"], atol=p["atol"])
@@ -433,8 +447,9 @@ def _run_eigen(config):
 def _run_certify(config):
     p = config.params
     check_eigen_size(p["n"], p["count"])
+    circle = _circle_from(config)
     outdir = _ensure_out(p["out"])
-    sig = shoot_sigma0(BoundaryCircle(p["R"], p["Z"]))
+    sig = shoot_sigma0(circle)
     lin = solve_h(sig.curve)
     cert = certify(sig, lin, count=p["count"], n=p["n"])
     payload = {
@@ -449,45 +464,55 @@ def _run_certify(config):
         "sigma0": {"c_o": sig.params.c_o, "z_o": sig.params.z_o, "ell": sig.curve.ell},
     }
     artifacts = [export_json(payload, os.path.join(outdir, "certificate.json"))]
-    derived = {"verdict": cert.verdict, "h_prime_boundary": cert.h_prime_boundary}
+    derived = {
+        "verdict": cert.verdict,
+        "h_prime_boundary": cert.h_prime_boundary,
+        "h_tolerances": _tolerances(lin),
+    }
     print(f"certify: verdict = {cert.verdict}, conditions = {cert.conditions}")
     return outdir, sig.curve, derived, artifacts
 
 
 def _run_mesh(config):
     p = config.params
+    kind = p["kind"]
     _require_finite_amplitude(p["amplitude"])
     check_mesh_size(p["n_theta"], p["n_profile"])
-    outdir = _ensure_out(p["out"])
-    if p["kind"] == "revolve":
+    if kind == "revolve":
         if p["c_o"] is None or p["z_o"] is None:
             raise ParseError("mesh kind=revolve needs c_o and z_o")
         params = _params_from(config)
         if not params.sigma0_admissible:
             raise NotAdmissible("mesh requires z_o < -1/c_o")
+    elif kind in ("branch", "family"):
+        if p["R"] is None or p["Z"] is None:
+            raise ParseError(f"mesh kind={kind} needs R and Z")
+        circle = _circle_from(config)
+    else:
+        raise ParseError(f"unknown mesh kind {kind!r}")
+    outdir = _ensure_out(p["out"])
+    if kind == "revolve":
         curve = integrate_profile(params, sigma0_stop(), rtol=p["rtol"], atol=p["atol"])
         mesh = revolve(curve, p["n_theta"], p["n_profile"])
-    elif p["kind"] in ("branch", "family"):
-        if p["R"] is None or p["Z"] is None:
-            raise ParseError(f"mesh kind={p['kind']} needs R and Z")
-        sig = shoot_sigma0(BoundaryCircle(p["R"], p["Z"]))
+    else:
+        sig = shoot_sigma0(circle)
         curve = sig.curve
-        if p["kind"] == "branch":
+        if kind == "branch":
             mesh = branch_linear_mesh(sig, p["amplitude"], p["n_theta"], p["n_profile"])
         else:
             lin = solve_h(sig.curve)
             mesh = family_linear_mesh(
                 sig, lin, p["amplitude"], p["n_theta"], p["n_profile"]
             )
-    else:
-        raise ParseError(f"unknown mesh kind {p['kind']!r}")
-    artifacts = [export_mesh_obj(mesh, os.path.join(outdir, f"{p['kind']}.obj"))]
+    artifacts = [export_mesh_obj(mesh, os.path.join(outdir, f"{kind}.obj"))]
     derived = {
         "vertices": int(mesh.vertices.shape[0]),
         "faces": int(mesh.faces.shape[0]),
         "euler_characteristic": int(mesh.euler_characteristic()),
         "amplitude": p["amplitude"],
     }
+    if kind == "family":
+        derived["h_tolerances"] = _tolerances(lin)
     print(f"mesh: {derived['vertices']} vertices, {derived['faces']} faces")
     return outdir, curve, derived, artifacts
 

@@ -84,7 +84,8 @@ class LinearizedSolution:
 
     w holds h_s in the boundary-based orientation; h_prime_boundary is its
     boundary value (the transversality scalar).  alpha is the kernel
-    admixture used to enforce the boundary condition on h.
+    admixture used to enforce the boundary condition on h.  rtol and atol
+    are the tolerances the extended system was integrated at.
     """
 
     taus: np.ndarray
@@ -94,6 +95,8 @@ class LinearizedSolution:
     h_prime_boundary: float
     alpha: float
     kernel: KernelSolution
+    rtol: float
+    atol: float
     _dense: object = field(repr=False)
 
     @property
@@ -177,7 +180,8 @@ def _integrate_extended(curve, *, rtol=None, atol=None, tau0=None):
     """Co-integrate profile, kernel and particular response from the axis.
 
     State layout and right-hand side as in ``_extended_rhs_tau``;
-    w-components store boundary-oriented derivatives.
+    w-components store boundary-oriented derivatives.  Returns the solution
+    with the rtol and atol it was integrated at.
     """
     params = curve.params
     # tighter than the profile defaults: downstream finite-difference
@@ -208,7 +212,7 @@ def _integrate_extended(curve, *, rtol=None, atol=None, tau0=None):
     )
     if not sol.success:
         raise BoundaryValueVanishes(f"extended integration failed: {sol.message}")
-    return sol
+    return sol, rtol, atol
 
 
 def _kernel_from(sol):
@@ -236,7 +240,7 @@ def solve_axisymmetric_kernel(curve, **kw):
     boundary nontrivially), and a vanishing value is reported as a numerical
     failure rather than absorbed.
     """
-    return _kernel_from(_integrate_extended(curve, **kw))
+    return _kernel_from(_integrate_extended(curve, **kw)[0])
 
 
 def solve_h(curve, **kw):
@@ -246,7 +250,7 @@ def solve_h(curve, **kw):
     p(axis) = 0 and alpha = -p(boundary)/psi_raw(boundary).  The reported
     slope h_prime_boundary is taken in the boundary-based orientation.
     """
-    sol = _integrate_extended(curve, **kw)
+    sol, rtol, atol = _integrate_extended(curve, **kw)
     kernel = _kernel_from(sol)
     alpha = -float(sol.y[5, -1]) / kernel.raw_boundary_value
     h = sol.y[5] + alpha * sol.y[3]
@@ -259,6 +263,8 @@ def solve_h(curve, **kw):
         h_prime_boundary=float(w[-1]),
         alpha=alpha,
         kernel=kernel,
+        rtol=rtol,
+        atol=atol,
         _dense=sol.sol,
     )
 

@@ -1,15 +1,14 @@
 """Boundary matching: the tangential disc and its fixed-boundary family.
 
-Two problems are solved here by shooting from the axis seed, both by the
-one damped-Newton driver ``_newton``:
+Two problems are solved here by shooting from the axis seed:
 
-* the tangential disc through a prescribed circle (R, Z): find (c_o, z_o)
-  with z_o < -1/c_o such that the profile integrated until phi = 0 ends at
-  (R, Z), with a coarse admissible-region grid restart as fallback;
+* the tangential disc through a prescribed circle (R, Z): (c_o, z_o) with
+  z_o < -1/c_o whose profile, integrated until phi = 0, ends at (R, Z);
+  scale equivariance reduces it to one bracketed root in t = c_o z_o;
 * a family member at given spontaneous curvature c sharing the circle:
   find (z_o, L) such that the profile for (c, z_o) passes through (R, Z)
-  at arc length L; the curve is truncated at the first passage and the
-  contact angle phi(L) is reported.
+  at arc length L, by damped Newton (``_newton``); the curve is truncated
+  at the first passage and the contact angle phi(L) is reported.
 
 Both problems are scale equivariant: (R, Z) -> (mu R, mu Z) maps solutions
 to (c_o/mu, mu z_o).
@@ -19,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import MembraneLabError, NoConvergence
 from .profile import (
@@ -36,6 +36,11 @@ SHOOT_ATOL = 1e-14
 _MAX_NEWTON = 50
 _MAX_HALVINGS = 8
 _FD_STEP = 1e-6
+#: deepest unit disc, t = -1e4: beyond it the axis offset 1e-6 |t| of
+#: integrate_profile is not small against the unit curvature radius
+_U_MAX = math.log(1e4 - 1.0)
+#: six doubling steps span u from t = -1 after rounding to _U_MAX
+_MAX_BRACKET = 8
 #: largest continuation sub-step of a member, relative to the seed curvature
 _SUB_STEP = 0.03
 
@@ -86,13 +91,13 @@ class FamilySweep:
     failures: list
 
 
-def _newton(residual, x, jacobian, tol, trace, what, point=tuple):
+def _newton(residual, x, jacobian, tol, trace, what):
     """Damped Newton iteration with step halving (Deuflhard 2004).
 
     ``residual(x)`` returns ``(F, aux)``, or None for an infeasible iterate;
     ``jacobian(x, F, aux)`` returns dF/dx, or None.  A step is halved until
     the max-norm of F decreases.  Accepted iterates go to ``trace`` as
-    ``(point(x), norm)``.  Returns ``(x, aux, norm)`` once the norm is below
+    ``(tuple(x), norm)``.  Returns ``(x, aux, norm)`` once the norm is below
     ``tol``; otherwise raises NoConvergence naming ``what``.
     """
     out = residual(x)
@@ -101,7 +106,7 @@ def _newton(residual, x, jacobian, tol, trace, what, point=tuple):
     F, aux = out
     for _ in range(_MAX_NEWTON):
         norm = float(np.max(np.abs(F)))
-        trace.append((point(x), norm))
+        trace.append((tuple(x), norm))
         if norm < tol:
             return x, aux, norm
         J = jacobian(x, F, aux)
@@ -125,20 +130,15 @@ def _newton(residual, x, jacobian, tol, trace, what, point=tuple):
     raise NoConvergence(f"{what} did not converge in {_MAX_NEWTON} iterations", trace)
 
 
-def _fd_columns(residual, x, F, n):
-    """First n columns of dF/dx: forward differences, else backward, else None."""
-    cols = []
-    for j in range(n):
-        dx = np.zeros(x.size)
-        dx[j] = _FD_STEP * max(1.0, abs(x[j]))
-        for sign in (1.0, -1.0):
-            out = residual(x + sign * dx)
-            if out is not None:
-                cols.append(sign * (out[0] - F) / dx[j])
-                break
-        else:
-            return None
-    return np.column_stack(cols)
+def _fd_column(residual, x, F):
+    """dF/dx[0]: a forward difference, else a backward one, else None."""
+    dx = np.zeros(x.size)
+    dx[0] = _FD_STEP * max(1.0, abs(x[0]))
+    for sign in (1.0, -1.0):
+        out = residual(x + sign * dx)
+        if out is not None:
+            return sign * (out[0] - F) / dx[0]
+    return None
 
 
 def _match_tol(circle):
@@ -152,88 +152,69 @@ def _match(circle, curve, length):
     return np.array([r_end - circle.R, z_end - circle.Z]), (curve, phi_end)
 
 
-def _default_seed(circle):
-    """Heuristic starting point; the grid fallback repairs bad cases."""
-    c_o = 1.5 * max(1.0 / abs(circle.Z), 1.0 / circle.R)
-    z_o = circle.Z - circle.R
-    if z_o >= -1.0 / c_o:
-        z_o = -1.0 / c_o - 0.5 * circle.R
-    return ModelParams(c_o, z_o)
-
-
-def _tangential_curve(c_o, z_o, *, rtol=SHOOT_RTOL, atol=SHOOT_ATOL):
-    """The profile integrated until phi = 0, or None when infeasible."""
-    if z_o >= -1.0 / c_o:
-        return None
-    try:
-        return integrate_profile(
-            ModelParams(c_o, z_o), sigma0_stop(), rtol=rtol, atol=atol
-        )
-    except MembraneLabError:
-        return None
-
-
-def _grid_reseed(circle, n=32):
-    """Coarse logarithmic sweep of the admissible region; best mismatch wins."""
-    scale = max(circle.R, abs(circle.Z))
-    offsets = np.geomspace(1e-3 * scale, abs(circle.Z) * 4.0, n)
-    best = (math.inf, None, None)
-    for c_o in np.geomspace(0.05 / scale, 50.0 / scale, n):
-        z_os = -1.0 / c_o - offsets
-        for z_o in z_os[z_os > circle.Z]:
-            curve = _tangential_curve(c_o, z_o, rtol=1e-8, atol=1e-10)
-            if curve is None:
-                continue
-            F, _ = _match(circle, curve, curve.ell)
-            miss = math.hypot(F[0], F[1])
-            if miss < best[0]:
-                best = (miss, c_o, z_o)
-    if best[1] is None:
-        raise NoConvergence("grid reseed found no feasible parameters")
-    return best[1:]
-
-
 def shoot_sigma0(circle, seed=None):
     """Solve for the tangential disc spanning the circle.
 
-    Damped Newton iteration on the endpoint mismatch (r_end - R, z_end - Z)
-    over the unconstrained variables (log c_o, log(-z_o - 1/c_o)), which keep
-    every iterate strictly inside the admissible region; the Jacobian is a
-    two-column finite difference.  Convergence is declared when the mismatch
-    norm drops below ``_match_tol(circle)``.  After any failure the iteration
-    restarts once from the best point of a coarse grid over the admissible
-    region.
+    Scale equivariance leaves one unknown, t = c_o z_o < -1: the unit disc
+    (1, t) ends in a direction atan2(r, -z) that falls strictly in
+    u = log(-t - 1), so one u matches the circle's direction atan2(R, -Z).
+    Doubling steps from u0 (0, or the seed's c_o z_o) bracket it and Brent's
+    method (Brent 1973) refines it.  The disc scaled by mu = |(R, Z)|/|(r, z)|
+    is integrated once at (1/mu, mu t) and accepted when its endpoint mismatch
+    is below ``_match_tol(circle)``.  Failures raise NoConvergence, whose trace
+    holds ((c_o, z_o), direction residual or mismatch) per integration.
     """
-    if seed is None:
-        seed = _default_seed(circle)
-    tol = _match_tol(circle)
+    target = math.atan2(circle.R, -circle.Z)
     trace = []
+    ends = {}
 
-    def params_of(u):
-        c_o = math.exp(u[0])
-        return c_o, -1.0 / c_o - math.exp(u[1])
+    def fail(why):
+        at = f"R/|Z| = {circle.R / -circle.Z:.6g}, bracket at u = {u:.6g}"
+        done = f"{len(trace)} integrations done"
+        return NoConvergence(f"sigma0 {why} ({at}, {done})", trace)
 
-    def residual(u):
+    def disc(c_o, z_o):
         try:
-            c_o, z_o = params_of(u)
-        except (OverflowError, ZeroDivisionError):
-            return None  # exp over- or underflowed: no admissible point
-        curve = _tangential_curve(c_o, z_o)
-        return None if curve is None else _match(circle, curve, curve.ell)
+            return integrate_profile(
+                ModelParams(c_o, z_o), sigma0_stop(), rtol=SHOOT_RTOL, atol=SHOOT_ATOL
+            )
+        except MembraneLabError as exc:
+            raise fail(f"disc ({c_o:.6g}, {z_o:.17g}) failed: {exc}") from None
 
-    def jacobian(u, F, aux):
-        return _fd_columns(residual, u, F, 2)
+    def direction(v):
+        """Direction residual of the unit disc (1, t), t = -1 - e^v, memoised."""
+        if v not in ends:
+            t = -1.0 - math.exp(v)
+            curve = disc(1.0, t)
+            r, z, _ = curve.state_at(curve.ell)
+            ends[v] = (t, r, z, math.atan2(r, -z) - target)
+            trace.append(((1.0, t), ends[v][3]))
+        return ends[v][3]
 
-    def solve(c_o, z_o):
-        u = np.array([math.log(c_o), math.log(-z_o - 1.0 / c_o)])
-        return _newton(residual, u, jacobian, tol, trace, "sigma0", params_of)
-
-    try:
-        u, (curve, phi_end), norm = solve(seed.c_o, seed.z_o)
-    except NoConvergence:
-        u, (curve, phi_end), norm = solve(*_grid_reseed(circle))
+    u = 0.0 if seed is None else min(math.log(-seed.c_o * seed.z_o - 1.0), _U_MAX)
+    step = math.copysign(1.0, direction(u))
+    for _ in range(_MAX_BRACKET):
+        u_next = min(u + step, _U_MAX)
+        if direction(u) * direction(u_next) <= 0.0:
+            break
+        u, step = u_next, 2.0 * step
+    else:
+        raise fail(f"bracket found no sign change in {_MAX_BRACKET} steps")
+    u, info = brentq(
+        direction, *sorted((u, u_next)), xtol=1e-13, full_output=True, disp=False
+    )
+    if not info.converged:
+        raise fail(f"Brent iteration did not converge ({info.flag})")
+    t, r, z, _ = ends[u]  # brentq returns a point it evaluated
+    mu = math.hypot(circle.R, circle.Z) / math.hypot(r, z)
+    curve = disc(1.0 / mu, mu * t)
+    F, (curve, phi_end) = _match(circle, curve, curve.ell)
+    norm = float(np.max(np.abs(F)))
+    trace.append(((curve.params.c_o, curve.params.z_o), norm))
+    if not norm < _match_tol(circle):
+        raise fail(f"scaled disc misses the circle by {norm:.3e}")
     return Sigma0Solution(
-        params=ModelParams(*params_of(u)),
+        params=curve.params,
         curve=curve,
         boundary_phi=float(phi_end),
         match_residual=norm,
@@ -261,7 +242,7 @@ def _member_problem(c, circle):
         return _match(circle, curve, length)
 
     def jacobian(x, F, aux):
-        Jz = _fd_columns(residual, x, F, 1)
+        Jz = _fd_column(residual, x, F)
         if Jz is None:
             return None
         # analytic L-column: d endpoint / dL = (-cos phi, -sin phi)

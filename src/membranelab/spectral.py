@@ -117,8 +117,7 @@ def assemble_mode(curve, m, n):
     """
     if n < _MIN_CELLS:
         raise GridTooCoarse(f"mode assembly needs n >= {_MIN_CELLS}")
-    if m < 0 or m != int(m):
-        raise ValueError("mode index m must be a nonnegative integer")
+    check_mode(m)
     taus = _mode_grid(curve, n)
     h = np.diff(taus)
     mids = 0.5 * (taus[:-1] + taus[1:])
@@ -174,6 +173,12 @@ def _apply(op, funcs):
     Au[:-1] += op.offdiag[:, None] * funcs[1:]
     Au[1:] += op.offdiag[:, None] * funcs[:-1]
     return Au
+
+
+def check_mode(m):
+    """Raise ValueError unless m is a mode index ``assemble_mode`` accepts."""
+    if m < 0 or m != int(m):
+        raise ValueError("mode index m must be a nonnegative integer")
 
 
 def check_eigen_size(n, count):

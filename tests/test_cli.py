@@ -284,6 +284,15 @@ def test_cli_mesh_bad_input_exit_1(tmp_path, capsys, args):
         ["trace", "--c_o", "2", "--z_o", "-0.6", "--rtol", "0"],
         ["trace", "--c_o", "2", "--z_o", "-0.6", "--rtol", "nan"],
         ["linearize", "--c_o", "2", "--z_o", "-0.6", "--atol", "-1"],
+        ["mesh", "--kind", "branch"],
+        ["mesh", "--kind", "cone"],
+        ["mesh", "--kind", "revolve", "--c_o", "2"],
+        ["mesh", "--kind", "revolve", "--c_o", "2", "--z_o", "-0.2"],
+        ["eigen", "--c_o", "2", "--z_o", "-0.6", "--m", "-1"],
+        ["sigma0", "--R", "-1", "--Z", "-3"],
+        ["certify", "--R", "0.5", "--Z", "3"],
+        ["family", "--R", "0.5", "--Z", "3", "--c_min", "1", "--c_max", "2"],
+        ["mesh", "--kind", "branch", "--R", "0.5", "--Z", "3"],
     ],
 )
 def test_cli_bad_input_exit_1_before_compute(tmp_path, capsys, monkeypatch, args):
@@ -327,6 +336,18 @@ def test_cli_record_tolerances_of_the_curve(tmp_path, args, rtol, atol):
     record = json.loads((out / "run_record.json").read_text())
     assert record["tolerances"] == {"rtol": rtol, "atol": atol}
     assert ("rtol" in record["inputs"]) == (args[0] == "linearize")
+
+
+@pytest.mark.parametrize(
+    "extra, rtol, atol",
+    [([], 1e-13, 1e-15), (["--rtol", "5e-14"], 5e-14, 1e-15)],
+)
+def test_cli_record_tolerances_of_h(tmp_path, extra, rtol, atol):
+    out = tmp_path / "o"
+    args = ["linearize", "--c_o", "2", "--z_o", "-0.6", "--samples", "20"]
+    assert run_cli(args + extra + ["--out", str(out)]) == 0
+    record = json.loads((out / "run_record.json").read_text())
+    assert record["derived"]["h_tolerances"] == {"rtol": rtol, "atol": atol}
 
 
 def test_cli_no_command(capsys):

@@ -60,6 +60,51 @@ def test_sigma0_converges_from_far_seed(circle053, sig053):
     assert sig.params.c_o == pytest.approx(sig053.params.c_o, abs=1e-8)
 
 
+def test_unit_disc_direction_falls_strictly():
+    directions = []
+    for u in np.linspace(-25.0, 9.0, 40):
+        curve = integrate_profile(
+            ModelParams(1.0, -1.0 - np.exp(u)),
+            StopCondition.phi_reaches(0.0),
+            rtol=shooting_mod.SHOOT_RTOL,
+            atol=shooting_mod.SHOOT_ATOL,
+        )
+        r, z, _ = curve.state_at(curve.ell)
+        directions.append(np.arctan2(r, -z))
+    assert np.all(np.diff(directions) < 0.0)
+
+
+@pytest.mark.parametrize("seed, budget", [(None, 16), (ModelParams(20.0, -5.0), 24)])
+def test_sigma0_integration_budget(circle053, sig053, integrations, seed, budget):
+    sig = shoot_sigma0(circle053, seed=seed)
+    assert integrations[0] <= budget
+    assert sig.params.c_o == pytest.approx(sig053.params.c_o, rel=1e-12)
+
+
+@pytest.mark.parametrize("mu", [2.0, 0.5])
+def test_sigma0_scale_free(sig053, mu):
+    scaled = shoot_sigma0(BoundaryCircle(0.5 * mu, -3.0 * mu))
+    assert scaled.params.c_o == pytest.approx(sig053.params.c_o / mu, rel=1e-14)
+    assert scaled.params.z_o == pytest.approx(mu * sig053.params.z_o, rel=1e-14)
+
+
+@pytest.mark.parametrize("R, Z", [(2.5, -2.0), (0.05, -1.0)])
+def test_sigma0_wide_and_narrow_circles(R, Z):
+    circle = BoundaryCircle(R, Z)
+    sig = shoot_sigma0(circle)
+    assert sig.match_residual < shooting_mod._match_tol(circle)
+    assert abs(sig.boundary_phi) < 1e-8
+
+
+def test_sigma0_failure_names_the_circle():
+    with pytest.raises(NoConvergence) as info:
+        shoot_sigma0(BoundaryCircle(100.0, -0.01))
+    assert "R/|Z| = 10000" in str(info.value)
+    assert info.value.trace
+    for point, value in info.value.trace:
+        assert len(point) == 2 and np.isfinite(value)
+
+
 def test_member_reproduces_sigma0(circle053, sig053):
     m = shoot_family_member(sig053.params.c_o, circle053, sig053)
     assert abs(m.contact_angle) < 1e-6
