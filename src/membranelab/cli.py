@@ -35,6 +35,7 @@ from .profile import (
     DEFAULT_TAU0_FACTOR,
     ModelParams,
     StopCondition,
+    check_scale,
     check_tolerances,
     integrate_profile,
     sigma0_stop,
@@ -249,7 +250,9 @@ def _finish(outdir, inputs, curve, derived, artifacts):
 
 
 def _params_from(config):
-    return ModelParams(config.params["c_o"], config.params["z_o"])
+    params = ModelParams(config.params["c_o"], config.params["z_o"])
+    check_scale(params)
+    return params
 
 
 def _run_trace(config):
@@ -383,6 +386,7 @@ def _run_table1(config):
     for params in discs:
         if not params.sigma0_admissible:
             raise NotAdmissible(f"z_o = {params.z_o} is not below -1/c_o")
+        check_scale(params)
     outdir = _ensure_out(p["out"])
     slopes, counts = [], []
     for z_o, params in zip(z_list, discs):

@@ -66,6 +66,11 @@ DEFAULT_MIN_ABS_Z_FACTOR = 1e-8
 _AXIS_R_CUT = 1e-7
 #: solve_ivp raises a smaller rtol to this floor with only a warning
 _MIN_RTOL = 100 * np.finfo(float).eps
+#: largest |c_o z_o| integrated: beyond it the axis offset 1e-6 |z_o| is not
+#: small against the curvature radius 1/c_o, and the integrator stalls
+MAX_ABS_CZ = 1e4
+#: relative and absolute tolerance of the co-integrated z_o variation rows
+_VARIATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -176,8 +181,9 @@ class ProfileCurve:
     increasing in tau, ending exactly at the stop event).  Values between
     samples come from the integrator dense output through ``state_at``;
     below ``tau0`` the axis Taylor series is used, so tau = 0 evaluates to
-    the exact axis state (0, z_o, pi).  Instances are immutable and safe to
-    share across threads.
+    the exact axis state (0, z_o, pi).  A curve integrated with
+    ``z_o_variation=True`` also carries d(r, z, phi)/dz_o (``variation_at``).
+    Instances are immutable and safe to share across threads.
     """
 
     params: ModelParams
@@ -192,6 +198,7 @@ class ProfileCurve:
     atol: float
     vertical_tangent_tau: float | None
     _dense: object = field(repr=False)
+    z_o_variation: bool = False
 
     def __post_init__(self):
         for arr in (self.taus, self.r, self.z, self.phi):
@@ -208,12 +215,24 @@ class ProfileCurve:
         out = np.empty((3, t.size))
         seeded = t < self.tau0
         if np.any(~seeded):
-            out[:, ~seeded] = self._dense(t[~seeded])
+            out[:, ~seeded] = self._dense(t[~seeded])[:3]
         if np.any(seeded):
             out[:, seeded] = _axis_series(self.params, t[seeded])
         if scalar:
             return float(out[0, 0]), float(out[1, 0]), float(out[2, 0])
         return out[0], out[1], out[2]
+
+    def variation_at(self, tau):
+        """d(r, z, phi)/dz_o at fixed tau in [tau0, ell], scalar or array.
+
+        Available on curves integrated with ``z_o_variation=True``.
+        """
+        if not self.z_o_variation:
+            raise ValueError("curve was integrated without its z_o variation")
+        t = np.asarray(tau, dtype=float)
+        if np.any(t < self.tau0) or np.any(t > self.ell):
+            raise OutOfRange(f"tau must lie in [{self.tau0}, {self.ell}]")
+        return tuple(self._dense(t)[3:])
 
     def sample_states(self):
         return [
@@ -236,8 +255,8 @@ class ProfileCurve:
         t = self.taus[(self.taus > self.tau0 + step) & (self.taus < self.ell - step)]
         if t.size == 0:
             return 0.0
-        rp, zp, _ = self._dense(t + step)
-        rm, zm, _ = self._dense(t - step)
+        rp, zp = self._dense(t + step)[:2]
+        rm, zm = self._dense(t - step)[:2]
         dr = (rp - rm) / (2.0 * step)
         dz = (zp - zm) / (2.0 * step)
         return float(np.max(np.abs(dr * dr + dz * dz - 1.0)))
@@ -275,10 +294,24 @@ def dphi_ds(c, sor, z, c_o):
     return -2.0 * c / z - sor + 2.0 * c_o
 
 
+def _coeff_C(c, s, r, z):
+    """First order coefficient C = cos(phi)/r - 2 sin(phi)/z of P."""
+    return c / r - 2.0 * s / z
+
+
 def operator_coeffs(c, s, sor, r, z, c_o):
     """(dphi/ds, C, D) of P[u] = u_ss + C u_s + D u, with s = sin(phi)."""
     phi_s = dphi_ds(c, sor, z, c_o)
-    return phi_s, c / r - 2.0 * s / z, sor * sor + phi_s * phi_s - 2.0 * (c / z) ** 2
+    return phi_s, _coeff_C(c, s, r, z), sor * sor + phi_s * phi_s - 2.0 * (c / z) ** 2
+
+
+def dphi_ds_variation(c, s, sor, r, z, dr, dz, dphi):
+    """Variation of dphi/ds along a state variation (dr, dz, dphi).
+
+    The partial derivatives of ``dphi_ds`` in (r, z, phi) are sin(phi)/r^2,
+    2 cos(phi)/z^2 and -C, with C the first order coefficient of P.
+    """
+    return sor / r * dr + 2.0 * c / (z * z) * dz - _coeff_C(c, s, r, z) * dphi
 
 
 def _profile_rhs(c_o):
@@ -292,6 +325,44 @@ def _profile_rhs(c_o):
     return rhs
 
 
+def _varied_rhs(c_o):
+    """Profile rows plus their variational equations (dr, dz, dphi), in tau."""
+
+    def rhs(tau, y):
+        r, z, phi, dr, dz, dphi = y
+        c = math.cos(phi)
+        s = math.sin(phi)
+        sor = s / r
+        return (
+            -c,
+            -s,
+            -dphi_ds(c, sor, z, c_o),
+            s * dphi,
+            -c * dphi,
+            -dphi_ds_variation(c, s, sor, r, z, dr, dz, dphi),
+        )
+
+    return rhs
+
+
+def _axis_seed_variation(params, tau0, dtau0, f0):
+    """d(r, z, phi)/dz_o at fixed tau = tau0, from the axis seed.
+
+    The seed y0 = ``_axis_series(params, tau0)`` sits at a tau0 that moves
+    by dtau0 per unit z_o, so the variation at fixed tau is the total
+    derivative dy0/dz_o minus the drift f0 * dtau0 along the right-hand side
+    value f0 at the seed.
+    """
+    a = params.axis_curvature
+    da = -1.0 / (params.z_o * params.z_o)
+    dy0 = (
+        dtau0,
+        1.0 - 0.5 * da * tau0 * tau0 - a * tau0 * dtau0,
+        -da * tau0 - a * dtau0,
+    )
+    return tuple(d - f * dtau0 for d, f in zip(dy0, f0))
+
+
 def check_tolerances(rtol, atol):
     """Raise ValueError unless the integrator would use rtol and atol as given."""
     if not (math.isfinite(rtol) and rtol >= _MIN_RTOL):
@@ -300,7 +371,17 @@ def check_tolerances(rtol, atol):
         raise ValueError(f"atol must be finite and nonnegative, got {atol!r}")
 
 
-def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau0=None):
+def check_scale(params):
+    """Raise NotAdmissible if |c_o z_o| exceeds ``MAX_ABS_CZ``."""
+    if not abs(params.c_o * params.z_o) <= MAX_ABS_CZ:
+        raise NotAdmissible(
+            f"|c_o z_o| = {abs(params.c_o * params.z_o):.6g} exceeds {MAX_ABS_CZ:g}: "
+            "the axis seed is not small against the curvature radius 1/c_o"
+        )
+
+
+def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau0=None,
+                      z_o_variation=False):
     """Integrate the generating curve outward from the axis seed.
 
     Adaptive DOP853 with dense output; the stop event is located on the
@@ -308,14 +389,32 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
     (arc-length cap, |z| floor, r returning to 0) are always active; if one
     fires before the requested primary stop, SingularityHit or
     ArcLimitReached is raised with the partial curve attached.  A tolerance
-    that ``check_tolerances`` rejects raises ValueError.
+    that ``check_tolerances`` rejects raises ValueError, and |c_o z_o| above
+    ``MAX_ABS_CZ`` raises NotAdmissible.
+
+    ``z_o_variation=True`` co-integrates d(r, z, phi)/dz_o at fixed tau
+    (``ProfileCurve.variation_at``).  The state rows then keep the local
+    error of the plain solve: DOP853's RMS error norm runs over twice the
+    rows, so their tolerances are divided by sqrt(2), while the variation
+    rows are held only to ``_VARIATION_TOL``.
     """
     check_tolerances(rtol, atol)
-    if tau0 is None:
+    check_scale(params)
+    default_tau0 = tau0 is None
+    if default_tau0:
         tau0 = DEFAULT_TAU0_FACTOR * abs(params.z_o)
     if tau0 <= 0.0:
         raise InvalidOffset("integration needs a strictly positive axis offset")
     seed = axis_seed(params, tau0)
+    y0 = (seed.r, seed.z, seed.phi)
+    rhs = _profile_rhs(params.c_o)
+    ivp_rtol, ivp_atol = rtol, atol
+    if z_o_variation:
+        dtau0 = tau0 / params.z_o if default_tau0 else 0.0
+        y0 += _axis_seed_variation(params, tau0, dtau0, rhs(tau0, y0))
+        rhs = _varied_rhs(params.c_o)
+        ivp_rtol = [max(rtol / math.sqrt(2.0), _MIN_RTOL)] * 3 + [_VARIATION_TOL] * 3
+        ivp_atol = [atol / math.sqrt(2.0)] * 3 + [_VARIATION_TOL] * 3
     max_arc = stop.max_arc
     if max_arc is None:
         max_arc = DEFAULT_MAX_ARC_FACTOR * abs(params.z_o)
@@ -361,14 +460,14 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
         events.append(phi_event)
 
     sol = solve_ivp(
-        _profile_rhs(params.c_o),
+        rhs,
         (tau0, t_end),
-        (seed.r, seed.z, seed.phi),
+        y0,
         method="DOP853",
         dense_output=True,
         events=events,
-        rtol=rtol,
-        atol=atol,
+        rtol=ivp_rtol,
+        atol=ivp_atol,
         # cap the step: the dense interpolant is one order below the
         # stepper, and downstream finite differences of the dense output
         # would otherwise see its error on long steps
@@ -380,9 +479,10 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
     vt_times = sol.t_events[2]
 
     def build(ell, reason):
-        taus = sol.t[sol.t < ell * (1.0 - 1e-14)]
-        taus = np.append(taus, ell)
-        r, z, phi = sol.sol(taus)
+        # the dense output at a step node returns that node's state exactly
+        kept = np.count_nonzero(sol.t < ell * (1.0 - 1e-14))
+        taus = np.append(sol.t[:kept], ell)
+        r, z, phi = np.column_stack((sol.y[:3, :kept], sol.sol(ell)[:3]))
         vt = float(vt_times[0]) if vt_times.size and vt_times[0] <= ell else None
         return ProfileCurve(
             params=params,
@@ -397,6 +497,7 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
             atol=atol,
             vertical_tangent_tau=vt,
             _dense=sol.sol,
+            z_o_variation=z_o_variation,
         )
 
     if sol.t_events[0].size:

@@ -7,8 +7,10 @@ Two problems are solved here by shooting from the axis seed:
   scale equivariance reduces it to one bracketed root in t = c_o z_o;
 * a family member at given spontaneous curvature c sharing the circle:
   find (z_o, L) such that the profile for (c, z_o) passes through (R, Z)
-  at arc length L, by damped Newton (``_newton``); the curve is truncated
-  at the first passage and the contact angle phi(L) is reported.
+  at arc length L, by damped Newton (``_newton``) with an exact Jacobian:
+  the z_o-column comes from the variational equations integrated along
+  with the profile, the L-column is the curve velocity; the curve is
+  truncated at the first passage and the contact angle phi(L) is reported.
 
 Both problems are scale equivariant: (R, Z) -> (mu R, mu Z) maps solutions
 to (c_o/mu, mu z_o).
@@ -22,6 +24,7 @@ from scipy.optimize import brentq
 
 from .errors import MembraneLabError, NoConvergence
 from .profile import (
+    MAX_ABS_CZ,
     ModelParams,
     StopCondition,
     integrate_profile,
@@ -35,10 +38,9 @@ SHOOT_ATOL = 1e-14
 
 _MAX_NEWTON = 50
 _MAX_HALVINGS = 8
-_FD_STEP = 1e-6
-#: deepest unit disc, t = -1e4: beyond it the axis offset 1e-6 |t| of
-#: integrate_profile is not small against the unit curvature radius
-_U_MAX = math.log(1e4 - 1.0)
+#: deepest unit disc, a hair inside integrate_profile's |c_o z_o| bound so
+#: that the scaled disc (1/mu, mu t) still passes it after rounding
+_U_MAX = math.log((1.0 - 1e-9) * MAX_ABS_CZ - 1.0)
 #: six doubling steps span u from t = -1 after rounding to _U_MAX
 _MAX_BRACKET = 8
 #: largest continuation sub-step of a member, relative to the seed curvature
@@ -130,17 +132,6 @@ def _newton(residual, x, jacobian, tol, trace, what):
     raise NoConvergence(f"{what} did not converge in {_MAX_NEWTON} iterations", trace)
 
 
-def _fd_column(residual, x, F):
-    """dF/dx[0]: a forward difference, else a backward one, else None."""
-    dx = np.zeros(x.size)
-    dx[0] = _FD_STEP * max(1.0, abs(x[0]))
-    for sign in (1.0, -1.0):
-        out = residual(x + sign * dx)
-        if out is not None:
-            return sign * (out[0] - F) / dx[0]
-    return None
-
-
 def _match_tol(circle):
     """Converged endpoint mismatch: 1e-11 of the circle's scale (SHOOT_RTOL)."""
     return 1e-11 * max(circle.R, abs(circle.Z), 1.0)
@@ -222,32 +213,35 @@ def shoot_sigma0(circle, seed=None):
     )
 
 
-def _member_problem(c, circle):
-    """Residual and Jacobian over (z_o, L) for the member at curvature c."""
+def _member_problem(c, circle, runs):
+    """Residual and Jacobian over (z_o, L) for the member at curvature c.
+
+    ``runs[0]`` counts the integrations the residual starts.
+    """
 
     def residual(x):
         z_o, length = x
         if not (-math.inf < z_o < 0.0 < length < math.inf):
             return None
         guard = max(2.5 * length, 10.0 * abs(z_o))
+        runs[0] += 1
         try:
             curve = integrate_profile(
                 ModelParams(c, z_o),
                 StopCondition.at_arc_length(length, max_arc=guard),
                 rtol=SHOOT_RTOL,
                 atol=SHOOT_ATOL,
+                z_o_variation=True,
             )
         except MembraneLabError:
             return None
         return _match(circle, curve, length)
 
     def jacobian(x, F, aux):
-        Jz = _fd_column(residual, x, F)
-        if Jz is None:
-            return None
-        # analytic L-column: d endpoint / dL = (-cos phi, -sin phi)
-        phi_end = aux[1]
-        return np.column_stack([Jz, [-math.cos(phi_end), -math.sin(phi_end)]])
+        curve, phi_end = aux
+        dr, dz, _ = curve.variation_at(x[1])
+        # d endpoint / dL is the curve velocity (-cos phi, -sin phi)
+        return np.array([[dr, -math.cos(phi_end)], [dz, -math.sin(phi_end)]])
 
     return residual, jacobian
 
@@ -256,15 +250,17 @@ def shoot_family_member(c, circle, seed):
     """Family member at curvature c through the circle, seeded by continuation.
 
     Newton iteration on (z_o, L) for the two conditions r(L) = R, z(L) = Z.
-    The L-column of the Jacobian is analytic (the curve velocity); the
-    z_o-column is one finite-difference reintegration.  Members may leave
-    the tangential-disc admissible region; that is recorded, not fatal.
+    Both Jacobian columns are exact and cost no extra integration: the
+    L-column is the curve velocity, the z_o-column the variation d(r, z)/dz_o
+    co-integrated with each residual's profile.  Members may leave the
+    tangential-disc admissible region; that is recorded, not fatal.
 
     The (z_o, L) problem at fixed c has multiple solutions away from the
     seed; to return the continuation-connected member the solve walks from
     the seed curvature in sub-steps of at most ``_SUB_STEP`` times the seed
     curvature and re-seeds each step from the last.  Convergence is declared
-    below ``_match_tol(circle)``.
+    below ``_match_tol(circle)``; a NoConvergence message ends with the
+    sub-step curvature and the integrations done.
     """
     disc = isinstance(seed, Sigma0Solution)
     c_seed, z_o = (seed.params.c_o, seed.params.z_o) if disc else (seed.c, seed.z_o)
@@ -274,11 +270,16 @@ def shoot_family_member(c, circle, seed):
     curve = seed.curve
     tol = _match_tol(circle)
     trace = []
+    runs = [0]
     for c_step in np.linspace(c_seed, c, n_sub + 1)[1:].tolist():
-        residual, jacobian = _member_problem(c_step, circle)
-        x, (curve, phi_end), norm = _newton(
-            residual, np.array([z_o, curve.ell]), jacobian, tol, trace, "member"
-        )
+        residual, jacobian = _member_problem(c_step, circle, runs)
+        try:
+            x, (curve, phi_end), norm = _newton(
+                residual, np.array([z_o, curve.ell]), jacobian, tol, trace, "member"
+            )
+        except NoConvergence as exc:
+            done = f"c = {c_step:.10g}, {runs[0]} integrations done"
+            raise NoConvergence(f"{exc} ({done})", trace) from None
         z_o = float(x[0])
     return FamilyMember(
         c=c_step,

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 import warnings
 
 import numpy as np
@@ -293,6 +294,11 @@ def test_cli_mesh_bad_input_exit_1(tmp_path, capsys, args):
         ["certify", "--R", "0.5", "--Z", "3"],
         ["family", "--R", "0.5", "--Z", "3", "--c_min", "1", "--c_max", "2"],
         ["mesh", "--kind", "branch", "--R", "0.5", "--Z", "3"],
+        ["trace", "--c_o", "1", "--z_o=-1e7"],
+        ["linearize", "--c_o", "1", "--z_o=-1e7"],
+        ["eigen", "--c_o", "1", "--z_o=-1e7"],
+        ["mesh", "--kind", "revolve", "--c_o", "1", "--z_o=-1e7"],
+        ["table1", "--c_o", "1", "--z_o_list=-2,-1e7"],
     ],
 )
 def test_cli_bad_input_exit_1_before_compute(tmp_path, capsys, monkeypatch, args):
@@ -306,6 +312,16 @@ def test_cli_bad_input_exit_1_before_compute(tmp_path, capsys, monkeypatch, args
         warnings.simplefilter("error")
         assert run_cli(args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_cli_trace_huge_axis_product_exit_1_fast(tmp_path, capsys):
+    # used to integrate for minutes without output
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert run_cli(["trace", "--c_o", "1", "--z_o=-1e7", "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds" in capsys.readouterr().err
     assert not out.exists()
 
 

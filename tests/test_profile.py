@@ -16,10 +16,12 @@ from membranelab import (
     shape_diagnostics,
     sigma0_stop,
 )
+import membranelab.profile as profile_mod
 from membranelab.errors import (
     ArcLimitReached,
     DegenerateAxis,
     InvalidOffset,
+    MembraneLabError,
     NotAdmissible,
     OutOfRange,
     SingularityHit,
@@ -376,3 +378,57 @@ def test_samples_and_sigma(curve26):
     assert states[0].tau == curve26.tau0
     assert curve26.sigma(curve26.ell) == 0.0
     assert curve26.sigma(0.0) == curve26.ell
+
+
+def test_integrate_rejects_huge_axis_product():
+    # the axis seed 1e-6 |z_o| is no longer small against 1/c_o; the
+    # integrator used to stall or fail inside scipy with a bare ValueError
+    for z_o in (-1e304, -2e4):
+        with pytest.raises(MembraneLabError):
+            integrate_profile(ModelParams(1.0, z_o), sigma0_stop())
+    integrate_profile(ModelParams(1.0, -profile_mod.MAX_ABS_CZ), sigma0_stop())
+
+
+@pytest.mark.parametrize("stop", [sigma0_stop(), StopCondition.at_arc_length(1.3)])
+def test_node_states_are_the_dense_output(stop):
+    # the curve keeps the integrator's node states; the dense output at a
+    # node must return them bit for bit
+    curve = integrate_profile(ModelParams(2.0, -0.6), stop)
+    r, z, phi = curve.state_at(curve.taus)
+    assert np.array_equal(r, curve.r)
+    assert np.array_equal(z, curve.z)
+    assert np.array_equal(phi, curve.phi)
+
+
+def test_dphi_ds_variation_is_its_derivative():
+    r, z, phi, c_o = 0.7, -1.3, 2.1, 1.5
+    d = np.array([0.3, -0.8, 0.5])
+
+    def phi_s(state):
+        rr, zz, pp = state
+        return profile_mod.dphi_ds(math.cos(pp), math.sin(pp) / rr, zz, c_o)
+
+    x = np.array([r, z, phi])
+    eps = 1e-5
+    central = (phi_s(x + eps * d) - phi_s(x - eps * d)) / (2.0 * eps)
+    c, s = math.cos(phi), math.sin(phi)
+    exact = profile_mod.dphi_ds_variation(c, s, s / r, r, z, *d)
+    assert exact == pytest.approx(central, rel=1e-9)
+    # d(dphi/ds)/dphi = -C, the first order coefficient of P
+    _, C, _ = profile_mod.operator_coeffs(c, s, s / r, r, z, c_o)
+    assert profile_mod.dphi_ds_variation(c, s, s / r, r, z, 0.0, 0.0, 1.0) == -C
+
+
+def test_z_o_variation_keeps_the_state_rows():
+    params = ModelParams(1.4, -2.0)
+    stop = StopCondition.at_arc_length(3.0)
+    plain = integrate_profile(params, stop, rtol=1e-12, atol=1e-14)
+    varied = integrate_profile(params, stop, rtol=1e-12, atol=1e-14, z_o_variation=True)
+    assert (varied.rtol, varied.atol) == (plain.rtol, plain.atol)
+    end_plain = np.array(plain.state_at(plain.ell))
+    end_varied = np.array(varied.state_at(varied.ell))
+    assert np.max(np.abs(end_varied - end_plain)) < 1e-11
+    with pytest.raises(ValueError):
+        plain.variation_at(plain.ell)
+    with pytest.raises(OutOfRange):
+        varied.variation_at(0.0)

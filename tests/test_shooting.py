@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,10 @@ from membranelab import (
     family_sweep,
     shoot_family_member,
     shoot_sigma0,
+    solve_h,
 )
 from membranelab.errors import NoConvergence
+from membranelab.profile import check_scale
 import membranelab.shooting as shooting_mod
 
 from _oracles import MEMBER_ANGLES_05_3, SIGMA0_05_3, polyline_distance
@@ -254,3 +259,59 @@ def test_member_stall_message_and_trace(circle053, sig053):
     for point, norm in info.value.trace:
         z_o, length = point
         assert z_o < 0.0 < length and norm > 0.0
+
+
+@pytest.mark.parametrize("R, Z", [(0.5, -3.0), (1.0, -2.0)])
+def test_member_jacobian_is_the_z_o_derivative(R, Z):
+    circle = BoundaryCircle(R, Z)
+    sig = shoot_sigma0(circle)
+    residual, jacobian = shooting_mod._member_problem(sig.params.c_o, circle, [0])
+    x = np.array([sig.params.z_o, sig.curve.ell])
+    F, aux = residual(x)
+    column = jacobian(x, F, aux)[:, 0]
+    step = np.array([1e-5 * abs(x[0]), 0.0])
+    central = (residual(x + step)[0] - residual(x - step)[0]) / (2.0 * step[0])
+    assert np.max(np.abs(column - central)) < 1e-7 * np.max(np.abs(column))
+
+
+@pytest.mark.parametrize("R, Z", [(0.5, -3.0), (1.0, -2.0)])
+def test_z_o_variation_along_the_disc_is_the_kernel(R, Z):
+    sig = shoot_sigma0(BoundaryCircle(R, Z))
+    curve = integrate_profile(
+        sig.params,
+        StopCondition.phi_reaches(0.0),
+        rtol=shooting_mod.SHOOT_RTOL,
+        atol=shooting_mod.SHOOT_ATOL,
+        z_o_variation=True,
+    )
+    kernel = solve_h(sig.curve).kernel
+    taus = curve.taus
+    dr, dz, _ = curve.variation_at(taus)
+    _, _, phi = curve.state_at(taus)
+    # normal projection on (sin phi, -cos phi); it starts at 1 on the axis
+    normal = dr * np.sin(phi) - dz * np.cos(phi)
+    assert abs(normal[-1] - kernel.raw_boundary_value) < 1e-9
+    assert np.max(np.abs(normal / normal[-1] - kernel.psi_at(taus))) < 1e-9
+
+
+def test_sweep_integration_budget_exact_jacobian(circle053, sig053, integrations):
+    c0 = sig053.params.c_o
+    sw = shooting_mod.family_sweep(circle053, 0.98 * c0, 1.02 * c0, 5, sigma0=sig053)
+    assert len(sw.members) == 5 and not sw.failures
+    assert integrations[0] <= 17
+
+
+def test_member_failure_names_curvature_and_work(circle053, sig053, integrations):
+    with pytest.raises(NoConvergence) as info:
+        shoot_family_member(0.6, circle053, sig053)
+    match = re.search(r" \(c = ([^,]+), (\d+) integrations done\)$", str(info.value))
+    assert match
+    assert 0.6 <= float(match.group(1)) < sig053.params.c_o
+    assert int(match.group(2)) == integrations[0]
+
+
+@pytest.mark.parametrize("mu", [1e-3, 0.3, 1.0, 7.0, 1e3])
+def test_deepest_unit_disc_scales_inside_the_profile_bound(mu):
+    t = -1.0 - math.exp(shooting_mod._U_MAX)
+    check_scale(ModelParams(1.0, t))
+    check_scale(ModelParams(1.0 / mu, mu * t))
