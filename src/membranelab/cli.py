@@ -155,6 +155,8 @@ _GLOBAL_SPECS = {"out": ("str", None, "output directory")}
 
 RECIPES = ("fig1", "fig2", "fig3", "table1")
 
+_RECIPE_N_THETA = 64
+
 
 @dataclass(frozen=True)
 class CommandConfig:
@@ -228,9 +230,13 @@ def load_config(path=None, command=None, flag_pairs=None):
                 raise ParseError(f"missing required parameter {key!r}")
             params[key] = default
     if params["out"] is None:
-        base = os.environ.get("MEMBRANELAB_OUT", "runs")
-        params["out"] = os.path.join(base, command)
+        params["out"] = _default_out(command)
     return CommandConfig(command=command, params=params)
+
+
+def _default_out(name):
+    """Output directory of a command or recipe run without ``--out``."""
+    return os.path.join(os.environ.get("MEMBRANELAB_OUT", "runs"), name)
 
 
 def _tolerances(solution):
@@ -249,28 +255,39 @@ def _finish(outdir, inputs, curve, derived, artifacts):
     return 0
 
 
-def _params_from(config):
-    params = ModelParams(config.params["c_o"], config.params["z_o"])
+def _scaled_params(c_o, z_o):
+    params = ModelParams(c_o, z_o)
     check_scale(params)
     return params
 
 
+def _disc_params(c_o, z_o):
+    """Parameters of a tangential disc, checked before any output is made."""
+    params = _scaled_params(c_o, z_o)
+    if not params.sigma0_admissible:
+        raise NotAdmissible(
+            f"z_o = {z_o} is not below -1/c_o = {-1.0 / c_o}: no tangential disc"
+        )
+    return params
+
+
+def _integrate(params, p, stop=sigma0_stop()):
+    """The profile of ``params`` at the command's rtol and atol."""
+    return integrate_profile(params, stop, rtol=p["rtol"], atol=p["atol"])
+
+
 def _run_trace(config):
     p = config.params
-    params = _params_from(config)
     if p["stop"] == "phi0":
-        if not params.sigma0_admissible:
-            raise NotAdmissible(
-                f"z_o = {params.z_o} is not below -1/c_o = {-1.0 / params.c_o}: "
-                "no tangential disc; use stop=arc for a partial trace"
-            )
+        params = _disc_params(p["c_o"], p["z_o"])
         stop = sigma0_stop()
     elif p["stop"] == "arc":
+        params = _scaled_params(p["c_o"], p["z_o"])
         stop = StopCondition.at_arc_length(p["arc"])
     else:
         raise ParseError(f"unknown stop kind {p['stop']!r}")
     outdir = _ensure_out(p["out"])
-    curve = integrate_profile(params, stop, rtol=p["rtol"], atol=p["atol"])
+    curve = _integrate(params, p, stop)
     artifacts = [
         export_profile_csv(curve, os.path.join(outdir, "profile.csv"), n=p["samples"])
     ]
@@ -350,11 +367,9 @@ def _run_family(config):
 
 def _run_linearize(config):
     p = config.params
-    params = _params_from(config)
-    if not params.sigma0_admissible:
-        raise NotAdmissible("linearize requires z_o < -1/c_o")
+    params = _disc_params(p["c_o"], p["z_o"])
     outdir = _ensure_out(p["out"])
-    curve = integrate_profile(params, sigma0_stop(), rtol=p["rtol"], atol=p["atol"])
+    curve = _integrate(params, p)
     lin = solve_h(curve)
     taus = np.linspace(0.0, curve.ell, p["samples"])
     psi = lin.kernel.psi_at(taus)
@@ -382,15 +397,11 @@ def _run_table1(config):
     z_list = p["z_o_list"]
     if not z_list:
         raise ValueError("table1 needs at least one z_o")
-    discs = [ModelParams(p["c_o"], z_o) for z_o in z_list]
-    for params in discs:
-        if not params.sigma0_admissible:
-            raise NotAdmissible(f"z_o = {params.z_o} is not below -1/c_o")
-        check_scale(params)
+    discs = [_disc_params(p["c_o"], z_o) for z_o in z_list]
     outdir = _ensure_out(p["out"])
     slopes, counts = [], []
     for z_o, params in zip(z_list, discs):
-        curve = integrate_profile(params, sigma0_stop(), rtol=p["rtol"], atol=p["atol"])
+        curve = _integrate(params, p)
         lin = solve_h(curve)
         slopes.append(lin.h_prime_boundary)
         counts.append(curve.taus.size)
@@ -418,13 +429,11 @@ def _run_table1(config):
 
 def _run_eigen(config):
     p = config.params
-    params = _params_from(config)
-    if not params.sigma0_admissible:
-        raise NotAdmissible("eigen requires z_o < -1/c_o")
+    params = _disc_params(p["c_o"], p["z_o"])
     check_mode(p["m"])
     check_eigen_size(p["n"], p["count"])
     outdir = _ensure_out(p["out"])
-    curve = integrate_profile(params, sigma0_stop(), rtol=p["rtol"], atol=p["atol"])
+    curve = _integrate(params, p)
     res = eigen_solve(curve, p["m"], p["count"], n=p["n"])
     payload = {
         "m": res.m,
@@ -485,9 +494,7 @@ def _run_mesh(config):
     if kind == "revolve":
         if p["c_o"] is None or p["z_o"] is None:
             raise ParseError("mesh kind=revolve needs c_o and z_o")
-        params = _params_from(config)
-        if not params.sigma0_admissible:
-            raise NotAdmissible("mesh requires z_o < -1/c_o")
+        params = _disc_params(p["c_o"], p["z_o"])
     elif kind in ("branch", "family"):
         if p["R"] is None or p["Z"] is None:
             raise ParseError(f"mesh kind={kind} needs R and Z")
@@ -496,7 +503,7 @@ def _run_mesh(config):
         raise ParseError(f"unknown mesh kind {kind!r}")
     outdir = _ensure_out(p["out"])
     if kind == "revolve":
-        curve = integrate_profile(params, sigma0_stop(), rtol=p["rtol"], atol=p["atol"])
+        curve = _integrate(params, p)
         mesh = revolve(curve, p["n_theta"], p["n_profile"])
     else:
         sig = shoot_sigma0(circle)
@@ -552,18 +559,22 @@ def run(config):
     return _finish(outdir, inputs, curve, derived, artifacts)
 
 
+def _recipe_profile(outdir, curve, csv_name, obj_name=None):
+    """A recipe's 400-row profile CSV, plus its 64-ray surface if named."""
+    artifacts = [export_profile_csv(curve, os.path.join(outdir, csv_name), n=400)]
+    if obj_name:
+        mesh = revolve(curve, _RECIPE_N_THETA)
+        artifacts.append(export_mesh_obj(mesh, os.path.join(outdir, obj_name)))
+    return artifacts
+
+
 def _recipe_fig1(outdir):
     artifacts = []
     for z_o in _TABLE1_ZO:
         curve = integrate_profile(ModelParams(2.0, z_o), sigma0_stop())
         tag = ("m%.2f" % -z_o).replace(".", "p")
-        artifacts.append(
-            export_profile_csv(curve, os.path.join(outdir, f"profile_{tag}.csv"), n=400)
-        )
-        artifacts.append(
-            export_mesh_obj(
-                revolve(curve, 64), os.path.join(outdir, f"surface_{tag}.obj")
-            )
+        artifacts += _recipe_profile(
+            outdir, curve, f"profile_{tag}.csv", f"surface_{tag}.obj"
         )
     inputs = {"c_o": 2.0, "z_o_list": list(_TABLE1_ZO)}
     return inputs, curve, {"dashed_line": -0.5}, artifacts
@@ -574,17 +585,9 @@ def _recipe_fig2(outdir):
     artifacts = [_family_csv(sweep.members, os.path.join(outdir, "family.csv"))]
     for m in sweep.members:
         tag = ("c%.2f" % m.c).replace(".", "p")
-        artifacts.append(
-            export_profile_csv(
-                m.curve, os.path.join(outdir, f"member_{tag}.csv"), n=400
-            )
-        )
-        if any(abs(m.c - c) < 1e-9 for c in (1.8, 1.5, 1.3, 1.2)):
-            artifacts.append(
-                export_mesh_obj(
-                    revolve(m.curve, 64), os.path.join(outdir, f"surface_{tag}.obj")
-                )
-            )
+        drawn = any(abs(m.c - c) < 1e-9 for c in (1.8, 1.5, 1.3, 1.2))
+        surface = f"surface_{tag}.obj" if drawn else None
+        artifacts += _recipe_profile(outdir, m.curve, f"member_{tag}.csv", surface)
     inputs = {"R": 0.5, "Z": -3.0, "c_min": 1.2, "c_max": 1.8, "n": 13}
     derived = {"contact_angles": [m.contact_angle for m in sweep.members]}
     return inputs, sweep.members[0].curve, derived, artifacts
@@ -592,18 +595,13 @@ def _recipe_fig2(outdir):
 
 def _recipe_fig3(outdir):
     sig = shoot_sigma0(BoundaryCircle(0.5, -3.0))
-    artifacts = [
-        export_profile_csv(
-            sig.curve, os.path.join(outdir, "sigma0_profile.csv"), n=400
-        ),
-        export_mesh_obj(revolve(sig.curve, 64), os.path.join(outdir, "sigma0.obj")),
-    ]
+    artifacts = _recipe_profile(outdir, sig.curve, "sigma0_profile.csv", "sigma0.obj")
     amplitudes = (-0.2, -0.1, 0.1, 0.2)
     for s in amplitudes:
         tag = ("s%+.2f" % s).replace(".", "p").replace("+", "p").replace("-", "m")
         artifacts.append(
             export_mesh_obj(
-                branch_linear_mesh(sig, s, 64),
+                branch_linear_mesh(sig, s, _RECIPE_N_THETA),
                 os.path.join(outdir, f"branch_{tag}.obj"),
             )
         )
@@ -616,12 +614,10 @@ def _recipe_fig3(outdir):
 _FIGURE_RECIPES = {"fig1": _recipe_fig1, "fig2": _recipe_fig2, "fig3": _recipe_fig3}
 
 
-def _run_recipe(name, out_base):
+def _run_recipe(name, out):
     if name == "table1":
-        return run(load_config(command="table1", flag_pairs={"out": out_base}))
-    if name not in _FIGURE_RECIPES:
-        raise ParseError(f"unknown recipe {name!r}")
-    outdir = _ensure_out(out_base)
+        return run(load_config(command="table1", flag_pairs={"out": out}))
+    outdir = _ensure_out(out)
     inputs, curve, derived, artifacts = _FIGURE_RECIPES[name](outdir)
     return _finish(outdir, {"recipe": name, **inputs}, curve, derived, artifacts)
 
@@ -634,49 +630,44 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    parser = _Parser(prog="membranelab", description=__doc__.splitlines()[0])
+    # an option left out is absent from the namespace, so a subparser cannot
+    # reset an --out or --config given before its command
+    omit = argparse.SUPPRESS
+    shared = argparse.ArgumentParser(add_help=False, argument_default=omit)
+    shared.add_argument("--out", help="output directory")
+    shared.add_argument("--config", help="flat key = value configuration file")
+    parser = _Parser(
+        prog="membranelab",
+        description=__doc__.splitlines()[0],
+        parents=[shared],
+        argument_default=omit,
+    )
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--recipe", choices=RECIPES, help="run a bundled recipe")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--config", help="flat key = value configuration file")
     sub = parser.add_subparsers(dest="command")
-    for command in PARAM_SPECS:
-        p = sub.add_parser(command, add_help=True)
-        for key, (_typename, _default, help_text) in _spec_for(command).items():
-            if key == "out":
-                continue
-            p.add_argument(f"--{key}", help=help_text, default=None)
-        p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--out", help="output directory")
+    for command, spec in PARAM_SPECS.items():
+        p = sub.add_parser(command, parents=[shared], argument_default=omit)
+        for key, (_typename, _default, help_text) in spec.items():
+            p.add_argument(f"--{key}", help=help_text)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # what is left after the pops are the given parameter flags, --out included
+    flags = vars(_build_parser().parse_args(argv))
+    command = flags.pop("command")
+    recipe = flags.pop("recipe", None)
+    path = flags.pop("config", None)
     try:
-        if args.recipe:
-            out = args.out or os.path.join(
-                os.environ.get("MEMBRANELAB_OUT", "runs"), args.recipe
+        if recipe:
+            if command or path:
+                raise ParseError("--recipe takes neither a command nor --config")
+            return _run_recipe(recipe, flags.get("out", _default_out(recipe)))
+        if not (command or path):
+            raise ParseError(
+                "a command, --config with a command, or --recipe is required"
             )
-            return _run_recipe(args.recipe, out)
-        flag_pairs = {}
-        if args.command:
-            spec = _spec_for(args.command)
-            for key in spec:
-                val = getattr(args, key, None)
-                if val is not None:
-                    flag_pairs[key] = val
-        elif not args.config:
-            print(
-                "error: a command, --config with a command, or --recipe is required",
-                file=sys.stderr,
-            )
-            return 1
-        config = load_config(
-            path=args.config, command=args.command, flag_pairs=flag_pairs
-        )
-        return run(config)
+        return run(load_config(path=path, command=command, flag_pairs=flags))
     except (ParseError, NotAdmissible, IoFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

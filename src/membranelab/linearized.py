@@ -314,13 +314,9 @@ def residual_Pnu3(curve, n=1000):
     a = 0.02 * curve.ell
     b = 0.98 * curve.ell
     taus = np.linspace(a, b, n)
-    r, z, phi = curve.state_at(taus)
+    _, z, phi = curve.state_at(taus)
     nu3 = -np.cos(phi)
-    h = taus[1] - taus[0]
-    C, D = radial_operator_coeffs(r, z, phi, curve.params)
-    res = fd2(nu3, h) - C * fd1(nu3, h) + D * nu3 + 2.0 * nu3 / (z * z)
-    keep = fd_interior_slice(n)
-    return float(np.max(np.abs(res[keep])))
+    return operator_residual(curve, taus, nu3, inhom=2.0 * nu3 / (z * z))
 
 
 @dataclass(frozen=True)

@@ -223,12 +223,11 @@ def _member_problem(c, circle, runs):
         z_o, length = x
         if not (-math.inf < z_o < 0.0 < length < math.inf):
             return None
-        guard = max(2.5 * length, 10.0 * abs(z_o))
         runs[0] += 1
         try:
             curve = integrate_profile(
                 ModelParams(c, z_o),
-                StopCondition.at_arc_length(length, max_arc=guard),
+                StopCondition.at_arc_length(length),
                 rtol=SHOOT_RTOL,
                 atol=SHOOT_ATOL,
                 z_o_variation=True,

@@ -103,11 +103,7 @@ class RunRecord:
     version: str = __version__
 
     def to_dict(self):
-        d = asdict(self)
-        d["artifacts"] = [
-            asdict(a) if isinstance(a, ArtifactEntry) else a for a in self.artifacts
-        ]
-        return d
+        return asdict(self)
 
 
 def _disc_faces(n_theta, n_rings):

@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+import membranelab
 from membranelab import cli
 from membranelab.cli import load_config, main
 from membranelab.errors import ParseError
@@ -95,13 +98,16 @@ def test_cli_trace_inadmissible_exit_1(tmp_path, capsys):
 
 
 def test_cli_trace_arc(tmp_path):
-    rc = run_cli([
-        "trace", "--c_o", "2", "--z_o", "-0.6", "--stop", "arc",
-        "--arc", "0.4", "--out", str(tmp_path / "tr"),
-    ])
-    assert rc == 0
-    data = read_profile_csv(tmp_path / "tr" / "profile.csv")
-    assert data["tau"][-1] == pytest.approx(0.4, abs=1e-12)
+    trace = ["trace", "--c_o", "2", "--z_o", "-0.6", "--stop", "arc", "--arc", "0.4"]
+    after, before = tmp_path / "after", tmp_path / "before"
+    # --out is honoured after the command and before it
+    for out, args in [
+        (after, trace + ["--out", str(after)]),
+        (before, ["--out", str(before)] + trace),
+    ]:
+        assert run_cli(args) == 0
+        data = read_profile_csv(out / "profile.csv")
+        assert data["tau"][-1] == pytest.approx(0.4, abs=1e-12)
 
 
 @pytest.mark.parametrize("arc", ["-1", "0"])
@@ -299,6 +305,9 @@ def test_cli_mesh_bad_input_exit_1(tmp_path, capsys, args):
         ["eigen", "--c_o", "1", "--z_o=-1e7"],
         ["mesh", "--kind", "revolve", "--c_o", "1", "--z_o=-1e7"],
         ["table1", "--c_o", "1", "--z_o_list=-2,-1e7"],
+        ["--recipe", "table1", "trace", "--c_o", "2", "--z_o", "-0.6"],
+        ["--recipe", "fig1", "--config", "run.cfg"],
+        ["--config", "run.cfg", "--recipe", "table1"],
     ],
 )
 def test_cli_bad_input_exit_1_before_compute(tmp_path, capsys, monkeypatch, args):
@@ -366,6 +375,20 @@ def test_cli_record_tolerances_of_h(tmp_path, extra, rtol, atol):
     assert record["derived"]["h_tolerances"] == {"rtol": rtol, "atol": atol}
 
 
+def test_python_dash_m_prints_version():
+    src = os.path.dirname(os.path.dirname(membranelab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "membranelab", "--version"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.strip() == membranelab.__version__
+
+
 def test_cli_no_command(capsys):
     assert run_cli([]) == 1
     assert "required" in capsys.readouterr().err
@@ -378,14 +401,16 @@ def test_cli_unknown_flag_value(tmp_path, capsys):
 
 
 def test_cli_config_file_only(tmp_path):
-    out = tmp_path / "cfgrun"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        f"command = trace\nc_o = 2\nz_o = -0.6\nout = {out}\nsamples = 50\n"
-    )
-    assert run_cli(["--config", str(cfg)]) == 0
-    data = read_profile_csv(out / "profile.csv")
-    assert data["tau"].size == 50
+    # --config is read alone, before the command and after it
+    for i, around in enumerate([([], []), ([], ["trace"]), (["trace"], [])]):
+        out = tmp_path / f"cfgrun{i}"
+        cfg = tmp_path / f"run{i}.cfg"
+        cfg.write_text(
+            f"command = trace\nc_o = 2\nz_o = -0.6\nout = {out}\nsamples = 50\n"
+        )
+        assert run_cli(around[0] + ["--config", str(cfg)] + around[1]) == 0
+        data = read_profile_csv(out / "profile.csv")
+        assert data["tau"].size == 50
 
 
 def test_cli_rerun_byte_identical(tmp_path):
