@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 
 from ._util import cumulative_gauss, fd1, fd_interior_slice
 from .errors import (
@@ -53,6 +53,7 @@ from .errors import (
     SingularityHit,
     TooFewSamples,
 )
+from .ode import MIN_RTOL, solve_ivp
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -64,8 +65,6 @@ DEFAULT_MAX_ARC_FACTOR = 40.0
 DEFAULT_MIN_ABS_Z_FACTOR = 1e-8
 #: below this multiple of |z_o|, sin(phi)/r is replaced by its axis limit
 _AXIS_R_CUT = 1e-7
-#: solve_ivp raises a smaller rtol to this floor with only a warning
-_MIN_RTOL = 100 * np.finfo(float).eps
 #: largest |c_o z_o| integrated: beyond it the axis offset 1e-6 |z_o| is not
 #: small against the curvature radius 1/c_o, and the integrator stalls
 MAX_ABS_CZ = 1e4
@@ -80,7 +79,8 @@ class ModelParams:
     c_o is the spontaneous curvature (> 0) and z_o < 0 the height at which
     the curve meets the rotation axis.  ``allow_zero_curvature`` is a
     test-only escape hatch admitting c_o = 0, whose solutions are circular
-    arcs and serve as an independent oracle.
+    arcs and serve as an independent oracle.  c_o and z_o are stored as
+    Python floats, so a numpy scalar input integrates exactly like a float.
     """
 
     c_o: float
@@ -88,6 +88,8 @@ class ModelParams:
     allow_zero_curvature: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "c_o", float(self.c_o))
+        object.__setattr__(self, "z_o", float(self.z_o))
         if not (math.isfinite(self.c_o) and math.isfinite(self.z_o)):
             raise ValueError("c_o and z_o must be finite")
         if self.c_o < 0.0 or (self.c_o == 0.0 and not self.allow_zero_curvature):
@@ -206,9 +208,15 @@ class ProfileCurve:
 
     def state_at(self, tau):
         """(r, z, phi) at arbitrary tau in [0, ell], scalar or array."""
-        tau = np.asarray(tau, dtype=float)
-        scalar = tau.ndim == 0
-        t = np.atleast_1d(tau)
+        if np.ndim(tau) == 0:
+            t = float(tau)
+            if t < -1e-15 or t > self.ell * (1.0 + 1e-12) + 1e-300:
+                raise OutOfRange(f"tau must lie in [0, {self.ell}]")
+            t = min(max(t, 0.0), self.ell)
+            if t < self.tau0:
+                return _axis_series(self.params, t)
+            return self._dense.at(t)[:3]
+        t = np.asarray(tau, dtype=float)
         if np.any(t < -1e-15) or np.any(t > self.ell * (1.0 + 1e-12) + 1e-300):
             raise OutOfRange(f"tau must lie in [0, {self.ell}]")
         t = np.clip(t, 0.0, self.ell)
@@ -218,8 +226,6 @@ class ProfileCurve:
             out[:, ~seeded] = self._dense(t[~seeded])[:3]
         if np.any(seeded):
             out[:, seeded] = _axis_series(self.params, t[seeded])
-        if scalar:
-            return float(out[0, 0]), float(out[1, 0]), float(out[2, 0])
         return out[0], out[1], out[2]
 
     def variation_at(self, tau):
@@ -365,8 +371,8 @@ def _axis_seed_variation(params, tau0, dtau0, f0):
 
 def check_tolerances(rtol, atol):
     """Raise ValueError unless the integrator would use rtol and atol as given."""
-    if not (math.isfinite(rtol) and rtol >= _MIN_RTOL):
-        raise ValueError(f"rtol must be finite and >= {_MIN_RTOL:.3g}, got {rtol!r}")
+    if not (math.isfinite(rtol) and rtol >= MIN_RTOL):
+        raise ValueError(f"rtol must be finite and >= {MIN_RTOL:.3g}, got {rtol!r}")
     if not (math.isfinite(atol) and atol >= 0.0):
         raise ValueError(f"atol must be finite and nonnegative, got {atol!r}")
 
@@ -384,8 +390,9 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
                       z_o_variation=False):
     """Integrate the generating curve outward from the axis seed.
 
-    Adaptive DOP853 with dense output; the stop event is located on the
-    dense output by the integrator's sign-bracketed root refinement.  Guards
+    Adaptive DOP853 with dense output (``membranelab.ode``: scipy's
+    algorithm, stepped on Python floats); the stop event is located by
+    Brent's root on the interpolant of the step where it changes sign.  Guards
     (arc-length cap, |z| floor, r returning to 0) are always active; if one
     fires before the requested primary stop, SingularityHit or
     ArcLimitReached is raised with the partial curve attached.  A tolerance
@@ -413,7 +420,7 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
         dtau0 = tau0 / params.z_o if default_tau0 else 0.0
         y0 += _axis_seed_variation(params, tau0, dtau0, rhs(tau0, y0))
         rhs = _varied_rhs(params.c_o)
-        ivp_rtol = [max(rtol / math.sqrt(2.0), _MIN_RTOL)] * 3 + [_VARIATION_TOL] * 3
+        ivp_rtol = [max(rtol / math.sqrt(2.0), MIN_RTOL)] * 3 + [_VARIATION_TOL] * 3
         ivp_atol = [atol / math.sqrt(2.0)] * 3 + [_VARIATION_TOL] * 3
     max_arc = stop.max_arc
     if max_arc is None:
@@ -463,8 +470,6 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
         rhs,
         (tau0, t_end),
         y0,
-        method="DOP853",
-        dense_output=True,
         events=events,
         rtol=ivp_rtol,
         atol=ivp_atol,
@@ -473,7 +478,7 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
         # would otherwise see its error on long steps
         max_step=0.1 * abs(params.z_o),
     )
-    if not sol.success and sol.status != 1:
+    if not sol.success:
         raise MembraneLabError(f"integrator failed: {sol.message}")
 
     vt_times = sol.t_events[2]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import MembraneLabError, NoConvergence
+from .errors import MembraneLabError, NoConvergence, NotAdmissible
 from .profile import (
     MAX_ABS_CZ,
     ModelParams,
@@ -152,8 +152,9 @@ def shoot_sigma0(circle, seed=None):
     Doubling steps from u0 (0, or the seed's c_o z_o) bracket it and Brent's
     method (Brent 1973) refines it.  The disc scaled by mu = |(R, Z)|/|(r, z)|
     is integrated once at (1/mu, mu t) and accepted when its endpoint mismatch
-    is below ``_match_tol(circle)``.  Failures raise NoConvergence, whose trace
-    holds ((c_o, z_o), direction residual or mismatch) per integration.
+    is below ``_match_tol(circle)``.  A seed with c_o z_o >= -1 raises
+    NotAdmissible.  Failures raise NoConvergence, whose trace holds
+    ((c_o, z_o), direction residual or mismatch) per integration.
     """
     target = math.atan2(circle.R, -circle.Z)
     trace = []
@@ -182,7 +183,15 @@ def shoot_sigma0(circle, seed=None):
             trace.append(((1.0, t), ends[v][3]))
         return ends[v][3]
 
-    u = 0.0 if seed is None else min(math.log(-seed.c_o * seed.z_o - 1.0), _U_MAX)
+    u = 0.0
+    if seed is not None:
+        t_seed = seed.c_o * seed.z_o
+        if not t_seed < -1.0:
+            raise NotAdmissible(
+                f"seed (c_o, z_o) = ({seed.c_o!r}, {seed.z_o!r}) has c_o z_o = "
+                f"{t_seed:.6g}, not below -1: it spans no tangential disc"
+            )
+        u = min(math.log(-t_seed - 1.0), _U_MAX)
     step = math.copysign(1.0, direction(u))
     for _ in range(_MAX_BRACKET):
         u_next = min(u + step, _U_MAX)

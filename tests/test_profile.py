@@ -400,6 +400,33 @@ def test_node_states_are_the_dense_output(stop):
     assert np.array_equal(phi, curve.phi)
 
 
+def test_state_at_one_tau_matches_the_array_path(curve26):
+    # one tau is evaluated in pure Python, arrays in numpy: same bits
+    inner = np.linspace(curve26.tau0, curve26.ell, 37)
+    taus = np.concatenate(([0.0, 0.5 * curve26.tau0], inner))
+    rows = curve26.state_at(taus)
+    for k, tau in enumerate(taus):
+        one = curve26.state_at(float(tau))
+        assert all(type(v) is float for v in one)
+        assert one == tuple(row[k] for row in rows)
+
+
+@pytest.mark.parametrize(
+    "stop, variation",
+    [(sigma0_stop(), False), (StopCondition.at_arc_length(0.8), True)],
+)
+def test_numpy_scalar_params_integrate_like_floats(stop, variation):
+    as_float = integrate_profile(ModelParams(2.0, -0.6), stop, z_o_variation=variation)
+    params = ModelParams(np.float64(2.0), np.float64(-0.6))
+    assert type(params.c_o) is float and type(params.z_o) is float
+    as_numpy = integrate_profile(params, stop, z_o_variation=variation)
+    assert as_numpy.ell == as_float.ell
+    for name in ("taus", "r", "z", "phi"):
+        assert np.array_equal(getattr(as_numpy, name), getattr(as_float, name))
+    if variation:
+        assert as_numpy.variation_at(0.8) == as_float.variation_at(0.8)
+
+
 def test_dphi_ds_variation_is_its_derivative():
     r, z, phi, c_o = 0.7, -1.3, 2.1, 1.5
     d = np.array([0.3, -0.8, 0.5])

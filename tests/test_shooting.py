@@ -14,7 +14,7 @@ from membranelab import (
     shoot_sigma0,
     solve_h,
 )
-from membranelab.errors import NoConvergence
+from membranelab.errors import NoConvergence, NotAdmissible
 from membranelab.profile import check_scale
 import membranelab.shooting as shooting_mod
 
@@ -63,6 +63,13 @@ def test_sigma0_converges_from_far_seed(circle053, sig053):
     far = ModelParams(20.0, -5.0)
     sig = shoot_sigma0(circle053, seed=far)
     assert sig.params.c_o == pytest.approx(sig053.params.c_o, abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", [ModelParams(1.0, -0.5), ModelParams(2.0, -0.5)])
+def test_sigma0_rejects_a_seed_without_tangential_disc(circle053, seed):
+    # c_o z_o >= -1: log(-c_o z_o - 1) is undefined
+    with pytest.raises(NotAdmissible, match=re.escape(f"({seed.c_o!r}, {seed.z_o!r})")):
+        shoot_sigma0(circle053, seed=seed)
 
 
 def test_unit_disc_direction_falls_strictly():
