@@ -10,6 +10,13 @@ interpolant with xtol = rtol = 4 eps, the earliest terminal event cutting
 off later ones) and dense-output formula with left-side segment choice
 (Hairer, Norsett and Wanner, *Solving ODEs I*, Sec. II.5).
 
+A step's interpolant needs three more right-hand-side evaluations (Sec.
+II.6), and it can be formed at any time after the step is accepted.  It is
+built during the integration only on a step where an event changes sign,
+because Brent's root needs it there.  Every other step keeps its two states
+and its stages, and ``DenseOutput`` builds its interpolant on first use,
+with the same kernel and the same inputs, so every value is the same.
+
 The systems here have 3 or 6 rows, where numpy's per-call overhead on tiny
 arrays dominates.  The stages therefore run as straight-line float
 arithmetic, generated once per state size from the tableau (``_kernels``).
@@ -24,6 +31,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _tableau
@@ -43,6 +51,15 @@ _STEP_EVALS = _tableau.N_STAGES
 _DENSE_EVALS = _tableau.N_STAGES_EXTENDED - _tableau.N_STAGES - 1
 #: interpolant coefficient rows kept per step: y_old and F0..F6
 _COEF_ROWS = _tableau.INTERPOLATOR_POWER + 1
+
+
+class _Step(NamedTuple):
+    """An accepted step whose interpolant is not built yet."""
+
+    y_old: tuple
+    y_new: tuple
+    K: tuple
+
 
 _MESSAGES = {
     -1: "Required step size is less than spacing between numbers.",
@@ -165,27 +182,43 @@ class DenseOutput:
     ends there, so it evaluates to that step's end state.  A float argument
     is evaluated in pure Python (``at``); an array argument in numpy, one
     interpolant row at a time, and gives an (n, m) array.
+
+    A segment whose interpolant was not built during the integration is
+    built on first use: ``at`` builds the one it reads, an array argument
+    builds all of them.  Each build costs three evaluations of ``fun`` and
+    replaces the step's entry in one assignment, so threads that share an
+    instance read either entry and get the same values.
     """
 
-    def __init__(self, ts, t_old, h, coefs, n):
+    def __init__(self, ts, t_old, h, segments, n, build):
         self._ts = ts
         self._t_old = t_old
         self._h = h
-        self._coefs = coefs
+        # interpolant coefficients (y_old, F0..F6 flat), or a _Step to build
+        self._segments = segments
         self._n = n
+        self._build = build
+
+    def _coef(self, k):
+        coef = self._segments[k]
+        if type(coef) is _Step:
+            coef = self._build(self._t_old[k], self._h[k], *coef)
+            self._segments[k] = coef
+        return coef
 
     def _segment(self, t):
-        return min(max(bisect.bisect_left(self._ts, t) - 1, 0), len(self._coefs) - 1)
+        return min(max(bisect.bisect_left(self._ts, t) - 1, 0), len(self._segments) - 1)
 
     def at(self, t):
         """State at a float t as a tuple of floats."""
         k = self._segment(t)
-        return _interpolate(self._coefs[k], self._n, self._t_old[k], self._h[k], t)
+        return _interpolate(self._coef(k), self._n, self._t_old[k], self._h[k], t)
 
     @functools.cached_property
     def _arrays(self):
         # (rows, n, segments): row 0 is y_old, row j the coefficient F_{j-1}
-        coef = np.array(self._coefs).T.reshape(_COEF_ROWS, self._n, -1)
+        coefs = [self._coef(k) for k in range(len(self._segments))]
+        coef = np.array(coefs).T.reshape(_COEF_ROWS, self._n, -1)
         return np.array(self._ts), np.array(self._t_old), np.array(self._h), coef
 
     def __call__(self, t):
@@ -194,7 +227,7 @@ class DenseOutput:
             return np.array(self.at(float(t)))
         ts, t_old, h, coef = self._arrays
         seg = np.searchsorted(ts, t, side="left") - 1
-        np.clip(seg, 0, len(self._coefs) - 1, out=seg)
+        np.clip(seg, 0, len(self._segments) - 1, out=seg)
         x = (t - np.take(t_old, seg)) / np.take(h, seg)
         one_minus_x = 1.0 - x
         y = np.zeros((self._n, t.size))
@@ -240,6 +273,12 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), max_step=math.inf):
     ``OdeResult``: ``t`` and ``y`` at the accepted steps (ending at a
     terminal event), the interpolant ``sol``, ``t_events``, ``nfev`` and
     ``status`` (-1 step too small, 0 end reached, 1 terminal event).
+
+    Unlike scipy, ``nfev`` counts the evaluations made during the
+    integration: 2 for the first step size, 12 per attempted step and 3 per
+    step whose interpolant an event needed.  The interpolants of the other
+    steps are built by ``sol`` on first use, 3 evaluations each, after
+    which the total equals scipy's count.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t < t_bound:
@@ -257,12 +296,12 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), max_step=math.inf):
 
     f = tuple(fun(t, y))
     h_abs = _initial_step(fun, t, y, t_bound, max_step, f, rtol, atol)
-    attempted = accepted = 0
+    attempted = built = 0
     terminal = [bool(getattr(ev, "terminal", False)) for ev in events]
     direction = [float(getattr(ev, "direction", 0.0)) for ev in events]
     g = [ev(t, y) for ev in events]
     t_events = [[] for _ in events]
-    ts, ys, t_olds, hs, coefs = [t], [y], [], [], []
+    ts, ys, t_olds, hs, segments = [t], [y], [], [], []
     status = None
     while status is None:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -286,12 +325,10 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), max_step=math.inf):
             rejected = True
         if status == -1:
             break
-        accepted += 1
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
         if t >= t_bound:
             status = 0
-        coef = dense(fun, t_old, h, y_old, y, K)
         t_end, y_end = t, y
         g_new = [ev(t, y) for ev in events]
         active = [
@@ -299,7 +336,11 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), max_step=math.inf):
             if (d >= 0.0 and a <= 0.0 <= b) or (d <= 0.0 and a >= 0.0 >= b)
         ]
         g = g_new
-        if active:
+        if not active:
+            coef = _Step(y_old, y, K)
+        else:
+            coef = dense(fun, t_old, h, y_old, y, K)
+            built += 1
             roots = [
                 brentq(
                     lambda s, ev=events[i]: ev(s, _interpolate(coef, n, t_old, h, s)),
@@ -322,14 +363,14 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), max_step=math.inf):
         ys.append(y_end)
         t_olds.append(t_old)
         hs.append(h)
-        coefs.append(coef)
+        segments.append(coef)
 
     return OdeResult(
         t=np.array(ts),
         y=np.array(ys).T,
-        sol=DenseOutput(ts, t_olds, hs, coefs, n),
+        sol=DenseOutput(ts, t_olds, hs, segments, n, functools.partial(dense, fun)),
         t_events=[np.array(te) for te in t_events],
-        nfev=2 + _STEP_EVALS * attempted + _DENSE_EVALS * accepted,
+        nfev=2 + _STEP_EVALS * attempted + _DENSE_EVALS * built,
         status=status,
         message=_MESSAGES[status],
     )

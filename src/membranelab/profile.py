@@ -210,14 +210,15 @@ class ProfileCurve:
         """(r, z, phi) at arbitrary tau in [0, ell], scalar or array."""
         if np.ndim(tau) == 0:
             t = float(tau)
-            if t < -1e-15 or t > self.ell * (1.0 + 1e-12) + 1e-300:
+            # written so that a NaN tau fails it too
+            if not -1e-15 <= t <= self.ell * (1.0 + 1e-12) + 1e-300:
                 raise OutOfRange(f"tau must lie in [0, {self.ell}]")
             t = min(max(t, 0.0), self.ell)
             if t < self.tau0:
                 return _axis_series(self.params, t)
             return self._dense.at(t)[:3]
         t = np.asarray(tau, dtype=float)
-        if np.any(t < -1e-15) or np.any(t > self.ell * (1.0 + 1e-12) + 1e-300):
+        if not np.all((t >= -1e-15) & (t <= self.ell * (1.0 + 1e-12) + 1e-300)):
             raise OutOfRange(f"tau must lie in [0, {self.ell}]")
         t = np.clip(t, 0.0, self.ell)
         out = np.empty((3, t.size))
@@ -236,7 +237,7 @@ class ProfileCurve:
         if not self.z_o_variation:
             raise ValueError("curve was integrated without its z_o variation")
         t = np.asarray(tau, dtype=float)
-        if np.any(t < self.tau0) or np.any(t > self.ell):
+        if not np.all((t >= self.tau0) & (t <= self.ell)):
             raise OutOfRange(f"tau must lie in [{self.tau0}, {self.ell}]")
         return tuple(self._dense(t)[3:])
 

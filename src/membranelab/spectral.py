@@ -107,51 +107,71 @@ def _mode_grid(curve, n):
     return curve.ell * (k / n) ** _GRADING
 
 
-def assemble_mode(curve, m, n):
-    """Conservative finite-volume assembly of the mode-m pencil.
+@dataclass(frozen=True)
+class _DiscSamples:
+    """What every mode's pencil on one n-cell mesh reads from the curve.
 
-    Fluxes use p = r/z^2 at interval midpoints; the control-volume integrals
-    of the weight r and of the potential m^2/(r z^2) - r U use Gauss panels
-    on the dense output, which keeps the pencil symmetric and second order
-    accurate on the graded mesh.
+    ``flux`` is p = r/z^2 at the interval midpoints over the interval
+    widths; ``W`` holds the node-wise control volume integrals of the
+    weight r; ``rzz`` = r z^2 and ``minus_rU`` = -r U are the samples at
+    the Gauss nodes ``wts`` integrate, the left interval halves first.
     """
-    if n < _MIN_CELLS:
-        raise GridTooCoarse(f"mode assembly needs n >= {_MIN_CELLS}")
-    check_mode(m)
+
+    taus: np.ndarray
+    flux: np.ndarray
+    W: np.ndarray
+    rzz: np.ndarray
+    minus_rU: np.ndarray
+    wts: np.ndarray
+
+
+def _sample_disc(curve, n):
     taus = _mode_grid(curve, n)
     h = np.diff(taus)
     mids = 0.5 * (taus[:-1] + taus[1:])
     r_m, z_m, _ = curve.state_at(mids)
     p_mid = r_m / (z_m * z_m)
 
-    def potential(t):
-        r, z, phi = curve.state_at(t)
-        _, D = radial_operator_coeffs(r, z, phi, curve.params)
-        U = D / (z * z)
-        pot = -r * U
-        if m:
-            pot = pot + m * m / (r * z * z)
-        return pot, r
-
     # Gauss panels over interval halves; left halves feed node j, right j+1
     halves_a = np.concatenate([taus[:-1], mids])
     halves_b = np.concatenate([mids, taus[1:]])
     nodes, wts = gauss_panels(halves_a, halves_b, _GAUSS_PTS)
-    pot_vals, w_vals = potential(nodes.ravel())
-    pot_int = (pot_vals.reshape(nodes.shape) * wts).sum(axis=1)
-    w_int = (w_vals.reshape(nodes.shape) * wts).sum(axis=1)
-    pot_left, pot_right = pot_int[: n], pot_int[n:]
-    w_left, w_right = w_int[: n], w_int[n:]
+    r, z, phi = curve.state_at(nodes.ravel())
+    _, D = radial_operator_coeffs(r, z, phi, curve.params)
+    U = D / (z * z)
+    w_int = (r.reshape(nodes.shape) * wts).sum(axis=1)
+    W = np.zeros(n + 1)
+    W[:-1] += w_int[:n]
+    W[1:] += w_int[n:]
+    return _DiscSamples(
+        taus=taus, flux=p_mid / h, W=W, rzz=r * z * z, minus_rU=-r * U, wts=wts
+    )
+
+
+def assemble_mode(curve, m, n):
+    """Conservative finite-volume assembly of the mode-m pencil.
+
+    Fluxes use p = r/z^2 at interval midpoints; the control-volume integrals
+    of the weight r and of the potential m^2/(r z^2) - r U use Gauss panels
+    on the dense output, which keeps the pencil symmetric and second order
+    accurate on the graded mesh.  ``curve`` may also be the ``_DiscSamples``
+    of a curve on the same n, which lets several modes share one sampling.
+    """
+    if n < _MIN_CELLS:
+        raise GridTooCoarse(f"mode assembly needs n >= {_MIN_CELLS}")
+    check_mode(m)
+    disc = curve if isinstance(curve, _DiscSamples) else _sample_disc(curve, n)
+    pot_vals = disc.minus_rU
+    if m:
+        pot_vals = pot_vals + m * m / disc.rzz
+    pot_int = (pot_vals.reshape(disc.wts.shape) * disc.wts).sum(axis=1)
 
     # node-wise control volume accumulations over all n+1 nodes
     Q = np.zeros(n + 1)
-    W = np.zeros(n + 1)
-    Q[:-1] += pot_left
-    Q[1:] += pot_right
-    W[:-1] += w_left
-    W[1:] += w_right
+    Q[:-1] += pot_int[:n]
+    Q[1:] += pot_int[n:]
 
-    flux = p_mid / h
+    flux = disc.flux
     diag_full = np.zeros(n + 1)
     diag_full[:-1] += flux
     diag_full[1:] += flux
@@ -161,9 +181,9 @@ def assemble_mode(curve, m, n):
     # boundary node n is always Dirichlet; axis node kept only for m = 0
     diag = diag_full[first:n]
     offdiag = -flux[first : n - 1]
-    weights = W[first:n]
+    weights = disc.W[first:n]
     return ModeOperator(
-        m=m, taus=taus, first=first, diag=diag, offdiag=offdiag, weights=weights
+        m=m, taus=disc.taus, first=first, diag=diag, offdiag=offdiag, weights=weights
     )
 
 
@@ -231,6 +251,43 @@ def _discrete_residual(op, vals, funcs):
     return res
 
 
+def _pencils(curve, modes, n):
+    """The pencils of ``modes`` on the n-cell mesh, from one sampling.
+
+    The samples are released on return, before the next mesh is sampled.
+    """
+    disc = _sample_disc(curve, n)
+    return [assemble_mode(disc, m, n) for m in modes]
+
+
+def _eigen_modes(curve, modes, count, n):
+    """``eigen_solve`` for each of ``modes``, sampling the curve once per mesh."""
+    check_eigen_size(n, count)
+    for m in modes:
+        check_mode(m)
+    coarse = _pencils(curve, modes, n)
+    fine = _pencils(curve, modes, 2 * n)
+    results = {}
+    for m, op_c, op_f in zip(modes, coarse, fine):
+        vals_c, _ = _solve_pencil(op_c, count)
+        vals_f, funcs = _solve_pencil(op_f, count)
+        vals = (4.0 * vals_f - vals_c) / 3.0
+        residuals = _discrete_residual(op_f, vals_f, funcs)
+        n_fine = op_f.taus.size
+        full = np.zeros((n_fine, count))
+        full[op_f.first : n_fine - 1, :] = funcs
+        results[m] = EigenResult(
+            m=m,
+            eigenvalues=vals,
+            eigenvalues_fine=vals_f,
+            eigenvalues_coarse=vals_c,
+            mesh=op_f.taus,
+            eigenfunctions=full,
+            discrete_residuals=residuals,
+        )
+    return results
+
+
 def eigen_solve(curve, m, count, n=1536):
     """Lowest ``count`` eigenpairs of mode m, Richardson extrapolated.
 
@@ -239,25 +296,7 @@ def eigen_solve(curve, m, count, n=1536):
     mesh error.  Eigenfunctions are reported on the fine mesh with the
     Dirichlet zeros reattached.  Sizes are checked by ``check_eigen_size``.
     """
-    check_eigen_size(n, count)
-    op_c = assemble_mode(curve, m, n)
-    op_f = assemble_mode(curve, m, 2 * n)
-    vals_c, _ = _solve_pencil(op_c, count)
-    vals_f, funcs = _solve_pencil(op_f, count)
-    vals = (4.0 * vals_f - vals_c) / 3.0
-    residuals = _discrete_residual(op_f, vals_f, funcs)
-    n_fine = op_f.taus.size
-    full = np.zeros((n_fine, count))
-    full[op_f.first : n_fine - 1, :] = funcs
-    return EigenResult(
-        m=m,
-        eigenvalues=vals,
-        eigenvalues_fine=vals_f,
-        eigenvalues_coarse=vals_c,
-        mesh=op_f.taus,
-        eigenfunctions=full,
-        discrete_residuals=residuals,
-    )
+    return _eigen_modes(curve, (m,), count, n)[m]
 
 
 def kernel_residual_m1(curve):
@@ -302,7 +341,7 @@ def certify(sigma0, lin=None, *, count=6, n=1536):
     if lin is None:
         lin = solve_h(sigma0.curve)
 
-    eigs = {m: eigen_solve(sigma0.curve, m, count, n=n) for m in (0, 1, 2)}
+    eigs = _eigen_modes(sigma0.curve, (0, 1, 2), count, n)
     lam1 = eigs[1].eigenvalues
     gap_scale = float(lam1[1] - lam1[0])
     zero_band = _ZERO_BAND_FACTOR * gap_scale

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from membranelab import ModelParams, StopCondition, integrate_profile, sigma0_stop
 import membranelab.ode as ode
+from membranelab.ode import _kernels as eager_kernels
 import membranelab.profile as profile_mod
 from membranelab.linearized import _integrate_extended
 from membranelab.shooting import SHOOT_ATOL, SHOOT_RTOL
@@ -30,6 +33,33 @@ def _profile_problem(monkeypatch, params, stop, **kw):
     return calls[0]
 
 
+def _counted_solve(monkeypatch, fun, *args, **kwargs):
+    """ode.solve_ivp counting the calls of fun, of the step kernel and of the
+    dense kernel; the counts keep growing as ``sol`` builds its segments."""
+    counts = {"fun": 0, "step": 0, "built_at": []}
+
+    def counting_kernels(n):
+        step, dense = eager_kernels(n)
+
+        def counted_step(*a):
+            counts["step"] += 1
+            return step(*a)
+
+        def counted_dense(f, t_old, *a):
+            counts["built_at"].append(t_old)
+            return dense(f, t_old, *a)
+
+        return counted_step, counted_dense
+
+    def counted_fun(t, y):
+        counts["fun"] += 1
+        return fun(t, y)
+
+    monkeypatch.setattr(ode, "_kernels", counting_kernels)
+    out = ode.solve_ivp(counted_fun, *args, **kwargs)
+    return out, counts
+
+
 def _close(ours, ref):
     ref = np.asarray(ref)
     scale = np.max(np.abs(ref), initial=0.0)
@@ -46,12 +76,13 @@ def _close(ours, ref):
 )
 def test_profile_integration_matches_scipy_dop853(monkeypatch, stop, variation):
     params = ANCHOR if not variation else ModelParams(1.02 * ANCHOR.c_o, ANCHOR.z_o)
-    args, kwargs, ours = _profile_problem(monkeypatch, params, stop, z_o_variation=variation)
+    args, kwargs, _ = _profile_problem(monkeypatch, params, stop, z_o_variation=variation)
+    ours, counts = _counted_solve(monkeypatch, *args, **kwargs)
     ref = scipy_solve_ivp(*args, method="DOP853", dense_output=True, **kwargs)
     assert ours.y.shape[0] == (6 if variation else 3)
     assert ours.status == ref.status and ours.success
     assert ours.t.size == ref.t.size
-    assert ours.nfev == ref.nfev
+    assert ours.nfev == counts["fun"] == 2 + 12 * counts["step"] + 3 * len(counts["built_at"])
     _close(ours.t[-1], ref.t[-1])
     _close(ours.y[:, -1], ref.y[:, -1])
     assert [te.size for te in ours.t_events] == [te.size for te in ref.t_events]
@@ -59,6 +90,8 @@ def test_profile_integration_matches_scipy_dop853(monkeypatch, stop, variation):
         _close(te, te_ref)
     # the interpolant reproduces every node state exactly
     assert np.array_equal(ours.sol(ours.t), ours.y)
+    # with every interpolant built, fun ran as often as in scipy
+    assert counts["fun"] == ref.nfev
     # one float and an array give the same bits
     mid = 0.5 * (ours.t[3] + ours.t[4])
     assert np.array_equal(ours.sol(mid), ours.sol(np.array([mid]))[:, 0])
@@ -85,7 +118,7 @@ def _event(level, terminal):
     return event
 
 
-def test_earliest_terminal_event_wins():
+def test_earliest_terminal_event_wins(monkeypatch):
     # y = t crosses all four levels; the step that reaches the later
     # terminal level 0.5 also crosses 0.3, which must end the integration
     events = [
@@ -95,7 +128,10 @@ def test_earliest_terminal_event_wins():
         _event(0.4, False),
     ]
     kw = dict(events=events, rtol=1e-8, atol=1e-10, max_step=1.0)
-    ours = ode.solve_ivp(lambda t, y: (1.0,), (0.0, 1.0), (0.0,), **kw)
+    ours, counts = _counted_solve(monkeypatch, lambda t, y: (1.0,), (0.0, 1.0), (0.0,), **kw)
+    # only the last step, where the events change sign, was built
+    assert counts["built_at"] == [ours.t[-2]]
+    assert ours.nfev == counts["fun"] == 2 + 12 * counts["step"] + 3
     ref = scipy_solve_ivp(
         lambda t, y: [1.0], (0.0, 1.0), [0.0], method="DOP853", dense_output=True, **kw
     )
@@ -109,38 +145,100 @@ def test_earliest_terminal_event_wins():
     assert [te.size for te in ref.t_events] == [0, 1, 1, 0]
     assert ours.t_events[2][0] == pytest.approx(0.2, abs=1e-15)
     np.testing.assert_allclose(ours.t, ref.t, rtol=1e-15)
-    assert ours.nfev == ref.nfev
+    # with every interpolant built, fun ran as often as in scipy
+    ours.sol(ours.t)
+    assert counts["fun"] == ref.nfev
 
 
 def test_nfev_counts_stages_of_attempted_and_accepted_steps(monkeypatch):
-    calls = [0]
-    attempted = [0]
-    kernels = ode._kernels
-
-    def counting_kernels(n):
-        step, dense = kernels(n)
-
-        def counted_step(*args):
-            attempted[0] += 1
-            return step(*args)
-
-        return counted_step, dense
-
-    monkeypatch.setattr(ode, "_kernels", counting_kernels)
     args, kwargs, _ = _profile_problem(monkeypatch, ANCHOR, sigma0_stop())
-    fun = args[0]
+    out, counts = _counted_solve(monkeypatch, *args, **kwargs)
+    attempted, accepted = counts["step"], out.t.size - 1
+    assert attempted > accepted  # the anchor disc rejects steps
+    # the vertical tangent and the phi = 0 stop each need one interpolant
+    assert len(counts["built_at"]) == 2
+    assert out.nfev == counts["fun"] == 2 + 12 * attempted + 3 * 2
+    # building the rest on demand costs what scipy's eager dense output does
+    out.sol(out.t)
+    assert counts["fun"] == 2 + 12 * attempted + 3 * accepted
+    ref = scipy_solve_ivp(args[0], *args[1:], method="DOP853", dense_output=True, **kwargs)
+    assert counts["fun"] == ref.nfev
 
-    def counted_fun(t, y):
-        calls[0] += 1
-        return fun(t, y)
 
-    attempted[0] = 0
-    out = ode.solve_ivp(counted_fun, *args[1:], **kwargs)
-    accepted = out.t.size - 1
-    assert attempted[0] > accepted  # the anchor disc rejects steps
-    assert out.nfev == calls[0] == 2 + 12 * attempted[0] + 3 * accepted
-    ref = scipy_solve_ivp(fun, *args[1:], method="DOP853", dense_output=True, **kwargs)
-    assert out.nfev == ref.nfev
+def test_member_builds_interpolants_only_where_an_event_changes_sign(monkeypatch):
+    params = ModelParams(1.02 * ANCHOR.c_o, ANCHOR.z_o)
+    stop = StopCondition.at_arc_length(2.0)
+    args, kwargs, _ = _profile_problem(monkeypatch, params, stop, z_o_variation=True)
+    out, counts = _counted_solve(monkeypatch, *args, **kwargs)
+    sol = out.sol
+    assert out.y.shape[0] == 6 and out.status == 0
+    event_steps = sorted(
+        {int(np.searchsorted(out.t, tau)) - 1 for te in out.t_events for tau in te}
+    )
+    assert event_steps  # the member crosses its vertical tangent
+    assert counts["built_at"] == [out.t[k] for k in event_steps]
+    assert out.nfev == counts["fun"] == 2 + 12 * counts["step"] + 3 * len(event_steps)
+
+    pending = list(sol._segments)
+    assert sum(type(seg) is ode._Step for seg in pending) == out.t.size - 1 - len(event_steps)
+    # reading one node builds that node's segment alone
+    fun_before = counts["fun"]
+    assert np.array_equal(sol(out.t[-1]), out.y[:, -1])
+    assert counts["fun"] == fun_before + 3
+    # an array builds every remaining segment, once, from the step it kept
+    sol(out.t)
+    sol(out.t)
+    ref = scipy_solve_ivp(*args, method="DOP853", dense_output=True, **kwargs)
+    assert counts["fun"] == ref.nfev
+    _, dense = eager_kernels(6)
+    for k, seg in enumerate(pending):
+        if type(seg) is ode._Step:
+            assert sol._segments[k] == dense(args[0], sol._t_old[k], sol._h[k], *seg)
+        else:
+            assert sol._segments[k] is seg
+
+
+def test_threads_building_one_interpolant_read_the_same_bits():
+    # several threads read a fresh curve, whose segments are built on first
+    # use, one tau at a time (in both orders) and as arrays
+    params = ModelParams(1.02 * ANCHOR.c_o, ANCHOR.z_o)
+    stop = StopCondition.at_arc_length(2.0)
+    reference = integrate_profile(params, stop, rtol=SHOOT_RTOL, atol=SHOOT_ATOL)
+    taus = np.linspace(reference.tau0, reference.ell, 400)
+    expected = np.array(reference.state_at(taus))
+
+    def one_at_a_time(curve, order):
+        rows = {k: curve.state_at(float(taus[k])) for k in order}
+        return np.array([rows[k] for k in range(taus.size)]).T
+
+    readers = [
+        lambda curve: one_at_a_time(curve, range(taus.size)),
+        lambda curve: one_at_a_time(curve, range(taus.size)),
+        lambda curve: one_at_a_time(curve, range(taus.size)),
+        lambda curve: one_at_a_time(curve, reversed(range(taus.size))),
+        lambda curve: np.array(curve.state_at(taus)),
+        lambda curve: np.array(curve.state_at(taus[::-1]))[:, ::-1],
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            curve = integrate_profile(params, stop, rtol=SHOOT_RTOL, atol=SHOOT_ATOL)
+            got = [None] * len(readers)
+
+            def read(i):
+                got[i] = readers[i](curve)
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(len(readers))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+                assert not th.is_alive()
+            for values in got:
+                assert np.array_equal(values, expected)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_rtol_below_the_floor_is_rejected():

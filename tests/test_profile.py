@@ -459,3 +459,18 @@ def test_z_o_variation_keeps_the_state_rows():
         plain.variation_at(plain.ell)
     with pytest.raises(OutOfRange):
         varied.variation_at(0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_tau_is_out_of_range(bad):
+    # a NaN fails every range comparison, so the check must be written to
+    # reject it rather than pass it on to the segment lookup
+    curve = integrate_profile(
+        ModelParams(1.4, -2.0), StopCondition.at_arc_length(3.0), z_o_variation=True
+    )
+    mid = 0.5 * curve.ell
+    for method in (curve.state_at, curve.variation_at):
+        with pytest.raises(OutOfRange):
+            method(bad)
+        with pytest.raises(OutOfRange):
+            method(np.array([mid, bad]))

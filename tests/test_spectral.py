@@ -17,8 +17,11 @@ from membranelab import (
     solve_h,
     StopCondition,
 )
+import membranelab.spectral as spectral
+from membranelab._util import gauss_panels
 from membranelab.errors import GridTooCoarse
-from membranelab.linearized import operator_residual
+from membranelab.linearized import operator_residual, radial_operator_coeffs
+from membranelab.profile import ProfileCurve
 
 from _oracles import M0_LOWEST_05_3, M1_GAP_05_3, M2_GAP_05_3
 
@@ -184,3 +187,109 @@ def test_certificate_scaling_invariance(sig053, lin053):
     assert a.conditions == b.conditions
     assert b.m2_gap == pytest.approx(a.m2_gap / mu**4, rel=1e-6)
     assert b.h_prime_boundary == pytest.approx(mu * a.h_prime_boundary, rel=1e-8)
+
+
+# ------------------------------------------------- one sampling for all modes
+
+
+def _per_mode_assembly(curve, m, n):
+    """Reference: the mode-m pencil from a sampling of its own."""
+    taus = spectral._mode_grid(curve, n)
+    h = np.diff(taus)
+    mids = 0.5 * (taus[:-1] + taus[1:])
+    r_m, z_m, _ = curve.state_at(mids)
+    p_mid = r_m / (z_m * z_m)
+    halves_a = np.concatenate([taus[:-1], mids])
+    halves_b = np.concatenate([mids, taus[1:]])
+    nodes, wts = gauss_panels(halves_a, halves_b, spectral._GAUSS_PTS)
+    r, z, phi = curve.state_at(nodes.ravel())
+    _, D = radial_operator_coeffs(r, z, phi, curve.params)
+    pot = -r * (D / (z * z))
+    if m:
+        pot = pot + m * m / (r * z * z)
+    pot_int = (pot.reshape(nodes.shape) * wts).sum(axis=1)
+    w_int = (r.reshape(nodes.shape) * wts).sum(axis=1)
+    Q = np.zeros(n + 1)
+    W = np.zeros(n + 1)
+    Q[:-1] += pot_int[:n]
+    Q[1:] += pot_int[n:]
+    W[:-1] += w_int[:n]
+    W[1:] += w_int[n:]
+    flux = p_mid / h
+    diag = np.zeros(n + 1)
+    diag[:-1] += flux
+    diag[1:] += flux
+    diag += Q
+    first = 0 if m == 0 else 1
+    return spectral.ModeOperator(
+        m=m, taus=taus, first=first, diag=diag[first:n],
+        offdiag=-flux[first : n - 1], weights=W[first:n],
+    )
+
+
+def _per_mode_eigen(curve, m, count, n):
+    """Reference: (eigenvalues, fine, coarse, fine eigenfunctions, residuals)."""
+    op_c = _per_mode_assembly(curve, m, n)
+    op_f = _per_mode_assembly(curve, m, 2 * n)
+    vals_c, _ = spectral._solve_pencil(op_c, count)
+    vals_f, funcs = spectral._solve_pencil(op_f, count)
+    residuals = spectral._discrete_residual(op_f, vals_f, funcs)
+    return (4.0 * vals_f - vals_c) / 3.0, vals_f, vals_c, funcs, residuals
+
+
+@pytest.fixture(scope="module")
+def sig12():
+    return shoot_sigma0(BoundaryCircle(1.0, -2.0))
+
+
+@pytest.mark.parametrize("disc", ["sig053", "sig12"])
+def test_shared_sampling_gives_the_per_mode_bits(disc, request):
+    sig = request.getfixturevalue(disc)
+    curve = sig.curve
+    count, n = 6, 400
+    for m in (0, 1, 2):
+        op, ref_op = assemble_mode(curve, m, n), _per_mode_assembly(curve, m, n)
+        for name in ("taus", "diag", "offdiag", "weights"):
+            assert np.array_equal(getattr(op, name), getattr(ref_op, name))
+        e = eigen_solve(curve, m, count, n=n)
+        vals, vals_f, vals_c, funcs, residuals = _per_mode_eigen(curve, m, count, n)
+        assert np.array_equal(e.eigenvalues, vals)
+        assert np.array_equal(e.eigenvalues_fine, vals_f)
+        assert np.array_equal(e.eigenvalues_coarse, vals_c)
+        assert np.array_equal(e.eigenfunctions[(0 if m == 0 else 1) : -1], funcs)
+        assert np.array_equal(e.discrete_residuals, residuals)
+    cert = certify(sig, solve_h(curve), count=count, n=n)
+    for m in (0, 1, 2):
+        vals = _per_mode_eigen(curve, m, count, n)[0]
+        assert cert.diagnostics["eigenvalues"][m] == vals.tolist()
+
+
+def test_certify_samples_the_disc_once_per_mesh(sig053, lin053, monkeypatch):
+    points = [0]
+    counting = [True]
+    state_at = ProfileCurve.state_at
+    sweep = spectral.family_sweep
+
+    def counted_state_at(self, tau):
+        if counting[0]:
+            points[0] += np.size(tau)
+        return state_at(self, tau)
+
+    def uncounted_sweep(*args, **kwargs):
+        counting[0] = False
+        try:
+            return sweep(*args, **kwargs)
+        finally:
+            counting[0] = True
+
+    monkeypatch.setattr(ProfileCurve, "state_at", counted_state_at)
+    monkeypatch.setattr(spectral, "family_sweep", uncounted_sweep)
+    count, n = 6, 400
+    certify(sig053, lin053, count=count, n=n)
+    shared = points[0]
+    points[0] = 0
+    for m in (0, 1, 2):
+        eigen_solve(sig053.curve, m, count, n=n)
+    # n midpoints and 2n Gauss panels of 7 nodes on each of the two meshes
+    assert shared == 15 * n + 15 * 2 * n
+    assert points[0] == 3 * shared
