@@ -218,7 +218,7 @@ def load_config(path=None, command=None, flag_pairs=None):
             if key not in spec:
                 raise ParseError(f"unknown key {key!r} for command {command!r}")
             if value is None:
-                continue
+                raise ParseError(f"bad value for {key!r}: None")
             typename = spec[key][0]
             try:
                 params[key] = _CONVERTERS[typename](value)
@@ -473,6 +473,8 @@ def _run_certify(config):
         "m1_zero_residual": cert.m1_zero_residual,
         "m0_gap": cert.m0_gap,
         "m2_gap": cert.m2_gap,
+        "fold_c": cert.fold_c,
+        "disc_tangent": cert.disc_tangent,
         "diagnostics": cert.diagnostics,
         "sigma0": {"c_o": sig.params.c_o, "z_o": sig.params.z_o, "ell": sig.curve.ell},
     }

@@ -5,19 +5,26 @@ Two problems are solved here by shooting from the axis seed:
 * the tangential disc through a prescribed circle (R, Z): (c_o, z_o) with
   z_o < -1/c_o whose profile, integrated until phi = 0, ends at (R, Z);
   scale equivariance reduces it to one bracketed root in t = c_o z_o;
-* a family member at given spontaneous curvature c sharing the circle:
-  find (z_o, L) such that the profile for (c, z_o) passes through (R, Z)
-  at arc length L, by damped Newton (``_newton``) with an exact Jacobian:
-  the z_o-column comes from the variational equations integrated along
-  with the profile, the L-column is the curve velocity; the curve is
-  truncated at the first passage and the contact angle phi(L) is reported.
+* the fixed-boundary family through the disc: the profiles (c, z_o) that
+  pass through (R, Z) at arc length L.  The residual F(c, z_o, L) =
+  (r, z)(L) - (R, Z) comes with its whole 2x3 Jacobian from one
+  integration: the z_o-column from the variational equations integrated
+  along with the profile, the L-column from the curve velocity, the
+  c-column from the other two by scale equivariance.  Its null vector is
+  the tangent of the family.  A member at given c is found by damped
+  Newton (``_newton``) on (z_o, L) from the tangent's predictor; the curve
+  is truncated at the first passage and the contact angle phi(L) is
+  reported.  Where the family folds back in c, it is followed by
+  pseudo-arclength continuation in scaled (c, z_o, L) (Keller 1977;
+  Allgower and Georg, *Introduction to Numerical Continuation Methods*),
+  and a sign change of the tangent's c-component locates the fold.
 
 Both problems are scale equivariant: (R, Z) -> (mu R, mu Z) maps solutions
 to (c_o/mu, mu z_o).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -45,6 +52,31 @@ _U_MAX = math.log((1.0 - 1e-9) * MAX_ABS_CZ - 1.0)
 _MAX_BRACKET = 8
 #: largest continuation sub-step of a member, relative to the seed curvature
 _SUB_STEP = 0.03
+#: a member is landed at fixed c only while the tangent's c-component t_c at
+#: its predicted point keeps this share of the value at the last member: t_c
+#: falls linearly to 0 along a parabola with a fold, so the requested c then
+#: lies at most 64 % of the way to the fold
+_LAND_RATIO = 0.6
+#: largest pseudo-arclength step, in y = (c, z_o, L) / (|c0|, |z0|, ell0)
+_MAX_ARC_STEP = 0.05
+#: longest step in y that a member is landed over at fixed c
+_MAX_LAND_STEP = 2.0 * _MAX_ARC_STEP
+#: distance in y by which a step's predictor may miss the family
+_ARC_DEVIATION = 3e-3
+#: a step toward a fold that the secant of t_c puts within reach overshoots
+#: it by this factor, so that the next member lies past it
+_PAST_FOLD = 1.25
+#: shortest step in y over which the family's bend is measured
+_MIN_BEND_STEP = 1e-6
+#: steps a walk takes before it gives up
+_MAX_ARC_STEPS = 40
+#: |t_c| at which a fold's secant point is close enough for the quadratic
+#: model: the model's correction to c* is then about t_c^2 / (2 dt_c/ds)
+_FOLD_SLOPE = 1e-3
+#: secant points on a fold's bracket before the last one is taken
+_MAX_FOLD_SECANTS = 6
+#: a requested c this close to the disc curvature, relative, starts the sweep
+_DISC_SNAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,7 +106,12 @@ class Sigma0Solution:
 
 @dataclass(frozen=True)
 class FamilyMember:
-    """Fixed-boundary family member at spontaneous curvature c."""
+    """Fixed-boundary family member at spontaneous curvature c.
+
+    ``jacobian`` is d(r, z)(L)/d(c, z_o, L) at the member; its null vector
+    is the tangent of the family there.  ``previous`` is (c, z_o, L) of the
+    member or disc this one was continued from, or None.
+    """
 
     c: float
     z_o: float
@@ -83,26 +120,43 @@ class FamilyMember:
     match_residual: float
     circle: BoundaryCircle
     left_admissible_region: bool
+    jacobian: np.ndarray | None = field(default=None, repr=False, compare=False)
+    previous: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class FamilySweep:
-    """Result of a family sweep: converged members plus failure records."""
+    """Result of a family sweep: converged members plus failure records.
+
+    ``tangent`` is the unit tangent of the family at the tangential disc in
+    scaled y = (c, z_o, L) / (|c0|, |z0|, ell0), oriented toward larger c;
+    ``folds`` maps "above" and "below" to the first fold c* met walking
+    that way from the disc toward the requested curvatures, or None.
+    """
 
     members: list
     failures: list
+    tangent: np.ndarray | None = None
+    folds: dict = field(default_factory=lambda: {"above": None, "below": None})
+
+    def beyond_fold(self, c, c0):
+        """True iff c lies past the fold met on its side of c0."""
+        side = "above" if c > c0 else "below"
+        fold = self.folds[side]
+        return fold is not None and (c - fold) * (c - c0) > 0.0
 
 
-def _newton(residual, x, jacobian, tol, trace, what):
+def _newton(residual, x, jacobian, tol, trace, what, first=None):
     """Damped Newton iteration with step halving (Deuflhard 2004).
 
     ``residual(x)`` returns ``(F, aux)``, or None for an infeasible iterate;
-    ``jacobian(x, F, aux)`` returns dF/dx, or None.  A step is halved until
-    the max-norm of F decreases.  Accepted iterates go to ``trace`` as
+    ``jacobian(x, F, aux)`` returns dF/dx, or None.  ``first``, if given,
+    is ``residual(x)`` already evaluated.  A step is halved until the
+    max-norm of F decreases.  Accepted iterates go to ``trace`` as
     ``(tuple(x), norm)``.  Returns ``(x, aux, norm)`` once the norm is below
     ``tol``; otherwise raises NoConvergence naming ``what``.
     """
-    out = residual(x)
+    out = residual(x) if first is None else first
     if out is None:
         raise NoConvergence(f"{what} start infeasible", trace)
     F, aux = out
@@ -222,15 +276,36 @@ def shoot_sigma0(circle, seed=None):
     )
 
 
-def _member_problem(c, circle, runs):
-    """Residual and Jacobian over (z_o, L) for the member at curvature c.
+def _endpoint_jacobian(curve, phi_end, length):
+    """d(r, z)(L)/d(c, z_o, L) of a curve integrated with its z_o variation.
 
-    ``runs[0]`` counts the integrations the residual starts.
+    The z_o-column is the co-integrated variation and the L-column the curve
+    velocity (-cos phi, -sin phi).  Scale equivariance, (r, z)(mu L; c/mu,
+    mu z_o) = mu (r, z)(L; c, z_o), differentiated at mu = 1 gives the
+    c-column from the other two: c d(r, z)/dc = L d(r, z)/dL +
+    z_o d(r, z)/dz_o - (r, z).
+    """
+    dr_z, dz_z, _ = curve.variation_at(length)
+    r, z, _ = curve.state_at(length)
+    c, z_o = curve.params.c_o, curve.params.z_o
+    dr_l, dz_l = -math.cos(phi_end), -math.sin(phi_end)
+    dr_c = (length * dr_l + z_o * dr_z - r) / c
+    dz_c = (length * dz_l + z_o * dz_z - z) / c
+    return np.array([[dr_c, dr_z, dr_l], [dz_c, dz_z, dz_l]])
+
+
+def _branch_problem(circle, runs):
+    """Residual and Jacobian over x = (c, z_o, L) of the fixed-boundary family.
+
+    The residual is the endpoint mismatch (r, z)(L) - (R, Z) of the profile
+    (c, z_o), with aux (curve, phi(L)).  All three Jacobian columns come
+    with the residual's integration (``_endpoint_jacobian``).  ``runs[0]``
+    counts the integrations the residual starts.
     """
 
     def residual(x):
-        z_o, length = x
-        if not (-math.inf < z_o < 0.0 < length < math.inf):
+        c, z_o, length = x
+        if not (0.0 < c < math.inf and -math.inf < z_o < 0.0 < length < math.inf):
             return None
         runs[0] += 1
         try:
@@ -246,15 +321,118 @@ def _member_problem(c, circle, runs):
         return _match(circle, curve, length)
 
     def jacobian(x, F, aux):
-        curve, phi_end = aux
-        dr, dz, _ = curve.variation_at(x[1])
-        # d endpoint / dL is the curve velocity (-cos phi, -sin phi)
-        return np.array([[dr, -math.cos(phi_end)], [dz, -math.sin(phi_end)]])
+        return _endpoint_jacobian(*aux, x[2])
 
     return residual, jacobian
 
 
-def shoot_family_member(c, circle, seed):
+def _member_problem(c, circle, runs):
+    """``_branch_problem`` at fixed curvature c, over (z_o, L)."""
+    branch_residual, branch_jacobian = _branch_problem(circle, runs)
+
+    def residual(x):
+        return branch_residual((c, x[0], x[1]))
+
+    def jacobian(x, F, aux):
+        return branch_jacobian((c, x[0], x[1]), F, aux)[:, 1:]
+
+    return residual, jacobian
+
+
+def _tangent(J, scale):
+    """Unit null vector of the 2x3 Jacobian J in scaled y = x / scale.
+
+    The cross product of the rows of J diag(scale) spans its null space;
+    the caller orients it.
+    """
+    t = np.cross(J[0] * scale, J[1] * scale)
+    return t / np.linalg.norm(t)
+
+
+def _state(member):
+    """(c, z_o, L) of a family member."""
+    return np.array([member.c, member.z_o, member.curve.ell])
+
+
+def _member(x, aux, norm, circle, previous):
+    c, z_o, _ = (float(v) for v in x)
+    curve, phi_end = aux
+    return FamilyMember(
+        c=c,
+        z_o=z_o,
+        curve=curve,
+        contact_angle=float(phi_end),
+        match_residual=norm,
+        circle=circle,
+        left_admissible_region=not ModelParams(c, z_o).sigma0_admissible,
+        jacobian=_endpoint_jacobian(curve, phi_end, x[2]),
+        previous=previous,
+    )
+
+
+def _oriented(J, scale, t_ref):
+    """``_tangent`` of J with the sign of t_ref's direction."""
+    t = _tangent(J, scale)
+    return t if t @ t_ref >= 0.0 else -t
+
+
+def _bend(member, t, scale):
+    """Curvature vector d^2 y/ds^2 of the family at ``member``, or None.
+
+    It is the one of the parabola y + h t + h^2 bend / 2 through the member
+    along its tangent t that also passes through ``member.previous``.
+    """
+    if member.previous is None:
+        return None
+    dy = (np.array(member.previous) - _state(member)) / scale
+    h = float(t @ dy)
+    # the rounding of dy, about 1e-16, would enter the bend as 1e-16 / h^2
+    if abs(h) < _MIN_BEND_STEP:
+        return None
+    return 2.0 * (dy - h * t) / (h * h)
+
+
+class _LandingDeclined(NoConvergence):
+    """A member's predicted point lies too far along the family to solve at
+    fixed c from it, or near or past a fold.
+
+    Carries the last converged member ``base`` and, when it was evaluated,
+    the predicted (c, z_o, L) ``x`` with its residual ``out``, from which a
+    pseudo-arclength walk can start.
+    """
+
+    def __init__(self, message, trace, base, x=None, out=None):
+        super().__init__(message, trace)
+        self.base, self.x, self.out = base, x, out
+
+
+def _predict(base, c, scale):
+    """Predicted (z_o, L) at c on the parabola of the family through ``base``.
+
+    Returns ``(z_o, L, h, ratio)``: the step h in scaled arclength and the
+    share of the tangent's c-component left at the predicted point on that
+    parabola (1 on a straight line; 0 at its fold, where the c-equation has
+    no root and the linear step is returned).
+    """
+    t = _tangent(base.jacobian, scale)
+    bend = _bend(base, t, scale)
+    dy_c = (c - base.c) / scale[0]
+    h = dy_c / t[0]
+    ratio = 1.0
+    y = _state(base) / scale
+    if bend is not None:
+        root = t[0] * t[0] + 2.0 * bend[0] * dy_c
+        if root > 0.0:
+            h = 2.0 * dy_c / (t[0] + math.copysign(math.sqrt(root), t[0]))
+            ratio = 1.0 + h * bend[0] / t[0]
+            y = y + 0.5 * h * h * bend
+        else:
+            ratio = 0.0
+    y = y + h * t
+    return y[1] * scale[1], y[2] * scale[2], h, ratio
+
+
+def shoot_family_member(c, circle, seed, *, fold_check=False):
     """Family member at curvature c through the circle, seeded by continuation.
 
     Newton iteration on (z_o, L) for the two conditions r(L) = R, z(L) = Z.
@@ -266,68 +444,304 @@ def shoot_family_member(c, circle, seed):
     The (z_o, L) problem at fixed c has multiple solutions away from the
     seed; to return the continuation-connected member the solve walks from
     the seed curvature in sub-steps of at most ``_SUB_STEP`` times the seed
-    curvature and re-seeds each step from the last.  Convergence is declared
-    below ``_match_tol(circle)``; a NoConvergence message ends with the
-    sub-step curvature and the integrations done.
+    curvature and re-seeds each step from the last.  Each step starts from
+    the predictor along the family's tangent at the last member (the null
+    vector of its (c, z_o, L) Jacobian), bent onto the parabola that also
+    passes through the member before it (``_predict``); a tangential-disc
+    seed has no Jacobian, so the first step from it starts at the disc.
+    With ``fold_check`` a step raises ``_LandingDeclined`` instead of
+    solving when it is longer than ``_MAX_LAND_STEP`` in scaled arclength or
+    when its predicted point keeps less than ``_LAND_RATIO`` of the last
+    member's tangent c-component, on the parabola or at the evaluated
+    point: the step would reach near or past a fold.  Convergence is
+    declared below ``_match_tol(circle)``; a NoConvergence message ends with
+    the sub-step curvature and the integrations done.
     """
     disc = isinstance(seed, Sigma0Solution)
     c_seed, z_o = (seed.params.c_o, seed.params.z_o) if disc else (seed.c, seed.z_o)
+    base = None if disc else seed
     max_step = _SUB_STEP * abs(c_seed)
     gap = abs(c - c_seed)
     n_sub = int(math.ceil(gap / max_step)) if gap > max_step else 1
-    curve = seed.curve
+    length = seed.curve.ell
+    previous = (c_seed, z_o, length)
     tol = _match_tol(circle)
     trace = []
     runs = [0]
+
+    def done(c_step):
+        return f"c = {c_step:.10g}, {runs[0]} integrations done"
+
+    def declined(c_step, h, ratio, x=None, out=None):
+        return _LandingDeclined(
+            f"member landing declined: a step of {abs(h):.3g} in scaled "
+            f"arclength keeps {ratio:.3g} of the tangent's c-component "
+            f"({done(c_step)})",
+            trace, base, x, out,
+        )
+
     for c_step in np.linspace(c_seed, c, n_sub + 1)[1:].tolist():
         residual, jacobian = _member_problem(c_step, circle, runs)
+        x = np.array([z_o, length])
+        first = None
+        if base is not None:
+            scale = np.abs(_state(base))
+            z_p, l_p, h, ratio = _predict(base, c_step, scale)
+            if fold_check and not (ratio >= _LAND_RATIO and abs(h) <= _MAX_LAND_STEP):
+                raise declined(c_step, h, ratio)
+            first = residual((z_p, l_p))
+            if fold_check:
+                ratio = math.nan
+                if first is not None:
+                    t_base = _tangent(base.jacobian, scale)
+                    t_pred = _oriented(
+                        _endpoint_jacobian(*first[1], l_p), scale, t_base
+                    )
+                    ratio = t_pred[0] / t_base[0]
+                if not ratio >= _LAND_RATIO:
+                    raise declined(c_step, h, ratio, np.array([c_step, z_p, l_p]), first)
+            if first is not None:
+                # an infeasible prediction falls back to the last member
+                x = np.array([z_p, l_p])
         try:
-            x, (curve, phi_end), norm = _newton(
-                residual, np.array([z_o, curve.ell]), jacobian, tol, trace, "member"
+            x, aux, norm = _newton(
+                residual, x, jacobian, tol, trace, "member", first=first
             )
         except NoConvergence as exc:
-            done = f"c = {c_step:.10g}, {runs[0]} integrations done"
-            raise NoConvergence(f"{exc} ({done})", trace) from None
-        z_o = float(x[0])
-    return FamilyMember(
-        c=c_step,
-        z_o=z_o,
-        curve=curve,
-        contact_angle=float(phi_end),
-        match_residual=norm,
-        circle=circle,
-        left_admissible_region=not ModelParams(c_step, z_o).sigma0_admissible,
+            raise NoConvergence(f"{exc} ({done(c_step)})", trace) from None
+        z_o, length = (float(v) for v in x)
+        base = _member((c_step, z_o, length), aux, norm, circle, previous)
+        previous = (c_step, z_o, length)
+    return base
+
+
+def _arc_step(circle, runs, base, t_base, scale, ds, trace, bend=None, start=None):
+    """Pseudo-arclength step of length ds from ``base`` along ``t_base``.
+
+    Newton solves F(x) = 0 with the row t_base . (y - y_base) = ds in
+    scaled y = x / scale (Keller 1977).  It starts from the predictor
+    y_base + ds t_base + ds^2 bend / 2, with ``bend`` an estimate of the
+    family's curvature vector d^2 y/ds^2 (or none), or from ``start``, a
+    point x with its residual already evaluated.  The arclength row is
+    weighed by the disc length so that it is measured in lengths, like the
+    endpoint mismatch.  Returns the member and the predictor's distance
+    from it in y.
+    """
+    residual, jacobian = _branch_problem(circle, runs)
+    x_base = _state(base)
+    y_base = x_base / scale
+    weight = scale[2]
+
+    def extended(x, out):
+        if out is None:
+            return None
+        F, aux = out
+        return np.append(F, weight * (t_base @ (x / scale - y_base) - ds)), aux
+
+    def extended_jacobian(x, G, aux):
+        return np.vstack([jacobian(x, G, aux), weight * t_base / scale])
+
+    first = None
+    if start is not None:
+        x, out = start
+        first = extended(x, out)
+    else:
+        y = y_base + ds * t_base
+        if bend is not None:
+            y = y + 0.5 * ds * ds * bend
+        x = y * scale
+    x_pred = x
+    x, aux, norm = _newton(
+        lambda x: extended(x, residual(x)), x, extended_jacobian,
+        _match_tol(circle), trace, "arclength", first=first,
     )
+    miss = float(np.linalg.norm((x - x_pred) / scale))
+    return _member(x, aux, norm, circle, tuple(x_base)), miss
+
+
+def _walk(circle, ahead, c, side, scale):
+    """Pseudo-arclength walk from ``ahead.base`` until c or a fold is passed.
+
+    ``side`` is +1 walking toward larger c, -1 toward smaller.  The
+    predictor of each step is quadratic, with the family's curvature vector
+    from the parabola through the last two members (``_bend``), or for the
+    first step without one, from the turn of the tangent between
+    ``ahead.base`` and the predicted point of ``ahead``.  That point is the
+    first step's own predictor, and its residual is reused, when it lies
+    within the step length.  The step length follows the predictor's miss
+    of the family, aiming at ``_ARC_DEVIATION``, within ``_MAX_ARC_STEP``;
+    a failed corrector halves it.  Returns ``(seed, fold)``: the member to
+    land c from (the nearer of the two that bracket it) or the last one
+    before the fold, and the fold curvature c* or None.  A sign change of
+    the tangent's c-component between two members brackets the fold;
+    ``_locate_fold`` finds c* by secant.
+    """
+    runs = [0]
+    trace = []
+    base = ahead.base
+    t_base = _tangent(base.jacobian, scale)
+    t_base *= math.copysign(1.0, side * t_base[0])
+    bend = _bend(base, t_base, scale)
+    start = None
+    ds_pred = 0.0
+    if ahead.out is not None:
+        ds_pred = float(t_base @ ((ahead.x - _state(base)) / scale))
+        if bend is None and ds_pred > 0.0:
+            t_pred = _oriented(_endpoint_jacobian(*ahead.out[1], ahead.x[2]), scale, t_base)
+            bend = (t_pred - t_base) / ds_pred
+    # the first step is sized as if its predictor were linear, straying
+    # |bend| ds^2 / 2 from the family
+    ds = _MAX_ARC_STEP / 8.0
+    if bend is not None:
+        ds = min(_MAX_ARC_STEP, math.sqrt(2.0 * _ARC_DEVIATION / np.linalg.norm(bend)))
+    if 0.0 < ds_pred <= ds:
+        ds, start = ds_pred, (ahead.x, ahead.out)
+    for _ in range(_MAX_ARC_STEPS):
+        try:
+            point, miss = _arc_step(
+                circle, runs, base, t_base, scale, ds, trace, bend, start
+            )
+        except NoConvergence:
+            ds *= 0.5
+            start = None
+            continue
+        start = None
+        t_point = _oriented(point.jacobian, scale, t_base)
+        if side * t_point[0] <= 0.0:
+            fold = _locate_fold(
+                circle, runs, base, t_base, point, t_point, ds, scale, trace
+            )
+            return base, fold
+        if side * (point.c - c) >= 0.0:
+            return (point if abs(point.c - c) < abs(base.c - c) else base), None
+        bend = (t_point - t_base) / ds
+        # a quadratic predictor misses by O(ds^3)
+        grow = (_ARC_DEVIATION / max(miss, 1e-300)) ** (1.0 / 3.0)
+        step = min(ds * min(grow, 2.0), _MAX_ARC_STEP)
+        # step just past a fold that the secant of t_c puts within reach
+        if t_point[0] * side < t_base[0] * side:
+            to_fold = ds * t_point[0] / (t_base[0] - t_point[0])
+            step = min(step, _PAST_FOLD * to_fold)
+        ds = step
+        base, t_base = point, t_point
+    raise NoConvergence(
+        f"arclength walk did not pass c = {c:.10g} in {_MAX_ARC_STEPS} steps "
+        f"({runs[0]} integrations done)",
+        trace,
+    )
+
+
+def _locate_fold(circle, runs, base, t_base, end, t_end, ds, scale, trace):
+    """c* of the fold between ``base`` and ``end``, a step ds along ``t_base``.
+
+    The tangent's c-component t_c changes sign over the step.  Its secant
+    root in arclength is corrected onto the family, and the bracket is
+    narrowed to it (regula falsi) until |t_c| there is at most
+    ``_FOLD_SLOPE``; a secant point whose corrector fails is replaced by
+    the bracket's midpoint.  The quadratic model of c through the last
+    point, with the curvature dt_c/ds of the last bracket, then gives c*.
+    Raises NoConvergence naming the bracket when neither point converges
+    or ``_MAX_FOLD_SECANTS`` points leave |t_c| above ``_FOLD_SLOPE``.
+    """
+    bend = (t_end - t_base) / ds
+    (s_a, t_a, c_a), (s_b, t_b, c_b) = (0.0, t_base[0], base.c), (ds, t_end[0], end.c)
+
+    def unlocated(why):
+        return NoConvergence(
+            f"fold between c = {c_a:.10g} and {c_b:.10g} not located: {why} "
+            f"({runs[0]} integrations done)",
+            trace,
+        )
+
+    for _ in range(_MAX_FOLD_SECANTS):
+        s_secant = s_a + (s_b - s_a) * t_a / (t_a - t_b)
+        for s_fold in (s_secant, 0.5 * (s_a + s_b)):
+            try:
+                point, _ = _arc_step(circle, runs, base, t_base, scale, s_fold, trace, bend)
+                break
+            except NoConvergence:
+                pass
+        else:
+            raise unlocated("the corrector failed at the secant point and the midpoint")
+        t_c = _oriented(point.jacobian, scale, t_base)[0]
+        curvature = (t_b - t_a) / (s_b - s_a)
+        if abs(t_c) <= _FOLD_SLOPE:
+            return float(point.c - scale[0] * t_c * t_c / (2.0 * curvature))
+        if (t_c > 0.0) == (t_a > 0.0):
+            s_a, t_a, c_a = s_fold, t_c, point.c
+        else:
+            s_b, t_b, c_b = s_fold, t_c, point.c
+    raise unlocated(f"|t_c| = {abs(t_c):.3e} after {_MAX_FOLD_SECANTS} secant points")
 
 
 def family_sweep(circle, c_min, c_max, n, *, sigma0=None):
     """n members by continuation outward from the tangential disc.
 
     The c grid is uniform on [c_min, c_max], which must bracket the
-    tangential-disc curvature.  Failures are recorded per member and do not
-    abort the sweep; members are returned sorted by c.
+    tangential-disc curvature c0.  The sweep starts from the member at c0
+    (at the grid point within ``_DISC_SNAP`` of it, if any), whose Jacobian
+    gives the family's tangent, and goes out each way.  Each requested c is
+    landed through ``shoot_family_member`` from the last member.  When the
+    landing is declined, as too long or near a fold (``_LandingDeclined``),
+    the family is followed by pseudo-arclength steps (``_walk``) until c is
+    passed, and c is landed from the step nearest it, or until a fold is
+    passed.  The c beyond a fold are recorded as failures ``beyond fold c* =
+    ...`` and not attempted; other failures are recorded per member and do
+    not abort the sweep.  Members are returned sorted by c.
     """
     if sigma0 is None:
         sigma0 = shoot_sigma0(circle)
     c0 = sigma0.params.c_o
     if not (c_min <= c0 <= c_max):
         raise ValueError("sweep range must bracket the tangential-disc curvature")
-    cs = np.linspace(c_min, c_max, n)
+    cs = np.linspace(c_min, c_max, n).tolist()
     members = {}
     failures = []
-    for direction in (1, -1):
-        seed = sigma0
-        order = np.argsort(direction * cs)
-        for idx in order:
-            c = float(cs[idx])
-            if direction * (c - c0) < 0 or idx in members:
-                continue
+    folds = {"above": None, "below": None}
+    near = min(range(n), key=lambda i: abs(cs[i] - c0))
+    c_start = cs[near] if abs(cs[near] - c0) <= _DISC_SNAP * c0 else c0
+    try:
+        start = shoot_family_member(c_start, circle, sigma0)
+    except NoConvergence as exc:
+        failures.extend((c, str(exc)) for c in cs)
+        return FamilySweep(members=[], failures=failures)
+    if c_start == cs[near]:
+        members[near] = start
+    scale = np.abs(_state(start))
+    tangent = _tangent(start.jacobian, scale)
+    tangent *= math.copysign(1.0, tangent[0])
+    for side, name in ((1, "above"), (-1, "below")):
+        pending = sorted(
+            (i for i in range(n) if side * (cs[i] - c_start) > 0.0),
+            key=lambda i: side * cs[i],
+        )
+        seed = start
+        for i in pending:
+            c = cs[i]
             try:
-                member = shoot_family_member(c, circle, seed)
+                member = None
+                if folds[name] is None:
+                    try:
+                        member = shoot_family_member(c, circle, seed, fold_check=True)
+                    except _LandingDeclined as ahead:
+                        seed, folds[name] = _walk(circle, ahead, c, side, scale)
+                if folds[name] is not None and side * (c - folds[name]) > 0.0:
+                    failures.append((c, f"beyond fold c* = {folds[name]:.10g}"))
+                    continue
+                if member is None:
+                    member = shoot_family_member(c, circle, seed)
             except NoConvergence as exc:
                 failures.append((c, str(exc)))
                 continue
-            members[idx] = member
+            members[i] = member
             seed = member
-    ordered = [members[i] for i in sorted(members)]
-    return FamilySweep(members=ordered, failures=failures)
+        if seed is not start:
+            # the other side's first predictor bends through this side's
+            # last member
+            start = replace(start, previous=tuple(_state(seed)))
+    return FamilySweep(
+        members=[members[i] for i in sorted(members)],
+        failures=failures,
+        tangent=tangent,
+        folds=folds,
+    )

@@ -17,12 +17,14 @@ from two meshes.
 Known structure used as cross-checks: the first mode-1 eigenvalue is zero
 with eigenfunction sin(phi) (horizontal translations), the mode-0 Dirichlet
 spectrum starts negative and avoids zero, and modes m >= 2 are positive.
-The certificate assembles these facts together with the family existence
-and the transversality scalar h_prime_boundary.
+The certificate assembles these facts together with the fixed-boundary
+family through the disc (a graph over the spontaneous curvature there,
+followed through the folds of ``shooting.family_sweep``) and the
+transversality scalar h_prime_boundary.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -36,10 +38,14 @@ from .shooting import family_sweep
 _GRADING = 1.5
 _GAUSS_PTS = 7
 _MIN_CELLS = 200
-#: condition (i): members over c0 * (1 -/+ halfwidth); the odd count puts one
-#: on the disc, and 2 % stays within one 3 % continuation sub-step
+#: condition (i): the family is followed over c0 * (1 -/+ halfwidth) with
+#: members at _FAMILY_POINTS curvatures; the odd count puts one on the disc
 _FAMILY_POINTS = 5
 _FAMILY_HALFWIDTH = 0.02
+#: condition (i): smallest |t_c| of the disc's unit tangent that makes the
+#: family a graph over c there; the tangent comes from variations held to
+#: 1e-6, and |t_c| lies between 0.035 and 0.62 on the benchmark's circles
+_MIN_DISC_SLOPE = 1e-3
 #: condition (ii): zero band over the first mode-1 gap; on the reference discs
 #: the zero eigenvalue is ~1e-12 of the gap and the next one >= 2e-2 of it
 _ZERO_BAND_FACTOR = 1e-6
@@ -89,7 +95,10 @@ class BifurcationCertificate:
     (i) a one-parameter fixed-boundary family exists through the tangential
     disc; (ii) the even-in-theta kernel of the linearization is one
     dimensional (a single zero eigenvalue, in mode 1); (iii) the
-    transversality scalar h_prime_boundary is nonzero.
+    transversality scalar h_prime_boundary is nonzero.  ``fold_c`` holds
+    the nearest fold curvature c* of the family above and below c0 within
+    the followed window, or None; ``disc_tangent`` is the family's unit
+    tangent at the disc in scaled (c, z_o, L) (see ``FamilySweep``).
     """
 
     kernel_dim_even: int
@@ -100,6 +109,8 @@ class BifurcationCertificate:
     conditions: dict
     verdict: str
     diagnostics: dict
+    fold_c: dict = field(default_factory=lambda: {"above": None, "below": None})
+    disc_tangent: tuple | None = None
 
 
 def _mode_grid(curve, n):
@@ -315,14 +326,22 @@ def kernel_residual_m1(curve):
 def certify(sigma0, lin=None, *, count=6, n=1536):
     """Assemble the bifurcation certificate on a tangential disc.
 
-    Condition (i) is witnessed by a successful ``_FAMILY_POINTS``-member
-    fixed-boundary family sweep across +/- ``_FAMILY_HALFWIDTH`` (relative)
-    in spontaneous curvature; condition (ii) by a single zero eigenvalue
-    (within ``_ZERO_BAND_FACTOR`` times the first mode-1 spectral gap)
-    across modes 0, 1, 2, located in mode 1; condition (iii) by the
-    transversality scalar h_prime_boundary exceeding 1000x the linear
-    solver tolerance.  Surfaces outside the tangential-disc parameter
-    region get verdict "not_applicable".
+    Condition (i) is witnessed by the fixed-boundary family through the
+    disc (``family_sweep`` over c0 (1 -/+ ``_FAMILY_HALFWIDTH``) at
+    ``_FAMILY_POINTS`` curvatures): the c-component t_c of its unit tangent
+    at the disc is at least ``_MIN_DISC_SLOPE`` in modulus, so the family is
+    a graph over c there, and it is followed each way to the window's end or
+    through the first fold, with every member matched below the shooting
+    tolerance.  Curvatures beyond a fold are not members of the family and
+    do not count against it; the folds go to ``fold_c``.  Condition (ii) is
+    a single zero eigenvalue (within ``_ZERO_BAND_FACTOR`` times the first
+    mode-1 spectral gap) across modes 0, 1, 2, located in mode 1;
+    ``m1_zero_residual``, that eigenvalue's modulus, is rounding of the
+    eigen solve (about 1e-10) and means only its size against
+    ``zero_band``.  Condition (iii) is the transversality scalar
+    h_prime_boundary exceeding 1000x the linear solver tolerance.  Surfaces
+    outside the tangential-disc parameter region get verdict
+    "not_applicable".
     """
     params = sigma0.params
     if not params.sigma0_admissible:
@@ -361,7 +380,17 @@ def certify(sigma0, lin=None, *, count=6, n=1536):
         _FAMILY_POINTS,
         sigma0=sigma0,
     )
-    cond_i = len(sweep.members) == _FAMILY_POINTS and not sweep.failures
+    beyond_fold = [c for c, _ in sweep.failures if sweep.beyond_fold(c, c0)]
+    family_failures = [f for f in sweep.failures if f[0] not in beyond_fold]
+    disc_tangent = None
+    if sweep.tangent is not None:
+        disc_tangent = tuple(float(v) for v in sweep.tangent)
+        if not abs(disc_tangent[0]) >= _MIN_DISC_SLOPE:
+            family_failures.insert(0, (c0, (
+                f"fold at the disc: |t_c| = {abs(disc_tangent[0]):.3e} is below "
+                f"{_MIN_DISC_SLOPE:g}"
+            )))
+    cond_i = disc_tangent is not None and not family_failures
 
     cond_ii = (
         kernel_dim_even == 1
@@ -388,8 +417,11 @@ def certify(sigma0, lin=None, *, count=6, n=1536):
             "near_zero_counts": near_zero,
             "eigenvalues": {m: e.eigenvalues.tolist() for m, e in eigs.items()},
             "family_count": len(sweep.members),
-            "family_failures": sweep.failures,
+            "family_failures": family_failures,
+            "beyond_fold": beyond_fold,
             "transversality_floor": transversality_floor,
             "mesh_cells": n,
         },
+        fold_c=dict(sweep.folds),
+        disc_tangent=disc_tangent,
     )

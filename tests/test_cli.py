@@ -64,6 +64,16 @@ def test_load_config_bad_value():
         load_config(command="trace", flag_pairs={"c_o": "two", "z_o": "-0.6"})
 
 
+@pytest.mark.parametrize(
+    "command, key",
+    [("trace", "c_o"), ("trace", "stop"), ("trace", "out"), ("eigen", "eigenfunctions")],
+)
+def test_load_config_none_value_names_the_key(command, key):
+    flags = {"c_o": "2", "z_o": "-0.6", key: None}
+    with pytest.raises(ParseError, match=f"bad value for '{key}': None"):
+        load_config(command=command, flag_pairs=flags)
+
+
 def test_load_config_empty_file_plus_flags(tmp_path):
     p = tmp_path / "empty.cfg"
     p.write_text("")
@@ -142,6 +152,17 @@ def test_cli_certify(tmp_path):
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["verdict"] == "pass"
     assert cert["conditions"] == {"i": True, "ii": True, "iii": True}
+
+
+def test_cli_certify_reports_the_fold(tmp_path):
+    out = tmp_path / "cert"
+    assert run_cli(["certify", "--R", "1.5", "--Z", "-2", "--n", "400",
+                    "--out", str(out)]) == 0
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["conditions"]["i"] is True
+    assert cert["fold_c"]["above"] > cert["sigma0"]["c_o"]
+    assert cert["fold_c"]["below"] is None
+    assert len(cert["disc_tangent"]) == 3
 
 
 def test_cli_eigen_with_functions(tmp_path):

@@ -322,3 +322,124 @@ def test_deepest_unit_disc_scales_inside_the_profile_bound(mu):
     t = -1.0 - math.exp(shooting_mod._U_MAX)
     check_scale(ModelParams(1.0, t))
     check_scale(ModelParams(1.0 / mu, mu * t))
+
+
+@pytest.mark.parametrize("R, Z", [(0.5, -3.0), (1.0, -2.0)])
+def test_member_jacobian_is_the_c_derivative(R, Z):
+    circle = BoundaryCircle(R, Z)
+    sig = shoot_sigma0(circle)
+    residual, jacobian = shooting_mod._branch_problem(circle, [0])
+    x = np.array([sig.params.c_o, sig.params.z_o, sig.curve.ell])
+    F, aux = residual(x)
+    column = jacobian(x, F, aux)[:, 0]
+    step = np.array([1e-5 * x[0], 0.0, 0.0])
+    central = (residual(x + step)[0] - residual(x - step)[0]) / (2.0 * step[0])
+    assert np.max(np.abs(column - central)) < 1e-7 * np.max(np.abs(column))
+
+
+@pytest.mark.parametrize("R, Z", [(0.5, -3.0), (1.5, -2.0)])
+def test_disc_tangent_slope_is_h_on_the_axis(R, Z):
+    # along the family, dz_o/dc at the disc is the response h at the axis
+    sig = shoot_sigma0(BoundaryCircle(R, Z))
+    c0 = sig.params.c_o
+    t = family_sweep(sig.circle, c0, c0, 1, sigma0=sig).tangent
+    assert t[0] > 0.0 and np.linalg.norm(t) == pytest.approx(1.0, rel=1e-14)
+    slope = t[1] * abs(sig.params.z_o) / (t[0] * c0)
+    assert slope == pytest.approx(float(solve_h(sig.curve).h_at(0.0)), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "R, Z, fold",
+    [(1.5, -2.0, 3.692e-3), (2.5, -2.0, 3.72e-4), (2.0, -1.5, 2.84e-4)],
+)
+def test_sweep_locates_the_fold_above_the_disc(R, Z, fold):
+    sig = shoot_sigma0(BoundaryCircle(R, Z))
+    c0 = sig.params.c_o
+    sw = family_sweep(sig.circle, 0.98 * c0, 1.02 * c0, 5, sigma0=sig)
+    assert sw.folds["above"] / c0 - 1.0 == pytest.approx(fold, abs=2e-6)
+    assert sw.folds["below"] is None
+    # the members above the fold are recorded, not attempted
+    assert [m.c for m in sw.members] == pytest.approx([0.98 * c0, 0.99 * c0, c0])
+    assert [c for c, _ in sw.failures] == pytest.approx([1.01 * c0, 1.02 * c0])
+    for c, why in sw.failures:
+        assert why == f"beyond fold c* = {sw.folds['above']:.10g}"
+        assert sw.beyond_fold(c, c0)
+
+
+def test_sweep_finds_no_fold_in_the_window_of_a_narrow_circle(circle053, sig053):
+    c0 = sig053.params.c_o
+    sw = family_sweep(circle053, 0.98 * c0, 1.02 * c0, 5, sigma0=sig053)
+    assert sw.folds == {"above": None, "below": None}
+    assert len(sw.members) == 5 and not sw.failures
+
+
+@pytest.mark.parametrize("mu", [0.25, 3.0])
+def test_fold_is_scale_invariant(mu):
+    folds = []
+    for scale in (1.0, mu):
+        sig = shoot_sigma0(BoundaryCircle(1.5 * scale, -2.0 * scale))
+        c0 = sig.params.c_o
+        sw = family_sweep(sig.circle, 0.98 * c0, 1.02 * c0, 5, sigma0=sig)
+        folds.append((sw.folds["above"], c0))
+    (fold, c0), (fold_mu, c0_mu) = folds
+    assert fold_mu / c0_mu == pytest.approx(fold / c0, rel=1e-9)
+    assert fold_mu == pytest.approx(fold / mu, rel=1e-9)
+
+
+@pytest.mark.parametrize("R, Z, budget", [(0.5, -3.0, 13), (1.5, -2.0, 20)])
+def test_sweep_integration_budget_through_folds(R, Z, budget, integrations):
+    sig = shoot_sigma0(BoundaryCircle(R, Z))
+    c0 = sig.params.c_o
+    integrations[0] = 0
+    sw = shooting_mod.family_sweep(sig.circle, 0.98 * c0, 1.02 * c0, 5, sigma0=sig)
+    assert len(sw.members) + len(sw.failures) == 5
+    assert integrations[0] <= budget
+
+
+def test_sweep_walks_a_long_gap_to_the_fold():
+    # one requested c at +70 %: the landing from the disc is too long, so
+    # the sweep walks, and finds the fold at +2.84e-4 instead of stalling
+    sig = shoot_sigma0(BoundaryCircle(2.0, -1.5))
+    c0 = sig.params.c_o
+    sw = family_sweep(sig.circle, c0, 1.7 * c0, 2, sigma0=sig)
+    assert sw.folds["above"] / c0 - 1.0 == pytest.approx(2.84e-4, abs=2e-6)
+    assert len(sw.members) == 1 and sw.members[0].c == c0
+    assert sw.failures == [(1.7 * c0, f"beyond fold c* = {sw.folds['above']:.10g}")]
+
+
+def test_fold_secant_budget_exhausted_names_the_bracket(monkeypatch):
+    # with no secant point close enough to the fold, the sweep reports the
+    # fold's bracket as a failure instead of an imprecise c*
+    monkeypatch.setattr(shooting_mod, "_MAX_FOLD_SECANTS", 1)
+    monkeypatch.setattr(shooting_mod, "_FOLD_SLOPE", 0.0)
+    sig = shoot_sigma0(BoundaryCircle(1.5, -2.0))
+    c0 = sig.params.c_o
+    sw = family_sweep(sig.circle, 0.98 * c0, 1.02 * c0, 5, sigma0=sig)
+    assert sw.folds["above"] is None
+    assert [c for c, _ in sw.failures] == pytest.approx([1.01 * c0, 1.02 * c0])
+    for _, why in sw.failures:
+        assert why.startswith("fold between c = ")
+        assert "not located: |t_c| = " in why and "after 1 secant points" in why
+
+
+def test_fold_secant_retries_a_failed_corrector_at_the_midpoint(monkeypatch):
+    arc_step, locate_fold = shooting_mod._arc_step, shooting_mod._locate_fold
+    failed = []
+
+    def locate(*args):
+        failed.append(False)
+        return locate_fold(*args)
+
+    def flaky(*args, **kwargs):
+        if failed == [False]:
+            failed[0] = True
+            raise NoConvergence("arclength damping stalled", [])
+        return arc_step(*args, **kwargs)
+
+    monkeypatch.setattr(shooting_mod, "_locate_fold", locate)
+    monkeypatch.setattr(shooting_mod, "_arc_step", flaky)
+    sig = shoot_sigma0(BoundaryCircle(1.5, -2.0))
+    c0 = sig.params.c_o
+    sw = family_sweep(sig.circle, 0.98 * c0, 1.02 * c0, 5, sigma0=sig)
+    assert failed == [True]
+    assert sw.folds["above"] / c0 - 1.0 == pytest.approx(3.692e-3, abs=2e-6)

@@ -189,6 +189,28 @@ def test_certificate_scaling_invariance(sig053, lin053):
     assert b.h_prime_boundary == pytest.approx(mu * a.h_prime_boundary, rel=1e-8)
 
 
+def test_certificate_condition_i_holds_through_the_fold():
+    sig = shoot_sigma0(BoundaryCircle(1.5, -2.0))
+    cert = certify(sig, solve_h(sig.curve), n=400)
+    assert cert.conditions["i"] and cert.verdict == "pass"
+    c0 = sig.params.c_o
+    assert cert.fold_c["above"] / c0 - 1.0 == pytest.approx(3.692e-3, abs=2e-6)
+    assert cert.fold_c["below"] is None
+    assert cert.diagnostics["family_failures"] == []
+    assert cert.diagnostics["beyond_fold"] == pytest.approx([1.01 * c0, 1.02 * c0])
+    assert cert.diagnostics["family_count"] == 3
+    assert cert.disc_tangent[0] >= spectral._MIN_DISC_SLOPE
+
+
+def test_certificate_names_a_fold_at_the_disc(sig053, lin053, monkeypatch):
+    monkeypatch.setattr(spectral, "_MIN_DISC_SLOPE", 0.9)
+    cert = certify(sig053, lin053, n=400)
+    assert not cert.conditions["i"] and cert.verdict == "fail"
+    c, why = cert.diagnostics["family_failures"][0]
+    assert c == sig053.params.c_o
+    assert why == f"fold at the disc: |t_c| = {cert.disc_tangent[0]:.3e} is below 0.9"
+
+
 # ------------------------------------------------- one sampling for all modes
 
 
