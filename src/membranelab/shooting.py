@@ -686,8 +686,11 @@ def family_sweep(circle, c_min, c_max, n, *, sigma0=None):
     the family is followed by pseudo-arclength steps (``_walk``) until c is
     passed, and c is landed from the step nearest it, or until a fold is
     passed.  The c beyond a fold are recorded as failures ``beyond fold c* =
-    ...`` and not attempted; other failures are recorded per member and do
-    not abort the sweep.  Members are returned sorted by c.
+    ...`` and not attempted.  A walk that fails is not repeated: its message
+    is recorded for its c and for every later c on that side, which would
+    walk from the same member over the same stretch.  Other failures are
+    recorded per member and do not abort the sweep.  Members are returned
+    sorted by c.
     """
     if sigma0 is None:
         sigma0 = shoot_sigma0(circle)
@@ -716,15 +719,23 @@ def family_sweep(circle, c_min, c_max, n, *, sigma0=None):
             key=lambda i: side * cs[i],
         )
         seed = start
+        walk_failure = None
         for i in pending:
             c = cs[i]
+            if walk_failure is not None:
+                failures.append((c, walk_failure))
+                continue
             try:
                 member = None
                 if folds[name] is None:
                     try:
                         member = shoot_family_member(c, circle, seed, fold_check=True)
                     except _LandingDeclined as ahead:
-                        seed, folds[name] = _walk(circle, ahead, c, side, scale)
+                        try:
+                            seed, folds[name] = _walk(circle, ahead, c, side, scale)
+                        except NoConvergence as exc:
+                            walk_failure = str(exc)
+                            raise
                 if folds[name] is not None and side * (c - folds[name]) > 0.0:
                     failures.append((c, f"beyond fold c* = {folds[name]:.10g}"))
                     continue

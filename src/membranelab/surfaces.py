@@ -19,6 +19,13 @@ significant digits, all outputs deterministic functions of their inputs, and
 every write failure raised as IoFailure.  CSV and OBJ rows go through one
 writer, ``_write_rows``, which formats and writes ``_BLOCK_ROWS`` rows at a
 time, so no file is ever held in memory as text.
+
+Building, checking and writing a mesh take at most about one block of
+memory beyond the mesh's own arrays (and, for the edge count, its key
+array): vertices and faces are computed in place in their final arrays, the
+degeneracy guard takes the minimum triangle area ``_BLOCK_ROWS`` faces at a
+time, the edge keys are filled ``_BLOCK_ROWS`` faces at a time, and the OBJ
+writer adds the 1 of the 1-based face indices block by block.
 """
 
 import json
@@ -53,28 +60,30 @@ class SurfaceMesh:
     def edge_count(self):
         # each undirected edge (lo, hi) as the single key lo * n + hi; a sort
         # and a count of the steps between neighbours is far cheaper than
-        # np.unique, with or without axis=0
+        # np.unique, with or without axis=0.  The keys are filled in place
+        # ``_BLOCK_ROWS`` faces at a time, so the one key array is all the
+        # memory it takes beyond a block.
         n = self.vertices.shape[0]
-        a, b, c = self.faces.astype(np.int64, copy=False).T
-        keys = np.concatenate(
-            [
-                np.minimum(p, q) * n + np.maximum(p, q)
-                for p, q in ((a, b), (b, c), (c, a))
-            ]
-        )
+        faces = self.faces.astype(np.int64, copy=False)
+        keys = np.empty((3, faces.shape[0]), dtype=np.int64)
+        for start in range(0, faces.shape[0], _BLOCK_ROWS):
+            block = faces[start : start + _BLOCK_ROWS]
+            rows = keys[:, start : start + _BLOCK_ROWS]
+            for row, (p, q) in zip(rows, ((0, 1), (1, 2), (2, 0))):
+                np.minimum(block[:, p], block[:, q], out=row)
+                row *= n
+                row += np.maximum(block[:, p], block[:, q])
+        keys = keys.ravel()
         if keys.size == 0:
             return 0
         keys.sort()
-        return 1 + int(np.count_nonzero(np.diff(keys)))
+        return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
     def euler_characteristic(self):
         return self.vertices.shape[0] - self.edge_count() + self.faces.shape[0]
 
     def triangle_areas(self):
-        p = self.vertices
-        a = p[self.faces[:, 1]] - p[self.faces[:, 0]]
-        b = p[self.faces[:, 2]] - p[self.faces[:, 0]]
-        return 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
+        return _triangle_areas(self.vertices, self.faces)
 
     def area(self):
         return float(self.triangle_areas().sum())
@@ -83,6 +92,20 @@ class SurfaceMesh:
         """Vertices of the last ring (the boundary circle)."""
         n_theta = self.meta["n_theta"]
         return np.arange(self.vertices.shape[0] - n_theta, self.vertices.shape[0])
+
+
+def _triangle_areas(vertices, faces):
+    a = vertices[faces[:, 1]] - vertices[faces[:, 0]]
+    b = vertices[faces[:, 2]] - vertices[faces[:, 0]]
+    return 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
+
+
+def _min_triangle_area(mesh):
+    """``mesh.triangle_areas().min()``, bit for bit, ``_BLOCK_ROWS`` faces at a time."""
+    return min(
+        _triangle_areas(mesh.vertices, mesh.faces[start : start + _BLOCK_ROWS]).min()
+        for start in range(0, mesh.faces.shape[0], _BLOCK_ROWS)
+    )
 
 
 @dataclass(frozen=True)
@@ -110,15 +133,20 @@ def _disc_faces(n_theta, n_rings):
     """Apex fan, then two triangles per quad ring by ring, as int64 rows.
 
     Quad j between rings a and b = a + n_theta gives (a+j, b+j, b+jn) and
-    (a+j, b+jn, a+jn) with jn = (j + 1) mod n_theta, in that order.
+    (a+j, b+jn, a+jn) with jn = (j + 1) mod n_theta, in that order.  Every
+    column is written in place into the one (n_faces, 3) array.
     """
     j = np.arange(n_theta, dtype=np.int64)
     jn = (j + 1) % n_theta
-    fan = np.stack([np.zeros_like(j), 1 + j, 1 + jn], axis=1)
+    faces = np.empty((n_theta * (2 * n_rings - 1), 3), dtype=np.int64)
+    faces[:n_theta] = np.stack([np.zeros_like(j), 1 + j, 1 + jn], axis=1)
+    # row i of quads holds the 2 n_theta faces between rings i and i + 1
+    quads = faces[n_theta:].reshape(n_rings - 1, n_theta, 6)
     a = (1 + n_theta * np.arange(n_rings - 1, dtype=np.int64))[:, None]
     b = a + n_theta
-    quads = np.stack([a + j, b + j, b + jn, a + j, b + jn, a + jn], axis=-1)
-    return np.concatenate([fan, quads.reshape(-1, 3)])
+    for k, (ring, col) in enumerate(((a, j), (b, j), (b, jn), (a, j), (b, jn), (a, jn))):
+        np.add(ring, col, out=quads[..., k])
+    return faces
 
 
 def check_mesh_size(n_theta, n_profile):
@@ -154,12 +182,17 @@ def _assemble(curve, n_theta, n_profile, scalar_field, kind, amplitude):
     d = field[1:]  # (n_rings, n_theta)
     nr = np.sin(phi[1:])[:, None]
     nz = -np.cos(phi[1:])[:, None]
-    rr = r[1:][:, None] + d * nr
-    zz = z[1:][:, None] + d * nz
-    verts[1:, 0] = (rr * cos_t[None, :]).ravel()
-    verts[1:, 1] = (rr * sin_t[None, :]).ravel()
-    verts[1:, 2] = np.broadcast_to(zz, (n_rings, n_theta)).ravel()
-    disp[1:] = d.ravel()
+    # the rings are computed in place in the vertex array: x holds the ring
+    # radii r + d nr until the radii are checked and turned into x and y
+    x, y, zz = np.moveaxis(verts[1:].reshape(n_rings, n_theta, 3), -1, 0)
+    np.multiply(d, nr, out=x)
+    x += r[1:][:, None]
+    min_radius = x.min()
+    np.multiply(x, sin_t[None, :], out=y)
+    x *= cos_t[None, :]
+    np.multiply(d, nz, out=zz)
+    zz += z[1:][:, None]
+    disp[1:].reshape(n_rings, n_theta)[...] = d
     mesh = SurfaceMesh(
         vertices=verts,
         faces=_disc_faces(n_theta, n_rings),
@@ -177,7 +210,7 @@ def _assemble(curve, n_theta, n_profile, scalar_field, kind, amplitude):
     r_b = float(r[-1])
     # folding through the axis makes rings collapse or invert before any
     # individual triangle area gets small, so guard the radii as well
-    if np.min(rr) <= 0.0 or mesh.triangle_areas().min() < 1e-12 * r_b * r_b:
+    if min_radius <= 0.0 or _min_triangle_area(mesh) < 1e-12 * r_b * r_b:
         raise AmplitudeTooLarge(
             "displacement degenerates the mesh (ring through the axis or "
             "triangle area below threshold)"
@@ -255,7 +288,7 @@ def export_csv(path, header, columns, kind):
     """CSV of equal-length columns under ``header``; empty columns give the header."""
     rows = np.column_stack([np.atleast_1d(col) for col in columns])
     row = ",".join([_FMT] * rows.shape[1]) + "\n"
-    _write_rows(path, header + "\n", [(row, rows)])
+    _write_rows(path, header + "\n", [(row, rows, 0)])
     return ArtifactEntry(kind=kind, format="csv", path=str(path))
 
 
@@ -277,7 +310,8 @@ def read_profile_csv(path):
 
 def export_mesh_obj(mesh, path):
     vertex = "v " + " ".join([_FMT] * 3) + "\n"
-    _write_rows(path, "", [(vertex, mesh.vertices), ("f %d %d %d\n", mesh.faces + 1)])
+    faces = ("f %d %d %d\n", mesh.faces, 1)
+    _write_rows(path, "", [(vertex, mesh.vertices, 0), faces])
     return ArtifactEntry(kind="mesh", format="obj", path=str(path))
 
 
@@ -315,18 +349,22 @@ def export(artifact, format, path):
 
 
 def _write_rows(path, head, sections=()):
-    """Write ``head``, then the rows of each (row template, 2-D array) section.
+    """Write ``head``, then the rows of each (row template, 2-D array, offset).
 
     Rows go out ``_BLOCK_ROWS`` at a time: a block is formatted by one ``%``
     of the template repeated per row on the block's values as Python
-    numbers, so the file is never held in memory as text.
+    numbers, plus the section's integer ``offset`` when it is not 0, so
+    neither the file's text nor a shifted copy of the array is ever held in
+    memory whole.
     """
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(head)
-            for row, array in sections:
+            for row, array, offset in sections:
                 for start in range(0, array.shape[0], _BLOCK_ROWS):
                     block = array[start : start + _BLOCK_ROWS]
+                    if offset:
+                        block = block + offset
                     fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc

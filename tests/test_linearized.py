@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from membranelab import (
+    BoundaryCircle,
     ModelParams,
     extended_rhs,
     family_derivative_check,
@@ -15,7 +17,7 @@ from membranelab import (
     solve_axisymmetric_kernel,
     solve_h,
 )
-from membranelab.errors import AxisSingularity
+from membranelab.errors import AxisSingularity, NoConvergence
 from membranelab.linearized import (
     _extended_rhs_tau,
     linearized_coeffs,
@@ -269,6 +271,20 @@ def test_family_derivative_check(circle053, sig053, lin053):
     assert chk.observed_order >= 1.8
     # the displacement vanishes at the shared boundary point
     assert abs(chk.derivative[0]) < 1e-6
+
+
+def test_family_derivative_check_names_the_fold():
+    # the family through (2, -1.5) folds at c* = 1.746527, 4.95e-4 above c0,
+    # so c0 + 1e-3 has no member
+    with pytest.raises(NoConvergence, match="beyond the fold") as exc:
+        family_derivative_check(BoundaryCircle(2.0, -1.5), 1e-3)
+    c_star = float(re.search(r"c\* = ([0-9.]+)", str(exc.value)).group(1))
+    assert c_star == pytest.approx(1.746527, abs=2e-6)
+    assert "c = 1.74703155 " in str(exc.value)
+    # a circle whose family does not fold within delta still converges at
+    # second order
+    chk = family_derivative_check(BoundaryCircle(0.5, -3.0), 1e-3)
+    assert chk.observed_order == pytest.approx(2.0, abs=0.2)
 
 
 def test_family_derivative_error_grows_quadratically(circle053, sig053, lin053):

@@ -422,6 +422,47 @@ def test_fold_secant_budget_exhausted_names_the_bracket(monkeypatch):
         assert "not located: |t_c| = " in why and "after 1 secant points" in why
 
 
+def test_failed_fold_walk_is_not_repeated(monkeypatch):
+    # c0 (1 + 2 %) lies past the bracket the walk toward c0 (1 + 1 %) failed
+    # to locate; it is recorded with that walk's message, and nothing is
+    # integrated for it between that failure and the sweep's other side
+    monkeypatch.setattr(shooting_mod, "_MAX_FOLD_SECANTS", 1)
+    monkeypatch.setattr(shooting_mod, "_FOLD_SLOPE", 0.0)
+    integrate, walk = shooting_mod.integrate_profile, shooting_mod._walk
+    member = shooting_mod.shoot_family_member
+    calls = [0]
+    at_walk_failure, at_below = [], []
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return integrate(*args, **kwargs)
+
+    def walked(*args):
+        try:
+            return walk(*args)
+        except NoConvergence:
+            at_walk_failure.append(calls[0])
+            raise
+
+    def landed(c, circle, seed, **kwargs):
+        if c < c0 and not at_below:
+            at_below.append(calls[0])
+        return member(c, circle, seed, **kwargs)
+
+    sig = shoot_sigma0(BoundaryCircle(1.5, -2.0))
+    c0 = sig.params.c_o
+    monkeypatch.setattr(shooting_mod, "integrate_profile", counted)
+    monkeypatch.setattr(shooting_mod, "_walk", walked)
+    monkeypatch.setattr(shooting_mod, "shoot_family_member", landed)
+    sw = family_sweep(sig.circle, 0.98 * c0, 1.02 * c0, 5, sigma0=sig)
+    (c1, why1), (c2, why2) = sw.failures
+    assert (c1, c2) == pytest.approx([1.01 * c0, 1.02 * c0])
+    assert why1.startswith("fold between c = ") and why2 == why1
+    assert len(at_walk_failure) == 1
+    assert at_below == at_walk_failure
+    assert [m.c for m in sw.members] == pytest.approx([0.98 * c0, 0.99 * c0, c0])
+
+
 def test_fold_secant_retries_a_failed_corrector_at_the_midpoint(monkeypatch):
     arc_step, locate_fold = shooting_mod._arc_step, shooting_mod._locate_fold
     failed = []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from membranelab.surfaces import (
     read_profile_csv,
 )
 from membranelab._util import gauss_panels
+import membranelab.surfaces as surfaces_mod
 
 from _oracles import polyline_distance
 
@@ -200,6 +202,46 @@ def test_amplitude_guard(sig053, lin053):
         family_linear_mesh(sig053, lin053, 3.0, 32, 101)
 
 
+def test_blocked_guard_minimum_is_exact(sig053):
+    m = branch_linear_mesh(sig053, 0.15, 64, 200)
+    assert m.faces.shape[0] % _BLOCK_ROWS != 0 and m.faces.shape[0] > 2 * _BLOCK_ROWS
+    assert surfaces_mod._min_triangle_area(m) == m.triangle_areas().min()
+
+
+def test_guard_reads_the_last_partial_block(sig053, monkeypatch):
+    # 16 x 5 gives 112 faces, in blocks of 50, 50 and 12; the displacement
+    # moves vertex j = 15 of the last two rings to one point, so face 110,
+    # (a + 15, b + 15, b), has zero area
+    monkeypatch.setattr(surfaces_mod, "_BLOCK_ROWS", 50)
+    curve = sig053.curve
+
+    def collapse(taus, phi, thetas):
+        r, z, _ = curve.state_at(taus[-2:])
+        normals = np.array([np.sin(phi[-2:]), -np.cos(phi[-2:])])
+        gap = np.array([r[1] - r[0], z[1] - z[0]])
+        d_a, d_b = np.linalg.solve(normals * [1.0, -1.0], gap)
+        field = np.zeros((taus.size, thetas.size))
+        field[-2:, -1] = d_a, d_b
+        return field
+
+    with pytest.raises(AmplitudeTooLarge):
+        surfaces_mod._assemble(curve, 16, 5, collapse, "collapse", 1.0)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+def test_edge_count_across_blocks(sig053, monkeypatch, block_rows):
+    tetrahedron = SurfaceMesh(
+        vertices=np.eye(4)[:, :3].copy(),
+        faces=np.array([[0, 1, 2], [0, 3, 1], [1, 3, 2], [2, 3, 0]], dtype=np.int64),
+        displacement=np.zeros(4),
+        meta={},
+    )
+    discs = [revolve(sig053.curve, n_theta, n_profile) for n_theta, n_profile in [(16, 2), (17, 3), (32, 7)]]
+    monkeypatch.setattr(surfaces_mod, "_BLOCK_ROWS", block_rows)
+    for m in [tetrahedron] + discs:
+        assert m.edge_count() == _edge_set_count(m.faces)
+
+
 # ------------------------------------------------------------------ exports
 
 
@@ -317,3 +359,32 @@ def test_obj_and_csv_match_per_line_reference(tmp_path, sig053):
 def test_obj_io_failure(tmp_path, sig053):
     with pytest.raises(IoFailure):
         export_mesh_obj(revolve(sig053.curve, 16, 3), tmp_path / "nodir" / "x.obj")
+
+
+def _traced_rise(fn):
+    """(fn(), peak traced bytes during the call above those before it)."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    result = fn()
+    return result, tracemalloc.get_traced_memory()[1] - before
+
+
+def test_mesh_path_memory_is_bounded(tmp_path, curve26):
+    # building and checking a 256 x 1000 mesh takes little beyond its own
+    # 20.5 MB of arrays; the edge keys alone are 12.3 MB.  The OBJ writer
+    # holds one block of rows at a time, so writing a 64 x 1000 mesh (3 MB
+    # of faces) takes no more than a block's text and numbers.
+    curve26.state_at([0.0, curve26.ell])
+    small = revolve(curve26, 64, 1000)
+    tracemalloc.start()
+    try:
+        mesh, built = _traced_rise(lambda: revolve(curve26, 256, 1000))
+        own = mesh.vertices.nbytes + mesh.faces.nbytes + mesh.displacement.nbytes
+        chi, counted = _traced_rise(mesh.euler_characteristic)
+        _, written = _traced_rise(lambda: export_mesh_obj(small, tmp_path / "m.obj"))
+    finally:
+        tracemalloc.stop()
+    assert chi == 1
+    assert built - own < 20e6
+    assert counted < 20e6
+    assert small.faces.nbytes > 3e6 and written < 2e6
