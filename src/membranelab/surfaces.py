@@ -102,9 +102,13 @@ def _triangle_areas(vertices, faces):
 
 def _min_triangle_area(mesh):
     """``mesh.triangle_areas().min()``, bit for bit, ``_BLOCK_ROWS`` faces at a time."""
-    return min(
-        _triangle_areas(mesh.vertices, mesh.faces[start : start + _BLOCK_ROWS]).min()
-        for start in range(0, mesh.faces.shape[0], _BLOCK_ROWS)
+    v, f = mesh.vertices, mesh.faces
+    # np.min, not min: a nan in any block propagates, as in the whole array
+    return np.min(
+        [
+            _triangle_areas(v, f[start : start + _BLOCK_ROWS]).min()
+            for start in range(0, f.shape[0], _BLOCK_ROWS)
+        ]
     )
 
 
@@ -144,7 +148,8 @@ def _disc_faces(n_theta, n_rings):
     quads = faces[n_theta:].reshape(n_rings - 1, n_theta, 6)
     a = (1 + n_theta * np.arange(n_rings - 1, dtype=np.int64))[:, None]
     b = a + n_theta
-    for k, (ring, col) in enumerate(((a, j), (b, j), (b, jn), (a, j), (b, jn), (a, jn))):
+    columns = ((a, j), (b, j), (b, jn), (a, j), (b, jn), (a, jn))
+    for k, (ring, col) in enumerate(columns):
         np.add(ring, col, out=quads[..., k])
     return faces
 

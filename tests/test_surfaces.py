@@ -236,7 +236,8 @@ def test_edge_count_across_blocks(sig053, monkeypatch, block_rows):
         displacement=np.zeros(4),
         meta={},
     )
-    discs = [revolve(sig053.curve, n_theta, n_profile) for n_theta, n_profile in [(16, 2), (17, 3), (32, 7)]]
+    sizes = [(16, 2), (17, 3), (32, 7)]
+    discs = [revolve(sig053.curve, n_theta, n_profile) for n_theta, n_profile in sizes]
     monkeypatch.setattr(surfaces_mod, "_BLOCK_ROWS", block_rows)
     for m in [tetrahedron] + discs:
         assert m.edge_count() == _edge_set_count(m.faces)
