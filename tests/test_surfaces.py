@@ -375,6 +375,7 @@ def test_mesh_path_memory_is_bounded(tmp_path, curve26):
     # 20.5 MB of arrays; the edge keys alone are 12.3 MB.  The OBJ writer
     # holds one block of rows at a time, so writing a 64 x 1000 mesh (3 MB
     # of faces) takes no more than a block's text and numbers.
+    # the curve's interpolants are built on first use; build them untraced
     curve26.state_at([0.0, curve26.ell])
     small = revolve(curve26, 64, 1000)
     tracemalloc.start()
