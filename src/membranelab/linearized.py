@@ -23,6 +23,11 @@ from an even power series at the axis.  The boundary slope of h in the
 boundary-based orientation, h_prime_boundary, is the transversality scalar
 of the bifurcation certificate.
 
+The 7-row system (profile, psi and the particular response) runs on
+``membranelab.ode.solve_ivp``, the DOP853 stepper of the profile curves.
+``certify`` reads only node values, so the step interpolants are built only
+when ``psi_at``, ``w_at`` or ``h_at`` first read them.
+
 C and D (and dphi/ds inside D) come from the single coefficient function
 ``membranelab.profile.operator_coeffs``, which every right-hand side here
 and the sampled ``radial_operator_coeffs`` call.
@@ -32,10 +37,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._util import fd1, fd2, fd_interior_slice
 from .errors import AxisSingularity, BoundaryValueVanishes, NoConvergence
+from .ode import solve_ivp
 from .profile import (
     _safe_sin_over_r,
     axis_seed,
@@ -104,8 +109,10 @@ class LinearizedSolution:
         return float(self.taus[-1])
 
     def h_at(self, tau):
-        vals = self._dense(np.asarray(tau, dtype=float))
-        return vals[5] + self.alpha * vals[3]
+        tau = np.asarray(tau, dtype=float)
+        vals = self._dense(tau)
+        # the boundary holds the exact Dirichlet zero, as the node array h does
+        return np.where(tau == self.ell, 0.0, vals[5] + self.alpha * vals[3])[()]
 
     def w_at(self, tau):
         vals = self._dense(np.asarray(tau, dtype=float))
@@ -180,8 +187,9 @@ def _integrate_extended(curve, *, rtol=None, atol=None, tau0=None):
     """Co-integrate profile, kernel and particular response from the axis.
 
     State layout and right-hand side as in ``_extended_rhs_tau``;
-    w-components store boundary-oriented derivatives.  Returns the solution
-    with the rtol and atol it was integrated at.
+    w-components store boundary-oriented derivatives.  Returns the
+    ``ode.OdeResult`` with the rtol and atol it was integrated at; an rtol
+    below ``ode.MIN_RTOL`` raises ValueError.
     """
     params = curve.params
     # tighter than the profile defaults: downstream finite-difference
@@ -204,8 +212,6 @@ def _integrate_extended(curve, *, rtol=None, atol=None, tau0=None):
         _extended_rhs_tau(params.c_o),
         (tau0, curve.ell),
         y0,
-        method="DOP853",
-        dense_output=True,
         rtol=rtol,
         atol=atol,
         max_step=0.1 * abs(params.z_o),
@@ -238,7 +244,10 @@ def solve_axisymmetric_kernel(curve, **kw):
     The raw solution starts from psi = 1 at the axis with the even series
     start; its boundary value must not vanish (the radial kernel meets the
     boundary nontrivially), and a vanishing value is reported as a numerical
-    failure rather than absorbed.
+    failure rather than absorbed.  ``rtol``/``atol`` default to
+    min(curve.rtol, 1e-13) and min(curve.atol, 1e-15); an rtol below
+    ``ode.MIN_RTOL`` (100 eps) raises ValueError, it is not clamped to that
+    floor.
     """
     return _kernel_from(_integrate_extended(curve, **kw)[0])
 
@@ -247,13 +256,18 @@ def solve_h(curve, **kw):
     """Response h of P[h] = -2 vanishing at the boundary, by superposition.
 
     h = p + alpha * psi_raw with the particular solution p starting from
-    p(axis) = 0 and alpha = -p(boundary)/psi_raw(boundary).  The reported
+    p(axis) = 0 and alpha = -p(boundary)/psi_raw(boundary).  The boundary
+    node of ``h`` holds the exact 0 that this alpha prescribes.  The reported
     slope h_prime_boundary is taken in the boundary-based orientation.
+    Tolerances as in ``solve_axisymmetric_kernel``: an rtol below
+    ``ode.MIN_RTOL`` raises ValueError.
     """
     sol, rtol, atol = _integrate_extended(curve, **kw)
     kernel = _kernel_from(sol)
     alpha = -float(sol.y[5, -1]) / kernel.raw_boundary_value
     h = sol.y[5] + alpha * sol.y[3]
+    # h(ell) = 0 by the choice of alpha; store that zero, not its rounding
+    h[-1] = 0.0
     w = sol.y[6] + alpha * sol.y[4]
     return LinearizedSolution(
         taus=sol.t,

@@ -1,9 +1,10 @@
 """Adaptive DOP853 with dense output and events, stepped on Python floats.
 
 ``solve_ivp`` runs the subset of ``scipy.integrate.solve_ivp(method="DOP853")``
-that ``profile.integrate_profile`` uses, with scipy's algorithm unchanged:
-its tableau (``scipy.integrate._ivp.dop853_coefficients``), initial-step
-choice, RMS error norm with the 5th/3rd order correction, step controller
+that ``profile.integrate_profile`` and ``linearized._integrate_extended``
+use, with scipy's algorithm unchanged: its tableau
+(``scipy.integrate._ivp.dop853_coefficients``), initial-step choice, RMS
+error norm with the 5th/3rd order correction, step controller
 (safety 0.9, factors 0.2 and 10, exponent -1/8, minimum step ten spacings
 of t), event rules (sign change by ``direction``, Brent's root on the step
 interpolant with xtol = rtol = 4 eps, the earliest terminal event cutting
@@ -17,8 +18,8 @@ because Brent's root needs it there.  Every other step keeps its two states
 and its stages, and ``DenseOutput`` builds its interpolant on first use,
 with the same kernel and the same inputs, so every value is the same.
 
-The systems here have 3 or 6 rows, where numpy's per-call overhead on tiny
-arrays dominates.  The stages therefore run as straight-line float
+The systems here have 3, 6 or 7 rows, where numpy's per-call overhead on
+tiny arrays dominates.  The stages therefore run as straight-line float
 arithmetic, generated once per state size from the tableau (``_kernels``).
 ``fun(t, y)`` takes and returns a sequence of floats.  Only the rounding of
 the stage sums differs from scipy's matrix products.  At tight tolerances

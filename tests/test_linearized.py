@@ -138,6 +138,14 @@ def test_h_boundary_and_axis(lin26, curve26):
     assert math.isfinite(lin26.alpha)
 
 
+@pytest.mark.parametrize("solve", [solve_h, solve_axisymmetric_kernel])
+def test_rtol_below_the_integrator_floor_is_rejected(solve, curve26):
+    # below ode.MIN_RTOL round-off swamps the error estimate: refused, not
+    # clamped to the floor
+    with pytest.raises(ValueError, match="rtol"):
+        solve(curve26, rtol=1e-15)
+
+
 def test_h_operator_residual(curve26, lin26):
     taus = np.linspace(0.02 * curve26.ell, 0.98 * curve26.ell, 1000)
     assert operator_residual(curve26, taus, lin26.h_at(taus), inhom=2.0) < 1e-6

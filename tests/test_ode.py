@@ -10,7 +10,7 @@ from membranelab import ModelParams, StopCondition, integrate_profile, sigma0_st
 import membranelab.ode as ode
 from membranelab.ode import _kernels as eager_kernels
 import membranelab.profile as profile_mod
-from membranelab.linearized import _integrate_extended
+import membranelab.linearized as linearized
 from membranelab.shooting import SHOOT_ATOL, SHOOT_RTOL
 
 from _oracles import SIGMA0_05_3
@@ -18,8 +18,9 @@ from _oracles import SIGMA0_05_3
 ANCHOR = ModelParams(SIGMA0_05_3["c_o"], SIGMA0_05_3["z_o"])
 
 
-def _profile_problem(monkeypatch, params, stop, **kw):
-    """The arguments integrate_profile hands its integrator, and its result."""
+def _recorded(monkeypatch, module, run):
+    """run()'s result, then the arguments of the one solve_ivp call it makes
+    through ``module``, and that call's result."""
     calls = []
 
     def record(*args, **kwargs):
@@ -27,10 +28,19 @@ def _profile_problem(monkeypatch, params, stop, **kw):
         calls.append((args, kwargs, out))
         return out
 
-    monkeypatch.setattr(profile_mod, "solve_ivp", record)
-    integrate_profile(params, stop, rtol=SHOOT_RTOL, atol=SHOOT_ATOL, **kw)
+    monkeypatch.setattr(module, "solve_ivp", record)
+    result = run()
     assert len(calls) == 1
-    return calls[0]
+    return result, *calls[0]
+
+
+def _profile_problem(monkeypatch, params, stop, **kw):
+    """The arguments integrate_profile hands its integrator, and its result."""
+    return _recorded(
+        monkeypatch,
+        profile_mod,
+        lambda: integrate_profile(params, stop, rtol=SHOOT_RTOL, atol=SHOOT_ATOL, **kw),
+    )[1:]
 
 
 def _counted_solve(monkeypatch, fun, *args, **kwargs):
@@ -248,14 +258,71 @@ def test_rtol_below_the_floor_is_rejected():
         )
 
 
-def test_scipy_extended_profile_rows_match_the_in_house_curve(sig053):
-    # linearized._integrate_extended integrates the profile rows again with
-    # scipy's solve_ivp, tighter; its dense output at the curve's nodes must
-    # give the in-house node states
+def _extended_problem(monkeypatch, curve):
+    """solve_h on curve, the arguments it hands its integrator and that run."""
+    return _recorded(monkeypatch, linearized, lambda: linearized.solve_h(curve))
+
+
+def _scipy_extended(curve, args, kwargs):
+    """scipy's DOP853 on the 7-row system, with solve_h's y0 and tolerances."""
+    return scipy_solve_ivp(
+        linearized._extended_rhs_tau(curve.params.c_o),
+        *args[1:],
+        method="DOP853",
+        dense_output=True,
+        **kwargs,
+    )
+
+
+def test_scipy_extended_profile_rows_match_the_in_house_curve(monkeypatch, sig053):
+    # scipy's solve_ivp integrates the profile rows of the 7-row system
+    # again, tighter than the curve; its dense output at the curve's nodes
+    # must give the in-house node states
     curve = sig053.curve
-    sol, rtol, _ = _integrate_extended(curve)
-    assert rtol < curve.rtol
+    _, args, kwargs, _ = _extended_problem(monkeypatch, curve)
+    assert kwargs["rtol"] < curve.rtol
+    assert kwargs["max_step"] == 0.1 * abs(curve.params.z_o)
+    sol = _scipy_extended(curve, args, kwargs)
+    assert sol.success
     assert sol.t[-1] == curve.ell
     rows = sol.sol(curve.taus)[:3]
     nodes = np.array([curve.r, curve.z, curve.phi])
     np.testing.assert_allclose(rows, nodes, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("where", ["circle (0.5, -3)", "params (2, -0.6)"])
+def test_solve_h_matches_scipy_dop853(monkeypatch, where, sig053, curve26):
+    curve = sig053.curve if where.startswith("circle") else curve26
+    lin, args, kwargs, ours = _extended_problem(monkeypatch, curve)
+    ref = _scipy_extended(curve, args, kwargs)
+    assert ref.success and ours.status == ref.status == 0
+    assert ours.t.size == ref.t.size
+    psi_b, p_b = ref.y[3, -1], ref.y[5, -1]
+    alpha = -p_b / psi_b
+    slope = ref.y[6, -1] + alpha * ref.y[4, -1]
+    assert lin.kernel.raw_boundary_value == pytest.approx(psi_b, rel=1e-10, abs=0)
+    assert ours.y[5, -1] == pytest.approx(p_b, rel=1e-10, abs=0)
+    assert lin.h_prime_boundary == pytest.approx(slope, rel=1e-10, abs=0)
+
+
+def test_solve_h_builds_no_interpolant_until_one_is_read(monkeypatch, curve26):
+    assert linearized.solve_ivp is ode.solve_ivp
+    runs = []
+
+    def counted(fun, *args, **kwargs):
+        runs.append(_counted_solve(monkeypatch, fun, *args, **kwargs))
+        return runs[-1][0]
+
+    monkeypatch.setattr(linearized, "solve_ivp", counted)
+    lin = linearized.solve_h(curve26)
+    (out, counts), = runs
+    assert out.y.shape[0] == 7 and out.status == 0
+    # node values only: one integration, no interpolant
+    assert counts["built_at"] == []
+    assert out.nfev == counts["fun"] == 2 + 12 * counts["step"]
+    # an array argument builds every segment, once each
+    taus = np.linspace(curve26.tau0, curve26.ell, 50)
+    lin.h_at(taus)
+    assert lin.h_at(taus)[-1] == 0.0  # the Dirichlet zero, as at the node
+    assert counts["built_at"] == list(out.t[:-1])
+    assert counts["fun"] == out.nfev + 3 * (out.t.size - 1)
