@@ -14,6 +14,7 @@ path, 2 numerical non-convergence (diagnostics on standard error).
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -343,6 +344,8 @@ def _run_family(config):
     p = config.params
     if p["n"] < 1:
         raise ValueError("family needs n >= 1 members")
+    if not 0.0 < p["c_min"] <= p["c_max"] < math.inf:
+        raise ValueError("family needs finite c_min and c_max with 0 < c_min <= c_max")
     circle = _circle_from(config)
     outdir = _ensure_out(p["out"])
     sweep = family_sweep(circle, p["c_min"], p["c_max"], p["n"])
@@ -556,6 +559,8 @@ def run(config):
     """Execute a resolved configuration; returns the process exit code."""
     if "rtol" in config.params:
         check_tolerances(config.params["rtol"], config.params["atol"])
+    if config.params.get("samples", 2) < 2:
+        raise ValueError(f"samples must be at least 2, not {config.params['samples']}")
     outdir, curve, derived, artifacts = _DISPATCH[config.command](config)
     inputs = {"command": config.command, **config.params}
     return _finish(outdir, inputs, curve, derived, artifacts)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import fd1, fd2, fd_interior_slice
-from .errors import AxisSingularity, BoundaryValueVanishes, NoConvergence
+from .errors import AxisSingularity, BoundaryValueVanishes
 from .ode import solve_ivp
 from .profile import (
     _safe_sin_over_r,
@@ -47,7 +47,7 @@ from .profile import (
     geometry_at,
     operator_coeffs,
 )
-from .shooting import family_sweep, shoot_family_member, shoot_sigma0
+from .shooting import shoot_family_member, shoot_sigma0
 
 
 @dataclass(frozen=True)
@@ -367,9 +367,9 @@ def family_derivative_check(circle, delta, *, sigma0=None, lin=None):
     boundary-based arc-length grid of 400 points.  Reports the relative sup
     error at delta and the Richardson order between delta and delta/2.
 
-    When a member fails and c0 + delta or c0 - delta lies past a fold of
-    the family, which ``family_sweep`` over [c0 - delta, c0 + delta] finds,
-    raises NoConvergence naming that c and the fold's c*.
+    When c0 + delta or c0 - delta lies past a fold of the family, no member
+    exists there, and ``shoot_family_member``'s NoConvergence names that c
+    and the fold's c*.
     """
     if sigma0 is None:
         sigma0 = shoot_sigma0(circle)
@@ -377,24 +377,9 @@ def family_derivative_check(circle, delta, *, sigma0=None, lin=None):
         lin = solve_h(sigma0.curve)
     c0 = sigma0.params.c_o
 
-    def member(c):
-        try:
-            return shoot_family_member(c, circle, sigma0)
-        except NoConvergence as exc:
-            sweep = family_sweep(circle, c0 - delta, c0 + delta, 3, sigma0=sigma0)
-            if not sweep.beyond_fold(c, c0):
-                raise
-            side = "above" if c > c0 else "below"
-            raise NoConvergence(
-                f"c = {c:.10g} lies beyond the fold of the family {side} "
-                f"c0 = {c0:.10g}, at c* = {sweep.folds[side]:.10g}: no member "
-                f"exists there; take delta below |c* - c0| = "
-                f"{abs(sweep.folds[side] - c0):.3e}"
-            ) from exc
-
     def derivative_at(d):
-        plus = member(c0 + d)
-        minus = member(c0 - d)
+        plus = shoot_family_member(c0 + d, circle, sigma0)
+        minus = shoot_family_member(c0 - d, circle, sigma0)
         max_sigma = min(sigma0.curve.ell, plus.curve.ell, minus.curve.ell)
         sigmas = np.linspace(0.0, max_sigma, 400)
         fp = _normal_displacement(sigma0.curve, plus.curve, sigmas)

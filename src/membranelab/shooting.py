@@ -12,12 +12,13 @@ Two problems are solved here by shooting from the axis seed:
   along with the profile, the L-column from the curve velocity, the
   c-column from the other two by scale equivariance.  Its null vector is
   the tangent of the family.  A member at given c is found by damped
-  Newton (``_newton``) on (z_o, L) from the tangent's predictor; the curve
-  is truncated at the first passage and the contact angle phi(L) is
-  reported.  Where the family folds back in c, it is followed by
-  pseudo-arclength continuation in scaled (c, z_o, L) (Keller 1977;
-  Allgower and Georg, *Introduction to Numerical Continuation Methods*),
-  and a sign change of the tangent's c-component locates the fold.
+  Newton (``_newton``) on (z_o, L) from the tangent's predictor at a near
+  member; the curve is truncated at the first passage and the contact
+  angle phi(L) is reported.  A member farther along, or near a fold, is
+  reached by pseudo-arclength continuation in scaled (c, z_o, L) (Keller
+  1977; Allgower and Georg, *Introduction to Numerical Continuation
+  Methods*), which passes through the folds where the family turns back
+  in c; a sign change of the tangent's c-component locates the fold.
 
 Both problems are scale equivariant: (R, Z) -> (mu R, mu Z) maps solutions
 to (c_o/mu, mu z_o).
@@ -50,8 +51,6 @@ _MAX_HALVINGS = 8
 _U_MAX = math.log((1.0 - 1e-9) * MAX_ABS_CZ - 1.0)
 #: six doubling steps span u from t = -1 after rounding to _U_MAX
 _MAX_BRACKET = 8
-#: largest continuation sub-step of a member, relative to the seed curvature
-_SUB_STEP = 0.03
 #: a member is landed at fixed c only while the tangent's c-component t_c at
 #: its predicted point keeps this share of the value at the last member: t_c
 #: falls linearly to 0 along a parabola with a fold, so the requested c then
@@ -75,7 +74,8 @@ _MAX_ARC_STEPS = 40
 _FOLD_SLOPE = 1e-3
 #: secant points on a fold's bracket before the last one is taken
 _MAX_FOLD_SECANTS = 6
-#: a requested c this close to the disc curvature, relative, starts the sweep
+#: a requested c this close to the disc curvature, relative, is landed
+#: from the disc itself, and starts a sweep
 _DISC_SNAP = 1e-9
 
 
@@ -110,7 +110,9 @@ class FamilyMember:
 
     ``jacobian`` is d(r, z)(L)/d(c, z_o, L) at the member; its null vector
     is the tangent of the family there.  ``previous`` is (c, z_o, L) of the
-    member or disc this one was continued from, or None.
+    member or disc this one was continued from, or None.  ``scale`` is
+    |(c, z_o, L)| of the first member of its continuation: walks from it
+    measure arclength in y = (c, z_o, L) / scale.
     """
 
     c: float
@@ -122,6 +124,7 @@ class FamilyMember:
     left_admissible_region: bool
     jacobian: np.ndarray | None = field(default=None, repr=False, compare=False)
     previous: tuple | None = field(default=None, repr=False, compare=False)
+    scale: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -349,14 +352,19 @@ def _tangent(J, scale):
     return t / np.linalg.norm(t)
 
 
-def _state(member):
-    """(c, z_o, L) of a family member."""
-    return np.array([member.c, member.z_o, member.curve.ell])
+def _state(seed):
+    """(c, z_o, L) of a family member or a tangential disc."""
+    if isinstance(seed, Sigma0Solution):
+        return np.array([seed.params.c_o, seed.params.z_o, seed.curve.ell])
+    return np.array([seed.c, seed.z_o, seed.curve.ell])
 
 
-def _member(x, aux, norm, circle, previous):
+def _member(x, aux, norm, circle, previous, scale=None):
+    """The member at x = (c, z_o, L); ``scale`` defaults to its own |x|."""
     c, z_o, _ = (float(v) for v in x)
     curve, phi_end = aux
+    if scale is None:
+        scale = np.abs([c, z_o, curve.ell])
     return FamilyMember(
         c=c,
         z_o=z_o,
@@ -367,6 +375,7 @@ def _member(x, aux, norm, circle, previous):
         left_admissible_region=not ModelParams(c, z_o).sigma0_admissible,
         jacobian=_endpoint_jacobian(curve, phi_end, x[2]),
         previous=previous,
+        scale=scale,
     )
 
 
@@ -390,20 +399,6 @@ def _bend(member, t, scale):
     if abs(h) < _MIN_BEND_STEP:
         return None
     return 2.0 * (dy - h * t) / (h * h)
-
-
-class _LandingDeclined(NoConvergence):
-    """A member's predicted point lies too far along the family to solve at
-    fixed c from it, or near or past a fold.
-
-    Carries the last converged member ``base`` and, when it was evaluated,
-    the predicted (c, z_o, L) ``x`` with its residual ``out``, from which a
-    pseudo-arclength walk can start.
-    """
-
-    def __init__(self, message, trace, base, x=None, out=None):
-        super().__init__(message, trace)
-        self.base, self.x, self.out = base, x, out
 
 
 def _predict(base, c, scale):
@@ -432,94 +427,121 @@ def _predict(base, c, scale):
     return y[1] * scale[1], y[2] * scale[2], h, ratio
 
 
-def shoot_family_member(c, circle, seed, *, fold_check=False):
-    """Family member at curvature c through the circle, seeded by continuation.
+class _Unreached(NoConvergence):
+    """The family does not reach a requested c from the seed.
 
-    Newton iteration on (z_o, L) for the two conditions r(L) = R, z(L) = Z.
-    Both Jacobian columns are exact and cost no extra integration: the
-    L-column is the curve velocity, the z_o-column the variation d(r, z)/dz_o
-    co-integrated with each residual's profile.  Members may leave the
-    tangential-disc admissible region; that is recorded, not fatal.
-
-    The (z_o, L) problem at fixed c has multiple solutions away from the
-    seed; to return the continuation-connected member the solve walks from
-    the seed curvature in sub-steps of at most ``_SUB_STEP`` times the seed
-    curvature and re-seeds each step from the last.  Each step starts from
-    the predictor along the family's tangent at the last member (the null
-    vector of its (c, z_o, L) Jacobian), bent onto the parabola that also
-    passes through the member before it (``_predict``); a tangential-disc
-    seed has no Jacobian, so the first step from it starts at the disc.
-    With ``fold_check`` a step raises ``_LandingDeclined`` instead of
-    solving when it is longer than ``_MAX_LAND_STEP`` in scaled arclength or
-    when its predicted point keeps less than ``_LAND_RATIO`` of the last
-    member's tangent c-component, on the parabola or at the evaluated
-    point: the step would reach near or past a fold.  Convergence is
-    declared below ``_match_tol(circle)``; a NoConvergence message ends with
-    the sub-step curvature and the integrations done.
+    ``fold`` is c* of the fold at which it turns back first, or None when
+    the walk toward c failed; ``last`` is the last member reached on the way.
     """
-    disc = isinstance(seed, Sigma0Solution)
-    c_seed, z_o = (seed.params.c_o, seed.params.z_o) if disc else (seed.c, seed.z_o)
-    base = None if disc else seed
-    max_step = _SUB_STEP * abs(c_seed)
-    gap = abs(c - c_seed)
-    n_sub = int(math.ceil(gap / max_step)) if gap > max_step else 1
-    length = seed.curve.ell
-    previous = (c_seed, z_o, length)
-    tol = _match_tol(circle)
-    trace = []
-    runs = [0]
 
-    def done(c_step):
-        return f"c = {c_step:.10g}, {runs[0]} integrations done"
+    def __init__(self, message, trace, fold, last):
+        super().__init__(message, trace)
+        self.fold, self.last = fold, last
 
-    def declined(c_step, h, ratio, x=None, out=None):
-        return _LandingDeclined(
-            f"member landing declined: a step of {abs(h):.3g} in scaled "
-            f"arclength keeps {ratio:.3g} of the tangent's c-component "
-            f"({done(c_step)})",
-            trace, base, x, out,
+
+def _land(circle, runs, trace, seed, c, predicted=None, first=None):
+    """Member at curvature c by damped Newton on (z_o, L) from ``seed``.
+
+    Both Jacobian columns are exact and cost no extra integration: the
+    L-column is the curve velocity, the z_o-column the co-integrated
+    variation d(r, z)/dz_o.  Newton starts at the ``predicted`` (z_o, L),
+    with its residual ``first`` if already evaluated, unless that is
+    infeasible, and else at the seed's.  Its iterates go to ``trace`` as
+    ((c, z_o, L), norm).  The member keeps a member seed's ``scale``.
+    """
+    residual, jacobian = _member_problem(c, circle, runs)
+    x = _state(seed)[1:]
+    if predicted is not None:
+        if first is None:
+            first = residual(predicted)
+        if first is not None:
+            x = np.array(predicted)
+    steps = []
+    try:
+        x, aux, norm = _newton(
+            residual, x, jacobian, _match_tol(circle), steps, "member", first=first
         )
-
-    for c_step in np.linspace(c_seed, c, n_sub + 1)[1:].tolist():
-        residual, jacobian = _member_problem(c_step, circle, runs)
-        x = np.array([z_o, length])
-        first = None
-        if base is not None:
-            scale = np.abs(_state(base))
-            z_p, l_p, h, ratio = _predict(base, c_step, scale)
-            if fold_check and not (ratio >= _LAND_RATIO and abs(h) <= _MAX_LAND_STEP):
-                raise declined(c_step, h, ratio)
-            first = residual((z_p, l_p))
-            if fold_check:
-                ratio = math.nan
-                if first is not None:
-                    t_base = _tangent(base.jacobian, scale)
-                    t_pred = _oriented(
-                        _endpoint_jacobian(*first[1], l_p), scale, t_base
-                    )
-                    ratio = t_pred[0] / t_base[0]
-                if not ratio >= _LAND_RATIO:
-                    raise declined(c_step, h, ratio, np.array([c_step, z_p, l_p]), first)
-            if first is not None:
-                # an infeasible prediction falls back to the last member
-                x = np.array([z_p, l_p])
-        try:
-            x, aux, norm = _newton(
-                residual, x, jacobian, tol, trace, "member", first=first
-            )
-        except NoConvergence as exc:
-            raise NoConvergence(f"{exc} ({done(c_step)})", trace) from None
-        z_o, length = (float(v) for v in x)
-        base = _member((c_step, z_o, length), aux, norm, circle, previous)
-        previous = (c_step, z_o, length)
-    return base
+    finally:
+        trace.extend(((c, *point), norm) for point, norm in steps)
+    scale = getattr(seed, "scale", None)  # a disc has none
+    return _member((c, *x), aux, norm, circle, tuple(_state(seed)), scale)
 
 
-def _arc_step(circle, runs, base, t_base, scale, ds, trace, bend=None, start=None):
+def _reach(circle, runs, trace, seed, c):
+    """``shoot_family_member`` before the suffix of its messages."""
+    if isinstance(seed, Sigma0Solution):
+        c0 = seed.params.c_o
+        if abs(c - c0) <= _DISC_SNAP * c0:
+            return _land(circle, runs, trace, seed, c)
+        seed = _land(circle, runs, trace, seed, c0)
+    scale = np.abs(_state(seed))
+    z_p, l_p, h, ratio = _predict(seed, c, scale)
+    first = None
+    if ratio >= _LAND_RATIO and abs(h) <= _MAX_LAND_STEP:
+        residual, _ = _member_problem(c, circle, runs)
+        first = residual((z_p, l_p))
+        if first is not None:
+            t_seed = _tangent(seed.jacobian, scale)
+            t_pred = _oriented(_endpoint_jacobian(*first[1], l_p), scale, t_seed)
+            if t_pred[0] / t_seed[0] >= _LAND_RATIO:
+                return _land(circle, runs, trace, seed, c, (z_p, l_p), first)
+    side = 1 if c > seed.c else -1
+    try:
+        base, fold = _walk(
+            circle, runs, trace, seed, np.array([c, z_p, l_p]), first, c, side
+        )
+    except NoConvergence as exc:
+        raise _Unreached(str(exc), trace, None, seed) from None
+    if fold is not None and side * (c - fold) > 0.0:
+        raise _Unreached(
+            f"c = {c:.10g} lies beyond the fold of the family "
+            f"{'above' if side > 0 else 'below'} c = {seed.c:.10g}, at c* = "
+            f"{fold:.10g}: no member exists there",
+            trace, fold, base,
+        )
+    z_p, l_p, _, _ = _predict(base, c, np.abs(_state(base)))
+    return _land(circle, runs, trace, base, c, (z_p, l_p))
+
+
+def shoot_family_member(c, circle, seed):
+    """Family member at curvature c through the circle, continued from a seed.
+
+    The member solves r(L) = R, z(L) = Z for (z_o, L) at fixed c; it may
+    leave the tangential-disc admissible region, which is recorded, not
+    fatal.  That problem has several solutions away from the seed, so the
+    member is reached along the family from it.  A disc seed is landed on
+    at c when c lies within ``_DISC_SNAP`` of its curvature c0, and else
+    gives way to its member at c0.  From a member, c is landed at fixed c
+    from the tangent's predictor (``_predict``) when the step is at most
+    ``_MAX_LAND_STEP`` in scaled arclength and keeps ``_LAND_RATIO`` of the
+    tangent's c-component, on the predictor's parabola and at the evaluated
+    point.  Otherwise the step would reach near or past a fold: the family
+    is walked (``_walk``) until c or a fold is passed, and c is landed from
+    the member nearer to it.
+
+    Raises ValueError unless c is finite and positive.  A c past the first
+    fold on its side of the seed has no member: NoConvergence names c, the
+    side and c*.  Every NoConvergence message ends with ``(c = ...,
+    N integrations done)``, the requested c and the profile integrations of
+    the call; its trace holds ((c, z_o, L), max-norm residual) per accepted
+    iterate.
+    """
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"member curvature c must be finite and positive, not {c!r}")
+    runs, trace = [0], []
+    try:
+        return _reach(circle, runs, trace, seed, c)
+    except NoConvergence as exc:
+        exc.args = (f"{exc} (c = {c:.10g}, {runs[0]} integrations done)",)
+        exc.trace = trace
+        raise
+
+
+def _arc_step(circle, runs, base, t_base, ds, trace, bend=None, start=None):
     """Pseudo-arclength step of length ds from ``base`` along ``t_base``.
 
     Newton solves F(x) = 0 with the row t_base . (y - y_base) = ds in
-    scaled y = x / scale (Keller 1977).  It starts from the predictor
+    scaled y = x / ``base.scale`` (Keller 1977).  It starts from the predictor
     y_base + ds t_base + ds^2 bend / 2, with ``bend`` an estimate of the
     family's curvature vector d^2 y/ds^2 (or none), or from ``start``, a
     point x with its residual already evaluated.  The arclength row is
@@ -528,6 +550,7 @@ def _arc_step(circle, runs, base, t_base, scale, ds, trace, bend=None, start=Non
     from it in y.
     """
     residual, jacobian = _branch_problem(circle, runs)
+    scale = base.scale
     x_base = _state(base)
     y_base = x_base / scale
     weight = scale[2]
@@ -556,38 +579,36 @@ def _arc_step(circle, runs, base, t_base, scale, ds, trace, bend=None, start=Non
         _match_tol(circle), trace, "arclength", first=first,
     )
     miss = float(np.linalg.norm((x - x_pred) / scale))
-    return _member(x, aux, norm, circle, tuple(x_base)), miss
+    return _member(x, aux, norm, circle, tuple(x_base), scale), miss
 
 
-def _walk(circle, ahead, c, side, scale):
-    """Pseudo-arclength walk from ``ahead.base`` until c or a fold is passed.
+def _walk(circle, runs, trace, base, x_pred, out, c, side):
+    """Pseudo-arclength walk from the member ``base`` until c or a fold is passed.
 
-    ``side`` is +1 walking toward larger c, -1 toward smaller.  The
-    predictor of each step is quadratic, with the family's curvature vector
-    from the parabola through the last two members (``_bend``), or for the
-    first step without one, from the turn of the tangent between
-    ``ahead.base`` and the predicted point of ``ahead``.  That point is the
-    first step's own predictor, and its residual is reused, when it lies
-    within the step length.  The step length follows the predictor's miss
-    of the family, aiming at ``_ARC_DEVIATION``, within ``_MAX_ARC_STEP``;
-    a failed corrector halves it.  Returns ``(seed, fold)``: the member to
-    land c from (the nearer of the two that bracket it) or the last one
-    before the fold, and the fold curvature c* or None.  A sign change of
-    the tangent's c-component between two members brackets the fold;
-    ``_locate_fold`` finds c* by secant.
+    ``side`` is +1 walking toward larger c, -1 toward smaller, in
+    y = (c, z_o, L) / ``base.scale``.  Each step's predictor is quadratic,
+    with the family's curvature vector from the parabola through the last
+    two members (``_bend``), or for a first step without one, from the turn
+    of the tangent between ``base`` and ``x_pred``, the predicted point of
+    a landing at c, when its residual ``out`` was evaluated; that point,
+    with its residual, is the first step when it lies within the step
+    length.  The step length follows the predictor's miss of the family,
+    aiming at ``_ARC_DEVIATION``, within ``_MAX_ARC_STEP``; a failed
+    corrector halves it.  Returns ``(seed, fold)``: the member to land c
+    from (the nearer of the two around it) or the last one before the fold,
+    and the fold's c* or None.  A sign change of the tangent's c-component
+    between two members brackets the fold; ``_locate_fold`` finds c*.
     """
-    runs = [0]
-    trace = []
-    base = ahead.base
+    scale = base.scale
     t_base = _tangent(base.jacobian, scale)
     t_base *= math.copysign(1.0, side * t_base[0])
     bend = _bend(base, t_base, scale)
     start = None
     ds_pred = 0.0
-    if ahead.out is not None:
-        ds_pred = float(t_base @ ((ahead.x - _state(base)) / scale))
+    if out is not None:
+        ds_pred = float(t_base @ ((x_pred - _state(base)) / scale))
         if bend is None and ds_pred > 0.0:
-            t_pred = _oriented(_endpoint_jacobian(*ahead.out[1], ahead.x[2]), scale, t_base)
+            t_pred = _oriented(_endpoint_jacobian(*out[1], x_pred[2]), scale, t_base)
             bend = (t_pred - t_base) / ds_pred
     # the first step is sized as if its predictor were linear, straying
     # |bend| ds^2 / 2 from the family
@@ -595,12 +616,10 @@ def _walk(circle, ahead, c, side, scale):
     if bend is not None:
         ds = min(_MAX_ARC_STEP, math.sqrt(2.0 * _ARC_DEVIATION / np.linalg.norm(bend)))
     if 0.0 < ds_pred <= ds:
-        ds, start = ds_pred, (ahead.x, ahead.out)
+        ds, start = ds_pred, (x_pred, out)
     for _ in range(_MAX_ARC_STEPS):
         try:
-            point, miss = _arc_step(
-                circle, runs, base, t_base, scale, ds, trace, bend, start
-            )
+            point, miss = _arc_step(circle, runs, base, t_base, ds, trace, bend, start)
         except NoConvergence:
             ds *= 0.5
             start = None
@@ -608,9 +627,7 @@ def _walk(circle, ahead, c, side, scale):
         start = None
         t_point = _oriented(point.jacobian, scale, t_base)
         if side * t_point[0] <= 0.0:
-            fold = _locate_fold(
-                circle, runs, base, t_base, point, t_point, ds, scale, trace
-            )
+            fold = _locate_fold(circle, runs, base, t_base, point, t_point, ds, trace)
             return base, fold
         if side * (point.c - c) >= 0.0:
             return (point if abs(point.c - c) < abs(base.c - c) else base), None
@@ -625,13 +642,11 @@ def _walk(circle, ahead, c, side, scale):
         ds = step
         base, t_base = point, t_point
     raise NoConvergence(
-        f"arclength walk did not pass c = {c:.10g} in {_MAX_ARC_STEPS} steps "
-        f"({runs[0]} integrations done)",
-        trace,
+        f"arclength walk did not pass c = {c:.10g} in {_MAX_ARC_STEPS} steps", trace
     )
 
 
-def _locate_fold(circle, runs, base, t_base, end, t_end, ds, scale, trace):
+def _locate_fold(circle, runs, base, t_base, end, t_end, ds, trace):
     """c* of the fold between ``base`` and ``end``, a step ds along ``t_base``.
 
     The tangent's c-component t_c changes sign over the step.  Its secant
@@ -643,21 +658,20 @@ def _locate_fold(circle, runs, base, t_base, end, t_end, ds, scale, trace):
     Raises NoConvergence naming the bracket when neither point converges
     or ``_MAX_FOLD_SECANTS`` points leave |t_c| above ``_FOLD_SLOPE``.
     """
+    scale = base.scale
     bend = (t_end - t_base) / ds
     (s_a, t_a, c_a), (s_b, t_b, c_b) = (0.0, t_base[0], base.c), (ds, t_end[0], end.c)
 
     def unlocated(why):
         return NoConvergence(
-            f"fold between c = {c_a:.10g} and {c_b:.10g} not located: {why} "
-            f"({runs[0]} integrations done)",
-            trace,
+            f"fold between c = {c_a:.10g} and {c_b:.10g} not located: {why}", trace
         )
 
     for _ in range(_MAX_FOLD_SECANTS):
         s_secant = s_a + (s_b - s_a) * t_a / (t_a - t_b)
         for s_fold in (s_secant, 0.5 * (s_a + s_b)):
             try:
-                point, _ = _arc_step(circle, runs, base, t_base, scale, s_fold, trace, bend)
+                point, _ = _arc_step(circle, runs, base, t_base, s_fold, trace, bend)
                 break
             except NoConvergence:
                 pass
@@ -681,16 +695,12 @@ def family_sweep(circle, c_min, c_max, n, *, sigma0=None):
     tangential-disc curvature c0.  The sweep starts from the member at c0
     (at the grid point within ``_DISC_SNAP`` of it, if any), whose Jacobian
     gives the family's tangent, and goes out each way.  Each requested c is
-    landed through ``shoot_family_member`` from the last member.  When the
-    landing is declined, as too long or near a fold (``_LandingDeclined``),
-    the family is followed by pseudo-arclength steps (``_walk``) until c is
-    passed, and c is landed from the step nearest it, or until a fold is
-    passed.  The c beyond a fold are recorded as failures ``beyond fold c* =
-    ...`` and not attempted.  A walk that fails is not repeated: its message
-    is recorded for its c and for every later c on that side, which would
-    walk from the same member over the same stretch.  Other failures are
-    recorded per member and do not abort the sweep.  Members are returned
-    sorted by c.
+    reached through ``shoot_family_member`` from the last member.  A c past
+    a fold ends its side: it and the c beyond are recorded as failures
+    ``beyond fold c* = ...``, not attempted.  So does a failed walk, whose
+    message is recorded for every later c on that side, which would walk
+    the same stretch.  Other failures are recorded per member and do not
+    abort the sweep.  Members are returned sorted by c.
     """
     if sigma0 is None:
         sigma0 = shoot_sigma0(circle)
@@ -710,8 +720,7 @@ def family_sweep(circle, c_min, c_max, n, *, sigma0=None):
         return FamilySweep(members=[], failures=failures)
     if c_start == cs[near]:
         members[near] = start
-    scale = np.abs(_state(start))
-    tangent = _tangent(start.jacobian, scale)
+    tangent = _tangent(start.jacobian, start.scale)
     tangent *= math.copysign(1.0, tangent[0])
     for side, name in ((1, "above"), (-1, "below")):
         pending = sorted(
@@ -719,28 +728,21 @@ def family_sweep(circle, c_min, c_max, n, *, sigma0=None):
             key=lambda i: side * cs[i],
         )
         seed = start
-        walk_failure = None
+        ended = None
         for i in pending:
             c = cs[i]
-            if walk_failure is not None:
-                failures.append((c, walk_failure))
+            if ended is not None:
+                failures.append((c, ended))
                 continue
             try:
-                member = None
-                if folds[name] is None:
-                    try:
-                        member = shoot_family_member(c, circle, seed, fold_check=True)
-                    except _LandingDeclined as ahead:
-                        try:
-                            seed, folds[name] = _walk(circle, ahead, c, side, scale)
-                        except NoConvergence as exc:
-                            walk_failure = str(exc)
-                            raise
-                if folds[name] is not None and side * (c - folds[name]) > 0.0:
-                    failures.append((c, f"beyond fold c* = {folds[name]:.10g}"))
-                    continue
-                if member is None:
-                    member = shoot_family_member(c, circle, seed)
+                member = shoot_family_member(c, circle, seed)
+            except _Unreached as exc:
+                folds[name], seed = exc.fold, exc.last
+                ended = str(exc)
+                if exc.fold is not None:
+                    ended = f"beyond fold c* = {exc.fold:.10g}"
+                failures.append((c, ended))
+                continue
             except NoConvergence as exc:
                 failures.append((c, str(exc)))
                 continue

@@ -320,6 +320,16 @@ def test_cli_mesh_bad_input_exit_1(tmp_path, capsys, args):
         ["sigma0", "--R", "-1", "--Z", "-3"],
         ["certify", "--R", "0.5", "--Z", "3"],
         ["family", "--R", "0.5", "--Z", "3", "--c_min", "1", "--c_max", "2"],
+        ["family", "--R", "0.5", "--Z", "-3", "--c_min", "nan", "--c_max", "2"],
+        ["family", "--R", "0.5", "--Z", "-3", "--c_min", "1", "--c_max", "inf"],
+        ["family", "--R", "0.5", "--Z", "-3", "--c_min", "-1", "--c_max", "2"],
+        ["family", "--R", "0.5", "--Z", "-3", "--c_min", "2", "--c_max", "1"],
+        ["trace", "--c_o", "2", "--z_o", "-0.6", "--samples", "-5"],
+        ["trace", "--c_o", "2", "--z_o", "-0.6", "--samples", "1"],
+        ["sigma0", "--R", "0.5", "--Z", "-3", "--samples", "0"],
+        ["family", "--R", "0.5", "--Z", "-3", "--c_min", "1.2", "--c_max", "1.8",
+         "--samples", "1"],
+        ["linearize", "--c_o", "2", "--z_o", "-0.6", "--samples", "-5"],
         ["mesh", "--kind", "branch", "--R", "0.5", "--Z", "3"],
         ["trace", "--c_o", "1", "--z_o=-1e7"],
         ["linearize", "--c_o", "1", "--z_o=-1e7"],

@@ -259,13 +259,33 @@ def test_sweep_integration_budget(circle053, sig053, integrations):
 
 
 def test_member_stall_message_and_trace(circle053, sig053):
+    # c = 0.6 lies past the fold below the disc, where no member exists
     with pytest.raises(NoConvergence) as info:
         shoot_family_member(0.6, circle053, sig053)
-    assert str(info.value).startswith("member damping stalled at ")
+    message = str(info.value)
+    assert message.startswith("c = 0.6 lies beyond the fold of the family below ")
+    c_star = float(re.search(r"c\* = ([0-9.]+)", message).group(1))
+    assert c_star == pytest.approx(1.184991, abs=2e-6)
     assert info.value.trace
     for point, norm in info.value.trace:
-        z_o, length = point
-        assert z_o < 0.0 < length and norm > 0.0
+        c, z_o, length = point
+        assert c > 0.0 and z_o < 0.0 < length and norm > 0.0
+
+
+@pytest.mark.parametrize("c", [math.inf, math.nan, -1.0, 0.0])
+def test_member_curvature_must_be_finite_and_positive(c, circle053, sig053,
+                                                      integrations):
+    with pytest.raises(ValueError, match="finite and positive"):
+        shoot_family_member(c, circle053, sig053)
+    assert integrations[0] == 0
+
+
+def test_sweep_integration_budget_over_the_fig2_range(circle053, sig053,
+                                                      integrations):
+    # one landing per member: the walk covers only gaps too long to land
+    sw = shooting_mod.family_sweep(circle053, 1.2, 1.8, 13, sigma0=sig053)
+    assert len(sw.members) == 13 and not sw.failures
+    assert integrations[0] <= 50
 
 
 @pytest.mark.parametrize("R, Z", [(0.5, -3.0), (1.0, -2.0)])
