@@ -320,6 +320,15 @@ def test_cli_mesh_bad_input_exit_1(tmp_path, capsys, args):
         ["sigma0", "--R", "-1", "--Z", "-3"],
         ["certify", "--R", "0.5", "--Z", "3"],
         ["family", "--R", "0.5", "--Z", "3", "--c_min", "1", "--c_max", "2"],
+        ["mesh", "--kind", "branch", "--R", "0.5", "--Z", "3"],
+        ["trace", "--c_o", "1", "--z_o=-1e7"],
+        ["linearize", "--c_o", "1", "--z_o=-1e7"],
+        ["eigen", "--c_o", "1", "--z_o=-1e7"],
+        ["mesh", "--kind", "revolve", "--c_o", "1", "--z_o=-1e7"],
+        ["table1", "--c_o", "1", "--z_o_list=-2,-1e7"],
+        ["--recipe", "table1", "trace", "--c_o", "2", "--z_o", "-0.6"],
+        ["--recipe", "fig1", "--config", "run.cfg"],
+        ["--config", "run.cfg", "--recipe", "table1"],
         ["family", "--R", "0.5", "--Z", "-3", "--c_min", "nan", "--c_max", "2"],
         ["family", "--R", "0.5", "--Z", "-3", "--c_min", "1", "--c_max", "inf"],
         ["family", "--R", "0.5", "--Z", "-3", "--c_min", "-1", "--c_max", "2"],
@@ -330,15 +339,6 @@ def test_cli_mesh_bad_input_exit_1(tmp_path, capsys, args):
         ["family", "--R", "0.5", "--Z", "-3", "--c_min", "1.2", "--c_max", "1.8",
          "--samples", "1"],
         ["linearize", "--c_o", "2", "--z_o", "-0.6", "--samples", "-5"],
-        ["mesh", "--kind", "branch", "--R", "0.5", "--Z", "3"],
-        ["trace", "--c_o", "1", "--z_o=-1e7"],
-        ["linearize", "--c_o", "1", "--z_o=-1e7"],
-        ["eigen", "--c_o", "1", "--z_o=-1e7"],
-        ["mesh", "--kind", "revolve", "--c_o", "1", "--z_o=-1e7"],
-        ["table1", "--c_o", "1", "--z_o_list=-2,-1e7"],
-        ["--recipe", "table1", "trace", "--c_o", "2", "--z_o", "-0.6"],
-        ["--recipe", "fig1", "--config", "run.cfg"],
-        ["--config", "run.cfg", "--recipe", "table1"],
     ],
 )
 def test_cli_bad_input_exit_1_before_compute(tmp_path, capsys, monkeypatch, args):
