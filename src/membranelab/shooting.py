@@ -11,14 +11,16 @@ Two problems are solved here by shooting from the axis seed:
   integration: the z_o-column from the variational equations integrated
   along with the profile, the L-column from the curve velocity, the
   c-column from the other two by scale equivariance.  Its null vector is
-  the tangent of the family.  A member at given c is found by damped
-  Newton (``_newton``) on (z_o, L) from the tangent's predictor at a near
-  member; the curve is truncated at the first passage and the contact
-  angle phi(L) is reported.  A member farther along, or near a fold, is
-  reached by pseudo-arclength continuation in scaled (c, z_o, L) (Keller
-  1977; Allgower and Georg, *Introduction to Numerical Continuation
-  Methods*), which passes through the folds where the family turns back
-  in c; a sign change of the tangent's c-component locates the fold.
+  the tangent of the family.  One damped Newton corrector on a plane
+  (``_correct``) finds every member: at given c on the plane of fixed c,
+  from the tangent's predictor at a near member; farther along, or near a
+  fold, on the plane normal to the tangent, by pseudo-arclength
+  continuation in y = (c, z_o, L) / |(c, z_o, L)| of the member a step
+  starts from (Keller 1977; Allgower and Georg, *Introduction to
+  Numerical Continuation Methods*), which passes through the folds where
+  the family turns back in c; a sign change of the tangent's c-component
+  locates the fold.  The curve is truncated at the first passage and the
+  contact angle phi(L) is reported.
 
 Both problems are scale equivariant: (R, Z) -> (mu R, mu Z) maps solutions
 to (c_o/mu, mu z_o).
@@ -56,7 +58,7 @@ _MAX_BRACKET = 8
 #: falls linearly to 0 along a parabola with a fold, so the requested c then
 #: lies at most 64 % of the way to the fold
 _LAND_RATIO = 0.6
-#: largest pseudo-arclength step, in y = (c, z_o, L) / (|c0|, |z0|, ell0)
+#: largest pseudo-arclength step, in y = (c, z_o, L) / |(c, z_o, L)| of a walk
 _MAX_ARC_STEP = 0.05
 #: longest step in y that a member is landed over at fixed c
 _MAX_LAND_STEP = 2.0 * _MAX_ARC_STEP
@@ -110,9 +112,7 @@ class FamilyMember:
 
     ``jacobian`` is d(r, z)(L)/d(c, z_o, L) at the member; its null vector
     is the tangent of the family there.  ``previous`` is (c, z_o, L) of the
-    member or disc this one was continued from, or None.  ``scale`` is
-    |(c, z_o, L)| of the first member of its continuation: walks from it
-    measure arclength in y = (c, z_o, L) / scale.
+    member or disc this one was continued from, or None.
     """
 
     c: float
@@ -124,7 +124,6 @@ class FamilyMember:
     left_admissible_region: bool
     jacobian: np.ndarray | None = field(default=None, repr=False, compare=False)
     previous: tuple | None = field(default=None, repr=False, compare=False)
-    scale: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ class FamilySweep:
     """Result of a family sweep: converged members plus failure records.
 
     ``tangent`` is the unit tangent of the family at the tangential disc in
-    scaled y = (c, z_o, L) / (|c0|, |z0|, ell0), oriented toward larger c;
+    scaled y = x / |x| of the sweep's first member, oriented toward larger c;
     ``folds`` maps "above" and "below" to the first fold c* met walking
     that way from the disc toward the requested curvatures, or None.
     """
@@ -329,17 +328,25 @@ def _branch_problem(circle, runs):
     return residual, jacobian
 
 
-def _member_problem(c, circle, runs):
-    """``_branch_problem`` at fixed curvature c, over (z_o, L)."""
-    branch_residual, branch_jacobian = _branch_problem(circle, runs)
+def _correct(circle, runs, trace, x0, Q, u, what, first=None):
+    """Zero (x, aux, norm) of ``_branch_problem`` on the plane x = x0 + Q u.
 
-    def residual(x):
-        return branch_residual((c, x[0], x[1]))
-
-    def jacobian(x, F, aux):
-        return branch_jacobian((c, x[0], x[1]), F, aux)[:, 1:]
-
-    return residual, jacobian
+    ``_newton`` solves F(x0 + Q u) = 0 for u in R^2 from ``u``, whose
+    residual ``first`` may be evaluated already, with Jacobian
+    J(x0 + Q u) Q.  Its iterates go to ``trace`` as ((c, z_o, L), norm);
+    its failures raise NoConvergence naming ``what``.
+    """
+    residual, jacobian = _branch_problem(circle, runs)
+    steps = []
+    try:
+        u, aux, norm = _newton(
+            lambda u: residual(x0 + Q @ u), u,
+            lambda u, F, aux: jacobian(x0 + Q @ u, F, aux) @ Q,
+            _match_tol(circle), steps, what, first=first,
+        )
+    finally:
+        trace.extend((tuple(x0 + Q @ point), norm) for point, norm in steps)
+    return x0 + Q @ u, aux, norm
 
 
 def _tangent(J, scale):
@@ -359,12 +366,10 @@ def _state(seed):
     return np.array([seed.c, seed.z_o, seed.curve.ell])
 
 
-def _member(x, aux, norm, circle, previous, scale=None):
-    """The member at x = (c, z_o, L); ``scale`` defaults to its own |x|."""
+def _member(x, aux, norm, circle, previous):
+    """The member at x = (c, z_o, L), continued from ``previous``."""
     c, z_o, _ = (float(v) for v in x)
     curve, phi_end = aux
-    if scale is None:
-        scale = np.abs([c, z_o, curve.ell])
     return FamilyMember(
         c=c,
         z_o=z_o,
@@ -375,7 +380,6 @@ def _member(x, aux, norm, circle, previous, scale=None):
         left_admissible_region=not ModelParams(c, z_o).sigma0_admissible,
         jacobian=_endpoint_jacobian(curve, phi_end, x[2]),
         previous=previous,
-        scale=scale,
     )
 
 
@@ -385,15 +389,15 @@ def _oriented(J, scale, t_ref):
     return t if t @ t_ref >= 0.0 else -t
 
 
-def _bend(member, t, scale):
-    """Curvature vector d^2 y/ds^2 of the family at ``member``, or None.
+def _bend(x, t, x_other, scale):
+    """Curvature vector d^2 y/ds^2 of the family at x, or None.
 
-    It is the one of the parabola y + h t + h^2 bend / 2 through the member
-    along its tangent t that also passes through ``member.previous``.
+    It is the one of the parabola y + h t + h^2 bend / 2 in y = x / scale
+    through x along its tangent t that also passes through ``x_other``.
     """
-    if member.previous is None:
+    if x_other is None:
         return None
-    dy = (np.array(member.previous) - _state(member)) / scale
+    dy = (np.asarray(x_other) - x) / scale
     h = float(t @ dy)
     # the rounding of dy, about 1e-16, would enter the bend as 1e-16 / h^2
     if abs(h) < _MIN_BEND_STEP:
@@ -404,13 +408,14 @@ def _bend(member, t, scale):
 def _predict(base, c, scale):
     """Predicted (z_o, L) at c on the parabola of the family through ``base``.
 
-    Returns ``(z_o, L, h, ratio)``: the step h in scaled arclength and the
-    share of the tangent's c-component left at the predicted point on that
-    parabola (1 on a straight line; 0 at its fold, where the c-equation has
-    no root and the linear step is returned).
+    It bends through ``base.previous``.  Returns ``(z_o, L, h, ratio)``: the
+    step h in scaled arclength and the share of the tangent's c-component
+    left at the predicted point on that parabola (1 on a straight line; 0
+    at its fold, where the c-equation has no root and the linear step is
+    returned).
     """
     t = _tangent(base.jacobian, scale)
-    bend = _bend(base, t, scale)
+    bend = _bend(_state(base), t, base.previous, scale)
     dy_c = (c - base.c) / scale[0]
     h = dy_c / t[0]
     ratio = 1.0
@@ -440,31 +445,25 @@ class _Unreached(NoConvergence):
 
 
 def _land(circle, runs, trace, seed, c, predicted=None, first=None):
-    """Member at curvature c by damped Newton on (z_o, L) from ``seed``.
+    """Member at curvature c, corrected from ``seed`` on the plane of fixed c.
 
-    Both Jacobian columns are exact and cost no extra integration: the
-    L-column is the curve velocity, the z_o-column the co-integrated
-    variation d(r, z)/dz_o.  Newton starts at the ``predicted`` (z_o, L),
-    with its residual ``first`` if already evaluated, unless that is
-    infeasible, and else at the seed's.  Its iterates go to ``trace`` as
-    ((c, z_o, L), norm).  The member keeps a member seed's ``scale``.
+    The plane passes through (c, 0, 0) along the z_o- and L-axes, so
+    ``_correct`` runs on (z_o, L); both Jacobian columns are exact and cost
+    no extra integration: the L-column the curve velocity, the z_o-column
+    the co-integrated variation.  Newton starts at the ``predicted``
+    (z_o, L), with its residual ``first`` if already evaluated, unless that
+    is infeasible, and else at the seed's.
     """
-    residual, jacobian = _member_problem(c, circle, runs)
-    x = _state(seed)[1:]
+    x0, Q = np.array([c, 0.0, 0.0]), np.eye(3)[:, 1:]
+    u = _state(seed)[1:]
     if predicted is not None:
         if first is None:
-            first = residual(predicted)
+            residual, _ = _branch_problem(circle, runs)
+            first = residual((c, *predicted))
         if first is not None:
-            x = np.array(predicted)
-    steps = []
-    try:
-        x, aux, norm = _newton(
-            residual, x, jacobian, _match_tol(circle), steps, "member", first=first
-        )
-    finally:
-        trace.extend(((c, *point), norm) for point, norm in steps)
-    scale = getattr(seed, "scale", None)  # a disc has none
-    return _member((c, *x), aux, norm, circle, tuple(_state(seed)), scale)
+            u = np.array(predicted)
+    x, aux, norm = _correct(circle, runs, trace, x0, Q, u, "member", first)
+    return _member(x, aux, norm, circle, tuple(_state(seed)))
 
 
 def _reach(circle, runs, trace, seed, c):
@@ -478,8 +477,8 @@ def _reach(circle, runs, trace, seed, c):
     z_p, l_p, h, ratio = _predict(seed, c, scale)
     first = None
     if ratio >= _LAND_RATIO and abs(h) <= _MAX_LAND_STEP:
-        residual, _ = _member_problem(c, circle, runs)
-        first = residual((z_p, l_p))
+        residual, _ = _branch_problem(circle, runs)
+        first = residual((c, z_p, l_p))
         if first is not None:
             t_seed = _tangent(seed.jacobian, scale)
             t_pred = _oriented(_endpoint_jacobian(*first[1], l_p), scale, t_seed)
@@ -537,101 +536,80 @@ def shoot_family_member(c, circle, seed):
         raise
 
 
-def _arc_step(circle, runs, base, t_base, ds, trace, bend=None, start=None):
+def _arc_step(circle, runs, base, t_base, scale, ds, trace, bend=None, first=None):
     """Pseudo-arclength step of length ds from ``base`` along ``t_base``.
 
-    Newton solves F(x) = 0 with the row t_base . (y - y_base) = ds in
-    scaled y = x / ``base.scale`` (Keller 1977).  It starts from the predictor
-    y_base + ds t_base + ds^2 bend / 2, with ``bend`` an estimate of the
-    family's curvature vector d^2 y/ds^2 (or none), or from ``start``, a
-    point x with its residual already evaluated.  The arclength row is
-    weighed by the disc length so that it is measured in lengths, like the
-    endpoint mismatch.  Returns the member and the predictor's distance
-    from it in y.
+    ``_correct`` solves on the plane t_base . (y - y_base) = ds in scaled
+    y = x / ``scale`` (Keller 1977), through y_base + ds t_base and along
+    an orthonormal basis of the complement of t_base.  Newton starts from
+    the predictor y_base + ds t_base + ds^2 bend / 2 projected onto the
+    plane, with ``bend`` the family's curvature vector d^2 y/ds^2 or None;
+    its residual ``first`` may be evaluated already.  Returns the member
+    and the predictor's distance from it in y.
     """
-    residual, jacobian = _branch_problem(circle, runs)
-    scale = base.scale
     x_base = _state(base)
-    y_base = x_base / scale
-    weight = scale[2]
-
-    def extended(x, out):
-        if out is None:
-            return None
-        F, aux = out
-        return np.append(F, weight * (t_base @ (x / scale - y_base) - ds)), aux
-
-    def extended_jacobian(x, G, aux):
-        return np.vstack([jacobian(x, G, aux), weight * t_base / scale])
-
-    first = None
-    if start is not None:
-        x, out = start
-        first = extended(x, out)
-    else:
-        y = y_base + ds * t_base
-        if bend is not None:
-            y = y + 0.5 * ds * ds * bend
-        x = y * scale
-    x_pred = x
-    x, aux, norm = _newton(
-        lambda x: extended(x, residual(x)), x, extended_jacobian,
-        _match_tol(circle), trace, "arclength", first=first,
+    y_plane = x_base / scale + ds * t_base
+    basis = np.linalg.qr(t_base[:, None], mode="complete")[0][:, 1:]
+    y_pred = y_plane if bend is None else y_plane + 0.5 * ds * ds * bend
+    x, aux, norm = _correct(
+        circle, runs, trace, y_plane * scale, scale[:, None] * basis,
+        basis.T @ (y_pred - y_plane), "arclength", first,
     )
-    miss = float(np.linalg.norm((x - x_pred) / scale))
-    return _member(x, aux, norm, circle, tuple(x_base), scale), miss
+    miss = float(np.linalg.norm(x / scale - y_pred))
+    return _member(x, aux, norm, circle, tuple(x_base)), miss
 
 
 def _walk(circle, runs, trace, base, x_pred, out, c, side):
     """Pseudo-arclength walk from the member ``base`` until c or a fold is passed.
 
-    ``side`` is +1 walking toward larger c, -1 toward smaller, in
-    y = (c, z_o, L) / ``base.scale``.  Each step's predictor is quadratic,
-    with the family's curvature vector from the parabola through the last
-    two members (``_bend``), or for a first step without one, from the turn
-    of the tangent between ``base`` and ``x_pred``, the predicted point of
-    a landing at c, when its residual ``out`` was evaluated; that point,
-    with its residual, is the first step when it lies within the step
-    length.  The step length follows the predictor's miss of the family,
-    aiming at ``_ARC_DEVIATION``, within ``_MAX_ARC_STEP``; a failed
-    corrector halves it.  Returns ``(seed, fold)``: the member to land c
-    from (the nearer of the two around it) or the last one before the fold,
-    and the fold's c* or None.  A sign change of the tangent's c-component
-    between two members brackets the fold; ``_locate_fold`` finds c*.
+    ``side`` is +1 walking toward larger c, -1 toward smaller, in y = x /
+    |x| of ``base``.  Each step's predictor bends (``_bend``) through the
+    member the step comes from; the first one through ``x_pred``, the
+    predicted point of a landing at c, when its residual ``out`` was
+    evaluated, and else through ``base.previous``.  An x_pred within the
+    step length is the first step's predictor, with its residual.  The
+    step length follows the predictor's miss of the family, aiming at
+    ``_ARC_DEVIATION``, within ``_MAX_ARC_STEP``; a failed corrector halves
+    it.  Returns ``(seed, fold)``: the member to land c from (the nearer of
+    the two around it) or the last one before the fold, and the fold's c*
+    or None.  A sign change of the tangent's c-component between two
+    members brackets the fold; ``_locate_fold`` finds c*.
     """
-    scale = base.scale
+    x_base = _state(base)
+    scale = np.abs(x_base)
     t_base = _tangent(base.jacobian, scale)
     t_base *= math.copysign(1.0, side * t_base[0])
-    bend = _bend(base, t_base, scale)
-    start = None
-    ds_pred = 0.0
-    if out is not None:
-        ds_pred = float(t_base @ ((x_pred - _state(base)) / scale))
-        if bend is None and ds_pred > 0.0:
-            t_pred = _oriented(_endpoint_jacobian(*out[1], x_pred[2]), scale, t_base)
-            bend = (t_pred - t_base) / ds_pred
+    first = None
+    bend = _bend(x_base, t_base, base.previous if out is None else x_pred, scale)
+    ds_pred = 0.0 if out is None else float(t_base @ ((x_pred - x_base) / scale))
     # the first step is sized as if its predictor were linear, straying
-    # |bend| ds^2 / 2 from the family
+    # |bend| ds^2 / 2 from the family; the bend through a straight landing
+    # predictor is rounding, and sizes it _MAX_ARC_STEP
     ds = _MAX_ARC_STEP / 8.0
     if bend is not None:
-        ds = min(_MAX_ARC_STEP, math.sqrt(2.0 * _ARC_DEVIATION / np.linalg.norm(bend)))
+        curving = max(float(np.linalg.norm(bend)), 1e-300)
+        ds = min(_MAX_ARC_STEP, math.sqrt(2.0 * _ARC_DEVIATION / curving))
     if 0.0 < ds_pred <= ds:
-        ds, start = ds_pred, (x_pred, out)
+        ds, first = ds_pred, out
     for _ in range(_MAX_ARC_STEPS):
         try:
-            point, miss = _arc_step(circle, runs, base, t_base, ds, trace, bend, start)
+            point, miss = _arc_step(
+                circle, runs, base, t_base, scale, ds, trace, bend, first
+            )
         except NoConvergence:
             ds *= 0.5
-            start = None
             continue
-        start = None
+        finally:
+            first = None
         t_point = _oriented(point.jacobian, scale, t_base)
         if side * t_point[0] <= 0.0:
-            fold = _locate_fold(circle, runs, base, t_base, point, t_point, ds, trace)
+            fold = _locate_fold(
+                circle, runs, base, t_base, scale, point, t_point, ds, trace
+            )
             return base, fold
         if side * (point.c - c) >= 0.0:
             return (point if abs(point.c - c) < abs(base.c - c) else base), None
-        bend = (t_point - t_base) / ds
+        bend = _bend(_state(point), t_point, _state(base), scale)
         # a quadratic predictor misses by O(ds^3)
         grow = (_ARC_DEVIATION / max(miss, 1e-300)) ** (1.0 / 3.0)
         step = min(ds * min(grow, 2.0), _MAX_ARC_STEP)
@@ -646,20 +624,20 @@ def _walk(circle, runs, trace, base, x_pred, out, c, side):
     )
 
 
-def _locate_fold(circle, runs, base, t_base, end, t_end, ds, trace):
+def _locate_fold(circle, runs, base, t_base, scale, end, t_end, ds, trace):
     """c* of the fold between ``base`` and ``end``, a step ds along ``t_base``.
 
     The tangent's c-component t_c changes sign over the step.  Its secant
-    root in arclength is corrected onto the family, and the bracket is
-    narrowed to it (regula falsi) until |t_c| there is at most
-    ``_FOLD_SLOPE``; a secant point whose corrector fails is replaced by
-    the bracket's midpoint.  The quadratic model of c through the last
-    point, with the curvature dt_c/ds of the last bracket, then gives c*.
-    Raises NoConvergence naming the bracket when neither point converges
-    or ``_MAX_FOLD_SECANTS`` points leave |t_c| above ``_FOLD_SLOPE``.
+    root in arclength is corrected onto the family from the parabola
+    through ``end`` (``_bend``), and the bracket is narrowed to it (regula
+    falsi) until |t_c| there is at most ``_FOLD_SLOPE``; a secant point
+    whose corrector fails is replaced by the bracket's midpoint.  The
+    quadratic model of c through the last point, with the curvature
+    dt_c/ds of the last bracket, then gives c*.  Raises NoConvergence
+    naming the bracket when neither point converges or
+    ``_MAX_FOLD_SECANTS`` points leave |t_c| above ``_FOLD_SLOPE``.
     """
-    scale = base.scale
-    bend = (t_end - t_base) / ds
+    bend = _bend(_state(base), t_base, _state(end), scale)
     (s_a, t_a, c_a), (s_b, t_b, c_b) = (0.0, t_base[0], base.c), (ds, t_end[0], end.c)
 
     def unlocated(why):
@@ -671,7 +649,9 @@ def _locate_fold(circle, runs, base, t_base, end, t_end, ds, trace):
         s_secant = s_a + (s_b - s_a) * t_a / (t_a - t_b)
         for s_fold in (s_secant, 0.5 * (s_a + s_b)):
             try:
-                point, _ = _arc_step(circle, runs, base, t_base, s_fold, trace, bend)
+                point, _ = _arc_step(
+                    circle, runs, base, t_base, scale, s_fold, trace, bend
+                )
                 break
             except NoConvergence:
                 pass
@@ -693,14 +673,15 @@ def family_sweep(circle, c_min, c_max, n, *, sigma0=None):
 
     The c grid is uniform on [c_min, c_max], which must bracket the
     tangential-disc curvature c0.  The sweep starts from the member at c0
-    (at the grid point within ``_DISC_SNAP`` of it, if any), whose Jacobian
-    gives the family's tangent, and goes out each way.  Each requested c is
-    reached through ``shoot_family_member`` from the last member.  A c past
-    a fold ends its side: it and the c beyond are recorded as failures
-    ``beyond fold c* = ...``, not attempted.  So does a failed walk, whose
-    message is recorded for every later c on that side, which would walk
-    the same stretch.  Other failures are recorded per member and do not
-    abort the sweep.  Members are returned sorted by c.
+    (at the grid point within ``_DISC_SNAP`` of it, if any), which every
+    grid point at its curvature gets, whose Jacobian gives the family's
+    tangent, and goes out each way.  Each other requested c is reached
+    through ``shoot_family_member`` from the last member.  A c past a fold
+    ends its side: it and the c beyond are recorded as failures ``beyond
+    fold c* = ...``, not attempted.  So does a failed walk, whose message
+    is recorded for every later c on that side, which would walk the same
+    stretch.  Other failures are recorded per member and do not abort the
+    sweep.  Members are returned sorted by c.
     """
     if sigma0 is None:
         sigma0 = shoot_sigma0(circle)
@@ -718,9 +699,8 @@ def family_sweep(circle, c_min, c_max, n, *, sigma0=None):
     except NoConvergence as exc:
         failures.extend((c, str(exc)) for c in cs)
         return FamilySweep(members=[], failures=failures)
-    if c_start == cs[near]:
-        members[near] = start
-    tangent = _tangent(start.jacobian, start.scale)
+    members.update((i, start) for i in range(n) if cs[i] == c_start)
+    tangent = _tangent(start.jacobian, np.abs(_state(start)))
     tangent *= math.copysign(1.0, tangent[0])
     for side, name in ((1, "above"), (-1, "below")):
         pending = sorted(

@@ -339,7 +339,8 @@ def certify(sigma0, lin=None, *, count=6, n=1536):
     ``m1_zero_residual``, that eigenvalue's modulus, is rounding of the
     eigen solve (about 1e-10) and means only its size against
     ``zero_band``.  Condition (iii) is the transversality scalar
-    h_prime_boundary exceeding 1000x the linear solver tolerance.  Surfaces
+    h_prime_boundary exceeding 1000x the tolerance ``lin`` was solved at,
+    1e3 (lin.rtol max(1, |h_prime_boundary|) + lin.atol).  Surfaces
     outside the tangential-disc parameter region get verdict
     "not_applicable".
     """
@@ -399,8 +400,9 @@ def certify(sigma0, lin=None, *, count=6, n=1536):
         and m2_gap > zero_band
     )
 
-    transversality_floor = 1e3 * (1e-12 * max(1.0, abs(lin.h_prime_boundary)) + 1e-14)
-    cond_iii = abs(lin.h_prime_boundary) > transversality_floor
+    h_prime = lin.h_prime_boundary
+    transversality_floor = 1e3 * (lin.rtol * max(1.0, abs(h_prime)) + lin.atol)
+    cond_iii = abs(h_prime) > transversality_floor
 
     verdict = "pass" if (cond_i and cond_ii and cond_iii) else "fail"
     return BifurcationCertificate(

@@ -292,13 +292,33 @@ def test_sweep_integration_budget_over_the_fig2_range(circle053, sig053,
 def test_member_jacobian_is_the_z_o_derivative(R, Z):
     circle = BoundaryCircle(R, Z)
     sig = shoot_sigma0(circle)
-    residual, jacobian = shooting_mod._member_problem(sig.params.c_o, circle, [0])
-    x = np.array([sig.params.z_o, sig.curve.ell])
+    residual, jacobian = shooting_mod._branch_problem(circle, [0])
+    x = np.array([sig.params.c_o, sig.params.z_o, sig.curve.ell])
     F, aux = residual(x)
-    column = jacobian(x, F, aux)[:, 0]
-    step = np.array([1e-5 * abs(x[0]), 0.0])
-    central = (residual(x + step)[0] - residual(x - step)[0]) / (2.0 * step[0])
+    column = jacobian(x, F, aux)[:, 1]
+    step = np.array([0.0, 1e-5 * abs(x[1]), 0.0])
+    central = (residual(x + step)[0] - residual(x - step)[0]) / (2.0 * step[1])
     assert np.max(np.abs(column - central)) < 1e-7 * np.max(np.abs(column))
+
+
+def test_landing_keeps_the_requested_c_bit_for_bit(circle053, sig053):
+    c = 1.01 * sig053.params.c_o
+    trace = []
+    m = shooting_mod._land(circle053, [0], trace, sig053, c)
+    assert m.c == c
+    assert len(trace) > 1 and all(point[0] == c for point, _ in trace)
+
+
+@pytest.mark.parametrize("ds", [0.05, -0.02])
+@pytest.mark.parametrize("bend", [None, np.ones(3)])
+def test_arclength_step_lands_on_its_plane(circle053, sig053, ds, bend):
+    base = shoot_family_member(sig053.params.c_o, circle053, sig053)
+    scale = np.abs(shooting_mod._state(base))
+    t = shooting_mod._tangent(base.jacobian, scale)
+    point, _ = shooting_mod._arc_step(circle053, [0], base, t, scale, ds, [], bend)
+    dy = (shooting_mod._state(point) - shooting_mod._state(base)) / scale
+    assert abs(t @ dy - ds) <= 1e-13
+    assert point.match_residual < shooting_mod._match_tol(circle053)
 
 
 @pytest.mark.parametrize("R, Z", [(0.5, -3.0), (1.0, -2.0)])
@@ -319,6 +339,13 @@ def test_z_o_variation_along_the_disc_is_the_kernel(R, Z):
     normal = dr * np.sin(phi) - dz * np.cos(phi)
     assert abs(normal[-1] - kernel.raw_boundary_value) < 1e-9
     assert np.max(np.abs(normal / normal[-1] - kernel.psi_at(taus))) < 1e-9
+
+
+def test_sweep_returns_every_grid_point_at_the_start_curvature(circle053, sig053):
+    c0 = sig053.params.c_o
+    sw = family_sweep(circle053, c0, c0, 3, sigma0=sig053)
+    assert len(sw.members) + len(sw.failures) == 3
+    assert [m.c for m in sw.members] == [c0, c0, c0]
 
 
 def test_sweep_integration_budget_exact_jacobian(circle053, sig053, integrations):

@@ -154,6 +154,14 @@ def test_certificate_pass(sig053, lin053):
     assert cert.m0_gap > 0.4 and cert.m2_gap > 0.8
 
 
+def test_transversality_floor_follows_the_solve_tolerance(sig053, lin053):
+    # 1000x the tolerance h_prime_boundary was solved at: 10x looser, 10x higher
+    loose = solve_h(sig053.curve, rtol=1e-12, atol=1e-14)
+    floor = certify(sig053, lin053, n=400).diagnostics["transversality_floor"]
+    looser = certify(sig053, loose, n=400).diagnostics["transversality_floor"]
+    assert looser == pytest.approx(10.0 * floor, rel=1e-9)
+
+
 def test_certificate_not_applicable():
     params = ModelParams(0.0, -1.0, allow_zero_curvature=True)
     cap = integrate_profile(params, StopCondition.at_arc_length(1.0))
