@@ -42,7 +42,6 @@ from .linearized import (
     family_derivative_check,
     h_from_support,
     residual_Pnu3,
-    solve_axisymmetric_kernel,
     solve_h,
 )
 from .spectral import (
@@ -57,7 +56,6 @@ from .surfaces import (
     RunRecord,
     SurfaceMesh,
     branch_linear_mesh,
-    export,
     family_linear_mesh,
     revolve,
 )
@@ -87,7 +85,6 @@ __all__ = [
     "certify",
     "eigen_solve",
     "energy",
-    "export",
     "extended_rhs",
     "family_derivative_check",
     "family_linear_mesh",
@@ -104,6 +101,5 @@ __all__ = [
     "shoot_family_member",
     "shoot_sigma0",
     "sigma0_stop",
-    "solve_axisymmetric_kernel",
     "solve_h",
 ]

@@ -14,7 +14,6 @@ path, 2 numerical non-convergence (diagnostics on standard error).
 """
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ from .errors import (
 from .linearized import solve_h
 from .profile import (
     DEFAULT_ATOL,
+    DEFAULT_MAX_ARC_FACTOR,
     DEFAULT_RTOL,
     DEFAULT_TAU0_FACTOR,
     ModelParams,
@@ -41,8 +41,14 @@ from .profile import (
     integrate_profile,
     sigma0_stop,
 )
-from .shooting import BoundaryCircle, family_sweep, shoot_sigma0
-from .spectral import certify, check_eigen_size, check_mode, eigen_solve
+from .shooting import BoundaryCircle, check_family_range, family_sweep, shoot_sigma0
+from .spectral import (
+    certify,
+    check_certify_size,
+    check_eigen_size,
+    check_mode,
+    eigen_solve,
+)
 from .surfaces import (
     RunRecord,
     _require_finite_amplitude,
@@ -285,6 +291,12 @@ def _run_trace(config):
     elif p["stop"] == "arc":
         params = _scaled_params(p["c_o"], p["z_o"])
         stop = StopCondition.at_arc_length(p["arc"])
+        guard = stop.arc_guard(params)
+        if stop.arc_length > guard:
+            raise ValueError(
+                f"arc = {p['arc']!r} lies beyond the arc guard "
+                f"{guard:.6g} = {DEFAULT_MAX_ARC_FACTOR:g} |z_o|"
+            )
     else:
         raise ParseError(f"unknown stop kind {p['stop']!r}")
     outdir = _ensure_out(p["out"])
@@ -342,10 +354,7 @@ def _family_csv(members, path):
 
 def _run_family(config):
     p = config.params
-    if p["n"] < 1:
-        raise ValueError("family needs n >= 1 members")
-    if not 0.0 < p["c_min"] <= p["c_max"] < math.inf:
-        raise ValueError("family needs finite c_min and c_max with 0 < c_min <= c_max")
+    check_family_range(p["c_min"], p["c_max"], p["n"])
     circle = _circle_from(config)
     outdir = _ensure_out(p["out"])
     sweep = family_sweep(circle, p["c_min"], p["c_max"], p["n"])
@@ -462,7 +471,7 @@ def _run_eigen(config):
 
 def _run_certify(config):
     p = config.params
-    check_eigen_size(p["n"], p["count"])
+    check_certify_size(p["n"], p["count"])
     circle = _circle_from(config)
     outdir = _ensure_out(p["out"])
     sig = shoot_sigma0(circle)

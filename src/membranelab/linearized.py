@@ -221,50 +221,36 @@ def _integrate_extended(curve, *, rtol=None, atol=None, tau0=None):
     return sol, rtol, atol
 
 
-def _kernel_from(sol):
-    """Kernel normalized to 1 at the boundary from an extended solution."""
+def solve_h(curve, **kw):
+    """Response h of P[h] = -2 vanishing at the boundary, by superposition.
+
+    One integration from the axis carries the profile, the raw radial kernel
+    psi_raw of P (psi = 1 at the axis, even series start) and the particular
+    solution p (p(axis) = 0).  The kernel is normalized to 1 at the
+    boundary; its boundary value must not vanish (the radial kernel meets
+    the boundary nontrivially), and a vanishing value is reported as a
+    numerical failure rather than absorbed.  h = p + alpha * psi_raw with
+    alpha = -p(boundary)/psi_raw(boundary); the boundary node of ``h`` holds
+    the exact 0 that this alpha prescribes.  The reported slope
+    h_prime_boundary is taken in the boundary-based orientation.
+    ``rtol``/``atol`` default to min(curve.rtol, 1e-13) and min(curve.atol,
+    1e-15); an rtol below ``ode.MIN_RTOL`` (100 eps) raises ValueError, it
+    is not clamped to that floor.
+    """
+    sol, rtol, atol = _integrate_extended(curve, **kw)
     raw_b = float(sol.y[3, -1])
-    scale = float(np.max(np.abs(sol.y[3])))
-    if abs(raw_b) < 1e-10 * scale:
+    if abs(raw_b) < 1e-10 * float(np.max(np.abs(sol.y[3]))):
         raise BoundaryValueVanishes(
             "radial kernel vanished at the boundary within tolerance"
         )
-    return KernelSolution(
+    kernel = KernelSolution(
         taus=sol.t,
         psi=sol.y[3] / raw_b,
         w=sol.y[4] / raw_b,
         raw_boundary_value=raw_b,
         _dense=sol.sol,
     )
-
-
-def solve_axisymmetric_kernel(curve, **kw):
-    """Radial kernel of P along the curve, normalized to 1 at the boundary.
-
-    The raw solution starts from psi = 1 at the axis with the even series
-    start; its boundary value must not vanish (the radial kernel meets the
-    boundary nontrivially), and a vanishing value is reported as a numerical
-    failure rather than absorbed.  ``rtol``/``atol`` default to
-    min(curve.rtol, 1e-13) and min(curve.atol, 1e-15); an rtol below
-    ``ode.MIN_RTOL`` (100 eps) raises ValueError, it is not clamped to that
-    floor.
-    """
-    return _kernel_from(_integrate_extended(curve, **kw)[0])
-
-
-def solve_h(curve, **kw):
-    """Response h of P[h] = -2 vanishing at the boundary, by superposition.
-
-    h = p + alpha * psi_raw with the particular solution p starting from
-    p(axis) = 0 and alpha = -p(boundary)/psi_raw(boundary).  The boundary
-    node of ``h`` holds the exact 0 that this alpha prescribes.  The reported
-    slope h_prime_boundary is taken in the boundary-based orientation.
-    Tolerances as in ``solve_axisymmetric_kernel``: an rtol below
-    ``ode.MIN_RTOL`` raises ValueError.
-    """
-    sol, rtol, atol = _integrate_extended(curve, **kw)
-    kernel = _kernel_from(sol)
-    alpha = -float(sol.y[5, -1]) / kernel.raw_boundary_value
+    alpha = -float(sol.y[5, -1]) / raw_b
     h = sol.y[5] + alpha * sol.y[3]
     # h(ell) = 0 by the choice of alpha; store that zero, not its rounding
     h[-1] = 0.0

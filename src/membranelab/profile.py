@@ -153,6 +153,12 @@ class StopCondition:
     def at_arc_length(cls, limit, **guards):
         return cls(arc_length=float(limit), **guards)
 
+    def arc_guard(self, params):
+        """The arc-length cap for ``params``: ``max_arc`` or its default."""
+        if self.max_arc is None:
+            return DEFAULT_MAX_ARC_FACTOR * abs(params.z_o)
+        return self.max_arc
+
 
 @dataclass(frozen=True)
 class GeometryPoint:
@@ -240,16 +246,6 @@ class ProfileCurve:
         if not np.all((t >= self.tau0) & (t <= self.ell)):
             raise OutOfRange(f"tau must lie in [{self.tau0}, {self.ell}]")
         return tuple(self._dense(t)[3:])
-
-    def sample_states(self):
-        return [
-            ProfileState(float(t), float(r), float(z), float(p))
-            for t, r, z, p in zip(self.taus, self.r, self.z, self.phi)
-        ]
-
-    def sigma(self, tau):
-        """Boundary-based arc length sigma = ell - tau."""
-        return self.ell - np.asarray(tau, dtype=float)
 
     def unit_speed_residual(self):
         """max |r'^2 + z'^2 - 1| with derivatives from the dense output.
@@ -423,14 +419,9 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
         rhs = _varied_rhs(params.c_o)
         ivp_rtol = [max(rtol / math.sqrt(2.0), MIN_RTOL)] * 3 + [_VARIATION_TOL] * 3
         ivp_atol = [atol / math.sqrt(2.0)] * 3 + [_VARIATION_TOL] * 3
-    max_arc = stop.max_arc
-    if max_arc is None:
-        max_arc = DEFAULT_MAX_ARC_FACTOR * abs(params.z_o)
+    max_arc = stop.arc_guard(params)
     min_abs_z = DEFAULT_MIN_ABS_Z_FACTOR * abs(params.z_o)
-    if stop.arc_length is not None:
-        t_end = stop.arc_length
-    else:
-        t_end = max_arc
+    t_end = max_arc if stop.arc_length is None else min(stop.arc_length, max_arc)
 
     events = []
 
@@ -522,7 +513,13 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
             )
         return build(float(hits[0]), StopReason.TANGENT_HORIZONTAL)
 
-    return build(float(sol.t[-1]), StopReason.ARC_LIMIT)
+    curve = build(float(sol.t[-1]), StopReason.ARC_LIMIT)
+    if stop.arc_length > max_arc:
+        raise ArcLimitReached(
+            f"arc length {stop.arc_length:.6g} lies beyond the arc guard "
+            f"{max_arc:.6g}", curve
+        )
+    return curve
 
 
 def _safe_sin_over_r(r, z, phi, params):

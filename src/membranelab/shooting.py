@@ -148,46 +148,6 @@ class FamilySweep:
         return fold is not None and (c - fold) * (c - c0) > 0.0
 
 
-def _newton(residual, x, jacobian, tol, trace, what, first=None):
-    """Damped Newton iteration with step halving (Deuflhard 2004).
-
-    ``residual(x)`` returns ``(F, aux)``, or None for an infeasible iterate;
-    ``jacobian(x, F, aux)`` returns dF/dx, or None.  ``first``, if given,
-    is ``residual(x)`` already evaluated.  A step is halved until the
-    max-norm of F decreases.  Accepted iterates go to ``trace`` as
-    ``(tuple(x), norm)``.  Returns ``(x, aux, norm)`` once the norm is below
-    ``tol``; otherwise raises NoConvergence naming ``what``.
-    """
-    out = residual(x) if first is None else first
-    if out is None:
-        raise NoConvergence(f"{what} start infeasible", trace)
-    F, aux = out
-    for _ in range(_MAX_NEWTON):
-        norm = float(np.max(np.abs(F)))
-        trace.append((tuple(x), norm))
-        if norm < tol:
-            return x, aux, norm
-        J = jacobian(x, F, aux)
-        if J is None:
-            raise NoConvergence(f"{what} Jacobian evaluation infeasible", trace)
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            raise NoConvergence(f"singular {what} Jacobian", trace) from None
-        lam = 1.0
-        for _ in range(_MAX_HALVINGS):
-            x_new = x + lam * delta
-            out = residual(x_new)
-            if out is not None and np.max(np.abs(out[0])) < norm:
-                break
-            lam *= 0.5
-        else:
-            raise NoConvergence(f"{what} damping stalled at {norm:.3e}", trace)
-        x = x_new
-        F, aux = out
-    raise NoConvergence(f"{what} did not converge in {_MAX_NEWTON} iterations", trace)
-
-
 def _match_tol(circle):
     """Converged endpoint mismatch: 1e-11 of the circle's scale (SHOOT_RTOL)."""
     return 1e-11 * max(circle.R, abs(circle.Z), 1.0)
@@ -296,57 +256,68 @@ def _endpoint_jacobian(curve, phi_end, length):
     return np.array([[dr_c, dr_z, dr_l], [dz_c, dz_z, dz_l]])
 
 
-def _branch_problem(circle, runs):
-    """Residual and Jacobian over x = (c, z_o, L) of the fixed-boundary family.
+def _residual(circle, runs, x):
+    """Endpoint mismatch of the fixed-boundary family at x = (c, z_o, L).
 
-    The residual is the endpoint mismatch (r, z)(L) - (R, Z) of the profile
-    (c, z_o), with aux (curve, phi(L)).  All three Jacobian columns come
-    with the residual's integration (``_endpoint_jacobian``).  ``runs[0]``
-    counts the integrations the residual starts.
+    Returns (r, z)(L) - (R, Z) of the profile (c, z_o) with aux (curve,
+    phi(L)), the curve carrying its z_o variation for
+    ``_endpoint_jacobian``; or None for an infeasible x or a failed
+    integration.  ``runs[0]`` counts the integrations started.
     """
-
-    def residual(x):
-        c, z_o, length = x
-        if not (0.0 < c < math.inf and -math.inf < z_o < 0.0 < length < math.inf):
-            return None
-        runs[0] += 1
-        try:
-            curve = integrate_profile(
-                ModelParams(c, z_o),
-                StopCondition.at_arc_length(length),
-                rtol=SHOOT_RTOL,
-                atol=SHOOT_ATOL,
-                z_o_variation=True,
-            )
-        except MembraneLabError:
-            return None
-        return _match(circle, curve, length)
-
-    def jacobian(x, F, aux):
-        return _endpoint_jacobian(*aux, x[2])
-
-    return residual, jacobian
+    c, z_o, length = x
+    if not (0.0 < c < math.inf and -math.inf < z_o < 0.0 < length < math.inf):
+        return None
+    runs[0] += 1
+    try:
+        curve = integrate_profile(
+            ModelParams(c, z_o),
+            StopCondition.at_arc_length(length),
+            rtol=SHOOT_RTOL,
+            atol=SHOOT_ATOL,
+            z_o_variation=True,
+        )
+    except MembraneLabError:
+        return None
+    return _match(circle, curve, length)
 
 
 def _correct(circle, runs, trace, x0, Q, u, what, first=None):
-    """Zero (x, aux, norm) of ``_branch_problem`` on the plane x = x0 + Q u.
+    """Zero (x, aux, norm) of ``_residual`` on the plane x = x0 + Q u.
 
-    ``_newton`` solves F(x0 + Q u) = 0 for u in R^2 from ``u``, whose
-    residual ``first`` may be evaluated already, with Jacobian
-    J(x0 + Q u) Q.  Its iterates go to ``trace`` as ((c, z_o, L), norm);
-    its failures raise NoConvergence naming ``what``.
+    Damped Newton with step halving (Deuflhard 2004) solves F(x0 + Q u) = 0
+    for u in R^2 from ``u``, whose residual ``first`` may be evaluated
+    already, with the Jacobian J Q, J from ``_endpoint_jacobian`` of each
+    iterate's integration.  A step is halved until the max-norm of F
+    decreases.  Accepted iterates go to ``trace`` as ((c, z_o, L), norm).
+    Returns once the norm is below ``_match_tol(circle)``; failures raise
+    NoConvergence naming ``what``.
     """
-    residual, jacobian = _branch_problem(circle, runs)
-    steps = []
-    try:
-        u, aux, norm = _newton(
-            lambda u: residual(x0 + Q @ u), u,
-            lambda u, F, aux: jacobian(x0 + Q @ u, F, aux) @ Q,
-            _match_tol(circle), steps, what, first=first,
-        )
-    finally:
-        trace.extend((tuple(x0 + Q @ point), norm) for point, norm in steps)
-    return x0 + Q @ u, aux, norm
+    x = x0 + Q @ u
+    out = _residual(circle, runs, x) if first is None else first
+    if out is None:
+        raise NoConvergence(f"{what} start infeasible", trace)
+    for _ in range(_MAX_NEWTON):
+        F, aux = out
+        norm = float(np.max(np.abs(F)))
+        trace.append((tuple(x), norm))
+        if norm < _match_tol(circle):
+            return x, aux, norm
+        try:
+            delta = np.linalg.solve(_endpoint_jacobian(*aux, x[2]) @ Q, -F)
+        except np.linalg.LinAlgError:
+            raise NoConvergence(f"singular {what} Jacobian", trace) from None
+        lam = 1.0
+        for _ in range(_MAX_HALVINGS):
+            u_new = u + lam * delta
+            x_new = x0 + Q @ u_new
+            out = _residual(circle, runs, x_new)
+            if out is not None and np.max(np.abs(out[0])) < norm:
+                break
+            lam *= 0.5
+        else:
+            raise NoConvergence(f"{what} damping stalled at {norm:.3e}", trace)
+        u, x = u_new, x_new
+    raise NoConvergence(f"{what} did not converge in {_MAX_NEWTON} iterations", trace)
 
 
 def _tangent(J, scale):
@@ -458,8 +429,7 @@ def _land(circle, runs, trace, seed, c, predicted=None, first=None):
     u = _state(seed)[1:]
     if predicted is not None:
         if first is None:
-            residual, _ = _branch_problem(circle, runs)
-            first = residual((c, *predicted))
+            first = _residual(circle, runs, (c, *predicted))
         if first is not None:
             u = np.array(predicted)
     x, aux, norm = _correct(circle, runs, trace, x0, Q, u, "member", first)
@@ -477,8 +447,7 @@ def _reach(circle, runs, trace, seed, c):
     z_p, l_p, h, ratio = _predict(seed, c, scale)
     first = None
     if ratio >= _LAND_RATIO and abs(h) <= _MAX_LAND_STEP:
-        residual, _ = _branch_problem(circle, runs)
-        first = residual((c, z_p, l_p))
+        first = _residual(circle, runs, (c, z_p, l_p))
         if first is not None:
             t_seed = _tangent(seed.jacobian, scale)
             t_pred = _oriented(_endpoint_jacobian(*first[1], l_p), scale, t_seed)
@@ -584,7 +553,11 @@ def _walk(circle, runs, trace, base, x_pred, out, c, side):
     ds_pred = 0.0 if out is None else float(t_base @ ((x_pred - x_base) / scale))
     # the first step is sized as if its predictor were linear, straying
     # |bend| ds^2 / 2 from the family; the bend through a straight landing
-    # predictor is rounding, and sizes it _MAX_ARC_STEP
+    # predictor is rounding, and sizes it _MAX_ARC_STEP.  Both are kept for
+    # their cost: over the first 64 certify circles of perfbench seeds 1 and
+    # 2 (3247 integrations), bending every first step through base.previous
+    # takes 73 more, and starting every bendless walk at _MAX_ARC_STEP 123
+    # more, with no verdict changed
     ds = _MAX_ARC_STEP / 8.0
     if bend is not None:
         curving = max(float(np.linalg.norm(bend)), 1e-300)
@@ -668,6 +641,14 @@ def _locate_fold(circle, runs, base, t_base, scale, end, t_end, ds, trace):
     raise unlocated(f"|t_c| = {abs(t_c):.3e} after {_MAX_FOLD_SECANTS} secant points")
 
 
+def check_family_range(c_min, c_max, n):
+    """Raise ValueError unless n >= 1 and 0 < c_min <= c_max < inf."""
+    if n < 1:
+        raise ValueError("family needs n >= 1 members")
+    if not 0.0 < c_min <= c_max < math.inf:
+        raise ValueError("family needs finite c_min and c_max with 0 < c_min <= c_max")
+
+
 def family_sweep(circle, c_min, c_max, n, *, sigma0=None):
     """n members by continuation outward from the tangential disc.
 
@@ -681,8 +662,10 @@ def family_sweep(circle, c_min, c_max, n, *, sigma0=None):
     fold c* = ...``, not attempted.  So does a failed walk, whose message
     is recorded for every later c on that side, which would walk the same
     stretch.  Other failures are recorded per member and do not abort the
-    sweep.  Members are returned sorted by c.
+    sweep.  Members are returned sorted by c.  A range that
+    ``check_family_range`` rejects raises ValueError before any integration.
     """
+    check_family_range(c_min, c_max, n)
     if sigma0 is None:
         sigma0 = shoot_sigma0(circle)
     c0 = sigma0.params.c_o

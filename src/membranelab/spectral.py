@@ -221,6 +221,18 @@ def check_eigen_size(n, count):
         raise ValueError(f"eigenpair count must lie in [1, n - 1], got {count}")
 
 
+def check_certify_size(n, count):
+    """Raise ValueError unless ``certify`` takes n cells and count pairs per mode.
+
+    Its zero band is a share of the first mode-1 gap, which needs two pairs.
+    """
+    check_eigen_size(n, count)
+    if count < 2:
+        raise ValueError(
+            f"certify needs count >= 2 for the first mode-1 gap, got {count}"
+        )
+
+
 def _solve_pencil(op, count):
     d = op.diag / op.weights
     e = op.offdiag / np.sqrt(op.weights[:-1] * op.weights[1:])
@@ -342,8 +354,9 @@ def certify(sigma0, lin=None, *, count=6, n=1536):
     h_prime_boundary exceeding 1000x the tolerance ``lin`` was solved at,
     1e3 (lin.rtol max(1, |h_prime_boundary|) + lin.atol).  Surfaces
     outside the tangential-disc parameter region get verdict
-    "not_applicable".
+    "not_applicable".  Sizes are checked by ``check_certify_size``.
     """
+    check_certify_size(n, count)
     params = sigma0.params
     if not params.sigma0_admissible:
         return BifurcationCertificate(

@@ -342,17 +342,6 @@ def export_json(obj, path):
     return ArtifactEntry(kind="record", format="json", path=str(path))
 
 
-def export(artifact, format, path):
-    """Dispatching exporter; returns the run-record entry for the file."""
-    if format == "csv":
-        return export_profile_csv(artifact, path)
-    if format == "obj":
-        return export_mesh_obj(artifact, path)
-    if format == "json":
-        return export_json(artifact, path)
-    raise IoFailure(f"unsupported export format: {format}")
-
-
 def _write_rows(path, head, sections=()):
     """Write ``head``, then the rows of each (row template, 2-D array, offset).
 

@@ -339,6 +339,10 @@ def test_cli_mesh_bad_input_exit_1(tmp_path, capsys, args):
         ["family", "--R", "0.5", "--Z", "-3", "--c_min", "1.2", "--c_max", "1.8",
          "--samples", "1"],
         ["linearize", "--c_o", "2", "--z_o", "-0.6", "--samples", "-5"],
+        ["trace", "--c_o", "2", "--z_o", "-0.6", "--stop", "arc", "--arc", "1e9"],
+        ["certify", "--R", "0.5", "--Z", "-3", "--count", "1"],
+        ["family", "--R", "0.5", "--Z", "-3", "--c_min", "1.2", "--c_max", "1.8",
+         "--n", "0"],
     ],
 )
 def test_cli_bad_input_exit_1_before_compute(tmp_path, capsys, monkeypatch, args):

@@ -14,7 +14,6 @@ from membranelab import (
     integrate_profile,
     residual_Pnu3,
     sigma0_stop,
-    solve_axisymmetric_kernel,
     solve_h,
 )
 from membranelab.errors import AxisSingularity, NoConvergence
@@ -108,8 +107,8 @@ def test_extended_rhs_scaling_homogeneity():
 # ------------------------------------------------------------------ kernel
 
 
-def test_kernel_normalized_and_sign_structure(curve26):
-    k = solve_axisymmetric_kernel(curve26)
+def test_kernel_normalized_and_sign_structure(curve26, lin26):
+    k = lin26.kernel
     assert k.psi[-1] == 1.0
     taus = np.linspace(curve26.tau0, curve26.ell, 3000)
     psi = k.psi_at(taus)
@@ -123,8 +122,8 @@ def test_kernel_normalized_and_sign_structure(curve26):
     assert k.w[-1] < 0.0
 
 
-def test_kernel_operator_residual(curve26):
-    k = solve_axisymmetric_kernel(curve26)
+def test_kernel_operator_residual(curve26, lin26):
+    k = lin26.kernel
     taus = np.linspace(0.02 * curve26.ell, 0.98 * curve26.ell, 1000)
     assert operator_residual(curve26, taus, k.psi_at(taus)) < 1e-6
 
@@ -138,12 +137,11 @@ def test_h_boundary_and_axis(lin26, curve26):
     assert math.isfinite(lin26.alpha)
 
 
-@pytest.mark.parametrize("solve", [solve_h, solve_axisymmetric_kernel])
-def test_rtol_below_the_integrator_floor_is_rejected(solve, curve26):
+def test_rtol_below_the_integrator_floor_is_rejected(curve26):
     # below ode.MIN_RTOL round-off swamps the error estimate: refused, not
     # clamped to the floor
     with pytest.raises(ValueError, match="rtol"):
-        solve(curve26, rtol=1e-15)
+        solve_h(curve26, rtol=1e-15)
 
 
 def test_h_operator_residual(curve26, lin26):

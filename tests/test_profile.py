@@ -372,12 +372,20 @@ def test_arc_guard_raises():
     assert err.value.curve.stop_reason is StopReason.ARC_LIMIT
 
 
-def test_samples_and_sigma(curve26):
-    states = curve26.sample_states()
-    assert len(states) == curve26.taus.size
-    assert states[0].tau == curve26.tau0
-    assert curve26.sigma(curve26.ell) == 0.0
-    assert curve26.sigma(0.0) == curve26.ell
+@pytest.mark.parametrize(
+    "stop, guard",
+    [
+        (StopCondition.at_arc_length(1.0, max_arc=0.5), 0.5),
+        # the default guard, 40 |z_o|
+        (StopCondition.at_arc_length(30.0), 24.0),
+    ],
+)
+def test_arc_stop_beyond_the_guard_raises(stop, guard):
+    with pytest.raises(ArcLimitReached) as err:
+        integrate_profile(ModelParams(2.0, -0.6), stop)
+    partial = err.value.curve
+    assert partial.stop_reason is StopReason.ARC_LIMIT
+    assert partial.ell == pytest.approx(guard, rel=1e-14)
 
 
 def test_integrate_rejects_huge_axis_product():

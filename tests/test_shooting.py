@@ -280,6 +280,17 @@ def test_member_curvature_must_be_finite_and_positive(c, circle053, sig053,
     assert integrations[0] == 0
 
 
+@pytest.mark.parametrize(
+    "c_min, c_max, n, message",
+    [(1.2, 1.8, 0, "n >= 1"), (1.2, math.inf, 3, "finite c_min and c_max")],
+)
+def test_sweep_rejects_its_range_before_integrating(circle053, integrations,
+                                                    c_min, c_max, n, message):
+    with pytest.raises(ValueError, match=message):
+        family_sweep(circle053, c_min, c_max, n)
+    assert integrations[0] == 0
+
+
 def test_sweep_integration_budget_over_the_fig2_range(circle053, sig053,
                                                       integrations):
     # one landing per member: the walk covers only gaps too long to land
@@ -292,12 +303,12 @@ def test_sweep_integration_budget_over_the_fig2_range(circle053, sig053,
 def test_member_jacobian_is_the_z_o_derivative(R, Z):
     circle = BoundaryCircle(R, Z)
     sig = shoot_sigma0(circle)
-    residual, jacobian = shooting_mod._branch_problem(circle, [0])
     x = np.array([sig.params.c_o, sig.params.z_o, sig.curve.ell])
-    F, aux = residual(x)
-    column = jacobian(x, F, aux)[:, 1]
+    _, aux = shooting_mod._residual(circle, [0], x)
+    column = shooting_mod._endpoint_jacobian(*aux, x[2])[:, 1]
     step = np.array([0.0, 1e-5 * abs(x[1]), 0.0])
-    central = (residual(x + step)[0] - residual(x - step)[0]) / (2.0 * step[1])
+    ends = [shooting_mod._residual(circle, [0], x + d)[0] for d in (step, -step)]
+    central = (ends[0] - ends[1]) / (2.0 * step[1])
     assert np.max(np.abs(column - central)) < 1e-7 * np.max(np.abs(column))
 
 
@@ -375,12 +386,12 @@ def test_deepest_unit_disc_scales_inside_the_profile_bound(mu):
 def test_member_jacobian_is_the_c_derivative(R, Z):
     circle = BoundaryCircle(R, Z)
     sig = shoot_sigma0(circle)
-    residual, jacobian = shooting_mod._branch_problem(circle, [0])
     x = np.array([sig.params.c_o, sig.params.z_o, sig.curve.ell])
-    F, aux = residual(x)
-    column = jacobian(x, F, aux)[:, 0]
+    _, aux = shooting_mod._residual(circle, [0], x)
+    column = shooting_mod._endpoint_jacobian(*aux, x[2])[:, 0]
     step = np.array([1e-5 * x[0], 0.0, 0.0])
-    central = (residual(x + step)[0] - residual(x - step)[0]) / (2.0 * step[0])
+    ends = [shooting_mod._residual(circle, [0], x + d)[0] for d in (step, -step)]
+    central = (ends[0] - ends[1]) / (2.0 * step[0])
     assert np.max(np.abs(column - central)) < 1e-7 * np.max(np.abs(column))
 
 

@@ -162,6 +162,11 @@ def test_transversality_floor_follows_the_solve_tolerance(sig053, lin053):
     assert looser == pytest.approx(10.0 * floor, rel=1e-9)
 
 
+def test_certify_needs_the_first_mode_1_gap(sig053, lin053):
+    with pytest.raises(ValueError, match="count >= 2"):
+        certify(sig053, lin053, count=1, n=400)
+
+
 def test_certificate_not_applicable():
     params = ModelParams(0.0, -1.0, allow_zero_curvature=True)
     cap = integrate_profile(params, StopCondition.at_arc_length(1.0))

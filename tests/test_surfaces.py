@@ -6,7 +6,6 @@ import pytest
 
 from membranelab import (
     branch_linear_mesh,
-    export,
     family_linear_mesh,
     revolve,
     shoot_family_member,
@@ -17,6 +16,7 @@ from membranelab.surfaces import (
     PROFILE_CSV_HEADER,
     SurfaceMesh,
     export_csv,
+    export_json,
     export_mesh_obj,
     export_profile_csv,
     profile_table,
@@ -281,23 +281,21 @@ def test_obj_roundtrip_and_indices(tmp_path, sig053):
     assert faces.min() >= 0 and faces.max() < verts.shape[0]
 
 
-def test_export_dispatch_and_determinism(tmp_path, curve26, sig053):
+def test_exports_are_deterministic(tmp_path, curve26, sig053):
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    export(curve26, "csv", p1)
-    export(curve26, "csv", p2)
+    export_profile_csv(curve26, p1)
+    export_profile_csv(curve26, p2)
     assert p1.read_bytes() == p2.read_bytes()
     m1 = tmp_path / "a.obj"
     m2 = tmp_path / "b.obj"
     mesh = revolve(sig053.curve, 32, 61)
-    export(mesh, "obj", m1)
-    export(mesh, "obj", m2)
+    export_mesh_obj(mesh, m1)
+    export_mesh_obj(mesh, m2)
     assert m1.read_bytes() == m2.read_bytes()
     j = tmp_path / "r.json"
-    export({"alpha": 1.0}, "json", j)
+    export_json({"alpha": 1.0}, j)
     assert j.read_text().startswith("{")
-    with pytest.raises(IoFailure):
-        export(mesh, "stl", tmp_path / "x.stl")
 
 
 def test_export_io_failure(curve26, tmp_path):
