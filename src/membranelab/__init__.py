@@ -38,7 +38,6 @@ from .shooting import (
 from .linearized import (
     LinearizedCoeffs,
     LinearizedSolution,
-    extended_rhs,
     family_derivative_check,
     h_from_support,
     residual_Pnu3,
@@ -85,7 +84,6 @@ __all__ = [
     "certify",
     "eigen_solve",
     "energy",
-    "extended_rhs",
     "family_derivative_check",
     "family_linear_mesh",
     "family_sweep",

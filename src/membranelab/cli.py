@@ -446,7 +446,7 @@ def _run_eigen(config):
     check_eigen_size(p["n"], p["count"])
     outdir = _ensure_out(p["out"])
     curve = _integrate(params, p)
-    res = eigen_solve(curve, p["m"], p["count"], n=p["n"])
+    res = eigen_solve(curve, (p["m"],), p["count"], n=p["n"])[p["m"]]
     payload = {
         "m": res.m,
         "eigenvalues": res.eigenvalues.tolist(),

@@ -55,10 +55,6 @@ class NoConvergence(MembraneLabError):
         self.trace = trace if trace is not None else []
 
 
-class AxisSingularity(MembraneLabError):
-    """Right-hand side evaluated at r = 0 where it is singular."""
-
-
 class BoundaryValueVanishes(MembraneLabError):
     """Radial kernel solution vanished at the boundary; numerically inconsistent
     with the one-dimensionality of the radial kernel and never absorbed silently."""

@@ -23,7 +23,8 @@ from an even power series at the axis.  The boundary slope of h in the
 boundary-based orientation, h_prime_boundary, is the transversality scalar
 of the bifurcation certificate.
 
-The 7-row system (profile, psi and the particular response) runs on
+The 7-row system (profile, psi and the particular response) has one
+right-hand side, ``_extended_rhs_tau``, which ``solve_h`` integrates on
 ``membranelab.ode.solve_ivp``, the DOP853 stepper of the profile curves.
 ``certify`` reads only node values, so the step interpolants are built only
 when ``psi_at``, ``w_at`` or ``h_at`` first read them.
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import fd1, fd2, fd_interior_slice
-from .errors import AxisSingularity, BoundaryValueVanishes
+from .errors import BoundaryValueVanishes
 from .ode import solve_ivp
 from .profile import (
     _safe_sin_over_r,
@@ -137,28 +138,12 @@ def linearized_coeffs(curve, taus):
     )
 
 
-def extended_rhs(state, params):
-    """Boundary-oriented derivatives of the profile-plus-response system.
-
-    ``state`` is (r, z, phi, h, w); the return value is (r_s, z_s, phi_s,
-    h_s, w_s) with s the boundary-based arc length.  The last two rows carry
-    the second order equation P[h] = -2 in first order form:
-
-        w_s = -(|dN|^2 - 2 (cos(phi)/z)^2) h - (cos(phi)/r - 2 sin(phi)/z) w - 2.
-    """
-    r, z, phi, h, w = state
-    if r == 0.0:
-        raise AxisSingularity("extended system evaluated at r = 0")
-    c = math.cos(phi)
-    s = math.sin(phi)
-    phi_s, C, D = operator_coeffs(c, s, s / r, r, z, params.c_o)
-    return np.array([c, s, phi_s, w, -D * h - C * w - 2.0])
-
-
 def _extended_rhs_tau(c_o):
     """Integrated right-hand side: (r, z, phi), P[psi] = 0 and P[p] = -2 in tau.
 
-    tau runs against the boundary orientation: ``extended_rhs`` rows negated.
+    State (r, z, phi, psi, psi_s, p, p_s) with s the boundary-based arc
+    length; tau runs against s, so each row is the negated s-derivative of
+    P[u] = -inhom in first order form, u_ss = -D u - C u_s - inhom.
     """
 
     def rhs(tau, y):
@@ -183,13 +168,22 @@ def _axis_series_start(params, u0, inhom, tau0):
     return u0 + u2 * tau0 * tau0, -2.0 * u2 * tau0
 
 
-def _integrate_extended(curve, *, rtol=None, atol=None, tau0=None):
-    """Co-integrate profile, kernel and particular response from the axis.
+def solve_h(curve, *, rtol=None, atol=None, tau0=None):
+    """Response h of P[h] = -2 vanishing at the boundary, by superposition.
 
-    State layout and right-hand side as in ``_extended_rhs_tau``;
-    w-components store boundary-oriented derivatives.  Returns the
-    ``ode.OdeResult`` with the rtol and atol it was integrated at; an rtol
-    below ``ode.MIN_RTOL`` raises ValueError.
+    One integration from the axis (``_extended_rhs_tau``) carries the
+    profile, the raw radial kernel psi_raw of P (psi = 1 at the axis, even
+    series start) and the particular solution p (p(axis) = 0).  The kernel
+    is normalized to 1 at the boundary; its boundary value must not vanish
+    (the radial kernel meets the boundary nontrivially), and a vanishing
+    value is reported as a numerical failure rather than absorbed.
+    h = p + alpha * psi_raw with alpha = -p(boundary)/psi_raw(boundary); the
+    boundary node of ``h`` holds the exact 0 that this alpha prescribes.
+    The reported slope h_prime_boundary is taken in the boundary-based
+    orientation.  ``rtol``/``atol`` default to min(curve.rtol, 1e-13) and
+    min(curve.atol, 1e-15); an rtol below ``ode.MIN_RTOL`` (100 eps) raises
+    ValueError, it is not clamped to that floor.  ``tau0`` defaults to the
+    curve's axis offset.
     """
     params = curve.params
     # tighter than the profile defaults: downstream finite-difference
@@ -218,26 +212,6 @@ def _integrate_extended(curve, *, rtol=None, atol=None, tau0=None):
     )
     if not sol.success:
         raise BoundaryValueVanishes(f"extended integration failed: {sol.message}")
-    return sol, rtol, atol
-
-
-def solve_h(curve, **kw):
-    """Response h of P[h] = -2 vanishing at the boundary, by superposition.
-
-    One integration from the axis carries the profile, the raw radial kernel
-    psi_raw of P (psi = 1 at the axis, even series start) and the particular
-    solution p (p(axis) = 0).  The kernel is normalized to 1 at the
-    boundary; its boundary value must not vanish (the radial kernel meets
-    the boundary nontrivially), and a vanishing value is reported as a
-    numerical failure rather than absorbed.  h = p + alpha * psi_raw with
-    alpha = -p(boundary)/psi_raw(boundary); the boundary node of ``h`` holds
-    the exact 0 that this alpha prescribes.  The reported slope
-    h_prime_boundary is taken in the boundary-based orientation.
-    ``rtol``/``atol`` default to min(curve.rtol, 1e-13) and min(curve.atol,
-    1e-15); an rtol below ``ode.MIN_RTOL`` (100 eps) raises ValueError, it
-    is not clamped to that floor.
-    """
-    sol, rtol, atol = _integrate_extended(curve, **kw)
     raw_b = float(sol.y[3, -1])
     if abs(raw_b) < 1e-10 * float(np.max(np.abs(sol.y[3]))):
         raise BoundaryValueVanishes(

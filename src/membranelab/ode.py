@@ -1,19 +1,19 @@
 """Adaptive DOP853 with dense output and events, stepped on Python floats.
 
 ``solve_ivp`` runs the subset of ``scipy.integrate.solve_ivp(method="DOP853")``
-that ``profile.integrate_profile`` and ``linearized._integrate_extended``
-use, with scipy's algorithm unchanged: its tableau
+that ``profile.integrate_profile`` and ``linearized.solve_h`` use, with
+scipy's algorithm unchanged: its tableau
 (``scipy.integrate._ivp.dop853_coefficients``), initial-step choice, RMS
 error norm with the 5th/3rd order correction, step controller
 (safety 0.9, factors 0.2 and 10, exponent -1/8, minimum step ten spacings
 of t), event rules (sign change by ``direction``, Brent's root on the step
-interpolant with xtol = rtol = 4 eps, the earliest terminal event cutting
-off later ones) and dense-output formula with left-side segment choice
-(Hairer, Norsett and Wanner, *Solving ODEs I*, Sec. II.5).
+interpolant with xtol = rtol = 4 eps) and dense-output formula with
+left-side segment choice (Hairer, Norsett and Wanner, *Solving ODEs I*,
+Sec. II.5).  Every event is terminal: the earliest root ends the integration.
 
 A step's interpolant needs three more right-hand-side evaluations (Sec.
 II.6), and it can be formed at any time after the step is accepted.  It is
-built during the integration only on a step where an event changes sign,
+built during the integration only on the step where an event changes sign,
 because Brent's root needs it there.  Every other step keeps its two states
 and its stages, and ``DenseOutput`` builds its interpolant on first use,
 with the same kernel and the same inputs, so every value is the same.
@@ -267,17 +267,18 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), max_step=math.inf):
     """Integrate y' = fun(t, y) forward over t_span with DOP853 and dense output.
 
     Behaves as scipy's ``solve_ivp(..., method="DOP853", dense_output=True)``
-    with the same arguments, forward integration only.  ``events`` are
-    callables ``event(t, y)`` with optional ``terminal`` (bool) and
-    ``direction`` attributes.  rtol and atol are scalars or one value per
-    row; an rtol below ``MIN_RTOL`` raises ValueError.  Returns an
-    ``OdeResult``: ``t`` and ``y`` at the accepted steps (ending at a
-    terminal event), the interpolant ``sol``, ``t_events``, ``nfev`` and
-    ``status`` (-1 step too small, 0 end reached, 1 terminal event).
+    with the same arguments and every event terminal, forward integration
+    only.  ``events`` are callables ``event(t, y)`` with an optional
+    ``direction`` attribute; the earliest root among them ends the
+    integration.  rtol and atol are scalars or one value per row; an rtol
+    below ``MIN_RTOL`` raises ValueError.  Returns an ``OdeResult``: ``t``
+    and ``y`` at the accepted steps (ending at the event), the interpolant
+    ``sol``, ``t_events``, ``nfev`` and ``status`` (-1 step too small, 0 end
+    reached, 1 event).
 
     Unlike scipy, ``nfev`` counts the evaluations made during the
-    integration: 2 for the first step size, 12 per attempted step and 3 per
-    step whose interpolant an event needed.  The interpolants of the other
+    integration: 2 for the first step size, 12 per attempted step and 3 for
+    the step whose interpolant the event needed.  The interpolants of the other
     steps are built by ``sol`` on first use, 3 evaluations each, after
     which the total equals scipy's count.
     """
@@ -298,7 +299,6 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), max_step=math.inf):
     f = tuple(fun(t, y))
     h_abs = _initial_step(fun, t, y, t_bound, max_step, f, rtol, atol)
     attempted = built = 0
-    terminal = [bool(getattr(ev, "terminal", False)) for ev in events]
     direction = [float(getattr(ev, "direction", 0.0)) for ev in events]
     g = [ev(t, y) for ev in events]
     t_events = [[] for _ in events]
@@ -342,24 +342,18 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), max_step=math.inf):
         else:
             coef = dense(fun, t_old, h, y_old, y, K)
             built += 1
-            roots = [
-                brentq(
+            t_end, first = min(
+                (brentq(
                     lambda s, ev=events[i]: ev(s, _interpolate(coef, n, t_old, h, s)),
                     t_old, t, xtol=4 * EPS, rtol=4 * EPS,
-                )
+                ), i)
                 for i in active
-            ]
-            if any(terminal[i] for i in active):
-                found = sorted(zip(roots, active))
-                cut = next(k for k, (_, i) in enumerate(found) if terminal[i])
-                roots, active = zip(*found[:cut + 1])
-                status = 1
-                t_end = roots[-1]
-                y_end = _interpolate(coef, n, t_old, h, t_end)
-            for i, root in zip(active, roots):
-                t_events[i].append(root)
+            )
+            t_events[first].append(t_end)
+            y_end = _interpolate(coef, n, t_old, h, t_end)
+            status = 1
         if len(ts) > 1 and ts[-1] == t_end:
-            continue  # a terminal event at the previous node
+            continue  # an event at the previous node
         ts.append(t_end)
         ys.append(y_end)
         t_olds.append(t_old)

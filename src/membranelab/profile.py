@@ -19,6 +19,8 @@ singular at r = 0, so this module integrates it *outward* from the axis: the
 internal parameter is tau, the arc length measured from the axis, and all
 stored states keep the boundary-oriented tangent angle phi (which decreases
 from pi as tau grows).  Boundary-based arc length is sigma = ell - tau.
+Every event of the integration (the stop, the guards) ends it; the vertical
+tangent phi = pi/2 stops nothing, so ``ProfileCurve`` finds it on first read.
 
 dphi/ds and the coefficients C, D of its linearization (see
 ``membranelab.linearized``) are written once, in ``dphi_ds`` and
@@ -36,11 +38,13 @@ Sign conventions used throughout the package:
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from ._util import cumulative_gauss, fd1, fd_interior_slice
 from .errors import (
@@ -53,7 +57,7 @@ from .errors import (
     SingularityHit,
     TooFewSamples,
 )
-from .ode import MIN_RTOL, solve_ivp
+from .ode import EPS, MIN_RTOL, solve_ivp
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -204,13 +208,29 @@ class ProfileCurve:
     tau0: float
     rtol: float
     atol: float
-    vertical_tangent_tau: float | None
     _dense: object = field(repr=False)
     z_o_variation: bool = False
 
     def __post_init__(self):
         for arr in (self.taus, self.r, self.z, self.phi):
             arr.setflags(write=False)
+
+    @functools.cached_property
+    def vertical_tangent_tau(self):
+        """First tau where phi falls through pi/2, or None.
+
+        Brent's root on the dense output between the two nodes that bracket
+        pi/2, to the tolerances of the events of ``ode.solve_ivp``.
+        """
+        half_pi = 0.5 * math.pi
+        falls = np.flatnonzero((self.phi[:-1] >= half_pi) & (self.phi[1:] <= half_pi))
+        if not falls.size:
+            return None
+        k = falls[0]
+        return brentq(
+            lambda t: self._dense.at(t)[2] - half_pi,
+            float(self.taus[k]), float(self.taus[k + 1]), xtol=4 * EPS, rtol=4 * EPS,
+        )
 
     def state_at(self, tau):
         """(r, z, phi) at arbitrary tau in [0, ell], scalar or array."""
@@ -441,13 +461,6 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
     r_guard.direction = -1.0
     events.append(r_guard)
 
-    def vertical_tangent(tau, y):
-        return y[2] - 0.5 * math.pi
-
-    vertical_tangent.terminal = False
-    vertical_tangent.direction = -1.0
-    events.append(vertical_tangent)
-
     if stop.phi_target is not None:
         target = stop.phi_target
 
@@ -473,14 +486,11 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
     if not sol.success:
         raise MembraneLabError(f"integrator failed: {sol.message}")
 
-    vt_times = sol.t_events[2]
-
     def build(ell, reason):
         # the dense output at a step node returns that node's state exactly
         kept = np.count_nonzero(sol.t < ell * (1.0 - 1e-14))
         taus = np.append(sol.t[:kept], ell)
         r, z, phi = np.column_stack((sol.y[:3, :kept], sol.sol(ell)[:3]))
-        vt = float(vt_times[0]) if vt_times.size and vt_times[0] <= ell else None
         return ProfileCurve(
             params=params,
             taus=taus,
@@ -492,7 +502,6 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
             tau0=tau0,
             rtol=rtol,
             atol=atol,
-            vertical_tangent_tau=vt,
             _dense=sol.sol,
             z_o_variation=z_o_variation,
         )
@@ -601,15 +610,10 @@ def shape_diagnostics(curve):
         raise NotAdmissible("shape diagnostics require z_o < -1/c_o")
     g = geometry_at(curve, curve.taus)
     convex = bool(np.all(g.kappa < 0.0))
-    vt_r = None
-    if curve.vertical_tangent_tau is not None:
-        vt_r = float(curve.state_at(curve.vertical_tangent_tau)[0])
+    vt = curve.vertical_tangent_tau
+    vt_r = None if vt is None else float(curve.state_at(vt)[0])
     a = p.axis_curvature
-    upper = (
-        curve.taus <= curve.vertical_tangent_tau
-        if curve.vertical_tangent_tau is not None
-        else slice(None)
-    )
+    upper = slice(None) if vt is None else curve.taus <= vt
     bound_ok = bool(
         np.all(np.sin(curve.phi[upper]) >= a * curve.r[upper] - 1e-9)
     )

@@ -83,16 +83,16 @@ _DISC_SNAP = 1e-9
 
 @dataclass(frozen=True)
 class BoundaryCircle:
-    """Prescribed boundary circle of radius R at height Z < 0."""
+    """Prescribed boundary circle of finite radius R > 0 at finite height Z < 0."""
 
     R: float
     Z: float
 
     def __post_init__(self):
-        if not (self.R > 0.0):
-            raise ValueError("boundary radius R must be positive")
-        if not (self.Z < 0.0):
-            raise ValueError("boundary height Z must be negative")
+        if not (0.0 < self.R < math.inf):
+            raise ValueError("boundary radius R must be positive and finite")
+        if not (-math.inf < self.Z < 0.0):
+            raise ValueError("boundary height Z must be negative and finite")
 
 
 @dataclass(frozen=True)

@@ -283,8 +283,16 @@ def _pencils(curve, modes, n):
     return [assemble_mode(disc, m, n) for m in modes]
 
 
-def _eigen_modes(curve, modes, count, n):
-    """``eigen_solve`` for each of ``modes``, sampling the curve once per mesh."""
+def eigen_solve(curve, modes, count, n=1536):
+    """Lowest ``count`` eigenpairs of each of ``modes``, Richardson extrapolated.
+
+    Each pencil is solved on meshes of n and 2n cells with the same grading,
+    and each mesh samples the curve once for all modes; the extrapolated
+    eigenvalues (4 fine - coarse)/3 remove the second order mesh error.
+    Eigenfunctions are reported on the fine mesh with the Dirichlet zeros
+    reattached.  Returns ``{m: EigenResult}``.  Sizes are checked by
+    ``check_eigen_size``.
+    """
     check_eigen_size(n, count)
     for m in modes:
         check_mode(m)
@@ -309,17 +317,6 @@ def _eigen_modes(curve, modes, count, n):
             discrete_residuals=residuals,
         )
     return results
-
-
-def eigen_solve(curve, m, count, n=1536):
-    """Lowest ``count`` eigenpairs of mode m, Richardson extrapolated.
-
-    The pencil is solved on meshes of n and 2n cells with the same grading;
-    the extrapolated eigenvalues (4 fine - coarse)/3 remove the second order
-    mesh error.  Eigenfunctions are reported on the fine mesh with the
-    Dirichlet zeros reattached.  Sizes are checked by ``check_eigen_size``.
-    """
-    return _eigen_modes(curve, (m,), count, n)[m]
 
 
 def kernel_residual_m1(curve):
@@ -374,7 +371,7 @@ def certify(sigma0, lin=None, *, count=6, n=1536):
     if lin is None:
         lin = solve_h(sigma0.curve)
 
-    eigs = _eigen_modes(sigma0.curve, (0, 1, 2), count, n)
+    eigs = eigen_solve(sigma0.curve, (0, 1, 2), count, n)
     lam1 = eigs[1].eigenvalues
     gap_scale = float(lam1[1] - lam1[0])
     zero_band = _ZERO_BAND_FACTOR * gap_scale

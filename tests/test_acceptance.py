@@ -150,9 +150,9 @@ def test_criterion_6_spectral_structure():
     mode-2 gap above the frozen refinement-study constant."""
     t0 = time.time()
     sig = shoot_sigma0(BoundaryCircle(0.5, -3.0))
-    e0 = eigen_solve(sig.curve, 0, 4)
-    e1 = eigen_solve(sig.curve, 1, 4)
-    e2 = eigen_solve(sig.curve, 2, 4)
+    e0 = eigen_solve(sig.curve, (0,), 4)[0]
+    e1 = eigen_solve(sig.curve, (1,), 4)[1]
+    e2 = eigen_solve(sig.curve, (2,), 4)[2]
     elapsed = time.time() - t0
     assert e0.eigenvalues[0] < 0
     gap = e1.eigenvalues[1] - e1.eigenvalues[0]

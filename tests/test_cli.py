@@ -343,6 +343,8 @@ def test_cli_mesh_bad_input_exit_1(tmp_path, capsys, args):
         ["certify", "--R", "0.5", "--Z", "-3", "--count", "1"],
         ["family", "--R", "0.5", "--Z", "-3", "--c_min", "1.2", "--c_max", "1.8",
          "--n", "0"],
+        ["sigma0", "--R", "inf", "--Z", "-3"],
+        ["certify", "--R", "0.5", "--Z=-inf"],
     ],
 )
 def test_cli_bad_input_exit_1_before_compute(tmp_path, capsys, monkeypatch, args):

@@ -7,7 +7,6 @@ import pytest
 from membranelab import (
     BoundaryCircle,
     ModelParams,
-    extended_rhs,
     family_derivative_check,
     geometry_at,
     h_from_support,
@@ -16,7 +15,7 @@ from membranelab import (
     sigma0_stop,
     solve_h,
 )
-from membranelab.errors import AxisSingularity, NoConvergence
+from membranelab.errors import NoConvergence
 from membranelab.linearized import (
     _extended_rhs_tau,
     linearized_coeffs,
@@ -37,11 +36,26 @@ from _oracles import (
 # ------------------------------------------------------------- extended rhs
 
 
+def _boundary_rows(state, params):
+    """(r_s, z_s, phi_s, h_s, w_s) of P[h] = -2 at state (r, z, phi, h, w).
+
+    Read off the right-hand side solve_h integrates, with (h, w) in both the
+    kernel and the response rows; its tau runs against the boundary-based
+    arc length s, so the response rows come out negated.
+    """
+    r, z, phi, h, w = state
+    out = _extended_rhs_tau(params.c_o)(0.0, (r, z, phi, h, w, h, w))
+    return -np.array(out[:3] + out[5:])
+
+
 def test_extended_rhs_pure_inhomogeneity():
     for state in [(0.5, -1.0, 2.0, 0.0, 0.0), (1.3, -0.4, 0.7, 0.0, 0.0)]:
-        out = extended_rhs(state, ModelParams(2.0, -0.6))
+        out = _boundary_rows(state, ModelParams(2.0, -0.6))
         assert out[4] == pytest.approx(-2.0, abs=1e-14)
         assert out[3] == 0.0
+        # the kernel rows, P[psi] = 0, carry no inhomogeneity
+        rows = _extended_rhs_tau(2.0)(0.0, state + (0.0, 0.0))
+        assert rows[3] == rows[4] == 0.0
 
 
 def test_extended_rhs_vertical_tangent_form():
@@ -49,7 +63,7 @@ def test_extended_rhs_vertical_tangent_form():
     # w' = -|dN|^2 h + (2/z) w - 2 with |dN|^2 = 1/r^2 + (2 c_o - 1/r)^2
     r, z, h, w = 0.8, -1.1, 0.3, -0.7
     c_o = 2.0
-    out = extended_rhs((r, z, math.pi / 2, h, w), ModelParams(c_o, -0.6))
+    out = _boundary_rows((r, z, math.pi / 2, h, w), ModelParams(c_o, -0.6))
     sff = 1.0 / r**2 + (2.0 * c_o - 1.0 / r) ** 2
     assert out[4] == pytest.approx(-sff * h + (2.0 / z) * w - 2.0, rel=1e-14)
 
@@ -60,7 +74,7 @@ def test_extended_rhs_matches_geometry(curve26):
     r, z, phi = curve26.state_at(tau)
     g = geometry_at(curve26, tau)
     h, w = 0.21, -0.37
-    out = extended_rhs((r, z, phi, h, w), curve26.params)
+    out = _boundary_rows((r, z, phi, h, w), curve26.params)
     C, D = radial_operator_coeffs(
         np.array([r]), np.array([z]), np.array([phi]), curve26.params
     )
@@ -70,36 +84,31 @@ def test_extended_rhs_matches_geometry(curve26):
 
 
 def test_integrated_rhs_matches_extended_rhs(curve26):
-    # the right-hand sides handed to solve_ivp run in tau = ell - s, so they
-    # must be the negated boundary-oriented rows of extended_rhs
+    # the 7-row right-hand side carries the profile rows of the curve's own
+    # right-hand side, and the kernel and response rows are one operator
+    # P, with the inhomogeneity -2 in the response rows only
     params = curve26.params
     rhs_tau = _extended_rhs_tau(params.c_o)
     profile_tau = _profile_rhs(params.c_o)
     for tau in np.linspace(0.05, 0.95, 7) * curve26.ell:
         r, z, phi = curve26.state_at(tau)
         psi, wpsi, p, wp = 0.8, -0.3, 0.21, -0.37
-        y = (r, z, phi, psi, wpsi, p, wp)
-        out = rhs_tau(tau, y)
-        p_rows = extended_rhs((r, z, phi, p, wp), params)
-        psi_rows = extended_rhs((r, z, phi, psi, wpsi), params)
+        out = rhs_tau(tau, (r, z, phi, psi, wpsi, p, wp))
+        p_rows = _boundary_rows((r, z, phi, p, wp), params)
+        psi_rows = _boundary_rows((r, z, phi, psi, wpsi), params)
         assert out[5:] == (-p_rows[3], -p_rows[4])
         assert out[3] == -psi_rows[3]
         assert out[4] == pytest.approx(-(psi_rows[4] + 2.0), rel=1e-14, abs=1e-14)
         assert out[:3] == tuple(-psi_rows[:3])
-        assert profile_tau(tau, (r, z, phi)) == tuple(-psi_rows[:3])
-
-
-def test_extended_rhs_axis_error():
-    with pytest.raises(AxisSingularity):
-        extended_rhs((0.0, -0.6, math.pi, 0.0, 0.0), ModelParams(2.0, -0.6))
+        assert profile_tau(tau, (r, z, phi)) == out[:3]
 
 
 def test_extended_rhs_scaling_homogeneity():
     mu = 2.0
     state = (0.5, -1.0, 2.2, 0.4, -0.3)
-    base = extended_rhs(state, ModelParams(2.0, -0.6))
+    base = _boundary_rows(state, ModelParams(2.0, -0.6))
     scaled_state = (mu * 0.5, mu * -1.0, 2.2, mu * mu * 0.4, mu * -0.3)
-    scaled = extended_rhs(scaled_state, ModelParams(2.0 / mu, mu * -0.6))
+    scaled = _boundary_rows(scaled_state, ModelParams(2.0 / mu, mu * -0.6))
     factors = np.array([1.0, 1.0, 1.0 / mu, mu, 1.0])
     assert np.allclose(scaled, factors * base, rtol=1e-13)
 

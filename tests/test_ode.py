@@ -107,36 +107,48 @@ def test_profile_integration_matches_scipy_dop853(monkeypatch, stop, variation):
     assert np.array_equal(ours.sol(mid), ours.sol(np.array([mid]))[:, 0])
 
 
-def test_vertical_tangent_event_is_recorded_and_does_not_stop(monkeypatch):
-    args, kwargs, ours = _profile_problem(monkeypatch, ANCHOR, sigma0_stop())
-    names = [ev.__name__ for ev in kwargs["events"]]
-    vertical = names.index("vertical_tangent")
-    assert not kwargs["events"][vertical].terminal
-    (tau_v,) = ours.t_events[vertical]
-    assert ours.t[0] < tau_v < ours.t[-1]
-    assert ours.sol(tau_v)[2] == pytest.approx(0.5 * math.pi, abs=1e-14)
-    ref = scipy_solve_ivp(*args, method="DOP853", dense_output=True, **kwargs)
-    _close(tau_v, ref.t_events[vertical][0])
+def test_vertical_tangent_found_on_first_read_matches_scipys_event(monkeypatch):
+    curve, args, kwargs, _ = _recorded(
+        monkeypatch,
+        profile_mod,
+        lambda: integrate_profile(ANCHOR, sigma0_stop(), rtol=SHOOT_RTOL, atol=SHOOT_ATOL),
+    )
+    # the integration carries only events that stop it
+    assert all(ev.terminal for ev in kwargs["events"])
+    assert "vertical_tangent_tau" not in vars(curve)
+    tau_v = curve.vertical_tangent_tau
+    assert curve.taus[0] < tau_v < curve.ell
+    assert curve.state_at(tau_v)[2] == pytest.approx(0.5 * math.pi, abs=1e-14)
+
+    def vertical(t, y):
+        return y[2] - 0.5 * math.pi
+
+    vertical.direction = -1.0
+    # the same problem stopped at the vertical tangent: the same bits, as
+    # both run Brent's root on the same step's interpolant
+    stopped = ode.solve_ivp(*args, **{**kwargs, "events": [vertical]})
+    assert stopped.status == 1 and stopped.t_events[0][0] == tau_v
+    vertical.terminal = False
+    ref = scipy_solve_ivp(
+        *args, method="DOP853", dense_output=True,
+        **{**kwargs, "events": kwargs["events"] + [vertical]},
+    )
+    _close(tau_v, ref.t_events[-1][0])
 
 
-def _event(level, terminal):
+def _event(level):
     def event(t, y):
         return y[0] - level
 
-    event.terminal = terminal
+    event.terminal = True
     event.direction = 1.0
     return event
 
 
 def test_earliest_terminal_event_wins(monkeypatch):
-    # y = t crosses all four levels; the step that reaches the later
-    # terminal level 0.5 also crosses 0.3, which must end the integration
-    events = [
-        _event(0.5, True),
-        _event(0.3, True),
-        _event(0.2, False),
-        _event(0.4, False),
-    ]
+    # y = t crosses both levels; the step that reaches the later level 0.5
+    # also crosses 0.3, which must end the integration
+    events = [_event(0.5), _event(0.3)]
     kw = dict(events=events, rtol=1e-8, atol=1e-10, max_step=1.0)
     ours, counts = _counted_solve(monkeypatch, lambda t, y: (1.0,), (0.0, 1.0), (0.0,), **kw)
     # only the last step, where the events change sign, was built
@@ -145,15 +157,14 @@ def test_earliest_terminal_event_wins(monkeypatch):
     ref = scipy_solve_ivp(
         lambda t, y: [1.0], (0.0, 1.0), [0.0], method="DOP853", dense_output=True, **kw
     )
-    assert ours.t[-2] < 0.2 and ours.status == 1
+    assert ours.t[-2] < 0.3 and ours.status == 1
     # the same last step also reaches 0.5
     kw_alone = {**kw, "events": events[:1]}
     alone = ode.solve_ivp(lambda t, y: (1.0,), (0.0, 1.0), (0.0,), **kw_alone)
     assert alone.t[-2] == ours.t[-2] and alone.t[-1] == pytest.approx(0.5, abs=1e-15)
     assert ours.t[-1] == pytest.approx(0.3, abs=1e-15)
-    assert [te.size for te in ours.t_events] == [0, 1, 1, 0]
-    assert [te.size for te in ref.t_events] == [0, 1, 1, 0]
-    assert ours.t_events[2][0] == pytest.approx(0.2, abs=1e-15)
+    assert [te.size for te in ours.t_events] == [0, 1]
+    assert [te.size for te in ref.t_events] == [0, 1]
     np.testing.assert_allclose(ours.t, ref.t, rtol=1e-15)
     # with every interpolant built, fun ran as often as in scipy
     ours.sol(ours.t)
@@ -165,9 +176,9 @@ def test_nfev_counts_stages_of_attempted_and_accepted_steps(monkeypatch):
     out, counts = _counted_solve(monkeypatch, *args, **kwargs)
     attempted, accepted = counts["step"], out.t.size - 1
     assert attempted > accepted  # the anchor disc rejects steps
-    # the vertical tangent and the phi = 0 stop each need one interpolant
-    assert len(counts["built_at"]) == 2
-    assert out.nfev == counts["fun"] == 2 + 12 * attempted + 3 * 2
+    # the phi = 0 stop needs one interpolant
+    assert len(counts["built_at"]) == 1
+    assert out.nfev == counts["fun"] == 2 + 12 * attempted + 3
     # building the rest on demand costs what scipy's eager dense output does
     out.sol(out.t)
     assert counts["fun"] == 2 + 12 * attempted + 3 * accepted
@@ -182,19 +193,17 @@ def test_member_builds_interpolants_only_where_an_event_changes_sign(monkeypatch
     out, counts = _counted_solve(monkeypatch, *args, **kwargs)
     sol = out.sol
     assert out.y.shape[0] == 6 and out.status == 0
-    event_steps = sorted(
-        {int(np.searchsorted(out.t, tau)) - 1 for te in out.t_events for tau in te}
-    )
-    assert event_steps  # the member crosses its vertical tangent
-    assert counts["built_at"] == [out.t[k] for k in event_steps]
-    assert out.nfev == counts["fun"] == 2 + 12 * counts["step"] + 3 * len(event_steps)
+    # no guard changes sign on the member, so it integrates building nothing
+    assert [te.size for te in out.t_events] == [0, 0]
+    assert counts["built_at"] == []
+    assert out.nfev == counts["fun"] == 2 + 12 * counts["step"]
 
     pending = list(sol._segments)
-    assert sum(type(seg) is ode._Step for seg in pending) == out.t.size - 1 - len(event_steps)
-    # reading one node builds that node's segment alone
-    fun_before = counts["fun"]
+    assert all(type(seg) is ode._Step for seg in pending)
+    # reading L, as integrate_profile does, builds the last segment alone
     assert np.array_equal(sol(out.t[-1]), out.y[:, -1])
-    assert counts["fun"] == fun_before + 3
+    assert counts["built_at"] == [out.t[-2]]
+    assert counts["fun"] == out.nfev + 3
     # an array builds every remaining segment, once, from the step it kept
     sol(out.t)
     sol(out.t)
@@ -202,10 +211,7 @@ def test_member_builds_interpolants_only_where_an_event_changes_sign(monkeypatch
     assert counts["fun"] == ref.nfev
     _, dense = eager_kernels(6)
     for k, seg in enumerate(pending):
-        if type(seg) is ode._Step:
-            assert sol._segments[k] == dense(args[0], sol._t_old[k], sol._h[k], *seg)
-        else:
-            assert sol._segments[k] is seg
+        assert sol._segments[k] == dense(args[0], sol._t_old[k], sol._h[k], *seg)
 
 
 def test_threads_building_one_interpolant_read_the_same_bits():

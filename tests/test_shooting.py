@@ -26,6 +26,9 @@ def test_boundary_circle_validation():
         BoundaryCircle(-1.0, -2.0)
     with pytest.raises(ValueError):
         BoundaryCircle(1.0, 2.0)
+    for R, Z in [(math.inf, -3.0), (0.5, -math.inf), (math.nan, -3.0), (0.5, math.nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            BoundaryCircle(R, Z)
 
 
 def test_sigma0_fig2_circle(sig053):

@@ -45,20 +45,20 @@ def test_assemble_structure(sig053):
 
 
 def test_m0_first_eigenvalue_negative(sig053, curve26):
-    e = eigen_solve(sig053.curve, 0, 4)
+    e = eigen_solve(sig053.curve, (0,), 4)[0]
     assert e.eigenvalues[0] < 0
     assert e.eigenvalues[0] == pytest.approx(M0_LOWEST_05_3, abs=1e-4)
     # same structural fact on the (2, -0.6) disc
-    assert eigen_solve(curve26, 0, 2).eigenvalues[0] < 0
+    assert eigen_solve(curve26, (0,), 2)[0].eigenvalues[0] < 0
 
 
 def test_m0_no_zero_eigenvalue(sig053):
-    e = eigen_solve(sig053.curve, 0, 6)
+    e = eigen_solve(sig053.curve, (0,), 6)[0]
     assert np.min(np.abs(e.eigenvalues)) > 0.4
 
 
 def test_m1_zero_mode_and_eigenfunction(sig053):
-    e = eigen_solve(sig053.curve, 1, 3)
+    e = eigen_solve(sig053.curve, (1,), 3)[1]
     gap = e.eigenvalues[1] - e.eigenvalues[0]
     assert gap == pytest.approx(M1_GAP_05_3, rel=1e-4)
     assert abs(e.eigenvalues[0]) < 1e-6 * gap
@@ -77,14 +77,14 @@ def test_m1_zero_mode_and_eigenfunction(sig053):
 
 
 def test_m2_gap_regression(sig053):
-    e = eigen_solve(sig053.curve, 2, 3)
+    e = eigen_solve(sig053.curve, (2,), 3)[2]
     assert e.eigenvalues[0] > 0.8  # frozen from the refinement study
     assert e.eigenvalues[0] == pytest.approx(M2_GAP_05_3, abs=1e-6)
 
 
 def test_mesh_convergence_second_order(sig053):
     vals = [
-        eigen_solve(sig053.curve, 0, 1, n=n).eigenvalues_fine[0]
+        eigen_solve(sig053.curve, (0,), 1, n=n)[0].eigenvalues_fine[0]
         for n in (400, 800, 1600)
     ]
     order = math.log2(abs((vals[1] - vals[0]) / (vals[2] - vals[1])))
@@ -93,7 +93,7 @@ def test_mesh_convergence_second_order(sig053):
 
 def test_discrete_residuals(sig053):
     for m in (0, 1, 2):
-        e = eigen_solve(sig053.curve, m, 5)
+        e = eigen_solve(sig053.curve, (m,), 5)[m]
         assert np.max(e.discrete_residuals) < 1e-8
 
 
@@ -102,7 +102,7 @@ def test_eigenvalue_count_stability(sig053):
     for m in (0, 1, 2):
         counts = []
         for n in (768, 1536):
-            e = eigen_solve(sig053.curve, m, 8, n=n)
+            e = eigen_solve(sig053.curve, (m,), 8, n=n)[m]
             counts.append(int(np.sum(e.eigenvalues < cap)))
         assert counts[0] == counts[1]
 
@@ -113,8 +113,8 @@ def test_eigenvalue_scaling(sig053):
     mu = 2.0
     scaled = shoot_sigma0(BoundaryCircle(0.5 * mu, -3.0 * mu))
     for m in (0, 1, 2):
-        a = eigen_solve(sig053.curve, m, 3).eigenvalues
-        b = eigen_solve(scaled.curve, m, 3).eigenvalues
+        a = eigen_solve(sig053.curve, (m,), 3)[m].eigenvalues
+        b = eigen_solve(scaled.curve, (m,), 3)[m].eigenvalues
         keep = np.abs(a) > 1e-3
         assert np.allclose(b[keep] * mu**4, a[keep], rtol=1e-6)
 
@@ -286,7 +286,7 @@ def test_shared_sampling_gives_the_per_mode_bits(disc, request):
         op, ref_op = assemble_mode(curve, m, n), _per_mode_assembly(curve, m, n)
         for name in ("taus", "diag", "offdiag", "weights"):
             assert np.array_equal(getattr(op, name), getattr(ref_op, name))
-        e = eigen_solve(curve, m, count, n=n)
+        e = eigen_solve(curve, (m,), count, n=n)[m]
         vals, vals_f, vals_c, funcs, residuals = _per_mode_eigen(curve, m, count, n)
         assert np.array_equal(e.eigenvalues, vals)
         assert np.array_equal(e.eigenvalues_fine, vals_f)
@@ -324,7 +324,7 @@ def test_certify_samples_the_disc_once_per_mesh(sig053, lin053, monkeypatch):
     shared = points[0]
     points[0] = 0
     for m in (0, 1, 2):
-        eigen_solve(sig053.curve, m, count, n=n)
+        eigen_solve(sig053.curve, (m,), count, n=n)[m]
     # n midpoints and 2n Gauss panels of 7 nodes on each of the two meshes
     assert shared == 15 * n + 15 * 2 * n
     assert points[0] == 3 * shared
