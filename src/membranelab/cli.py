@@ -687,6 +687,10 @@ def main(argv=None):
     except (ParseError, NotAdmissible, IoFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # sizes too large to allocate, such as --samples 1e12
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     except MembraneLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         if getattr(exc, "trace", None):

@@ -18,7 +18,11 @@ ASCII OBJ with v/f records only, JSON run records; all floats with 17
 significant digits, all outputs deterministic functions of their inputs, and
 every write failure raised as IoFailure.  CSV and OBJ rows go through one
 writer, ``_write_rows``, which formats and writes ``_BLOCK_ROWS`` rows at a
-time, so no file is ever held in memory as text.
+time, so no file is ever held in memory as text.  A block is encoded in
+numpy to the very bytes of ``%.17g`` and ``%d``: Dekker's exact product of
+|x| and a power of ten gives the 17 digits, rounded half to even.  Only
+zeros, |x| outside [1e-4, 1e17) and non-finite values are formatted by
+``%``, one value at a time.
 
 Building, checking and writing a mesh take at most about one block of
 memory beyond the mesh's own arrays (and, for the edge count, its key
@@ -28,8 +32,10 @@ time, the edge keys are filled ``_BLOCK_ROWS`` faces at a time, and the OBJ
 writer adds the 1 of the 1-based face indices block by block.
 """
 
+import functools
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -345,20 +351,227 @@ def export_json(obj, path):
 def _write_rows(path, head, sections=()):
     """Write ``head``, then the rows of each (row template, 2-D array, offset).
 
-    Rows go out ``_BLOCK_ROWS`` at a time: a block is formatted by one ``%``
-    of the template repeated per row on the block's values as Python
-    numbers, plus the section's integer ``offset`` when it is not 0, so
-    neither the file's text nor a shifted copy of the array is ever held in
-    memory whole.
+    A row template is literal text around one conversion per column of the
+    array, all of them ``%.17g`` or all ``%d``.  Rows go out ``_BLOCK_ROWS``
+    at a time: ``_encode_rows`` turns a block, plus the section's integer
+    ``offset`` when it is not 0, into the very bytes that ``%`` of the
+    template gives on each row's values as Python numbers, so neither the
+    file's text nor a shifted copy of the array is ever held in memory
+    whole.  The digits are computed in numpy (see ``_encode_floats``); only
+    zeros, |x| outside [1e-4, 1e17) and non-finite values go through ``%``,
+    one value at a time.
     """
     try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(head)
+        with open(path, "wb") as fh:
+            fh.write(head.encode("ascii"))
             for row, array, offset in sections:
+                layout = _row_layout(row)
                 for start in range(0, array.shape[0], _BLOCK_ROWS):
                     block = array[start : start + _BLOCK_ROWS]
                     if offset:
                         block = block + offset
-                    fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+                    fh.write(_encode_rows(layout, block))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _row_layout(row):
+    """(conversion, head, tails) of a row template.
+
+    ``head`` is the text before the first conversion, and row j of the
+    uint8 matrix ``tails`` the text after conversion j, NUL-padded.
+    """
+    parts = re.split(r"(%\.17g|%d)", row)
+    literals, conversions = parts[::2], set(parts[1::2])
+    if len(conversions) != 1 or any("%" in text for text in literals):
+        raise ValueError(f"row template {row!r} needs one kind of conversion")
+    tails = np.zeros((len(literals) - 1, max(map(len, literals[1:]))), np.uint8)
+    for tail, text in zip(tails, literals[1:]):
+        tail[: len(text)] = np.frombuffer(text.encode("ascii"), np.uint8)
+    return conversions.pop(), literals[0].encode("ascii"), tails
+
+
+def _encode_rows(layout, block):
+    """The bytes of the template's ``%`` on each row of the 2-D ``block``.
+
+    Each row is laid out in a row of a NUL-padded uint8 matrix: the head,
+    then each field followed by its tail; the NULs are dropped from the
+    whole block at once.
+    """
+    conversion, head, tails = layout
+    n, k = block.shape
+    if k != tails.shape[0]:
+        raise ValueError(f"{k} values per row for {tails.shape[0]} conversions")
+    encode = _encode_floats if conversion == _FMT else _encode_ints
+    fields = encode(block.ravel()).reshape(n, k, -1)
+    width = fields.shape[2]
+    rows = np.empty((n, len(head) + k * (width + tails.shape[1])), np.uint8)
+    rows[:, : len(head)] = np.frombuffer(head, np.uint8)
+    cells = rows[:, len(head) :].reshape(n, k, -1)
+    cells[:, :, :width] = fields
+    cells[:, :, width:] = tails
+    del fields, cells
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _split(a):
+    """Veltkamp's split: a = hi + lo exactly, each half of at most 26 bits."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _quad(text):
+    """A string of at most 4 characters as the little-endian uint32 of its bytes."""
+    return int(np.frombuffer(text.encode("ascii").ljust(4, b"\0"), "<u4")[0])
+
+
+class _Tables:
+    """The encoders' lookup tables.
+
+    ``_tables()`` builds the one instance on the first CSV or OBJ write:
+    building them at import would cost every process about 0.6 MB of
+    resident memory, also those that write no rows.
+    """
+
+    def __init__(self):
+        # the 4 ASCII digits of each of 0 ... 9999, zero-padded
+        chars = np.stack(
+            np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
+            axis=-1,
+        ).reshape(10000, 4)
+        nonzero = chars != 48
+        # those digits as one little-endian uint32, leading zeros kept or NUL
+        # (all four of 0); the groups of an integer: leading ones from the
+        # second, the others from the first at 10**4 + the group
+        self.digits4 = chars.view("<u4").ravel()
+        leading = chars * np.logical_or.accumulate(nonzero, axis=1)
+        self.leading4 = leading.view("<u4").ravel()
+        self.groups4 = np.concatenate([self.leading4, self.digits4])
+        # the index of the last nonzero digit of each group; for 0 one so low
+        # that its byte, 4 per group further on, is below every digit's
+        self.last4 = (3 - np.argmax(nonzero[:, ::-1], axis=1)).astype(np.int8)
+        self.last4[0] = -32
+        # 10**k is a double exactly for k <= 22, with its Veltkamp halves,
+        # and an int64 for k <= 17
+        self.pow10 = np.array([float(10**k) for k in range(23)])
+        self.pow10_hi, self.pow10_lo = _split(self.pow10)
+        self.int_pow10 = np.array([10**k for k in range(18)], dtype=np.int64)
+        # row c keeps bytes 0 ... c of 4 little-endian uint64, the rest NUL
+        keep = np.arange(32) <= np.arange(32)[:, None]
+        self.keep = np.where(keep, 255, 0).astype(np.uint8).view("<u8")
+        # bytes 0-7 of a fixed-notation float with exponent X, at
+        # 2 X + 8 + (x < 0): NUL, NUL, the sign and, when X < 0, "0." and
+        # -X - 1 zeros
+        self.float_head = np.frombuffer(
+            b"".join(
+                (b"\0\0" + sign + (b"0.000"[: 1 - X] if X < 0 else b"")).ljust(8, b"\0")
+                for X in range(-4, 17)
+                for sign in (b"\0", b"-")
+            ),
+            "<u8",
+        )
+
+
+_tables = functools.cache(_Tables)
+
+
+def _encode_floats(x):
+    """(x.size, 26) uint8: row i is ``'%.17g' % x[i]``, NUL-padded.
+
+    ``%.17g`` prints v in fixed notation when the exponent X of v rounded
+    to 17 significant digits lies in [-4, 16], from the 17-digit significand
+    D = |v| 10**(16 - X) rounded half to even.  For the estimate
+    e = floor(log10 |v|), 10**(16 - e) is an exact double and Dekker's
+    product gives |v| 10**(16 - e) = hi + lo exactly.  Where that lies in
+    [1e16, 1e17), e = X, hi is an even integer (it is at least 2**53) and
+    D = hi + rint(lo), rint rounding half to even.  Zeros, |v| outside
+    [1e-4, 1e17), non-finite values and missed estimates are formatted by
+    ``%`` itself.
+
+    A row is built as 4 little-endian uint64 of 8 bytes: the sign and a
+    "0.000" head, then the digits of D with a 0 digit put after its X + 1
+    integer digits, which becomes the "."; the bytes after the fraction's
+    last nonzero digit, or after the integer part when the fraction is all
+    zeros, are set to NUL.
+    """
+    t = _tables()
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    fast = (ax >= 1e-4) & (ax < 1e17)
+    ax[~fast] = 1.0
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    np.minimum(e, 16, out=e)
+    k = 16 - e
+    a_hi, a_lo = _split(ax)
+    s_hi, s_lo = t.pow10_hi[k], t.pow10_lo[k]
+    hi = ax * t.pow10[k]
+    lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    # temporaries go as soon as they are used: a block's peak memory is bounded
+    del ax, k, a_hi, a_lo, s_hi, s_lo
+    fast &= (hi > 1e16) | ((hi == 1e16) & (lo >= 0.0))
+    d = hi.astype(np.int64)
+    d += np.rint(lo).astype(np.int64)
+    del hi, lo
+    # d >= 10**17 marks an estimate one too low; a carry to exactly 10**17
+    # never happens here: below each power of ten the nearest double lies
+    # more than 8 units of the 17th digit away
+    fast &= d < 10**17
+    slow = np.flatnonzero(~fast)
+    d[slow] = 10**16
+    e[slow] = 0
+    # n is d with a 0 digit put after its X + 1 integer digits, d itself
+    # when X < 0.  Bytes 8-11 take its digits above 10**16 without leading
+    # zeros, bytes 12-27 the 16 below, so byte 10 + j holds digit j of its
+    # 18; ``last`` is the byte of the last nonzero one
+    p = t.int_pow10[np.minimum(16 - e, 17)]
+    n = d + 9 * (d // p) * p
+    del d, p
+    lanes = np.zeros((x.size, 4), "<u8")
+    quads = lanes.view("<u4")
+    lanes[:, 0] = t.float_head[2 * e + 8 + (x < 0.0)]
+    group = n // 10**16
+    n -= group * 10**16
+    quads[:, 2] = t.leading4[group]
+    last = t.last4[group] + 8
+    for col, place in enumerate((10**12, 10**8, 10**4, 1), start=3):
+        group = n // place
+        n -= group * place
+        quads[:, col] = t.digits4[group]
+        np.maximum(last, t.last4[group] + 4 * col, out=last)
+    del n, group
+    # the "." over the 0 digit; NUL after the fraction's last nonzero digit,
+    # or after the integer part when the fraction is all zeros
+    chars = lanes.view(np.uint8)
+    point = np.flatnonzero(e >= 0)
+    chars[point, e[point] + 11] = 46  # "."
+    lanes &= np.take(t.keep, np.maximum(last, e + 10), axis=0)
+    if slow.size:
+        text = b"".join(
+            b"\0\0" + (_FMT % v).encode("ascii").ljust(30, b"\0")
+            for v in x[slow].tolist()
+        )
+        chars[slow] = np.frombuffer(text, np.uint8).reshape(-1, 32)
+    return chars[:, 2:28]
+
+
+def _encode_ints(v):
+    """(v.size, width) uint8: row i is ``'%d' % v[i]``, NUL-padded.
+
+    The width is 4 bytes per digit group of the largest magnitude, plus 4
+    for a sign when a value is negative.
+    """
+    groups4 = _tables().groups4
+    v = np.asarray(v, dtype=np.int64)
+    mag = np.abs(v).astype(np.uint64)  # 2**63 for the most negative int64 too
+    count = -(-len(str(int(mag.max(initial=0)))) // 4)
+    sign = int((v < 0).any())
+    quads = np.zeros((v.size, sign + count), "<u4")
+    if sign:
+        quads[:, 0] = np.where(v < 0, _quad("\0\0\0-"), 0)
+    for g in range(count):
+        q = mag // np.uint64(10 ** (4 * (count - 1 - g)))
+        quads[:, sign + g] = groups4[np.where(q < 10**4, q, q % 10**4 + 10**4)]
+    units = quads[:, -1]
+    units[v == 0] = _quad("\0\0\x000")
+    return quads.view(np.uint8)

@@ -138,6 +138,22 @@ def test_cli_sigma0_underflowing_iterate_exit_2(tmp_path, capsys):
     assert err.startswith("numerical failure:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["trace", "--c_o", "2", "--z_o", "-0.6", "--samples", "10000000000000000"],
+        ["eigen", "--c_o", "2", "--z_o", "-0.6", "--n", "10000000000000000"],
+    ],
+)
+def test_cli_unallocatable_size_exit_1(tmp_path, capsys, args):
+    # 10**16 samples or cells ask for 71 PiB, more than a 64-bit process can
+    # map, so the allocation fails whatever the memory overcommit policy
+    assert run_cli(args + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_sigma0(tmp_path):
     out = tmp_path / "s"
     assert run_cli(["sigma0", "--R", "0.5", "--Z", "-3", "--out", str(out)]) == 0

@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from membranelab import (
     branch_linear_mesh,
@@ -388,3 +391,129 @@ def test_mesh_path_memory_is_bounded(tmp_path, curve26):
     assert built - own < 20e6
     assert counted < 20e6
     assert small.faces.nbytes > 3e6 and written < 2e6
+
+
+# ------------------------------------------ the row encoder against "%"
+
+_ENCODING = settings(max_examples=300, deadline=None)
+
+
+def _encoded(template, values, dtype):
+    """The writer's bytes for ``values``, one per row of ``template``."""
+    column = np.asarray(values, dtype=dtype).reshape(-1, 1)
+    return surfaces_mod._encode_rows(surfaces_mod._row_layout(template), column)
+
+
+def _reference(template, values):
+    return "".join(template % v for v in values).encode("ascii")
+
+
+@_ENCODING
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+@example([0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e-300, math.nan, math.inf])
+@example([1e-4, 9.9999999999999991e-05, 1e16, 1e17, 99999999999999984.0, 1e22])
+def test_float_encoding_is_percent_17g(values):
+    assert _encoded("%.17g\n", values, float) == _reference("%.17g\n", values)
+
+
+def _near_powers_of_ten():
+    """10**k for k = -6 ... 17, its 50 neighbours each side, and their negatives."""
+    values = []
+    for k in range(-6, 18):
+        for direction in (-math.inf, math.inf):
+            x = float(f"1e{k}")
+            for _ in range(51):
+                values += [x, -x]
+                x = math.nextafter(x, direction)
+    return values
+
+
+def test_float_encoding_near_powers_of_ten():
+    # floor(log10 |x|) can miss the exponent next to 10**k; 1e-4 and 1e17
+    # bound the values whose digits come from numpy
+    values = _near_powers_of_ten()
+    assert _encoded("%.17g\n", values, float) == _reference("%.17g\n", values)
+
+
+@pytest.mark.parametrize("direction", [-math.inf, math.inf])
+def test_float_encoding_survives_an_inexact_log10(monkeypatch, direction):
+    # the exponent is only estimated: a log10 a few ulps low or high, as a
+    # vectorized one may be, misses it on either side and changes no byte
+    log10 = np.log10
+
+    def skewed(a):
+        out = log10(a)
+        for _ in range(4):
+            out = np.nextafter(out, direction)
+        return out
+
+    monkeypatch.setattr(np, "log10", skewed)
+    values = _near_powers_of_ten()
+    assert _encoded("%.17g\n", values, float) == _reference("%.17g\n", values)
+
+
+@st.composite
+def _ties(draw):
+    """x with |x| 10**(16 - X) = j 5**(16 - X) / 2, j odd: a tie at 17 digits.
+
+    x = j / 2**(17 - X) lies in [10**X, 10**(X + 1)) and is exact for
+    j < 2**53; 17-digit ties exist for X = -4 ... 15.
+    """
+    X = draw(st.integers(-4, 15))
+    scale = Fraction(2 ** (17 - X))
+    lo = math.ceil(scale * Fraction(10) ** X)
+    hi = min(math.ceil(scale * Fraction(10) ** (X + 1)), 2**53)
+    j = 2 * draw(st.integers(lo // 2, (hi - 2) // 2)) + 1
+    x = j / scale.numerator
+    assert (Fraction(x) * Fraction(10) ** (16 - X)).denominator == 2
+    return -x if draw(st.booleans()) else x
+
+
+@_ENCODING
+@given(st.lists(_ties(), min_size=1, max_size=16))
+@example([1000000000000000.25, 1000000000000000.75, 0.5])
+def test_float_encoding_rounds_ties_to_even(values):
+    assert _encoded("%.17g\n", values, float) == _reference("%.17g\n", values)
+
+
+@_ENCODING
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
+@example([0, -1, 1, 9999, 10000, -10000, 2**63 - 1, -(2**63)])
+def test_int_encoding_is_percent_d(values):
+    assert _encoded("%d\n", values, np.int64) == _reference("%d\n", values)
+
+
+def _awkward_floats(rng, shape):
+    """Floats of every magnitude, with zeros, subnormals and non-finite values."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 20, shape)
+    flat = values.reshape(-1)
+    special = [0.0, -0.0, 5e-324, 1e-300, 1e-4, 1e16, 1e17, math.nan, -math.inf]
+    flat[rng.choice(flat.size, len(special), replace=False)] = special
+    return values
+
+
+@pytest.mark.parametrize(
+    "n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 17]
+)
+def test_every_row_template_matches_per_line_reference(tmp_path, n):
+    rng = np.random.default_rng(n)
+    faces = rng.integers(0, 10**7, (n, 3))
+    faces[0] = 0
+    mesh = SurfaceMesh(
+        vertices=_awkward_floats(rng, (n, 3)),
+        faces=faces,
+        displacement=np.zeros(n),
+        meta={},
+    )
+    export_mesh_obj(mesh, tmp_path / "m.obj")
+    vertices = map(tuple, mesh.vertices.tolist())
+    faces = map(tuple, (mesh.faces + 1).tolist())
+    expected = _reference("v %.17g %.17g %.17g\n", vertices)
+    expected += _reference("f %d %d %d\n", faces)
+    assert (tmp_path / "m.obj").read_bytes() == expected
+    for width in (1, 5, 7, 11):
+        table = _awkward_floats(rng, (n, width))
+        export_csv(tmp_path / "t.csv", "h", list(table.T), "table")
+        row = ",".join(["%.17g"] * width) + "\n"
+        expected = b"h\n" + _reference(row, map(tuple, table.tolist()))
+        assert (tmp_path / "t.csv").read_bytes() == expected
