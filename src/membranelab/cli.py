@@ -14,6 +14,7 @@ path, 2 numerical non-convergence (diagnostics on standard error).
 """
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import dataclass
@@ -556,6 +557,30 @@ _DISPATCH = {
 }
 
 
+@contextlib.contextmanager
+def _cleared_on_failure(outdir):
+    """On failure, remove the directories toward ``outdir`` that are new.
+
+    Only those that did not exist before the command and are still empty
+    go, so a failing command leaves no empty ``--out`` behind and never
+    deletes a directory that existed, or any file.
+    """
+    missing = []
+    path = os.path.abspath(outdir)
+    while not os.path.lexists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    try:
+        yield
+    except BaseException:
+        for path in missing:
+            try:
+                os.rmdir(path)
+            except OSError:
+                break
+        raise
+
+
 def _ensure_out(outdir):
     try:
         os.makedirs(outdir, exist_ok=True)
@@ -678,12 +703,16 @@ def main(argv=None):
         if recipe:
             if command or path:
                 raise ParseError("--recipe takes neither a command nor --config")
-            return _run_recipe(recipe, flags.get("out", _default_out(recipe)))
+            out = flags.get("out", _default_out(recipe))
+            with _cleared_on_failure(out):
+                return _run_recipe(recipe, out)
         if not (command or path):
             raise ParseError(
                 "a command, --config with a command, or --recipe is required"
             )
-        return run(load_config(path=path, command=command, flag_pairs=flags))
+        config = load_config(path=path, command=command, flag_pairs=flags)
+        with _cleared_on_failure(config.params["out"]):
+            return run(config)
     except (ParseError, NotAdmissible, IoFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -154,6 +154,28 @@ def test_cli_unallocatable_size_exit_1(tmp_path, capsys, args):
     assert "Traceback" not in err
 
 
+def test_cli_failure_removes_only_the_out_it_made(tmp_path, capsys, monkeypatch):
+    # numpy refuses the 71 PiB of 10**16 samples after --out is made
+    args = ["trace", "--c_o", "2", "--z_o", "-0.6", "--samples", "10000000000000000"]
+    made = tmp_path / "new" / "out"
+    assert run_cli(args + ["--out", str(made)]) == 1
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+    assert list(tmp_path.iterdir()) == []
+    # a directory that existed stays, with what it holds
+    kept = tmp_path / "kept"
+    (kept / "old").mkdir(parents=True)
+    assert run_cli(args + ["--out", str(kept)]) == 1
+    assert list(kept.iterdir()) == [kept / "old"]
+    # a directory the command made stays once a file is in it
+    def half_written(curve, path, n):
+        open(path, "w").close()
+        raise MemoryError("Unable to allocate the rest")
+
+    monkeypatch.setattr(cli, "export_profile_csv", half_written)
+    assert run_cli(args[:-2] + ["--out", str(made)]) == 1
+    assert list(made.iterdir()) == [made / "profile.csv"]
+
+
 def test_cli_sigma0(tmp_path):
     out = tmp_path / "s"
     assert run_cli(["sigma0", "--R", "0.5", "--Z", "-3", "--out", str(out)]) == 0

@@ -19,7 +19,7 @@ from membranelab import (
 )
 import membranelab.spectral as spectral
 from membranelab._util import gauss_panels
-from membranelab.errors import GridTooCoarse
+from membranelab.errors import GridTooCoarse, SolverFailure
 from membranelab.linearized import operator_residual, radial_operator_coeffs
 from membranelab.profile import ProfileCurve
 
@@ -263,11 +263,15 @@ def _per_mode_assembly(curve, m, n):
 
 
 def _per_mode_eigen(curve, m, count, n):
-    """Reference: (eigenvalues, fine, coarse, fine eigenfunctions, residuals)."""
+    """Reference: (eigenvalues, fine, coarse, fine eigenfunctions, residuals).
+
+    The fine pairs are refined from the coarse ones, as ``eigen_solve`` does
+    for the counts up to n // 32 that the callers below ask for.
+    """
     op_c = _per_mode_assembly(curve, m, n)
     op_f = _per_mode_assembly(curve, m, 2 * n)
-    vals_c, _ = spectral._solve_pencil(op_c, count)
-    vals_f, funcs = spectral._solve_pencil(op_f, count)
+    vals_c, funcs_c = spectral._solve_pencil(op_c, count)
+    vals_f, funcs = spectral._refine(op_c, vals_c, funcs_c, op_f)
     residuals = spectral._discrete_residual(op_f, vals_f, funcs)
     return (4.0 * vals_f - vals_c) / 3.0, vals_f, vals_c, funcs, residuals
 
@@ -325,6 +329,61 @@ def test_certify_samples_the_disc_once_per_mesh(sig053, lin053, monkeypatch):
     points[0] = 0
     for m in (0, 1, 2):
         eigen_solve(sig053.curve, (m,), count, n=n)[m]
-    # n midpoints and 2n Gauss panels of 7 nodes on each of the two meshes
-    assert shared == 15 * n + 15 * 2 * n
+    # n midpoints and 2n Gauss panels of 3 nodes on each of the two meshes
+    assert shared == 7 * n + 7 * 2 * n
     assert points[0] == 3 * shared
+
+
+# ------------------------------------- fine eigenpairs refined from the coarse
+
+
+def _pencil_pair(curve, m, n):
+    return assemble_mode(curve, m, n), assemble_mode(curve, m, 2 * n)
+
+
+@pytest.mark.parametrize("disc", ["sig053", "sig12"])
+@pytest.mark.parametrize("n", [400, 1536])
+def test_refine_matches_bisection_on_the_fine_pencil(disc, n, request):
+    curve = request.getfixturevalue(disc).curve
+    for m in (0, 1, 2):
+        op_c, op_f = _pencil_pair(curve, m, n)
+        vals_c, funcs_c = spectral._solve_pencil(op_c, 6)
+        vals, funcs = spectral._refine(op_c, vals_c, funcs_c, op_f)
+        ref_vals, ref_funcs = spectral._solve_pencil(op_f, 6)
+        # relative to the largest of the six: mode 1's lowest is rounding
+        # away from zero, so it has no relative size of its own
+        assert np.max(np.abs(vals - ref_vals)) <= 1e-9 * np.max(np.abs(ref_vals))
+        assert np.max(np.abs(funcs - ref_funcs)) <= 1e-8
+
+
+@pytest.mark.parametrize("dup, lost", [(3, 1), (2, 5), (5, 0)])
+def test_refine_refuses_a_duplicated_seed(sig053, dup, lost):
+    # seeding pair `lost` with pair `dup` refines the same pair twice: the
+    # set is then not B-orthonormal, or its window holds the wrong count
+    for m in (0, 1, 2):
+        op_c, op_f = _pencil_pair(sig053.curve, m, 400)
+        vals_c, funcs_c = spectral._solve_pencil(op_c, 6)
+        vals_c[lost], funcs_c[:, lost] = vals_c[dup], funcs_c[:, dup]
+        with pytest.raises(SolverFailure, match="refined pairs are not the lowest"):
+            spectral._refine(op_c, vals_c, funcs_c, op_f)
+
+
+def test_counts_above_n_over_32_are_bisected_on_the_fine_mesh(sig053):
+    # 12 > 200 // 32, so the fine pencil takes the bisection path
+    for m in (0, 1, 2):
+        e = eigen_solve(sig053.curve, (m,), 12, n=200)[m]
+        vals, funcs = spectral._solve_pencil(assemble_mode(sig053.curve, m, 400), 12)
+        assert np.array_equal(e.eigenvalues_fine, vals)
+        assert np.array_equal(e.eigenfunctions[(0 if m == 0 else 1) : -1], funcs)
+
+
+@pytest.mark.parametrize("disc", ["sig053", "sig12"])
+def test_three_gauss_nodes_match_twelve(disc, request, monkeypatch):
+    curve = request.getfixturevalue(disc).curve
+    got = eigen_solve(curve, (0, 1, 2), 6)
+    monkeypatch.setattr(spectral, "_GAUSS_PTS", 12)
+    ref = eigen_solve(curve, (0, 1, 2), 6)
+    for m in (0, 1, 2):
+        a, b = got[m].eigenvalues, ref[m].eigenvalues
+        # relative to the largest of the six, as above
+        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
