@@ -136,15 +136,14 @@ PARAM_SPECS = {
         "z_o": ("float", _REQUIRED, "axis height (< 0)"),
         "m": ("int", 1, "angular mode"),
         "count": ("int", 6, "eigenpair count"),
-        "n": ("int", 1536, "mesh cells"),
+        "n": ("int", 1536, "cells of the mesh the eigenfunctions are reported on"),
         "eigenfunctions": ("bool", False, "also export eigenfunction CSV"),
         **_TOLERANCE_SPECS,
     },
     "certify": {
         "R": ("float", _REQUIRED, "boundary circle radius"),
         "Z": ("float", _REQUIRED, "boundary circle height (< 0)"),
-        "n": ("int", 1536, "eigen mesh cells"),
-        "count": ("int", 6, "eigenpair count per mode"),
+        "count": ("int", 6, "eigenpair count per mode (at least 2)"),
     },
     "mesh": {
         "kind": ("str", "revolve", "revolve | branch | family"),
@@ -451,7 +450,6 @@ def _run_eigen(config):
     payload = {
         "m": res.m,
         "eigenvalues": res.eigenvalues.tolist(),
-        "eigenvalues_fine": res.eigenvalues_fine.tolist(),
         "eigenvalues_coarse": res.eigenvalues_coarse.tolist(),
         "discrete_residuals": res.discrete_residuals.tolist(),
     }
@@ -472,12 +470,12 @@ def _run_eigen(config):
 
 def _run_certify(config):
     p = config.params
-    check_certify_size(p["n"], p["count"])
+    check_certify_size(p["count"])
     circle = _circle_from(config)
     outdir = _ensure_out(p["out"])
     sig = shoot_sigma0(circle)
     lin = solve_h(sig.curve)
-    cert = certify(sig, lin, count=p["count"], n=p["n"])
+    cert = certify(sig, lin, count=p["count"])
     payload = {
         "verdict": cert.verdict,
         "conditions": cert.conditions,

@@ -61,7 +61,7 @@ class BoundaryValueVanishes(MembraneLabError):
 
 
 class GridTooCoarse(MembraneLabError):
-    """Eigenproblem grid below the supported minimum size."""
+    """Collocation degree too small, or even (a node on the axis)."""
 
 
 class SolverFailure(MembraneLabError):

@@ -238,15 +238,18 @@ def shoot_sigma0(circle, seed=None):
     )
 
 
-def _endpoint_jacobian(curve, phi_end, length):
+def _endpoint_jacobian(curve, phi_end):
     """d(r, z)(L)/d(c, z_o, L) of a curve integrated with its z_o variation.
 
-    The z_o-column is the co-integrated variation and the L-column the curve
+    L is the curve's own end ``curve.ell``, where its residual was taken; a
+    corrector iterate rebuilt as x0 + Q u may lie an ulp beyond it.  The
+    z_o-column is the co-integrated variation and the L-column the curve
     velocity (-cos phi, -sin phi).  Scale equivariance, (r, z)(mu L; c/mu,
     mu z_o) = mu (r, z)(L; c, z_o), differentiated at mu = 1 gives the
     c-column from the other two: c d(r, z)/dc = L d(r, z)/dL +
     z_o d(r, z)/dz_o - (r, z).
     """
+    length = curve.ell
     dr_z, dz_z, _ = curve.variation_at(length)
     r, z, _ = curve.state_at(length)
     c, z_o = curve.params.c_o, curve.params.z_o
@@ -303,7 +306,7 @@ def _correct(circle, runs, trace, x0, Q, u, what, first=None):
         if norm < _match_tol(circle):
             return x, aux, norm
         try:
-            delta = np.linalg.solve(_endpoint_jacobian(*aux, x[2]) @ Q, -F)
+            delta = np.linalg.solve(_endpoint_jacobian(*aux) @ Q, -F)
         except np.linalg.LinAlgError:
             raise NoConvergence(f"singular {what} Jacobian", trace) from None
         lam = 1.0
@@ -349,7 +352,7 @@ def _member(x, aux, norm, circle, previous):
         match_residual=norm,
         circle=circle,
         left_admissible_region=not ModelParams(c, z_o).sigma0_admissible,
-        jacobian=_endpoint_jacobian(curve, phi_end, x[2]),
+        jacobian=_endpoint_jacobian(curve, phi_end),
         previous=previous,
     )
 
@@ -450,7 +453,7 @@ def _reach(circle, runs, trace, seed, c):
         first = _residual(circle, runs, (c, z_p, l_p))
         if first is not None:
             t_seed = _tangent(seed.jacobian, scale)
-            t_pred = _oriented(_endpoint_jacobian(*first[1], l_p), scale, t_seed)
+            t_pred = _oriented(_endpoint_jacobian(*first[1]), scale, t_seed)
             if t_pred[0] / t_seed[0] >= _LAND_RATIO:
                 return _land(circle, runs, trace, seed, c, (z_p, l_p), first)
     side = 1 if c > seed.c else -1

@@ -6,19 +6,12 @@ modes u(s) cos(m theta) gives, per mode m, the singular eigenproblem
     (1/r) [ (r/z^2) u' ]' - m^2 u / (r^2 z^2) + U u + lambda u = 0,
     u(boundary) = 0,   and additionally u(axis) = 0 for m >= 1,
 
-with U the divergence-form potential of the linearization.  Multiplying by
-r puts this in flux form with coefficient p = r/z^2 and weight r, which is
-discretized here by conservative finite volumes on a mesh graded toward the
-axis.  The assembled pencil (A, B) is symmetric tridiagonal with diagonal
-positive B, so eigenpairs come from a standard symmetric tridiagonal solve
-after a congruence by B^(-1/2); eigenvalues are Richardson extrapolated
-from two meshes.  The coarse (n-cell) pencil is solved by LAPACK bisection;
-the fine (2n-cell) eigenpairs come from the coarse ones by shifted inverse
-iteration while count <= n // 32, with their completeness checked (Sturm
-counts and B-orthonormality), and by bisection above that.  The potential
-and weight integrals use 3-node Gauss panels: against 12 nodes they move
-the six lowest extrapolated eigenvalues of modes 0-2 by at most 6e-13 of
-the largest, on the first 16 circles of perfbench's certify seed 2.
+with U the divergence-form potential of the linearization.  The profile is
+analytic, so each mode is discretized by one Chebyshev collocation with the
+polar parity fold (Trefethen, *Spectral Methods in MATLAB*, ch. 11): on tau
+in [-ell, ell], r and p = r/z^2 are odd, z and U are even, and a mode-m
+eigenfunction has parity (-1)^m, which is also its axis condition.  With N
+odd, no node of the N + 1 Chebyshev points lies on the axis.
 
 Known structure used as cross-checks: the first mode-1 eigenvalue is zero
 with eigenfunction sin(phi) (horizontal translations), the mode-0 Dirichlet
@@ -29,38 +22,33 @@ followed through the folds of ``shooting.family_sweep``) and the
 transversality scalar h_prime_boundary.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dpttrf, dstebz
+# not called: perfbench's tracer wraps spectral.eigh_tridiagonal by name
+from scipy.linalg import eigh_tridiagonal  # noqa: F401
 
-from ._util import gauss_panels
 from .errors import GridTooCoarse, IncompleteEvidence, SolverFailure
 from .linearized import operator_residual, radial_operator_coeffs, solve_h
 from .shooting import family_sweep
 
-#: mesh grading exponent: tau_k = ell * (k/n)^1.5 clusters nodes at the axis
-_GRADING = 1.5
-_GAUSS_PTS = 3
+#: eigenfunctions are reported on the mesh tau_k = ell (k/n)^1.5, graded
+#: toward the axis, of n >= _MIN_CELLS cells
 _MIN_CELLS = 200
-#: the fine eigenpairs are refined from the coarse ones while count <=
-#: n // _REFINE_SHARE; above that the coarse mesh stops resolving the fine
-#: spectrum (on (0.5, -3) at n = 1536 pair 80 no longer settles)
-_REFINE_SHARE = 32
-#: a refined pair has settled once a solve moves its unit vector by at most
-#: _SETTLED (max norm); rounding leaves it moving by about 2e-14.  Up to
-#: n = 4096 the pairs below n // 32 settle within 9 solves
-_SETTLED = 1e-12
-_MAX_SOLVES = 12
-#: completeness checks: the refined eigenfunctions are B-orthonormal to
-#: _ORTHO_TOL, and the Sturm counts are taken _COUNT_MARGIN times the size
-#: of the Rayleigh quotients' terms outside the refined eigenvalues; the
-#: quotients are rounded to about 1e-16 of that size, and the counts
-#: resolve eigenvalues to within 1e-17 of it
-_ORTHO_TOL = 1e-8
-_COUNT_MARGIN = 1e-12
+#: a mode's degree runs 61 (6 k + 1 if larger, about where the k-th eigenvalue
+#: settles), 91, 137, ... (about 1.5x, odd) up to _MAX_DEGREE until its lowest
+#: k = max(count, _CHECKED) eigenvalues agree with the degree before to _AGREE
+#: of the largest; they plateau at <= 4.5e-12 on curves integrated at rtol
+#: 1e-10.  With fewer, mode 1's zero, rounding alone, could be the largest.
+#: _MAX_COUNT is the largest count whose second degree, 9 k + 1 or 9 k + 2,
+#: lies within _MAX_DEGREE
+_FIRST_DEGREE = 61
+_MAX_DEGREE = 691
+_AGREE = 1e-10
+_CHECKED = 6
+_MAX_COUNT = (_MAX_DEGREE - 2) // 9
 #: condition (i): the family is followed over c0 * (1 -/+ halfwidth) with
 #: members at _FAMILY_POINTS curvatures; the odd count puts one on the disc
 _FAMILY_POINTS = 5
@@ -75,40 +63,64 @@ _ZERO_BAND_FACTOR = 1e-6
 
 
 @dataclass(frozen=True)
-class ModeOperator:
-    """Discrete flux-form pencil (A, B) for one angular mode.
+class _Level:
+    """A curve at the nodes ``taus`` > 0 of the degree-n grid, tau = ell
+    first; ``derivative[s]`` is d/dtau there for functions of parity s."""
 
-    ``diag``/``offdiag`` are the tridiagonal entries of A over the unknown
-    nodes ``taus[first:last]``; ``weights`` is the diagonal of B (control
-    volume integrals of the weight r).  The assembly is symmetric by
-    construction.
-    """
-
-    m: int
+    n: int
     taus: np.ndarray
-    first: int
-    diag: np.ndarray
-    offdiag: np.ndarray
-    weights: np.ndarray
+    r: np.ndarray
+    z: np.ndarray
+    U: np.ndarray
+    derivative: dict
 
 
 @dataclass(frozen=True)
 class EigenResult:
     """Lowest eigenpairs of one angular mode.
 
-    ``eigenvalues`` are Richardson extrapolated from the two meshes
-    (``eigenvalues_coarse``/``eigenvalues_fine``); eigenfunctions live on
-    the fine mesh ``mesh`` (boundary nodes included, Dirichlet zeros in
-    place) and are normalized to unit weighted norm.
+    ``eigenvalues`` are those of ``matrix``, ``assemble_mode`` on ``level``,
+    the first degree that agreed with the one before (``eigenvalues_coarse``).
+    ``eigenfunctions`` on ``mesh`` (Dirichlet zeros in place, unit r-weighted
+    norm, largest value positive) and ``discrete_residuals``, the pairs'
+    backward errors, are computed on first read.
     """
 
     m: int
     eigenvalues: np.ndarray
-    eigenvalues_fine: np.ndarray
     eigenvalues_coarse: np.ndarray
     mesh: np.ndarray
-    eigenfunctions: np.ndarray
-    discrete_residuals: np.ndarray
+    level: _Level = field(repr=False)
+    matrix: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def _vectors(self):
+        vals, vecs = np.linalg.eig(self.matrix)
+        return vecs[:, np.argsort(vals.real)[: self.eigenvalues.size]].real
+
+    @functools.cached_property
+    def eigenfunctions(self):
+        level, count = self.level, self.eigenvalues.size
+        half = np.zeros((level.taus.size, count))
+        half[1:] = self._vectors
+        full = np.concatenate([half, (-1.0) ** self.m * half[::-1]])
+        # unit r-weighted norm, by Gauss-Legendre on [0, ell]
+        ell, x, w = level.taus[0], *np.polynomial.legendre.leggauss(level.n + 1)
+        r_u = np.column_stack([np.concatenate([level.r, -level.r[::-1]]), full])
+        r_u = _barycentric(level.n, 0.5 * (x + 1.0), r_u)
+        norms = np.sqrt(0.5 * ell * (w * r_u[:, 0]) @ r_u[:, 1:] ** 2)
+        funcs = _barycentric(level.n, self.mesh / ell, full) / norms
+        peaks = np.argmax(np.abs(funcs), axis=0)
+        funcs *= np.sign(funcs[peaks, np.arange(count)])
+        funcs[[0, -1] if self.m else -1] = 0.0
+        return funcs
+
+    @functools.cached_property
+    def discrete_residuals(self):
+        A, v, vals = self.matrix, self._vectors, self.eigenvalues
+        num = np.max(np.abs(A @ v - v * vals), axis=0)
+        den = (np.max(np.abs(A).sum(axis=1)) + np.abs(vals)) * np.max(np.abs(v), axis=0)
+        return num / den
 
 
 @dataclass(frozen=True)
@@ -136,97 +148,42 @@ class BifurcationCertificate:
     disc_tangent: tuple | None = None
 
 
-def _mode_grid(curve, n):
-    k = np.arange(n + 1, dtype=float)
-    return curve.ell * (k / n) ** _GRADING
+def _chebyshev_points(n):
+    """cos(pi j/n), j = 0..n, written so that point n - j is exactly -point j."""
+    return np.sin(0.5 * np.pi * (n - 2 * np.arange(n + 1)) / n)
 
 
-@dataclass(frozen=True)
-class _DiscSamples:
-    """What every mode's pencil on one n-cell mesh reads from the curve.
-
-    ``flux`` is p = r/z^2 at the interval midpoints over the interval
-    widths; ``W`` holds the node-wise control volume integrals of the
-    weight r; ``rzz`` = r z^2 and ``minus_rU`` = -r U are the samples at
-    the Gauss nodes ``wts`` integrate, the left interval halves first.
-    """
-
-    taus: np.ndarray
-    flux: np.ndarray
-    W: np.ndarray
-    rzz: np.ndarray
-    minus_rU: np.ndarray
-    wts: np.ndarray
+def _barycentric(n, x, values):
+    """The degree-n interpolant of ``values`` at ``_chebyshev_points(n)``, at x."""
+    w = (-1.0) ** np.arange(n + 1)
+    w[[0, -1]] *= 0.5
+    diff = x[:, None] - _chebyshev_points(n)
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    c = w / diff
+    out = (c @ values) / c.sum(axis=1)[:, None]
+    rows, cols = np.nonzero(hit)
+    out[rows] = values[cols]
+    return out
 
 
-def _sample_disc(curve, n):
-    taus = _mode_grid(curve, n)
-    h = np.diff(taus)
-    mids = 0.5 * (taus[:-1] + taus[1:])
-    r_m, z_m, _ = curve.state_at(mids)
-    p_mid = r_m / (z_m * z_m)
-
-    # Gauss panels over interval halves; left halves feed node j, right j+1
-    halves_a = np.concatenate([taus[:-1], mids])
-    halves_b = np.concatenate([mids, taus[1:]])
-    nodes, wts = gauss_panels(halves_a, halves_b, _GAUSS_PTS)
-    r, z, phi = curve.state_at(nodes.ravel())
-    _, D = radial_operator_coeffs(r, z, phi, curve.params)
-    U = D / (z * z)
-    w_int = (r.reshape(nodes.shape) * wts).sum(axis=1)
-    W = np.zeros(n + 1)
-    W[:-1] += w_int[:n]
-    W[1:] += w_int[n:]
-    return _DiscSamples(
-        taus=taus, flux=p_mid / h, W=W, rzz=r * z * z, minus_rU=-r * U, wts=wts
-    )
-
-
-def assemble_mode(curve, m, n):
-    """Conservative finite-volume assembly of the mode-m pencil.
-
-    Fluxes use p = r/z^2 at interval midpoints; the control-volume integrals
-    of the weight r and of the potential m^2/(r z^2) - r U use Gauss panels
-    on the dense output, which keeps the pencil symmetric and second order
-    accurate on the graded mesh.  ``curve`` may also be the ``_DiscSamples``
-    of a curve on the same n, which lets several modes share one sampling.
-    """
-    if n < _MIN_CELLS:
-        raise GridTooCoarse(f"mode assembly needs n >= {_MIN_CELLS}")
-    check_mode(m)
-    disc = curve if isinstance(curve, _DiscSamples) else _sample_disc(curve, n)
-    pot_vals = disc.minus_rU
-    if m:
-        pot_vals = pot_vals + m * m / disc.rzz
-    pot_int = (pot_vals.reshape(disc.wts.shape) * disc.wts).sum(axis=1)
-
-    # node-wise control volume accumulations over all n+1 nodes
-    Q = np.zeros(n + 1)
-    Q[:-1] += pot_int[:n]
-    Q[1:] += pot_int[n:]
-
-    flux = disc.flux
-    diag_full = np.zeros(n + 1)
-    diag_full[:-1] += flux
-    diag_full[1:] += flux
-    diag_full += Q
-
-    first = 0 if m == 0 else 1
-    # boundary node n is always Dirichlet; axis node kept only for m = 0
-    diag = diag_full[first:n]
-    offdiag = -flux[first : n - 1]
-    weights = disc.W[first:n]
-    return ModeOperator(
-        m=m, taus=disc.taus, first=first, diag=diag, offdiag=offdiag, weights=weights
-    )
-
-
-def _apply(op, funcs):
-    """A times each column of ``funcs`` for the tridiagonal pencil matrix A."""
-    Au = op.diag[:, None] * funcs
-    Au[:-1] += op.offdiag[:, None] * funcs[1:]
-    Au[1:] += op.offdiag[:, None] * funcs[:-1]
-    return Au
+def _sample(curve, n):
+    """The ``_Level`` of the curve at degree n, from one ``state_at``."""
+    h = (n + 1) // 2
+    # the rows tau > 0 of the differentiation matrix (Trefethen, cheb.m), with
+    # the node differences x_i - x_j as a product of sines, free of cancellation
+    i, j = np.arange(h)[:, None], np.arange(n + 1)
+    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    dx = 2.0 * np.sin(0.5 * np.pi * (i + j) / n) * np.sin(0.5 * np.pi * (j - i) / n)
+    np.fill_diagonal(dx, np.inf)
+    D = c[:h, None] / (c * dx * curve.ell)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    mirror = D[:, ::-1][:, :h]
+    taus = curve.ell * _chebyshev_points(n)[:h]
+    r, z, phi = curve.state_at(taus)
+    _, D_coef = radial_operator_coeffs(r, z, phi, curve.params)
+    return _Level(n=n, taus=taus, r=r, z=z, U=D_coef / (z * z),
+                  derivative={1: D[:, :h] + mirror, -1: D[:, :h] - mirror})
 
 
 def check_mode(m):
@@ -235,192 +192,85 @@ def check_mode(m):
         raise ValueError("mode index m must be a nonnegative integer")
 
 
+def assemble_mode(curve, m, n):
+    """-L_m collocated at odd degree n, on the nodes of ``_sample(curve, n)``.
+
+    L_m = diag(1/r) D diag(p) D + diag(U - m^2/(r^2 z^2)) on the Chebyshev
+    grid of [-ell, ell], folded by the parity (-1)^m onto the nodes tau > 0,
+    without the boundary row and column.  ``curve`` may also be its
+    ``_sample`` at n, which lets several modes share one sampling.
+    """
+    check_mode(m)
+    if n < 3 or n % 2 != 1:
+        raise GridTooCoarse(f"collocation needs an odd degree n >= 3, so that "
+                            f"no node lies on the axis; got {n}")
+    level = curve if isinstance(curve, _Level) else _sample(curve, n)
+    D, r, z = level.derivative[(-1) ** m], level.r, level.z
+    L = (D * (r / (z * z))) @ D / r[:, None]
+    L[np.diag_indices_from(L)] += level.U - m * m / (r * r * z * z)
+    return -L[1:, 1:]
+
+
 def check_eigen_size(n, count):
     """Raise ValueError unless ``eigen_solve`` takes n cells and count pairs."""
     if n < _MIN_CELLS:
         raise ValueError(f"eigen mesh needs n >= {_MIN_CELLS} cells, got {n}")
-    # the coarse pencil of a mode m >= 1 has n - 1 unknowns
-    if not 1 <= count < n:
-        raise ValueError(f"eigenpair count must lie in [1, n - 1], got {count}")
+    if not 1 <= count <= _MAX_COUNT:
+        raise ValueError(f"eigenpair count must lie in [1, {_MAX_COUNT}], got {count}")
 
 
-def check_certify_size(n, count):
-    """Raise ValueError unless ``certify`` takes n cells and count pairs per mode.
-
-    Its zero band is a share of the first mode-1 gap, which needs two pairs.
-    """
-    check_eigen_size(n, count)
-    if count < 2:
-        raise ValueError(
-            f"certify needs count >= 2 for the first mode-1 gap, got {count}"
-        )
-
-
-def _congruence(op):
-    """Diagonal and off-diagonal of the tridiagonal B^(-1/2) A B^(-1/2)."""
-    d = op.diag / op.weights
-    e = op.offdiag / np.sqrt(op.weights[:-1] * op.weights[1:])
-    return d, e
-
-
-def _pairs(op, vecs):
-    """Eigenpairs of the pencil from eigenvectors ``vecs`` of its congruence."""
-    funcs = vecs / np.sqrt(op.weights)[:, None]
-    # unit weighted norm and a deterministic sign
-    norms = np.sqrt((funcs * funcs * op.weights[:, None]).sum(axis=0))
-    funcs = funcs / norms
-    for k in range(funcs.shape[1]):
-        peak = np.argmax(np.abs(funcs[:, k]))
-        if funcs[peak, k] < 0:
-            funcs[:, k] = -funcs[:, k]
-    # Rayleigh quotients instead of the raw eigenvalues: the graded mesh
-    # makes the congruenced tridiagonal matrix huge in norm, and LAPACK's
-    # absolute accuracy eps * |T| would swamp eigenvalues near zero; the
-    # quadratic forms below have no large-magnitude cancellation
-    Au = _apply(op, funcs)
-    rq = np.empty(funcs.shape[1])
-    for k in range(rq.size):
-        rq[k] = float(funcs[:, k] @ Au[:, k])  # u'Bu = 1 by normalization
-    return rq, funcs
-
-
-def _solve_pencil(op, count):
-    d, e = _congruence(op)
-    try:
-        _, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
-    except Exception as exc:  # pragma: no cover - backend failure
-        raise SolverFailure(f"tridiagonal eigensolver failed: {exc}") from exc
-    return _pairs(op, vecs)
-
-
-def _refine(coarse, vals_c, funcs_c, fine):
-    """The fine pencil's lowest eigenpairs by inverse iteration from the coarse.
-
-    Each coarse eigenfunction, interpolated onto the fine nodes with its
-    Dirichlet zeros, is iterated with ``dgtsv`` on the fine congruence
-    shifted by its coarse eigenvalue until a solve no longer moves it; six
-    pairs take two to five solves each.  The pairs are then finished as
-    ``_solve_pencil``'s are.  They are checked to be the lowest ``count``:
-    the congruence is positive definite (``dpttrf``) just below the lowest
-    of them, a Sturm count (``dstebz``) finds exactly ``count`` eigenvalues
-    in the window they span, and the eigenfunctions are B-orthonormal and
-    ascend.  A breach, or a pair that does not settle, raises
-    ``SolverFailure``.
-    """
-    d, e = _congruence(fine)
-    sqrt_w = np.sqrt(fine.weights)
-    full_c = np.zeros((coarse.taus.size, vals_c.size))
-    full_c[coarse.first : -1] = funcs_c
-    vecs = np.empty((d.size, vals_c.size))
-    for k, shift in enumerate(vals_c):
-        u = np.interp(fine.taus, coarse.taus, full_c[:, k])[fine.first : -1]
-        x = u * sqrt_w
-        x /= np.linalg.norm(x)
-        for _ in range(_MAX_SOLVES):
-            y, info = dgtsv(e, d - shift, e, x)[3:]
-            if info:
-                raise SolverFailure(f"mode {fine.m} pair {k}: shifted solve singular")
-            y /= np.linalg.norm(y)
-            if y @ x < 0:
-                y = -y
-            moved = np.max(np.abs(y - x))
-            x = y
-            if moved <= _SETTLED:
-                break
-        else:
-            raise SolverFailure(
-                f"mode {fine.m} pair {k}: inverse iteration moved {moved:.1e} "
-                f"after {_MAX_SOLVES} solves"
-            )
-        vecs[:, k] = x
-    vals, funcs = _pairs(fine, vecs)
-
-    gram = funcs.T @ (fine.weights[:, None] * funcs)
-    ortho = np.max(np.abs(gram - np.eye(vals.size)))
-    # the size of the terms each Rayleigh quotient sums sets its rounding
-    size = np.abs(fine.diag) @ funcs**2
-    size += 2.0 * np.abs(fine.offdiag) @ np.abs(funcs[:-1] * funcs[1:])
-    margin = _COUNT_MARGIN * np.max(size)
-    low, high = vals[0] - margin, vals[-1] + margin
-    if ortho > _ORTHO_TOL:
-        breach = f"they are B-orthonormal only to {ortho:.1e}"
-    elif np.any(np.diff(vals) <= 0):
-        breach = "their eigenvalues do not ascend"
-    elif dpttrf(d - low, e)[2] != 0:
-        breach = f"an eigenvalue lies below {low:.6g}"
-    elif (found := dstebz(d, e, 1, low, high, 0, 0, high - low, b"E")[0]) != vals.size:
-        breach = f"{found} eigenvalues lie in ({low:.6g}, {high:.6g}]"
-    else:
-        return vals, funcs
-    raise SolverFailure(
-        f"mode {fine.m}: the {vals.size} refined pairs are not the lowest: {breach}"
-    )
-
-
-def _discrete_residual(op, vals, funcs):
-    res = np.empty(vals.size)
-    w = op.weights
-    op_scale = np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.offdiag))
-    Au = _apply(op, funcs)
-    for k in range(vals.size):
-        u = funcs[:, k]
-        num = np.max(np.abs(Au[:, k] - vals[k] * w * u))
-        den = (op_scale + abs(vals[k]) * np.max(w)) * np.max(np.abs(u))
-        res[k] = num / den if den > 0 else 0.0
-    return res
-
-
-def _pencils(curve, modes, n):
-    """The pencils of ``modes`` on the n-cell mesh, from one sampling.
-
-    The samples are released on return, before the next mesh is sampled.
-    """
-    disc = _sample_disc(curve, n)
-    return [assemble_mode(disc, m, n) for m in modes]
+def check_certify_size(count):
+    """Raise ValueError unless ``certify`` takes count pairs per mode; its
+    zero band is a share of the first mode-1 gap, which needs two pairs."""
+    if not 2 <= count <= _MAX_COUNT:
+        raise ValueError(f"certify needs count >= 2 for the first mode-1 gap "
+                         f"and count <= {_MAX_COUNT}, got {count}")
 
 
 def eigen_solve(curve, modes, count, n=1536):
-    """Lowest ``count`` eigenpairs of each of ``modes``, Richardson extrapolated.
+    """Lowest ``count`` eigenpairs of each of ``modes`` by Chebyshev collocation.
 
-    Each pencil is solved on meshes of n and 2n cells with the same grading,
-    and each mesh samples the curve once for all modes; the extrapolated
-    eigenvalues (4 fine - coarse)/3 remove the second order mesh error.
-    The n-cell pencil is solved by bisection (``_solve_pencil``).  For
-    count <= n // 32 the 2n-cell pairs are refined from those by inverse
-    iteration with checked completeness (``_refine``), which agrees with
-    bisection to about 2e-13 relative; larger counts, which the coarse mesh
-    does not resolve, are bisected on the fine mesh as well.
-    Eigenfunctions are reported on the fine mesh with the Dirichlet zeros
-    reattached.  Returns ``{m: EigenResult}``.  Sizes are checked by
-    ``check_eigen_size``.
+    A mode's degree rises from ``_FIRST_DEGREE`` (or 6 k + 1) by about 1.5x
+    until its lowest k = max(count, ``_CHECKED``) eigenvalues agree with the
+    degree before to ``_AGREE`` of the largest of them; each degree samples
+    the curve once for all modes still pending.  No agreement by
+    ``_MAX_DEGREE``, or a complex eigenvalue among the lowest ``count``,
+    raises ``SolverFailure``.  n sets only where the eigenfunctions are
+    reported: the 2n-cell mesh tau_k = ell (k/2n)^1.5.
+    Returns ``{m: EigenResult}``; sizes are checked by ``check_eigen_size``.
     """
     check_eigen_size(n, count)
     for m in modes:
         check_mode(m)
-    coarse = _pencils(curve, modes, n)
-    fine = _pencils(curve, modes, 2 * n)
-    results = {}
-    for m, op_c, op_f in zip(modes, coarse, fine):
-        vals_c, funcs_c = _solve_pencil(op_c, count)
-        if count <= n // _REFINE_SHARE:
-            vals_f, funcs = _refine(op_c, vals_c, funcs_c, op_f)
-        else:
-            vals_f, funcs = _solve_pencil(op_f, count)
-        vals = (4.0 * vals_f - vals_c) / 3.0
-        residuals = _discrete_residual(op_f, vals_f, funcs)
-        n_fine = op_f.taus.size
-        full = np.zeros((n_fine, count))
-        full[op_f.first : n_fine - 1, :] = funcs
-        results[m] = EigenResult(
-            m=m,
-            eigenvalues=vals,
-            eigenvalues_fine=vals_f,
-            eigenvalues_coarse=vals_c,
-            mesh=op_f.taus,
-            eigenfunctions=full,
-            discrete_residuals=residuals,
-        )
-    return results
+    mesh = curve.ell * (np.arange(2 * n + 1, dtype=float) / (2 * n)) ** 1.5
+    checked = max(count, _CHECKED)
+    results, previous, moved = {}, {}, {}
+    pending = list(dict.fromkeys(modes))
+    degree = max(_FIRST_DEGREE, 6 * checked + 1)
+    while pending and degree <= _MAX_DEGREE:
+        level = _sample(curve, degree)
+        for m in pending:
+            A = assemble_mode(level, m, degree)
+            vals = np.sort_complex(np.linalg.eigvals(A))[:checked]
+            if np.any(vals[:count].imag != 0.0):
+                raise SolverFailure(f"mode {m} at degree {degree}: a complex "
+                                    f"eigenvalue among the lowest {count}")
+            vals = vals.real
+            if m in previous:
+                moved[m] = np.max(np.abs(vals - previous[m])) / np.max(np.abs(vals))
+                if moved[m] <= _AGREE:
+                    results[m] = EigenResult(m, vals[:count], previous[m][:count],
+                                             mesh, level, A)
+            previous[m] = vals
+        pending = [m for m in pending if m not in results]
+        degree = int(1.5 * degree) | 1
+    if pending:
+        m = pending[0]
+        last = f"; the last two moved by {moved[m]:.1e}" if m in moved else ""
+        raise SolverFailure(f"mode {m}: no two collocation degrees up to {_MAX_DEGREE} "
+                            f"agree on the lowest {checked} eigenvalues to {_AGREE:g} "
+                            f"of the largest{last}")
+    return {m: results[m] for m in modes}
 
 
 def kernel_residual_m1(curve):
@@ -436,7 +286,7 @@ def kernel_residual_m1(curve):
     return operator_residual(curve, taus, np.sin(phi), mode=1)
 
 
-def certify(sigma0, lin=None, *, count=6, n=1536):
+def certify(sigma0, lin=None, *, count=6):
     """Assemble the bifurcation certificate on a tangential disc.
 
     Condition (i) is witnessed by the fixed-boundary family through the
@@ -450,14 +300,14 @@ def certify(sigma0, lin=None, *, count=6, n=1536):
     a single zero eigenvalue (within ``_ZERO_BAND_FACTOR`` times the first
     mode-1 spectral gap) across modes 0, 1, 2, located in mode 1;
     ``m1_zero_residual``, that eigenvalue's modulus, is rounding of the
-    eigen solve (about 1e-10) and means only its size against
-    ``zero_band``.  Condition (iii) is the transversality scalar
-    h_prime_boundary exceeding 1000x the tolerance ``lin`` was solved at,
+    eigen solve (at most 6e-11 on the benchmark's circles) and means only
+    its size against ``zero_band``.  Condition (iii) is the transversality
+    scalar h_prime_boundary exceeding 1000x the tolerance ``lin`` was solved at,
     1e3 (lin.rtol max(1, |h_prime_boundary|) + lin.atol).  Surfaces
     outside the tangential-disc parameter region get verdict
     "not_applicable".  Sizes are checked by ``check_certify_size``.
     """
-    check_certify_size(n, count)
+    check_certify_size(count)
     params = sigma0.params
     if not params.sigma0_admissible:
         return BifurcationCertificate(
@@ -475,7 +325,7 @@ def certify(sigma0, lin=None, *, count=6, n=1536):
     if lin is None:
         lin = solve_h(sigma0.curve)
 
-    eigs = eigen_solve(sigma0.curve, (0, 1, 2), count, n)
+    eigs = eigen_solve(sigma0.curve, (0, 1, 2), count)
     lam1 = eigs[1].eigenvalues
     gap_scale = float(lam1[1] - lam1[0])
     zero_band = _ZERO_BAND_FACTOR * gap_scale
@@ -536,7 +386,7 @@ def certify(sigma0, lin=None, *, count=6, n=1536):
             "family_failures": family_failures,
             "beyond_fold": beyond_fold,
             "transversality_floor": transversality_floor,
-            "mesh_cells": n,
+            "collocation_nodes": {m: e.level.n for m, e in eigs.items()},
         },
         fold_c=dict(sweep.folds),
         disc_tangent=disc_tangent,

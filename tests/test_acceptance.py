@@ -189,7 +189,7 @@ def test_criterion_8_scaling_equivariance(sig053, lin053):
     (c_o, z_o, R, Z) -> (c_o/mu, mu z_o, mu R, mu Z) for mu in {0.5, 2}."""
     base_curve = integrate_profile(ModelParams(2.0, -0.6), sigma0_stop())
     base_energy = energy(base_curve)
-    base_cert = certify(sig053, lin053, n=1024)
+    base_cert = certify(sig053, lin053)
     for mu in (0.5, 2.0):
         curve = integrate_profile(
             ModelParams(2.0 / mu, mu * -0.6), sigma0_stop()
@@ -209,7 +209,7 @@ def test_criterion_8_scaling_equivariance(sig053, lin053):
         assert scaled_sig.params.z_o == pytest.approx(
             mu * sig053.params.z_o, abs=1e-8
         )
-        scaled_cert = certify(scaled_sig, solve_h(scaled_sig.curve), n=1024)
+        scaled_cert = certify(scaled_sig, solve_h(scaled_sig.curve))
         assert scaled_cert.verdict == base_cert.verdict == "pass"
         assert scaled_cert.conditions == base_cert.conditions
         assert scaled_cert.h_prime_boundary == pytest.approx(

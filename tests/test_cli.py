@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import membranelab
-from membranelab import cli
+from membranelab import cli, spectral
 from membranelab.cli import load_config, main
 from membranelab.errors import ParseError
 from membranelab.shooting import SHOOT_ATOL, SHOOT_RTOL
@@ -185,8 +185,7 @@ def test_cli_sigma0(tmp_path):
 
 def test_cli_certify(tmp_path):
     out = tmp_path / "cert"
-    assert run_cli(["certify", "--R", "0.5", "--Z", "-3", "--n", "800",
-                    "--out", str(out)]) == 0
+    assert run_cli(["certify", "--R", "0.5", "--Z", "-3", "--out", str(out)]) == 0
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["verdict"] == "pass"
     assert cert["conditions"] == {"i": True, "ii": True, "iii": True}
@@ -194,8 +193,7 @@ def test_cli_certify(tmp_path):
 
 def test_cli_certify_reports_the_fold(tmp_path):
     out = tmp_path / "cert"
-    assert run_cli(["certify", "--R", "1.5", "--Z", "-2", "--n", "400",
-                    "--out", str(out)]) == 0
+    assert run_cli(["certify", "--R", "1.5", "--Z", "-2", "--out", str(out)]) == 0
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["conditions"]["i"] is True
     assert cert["fold_c"]["above"] > cert["sigma0"]["c_o"]
@@ -214,6 +212,32 @@ def test_cli_eigen_with_functions(tmp_path):
     assert abs(payload["eigenvalues"][0]) < 1e-6
     lines = (out / "eigenfunctions.csv").read_text().splitlines()
     assert lines[0] == "tau,u0,u1,u2"
+
+
+@pytest.mark.parametrize("count", [1, 40])
+def test_cli_eigen_count(tmp_path, count):
+    # count 1 of the default mode 1 is its zero alone; 40 starts above degree 61
+    out = tmp_path / "e"
+    rc = run_cli([
+        "eigen", "--c_o", "2", "--z_o", "-0.6", "--count", str(count),
+        "--n", "200", "--out", str(out),
+    ])
+    assert rc == 0
+    payload = json.loads((out / "eigen.json").read_text())
+    assert payload["m"] == 1 and len(payload["eigenvalues"]) == count
+    assert abs(payload["eigenvalues"][0]) < 1e-6
+
+
+def test_cli_eigen_unsettled_exit_2(tmp_path, capsys, monkeypatch):
+    # no two collocation degrees below the cap: a numerical failure, and the
+    # --out the command made is removed again
+    monkeypatch.setattr(spectral, "_MAX_DEGREE", spectral._FIRST_DEGREE)
+    out = tmp_path / "e"
+    assert run_cli(["eigen", "--c_o", "2", "--z_o", "-0.6", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: mode 1: no two collocation degrees")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_family(tmp_path):
@@ -346,7 +370,7 @@ def test_cli_mesh_bad_input_exit_1(tmp_path, capsys, args):
         ["eigen", "--c_o", "2", "--z_o", "-0.6", "--count", "500", "--n", "200"],
         ["eigen", "--c_o", "2", "--z_o", "-0.6", "--n", "100"],
         ["certify", "--R", "0.5", "--Z", "-3", "--count", "0"],
-        ["certify", "--R", "0.5", "--Z", "-3", "--n", "100"],
+        ["certify", "--R", "0.5", "--Z", "-3", "--count", "77"],
         ["trace", "--c_o", "2", "--z_o", "-0.6", "--rtol", "0"],
         ["trace", "--c_o", "2", "--z_o", "-0.6", "--rtol", "nan"],
         ["linearize", "--c_o", "2", "--z_o", "-0.6", "--atol", "-1"],

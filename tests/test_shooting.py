@@ -308,7 +308,7 @@ def test_member_jacobian_is_the_z_o_derivative(R, Z):
     sig = shoot_sigma0(circle)
     x = np.array([sig.params.c_o, sig.params.z_o, sig.curve.ell])
     _, aux = shooting_mod._residual(circle, [0], x)
-    column = shooting_mod._endpoint_jacobian(*aux, x[2])[:, 1]
+    column = shooting_mod._endpoint_jacobian(*aux)[:, 1]
     step = np.array([0.0, 1e-5 * abs(x[1]), 0.0])
     ends = [shooting_mod._residual(circle, [0], x + d)[0] for d in (step, -step)]
     central = (ends[0] - ends[1]) / (2.0 * step[1])
@@ -391,7 +391,7 @@ def test_member_jacobian_is_the_c_derivative(R, Z):
     sig = shoot_sigma0(circle)
     x = np.array([sig.params.c_o, sig.params.z_o, sig.curve.ell])
     _, aux = shooting_mod._residual(circle, [0], x)
-    column = shooting_mod._endpoint_jacobian(*aux, x[2])[:, 0]
+    column = shooting_mod._endpoint_jacobian(*aux)[:, 0]
     step = np.array([1e-5 * x[0], 0.0, 0.0])
     ends = [shooting_mod._residual(circle, [0], x + d)[0] for d in (step, -step)]
     central = (ends[0] - ends[1]) / (2.0 * step[0])

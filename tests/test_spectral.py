@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,9 +19,8 @@ from membranelab import (
     StopCondition,
 )
 import membranelab.spectral as spectral
-from membranelab._util import gauss_panels
 from membranelab.errors import GridTooCoarse, SolverFailure
-from membranelab.linearized import operator_residual, radial_operator_coeffs
+from membranelab.linearized import operator_residual
 from membranelab.profile import ProfileCurve
 
 from _oracles import M0_LOWEST_05_3, M1_GAP_05_3, M2_GAP_05_3
@@ -34,14 +34,17 @@ def test_assemble_validation(sig053):
 
 
 def test_assemble_structure(sig053):
+    ell = sig053.curve.ell
     for m in (0, 1, 2):
-        op = assemble_mode(sig053.curve, m, 400)
-        assert op.taus[0] == 0.0
-        assert op.taus[-1] == pytest.approx(sig053.curve.ell)
-        assert np.all(np.diff(op.taus) > 0)
-        assert np.all(op.weights > 0)
-        assert op.first == (0 if m == 0 else 1)
-        assert op.diag.size == op.offdiag.size + 1 == op.weights.size
+        for n in (61, 91):
+            level = spectral._sample(sig053.curve, n)
+            assert level.n == n and n % 2 == 1
+            # the nodes tau > 0 of the grid, from the boundary: none on the axis
+            assert level.taus.size == (n + 1) // 2
+            assert level.taus[0] == ell
+            assert np.all((level.taus > 0.0) & (level.taus <= ell))
+            assert np.all(np.diff(level.taus) < 0)
+            assert assemble_mode(sig053.curve, m, n).shape == ((n - 1) // 2,) * 2
 
 
 def test_m0_first_eigenvalue_negative(sig053, curve26):
@@ -82,13 +85,24 @@ def test_m2_gap_regression(sig053):
     assert e.eigenvalues[0] == pytest.approx(M2_GAP_05_3, abs=1e-6)
 
 
-def test_mesh_convergence_second_order(sig053):
-    vals = [
-        eigen_solve(sig053.curve, (0,), 1, n=n)[0].eigenvalues_fine[0]
-        for n in (400, 800, 1600)
-    ]
-    order = math.log2(abs((vals[1] - vals[0]) / (vals[2] - vals[1])))
-    assert 1.8 < order < 2.2
+def test_collocation_converges_spectrally(sig053, sig12):
+    # against degree 205, the error of the six lowest eigenvalues falls at
+    # least tenfold per degree 41, 61, 91 until it meets the rounding plateau
+    # (measured at <= 5e-12 of the largest)
+    plateau = 1e-11
+
+    def lowest(curve, m, n):
+        return np.sort(np.linalg.eigvals(assemble_mode(curve, m, n)).real)[:6]
+
+    for curve, m in itertools.product((sig053.curve, sig12.curve), (0, 1, 2)):
+        ref = lowest(curve, m, 205)
+        errors = [
+            np.max(np.abs(lowest(curve, m, n) - ref)) / np.max(np.abs(ref))
+            for n in (41, 61, 91)
+        ]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert fine <= max(coarse / 10.0, plateau)
+        assert errors[-1] <= plateau
 
 
 def test_discrete_residuals(sig053):
@@ -97,14 +111,43 @@ def test_discrete_residuals(sig053):
         assert np.max(e.discrete_residuals) < 1e-8
 
 
-def test_eigenvalue_count_stability(sig053):
+def test_eigenvalue_count_stability(sig053, monkeypatch):
     cap = 10.0
+    counts = []
+    for first in (spectral._FIRST_DEGREE, 121):
+        monkeypatch.setattr(spectral, "_FIRST_DEGREE", first)
+        eigs = eigen_solve(sig053.curve, (0, 1, 2), 8)
+        assert all(e.level.n >= first for e in eigs.values())
+        counts.append([int(np.sum(e.eigenvalues < cap)) for e in eigs.values()])
+    assert counts[0] == counts[1]
+
+
+def test_one_pair_of_mode_1(sig053):
+    # the lowest mode-1 eigenvalue is the translation zero, rounding alone;
+    # the degrees are compared on the lowest six, as for count 6
+    one = eigen_solve(sig053.curve, (1,), 1)[1]
+    six = eigen_solve(sig053.curve, (1,), 6)[1]
+    assert one.level.n == six.level.n
+    assert np.array_equal(one.eigenvalues, six.eigenvalues[:1])
+    # the same vector, normalized in a product of another width
+    assert np.max(np.abs(one.eigenfunctions[:, 0] - six.eigenfunctions[:, 0])) < 1e-12
+
+
+def test_counts_beyond_the_first_degree(sig053):
+    # 40 pairs start at degree 6 * 40 + 1, past the 30 unknowns of degree 61
+    many = eigen_solve(sig053.curve, (0, 1, 2), 40)
+    six = eigen_solve(sig053.curve, (0, 1, 2), 6)
     for m in (0, 1, 2):
-        counts = []
-        for n in (768, 1536):
-            e = eigen_solve(sig053.curve, (m,), 8, n=n)[m]
-            counts.append(int(np.sum(e.eigenvalues < cap)))
-        assert counts[0] == counts[1]
+        assert many[m].eigenvalues.size == 40 and many[m].level.n > 241
+        assert np.all(np.diff(many[m].eigenvalues) > 0)
+        lowest = six[m].eigenvalues
+        assert np.max(np.abs(many[m].eigenvalues[:6] - lowest)) <= (
+            1e-9 * np.max(np.abs(lowest))
+        )
+    top = spectral._MAX_COUNT
+    assert spectral._MAX_DEGREE >= int(1.5 * (6 * top + 1)) | 1
+    with pytest.raises(ValueError, match=rf"\[1, {top}\]"):
+        eigen_solve(sig053.curve, (0,), top + 1)
 
 
 def test_eigenvalue_scaling(sig053):
@@ -154,17 +197,27 @@ def test_certificate_pass(sig053, lin053):
     assert cert.m0_gap > 0.4 and cert.m2_gap > 0.8
 
 
+def test_certificate_pass_on_a_wide_circle():
+    # R/|Z| = 3: a family corrector iterate rebuilt from its plane lay one ulp
+    # past the end of the curve its residual came from, and the endpoint
+    # Jacobian read there raised OutOfRange
+    sig = shoot_sigma0(BoundaryCircle(3.0, -1.0))
+    cert = certify(sig, solve_h(sig.curve))
+    assert cert.verdict == "pass"
+    assert cert.conditions == {"i": True, "ii": True, "iii": True}
+
+
 def test_transversality_floor_follows_the_solve_tolerance(sig053, lin053):
     # 1000x the tolerance h_prime_boundary was solved at: 10x looser, 10x higher
     loose = solve_h(sig053.curve, rtol=1e-12, atol=1e-14)
-    floor = certify(sig053, lin053, n=400).diagnostics["transversality_floor"]
-    looser = certify(sig053, loose, n=400).diagnostics["transversality_floor"]
+    floor = certify(sig053, lin053).diagnostics["transversality_floor"]
+    looser = certify(sig053, loose).diagnostics["transversality_floor"]
     assert looser == pytest.approx(10.0 * floor, rel=1e-9)
 
 
 def test_certify_needs_the_first_mode_1_gap(sig053, lin053):
     with pytest.raises(ValueError, match="count >= 2"):
-        certify(sig053, lin053, count=1, n=400)
+        certify(sig053, lin053, count=1)
 
 
 def test_certificate_not_applicable():
@@ -182,12 +235,15 @@ def test_certificate_not_applicable():
     assert cert.conditions == {"i": False, "ii": False, "iii": False}
 
 
-def test_certificate_double_resolution(sig053, lin053):
-    a = certify(sig053, lin053, n=1024)
-    b = certify(sig053, lin053, n=2048)
+def test_certificate_double_resolution(sig053, lin053, monkeypatch):
+    a = certify(sig053, lin053)
+    monkeypatch.setattr(spectral, "_FIRST_DEGREE", 121)
+    b = certify(sig053, lin053)
+    assert a.diagnostics["collocation_nodes"] == {0: 91, 1: 91, 2: 91}
+    assert b.diagnostics["collocation_nodes"] == {0: 181, 1: 181, 2: 181}
     assert a.verdict == b.verdict == "pass"
-    assert b.m0_gap == pytest.approx(a.m0_gap, rel=0.01)
-    assert b.m2_gap == pytest.approx(a.m2_gap, rel=0.01)
+    assert b.m0_gap == pytest.approx(a.m0_gap, rel=1e-8)
+    assert b.m2_gap == pytest.approx(a.m2_gap, rel=1e-8)
 
 
 def test_certificate_scaling_invariance(sig053, lin053):
@@ -204,7 +260,7 @@ def test_certificate_scaling_invariance(sig053, lin053):
 
 def test_certificate_condition_i_holds_through_the_fold():
     sig = shoot_sigma0(BoundaryCircle(1.5, -2.0))
-    cert = certify(sig, solve_h(sig.curve), n=400)
+    cert = certify(sig, solve_h(sig.curve))
     assert cert.conditions["i"] and cert.verdict == "pass"
     c0 = sig.params.c_o
     assert cert.fold_c["above"] / c0 - 1.0 == pytest.approx(3.692e-3, abs=2e-6)
@@ -217,7 +273,7 @@ def test_certificate_condition_i_holds_through_the_fold():
 
 def test_certificate_names_a_fold_at_the_disc(sig053, lin053, monkeypatch):
     monkeypatch.setattr(spectral, "_MIN_DISC_SLOPE", 0.9)
-    cert = certify(sig053, lin053, n=400)
+    cert = certify(sig053, lin053)
     assert not cert.conditions["i"] and cert.verdict == "fail"
     c, why = cert.diagnostics["family_failures"][0]
     assert c == sig053.params.c_o
@@ -225,55 +281,6 @@ def test_certificate_names_a_fold_at_the_disc(sig053, lin053, monkeypatch):
 
 
 # ------------------------------------------------- one sampling for all modes
-
-
-def _per_mode_assembly(curve, m, n):
-    """Reference: the mode-m pencil from a sampling of its own."""
-    taus = spectral._mode_grid(curve, n)
-    h = np.diff(taus)
-    mids = 0.5 * (taus[:-1] + taus[1:])
-    r_m, z_m, _ = curve.state_at(mids)
-    p_mid = r_m / (z_m * z_m)
-    halves_a = np.concatenate([taus[:-1], mids])
-    halves_b = np.concatenate([mids, taus[1:]])
-    nodes, wts = gauss_panels(halves_a, halves_b, spectral._GAUSS_PTS)
-    r, z, phi = curve.state_at(nodes.ravel())
-    _, D = radial_operator_coeffs(r, z, phi, curve.params)
-    pot = -r * (D / (z * z))
-    if m:
-        pot = pot + m * m / (r * z * z)
-    pot_int = (pot.reshape(nodes.shape) * wts).sum(axis=1)
-    w_int = (r.reshape(nodes.shape) * wts).sum(axis=1)
-    Q = np.zeros(n + 1)
-    W = np.zeros(n + 1)
-    Q[:-1] += pot_int[:n]
-    Q[1:] += pot_int[n:]
-    W[:-1] += w_int[:n]
-    W[1:] += w_int[n:]
-    flux = p_mid / h
-    diag = np.zeros(n + 1)
-    diag[:-1] += flux
-    diag[1:] += flux
-    diag += Q
-    first = 0 if m == 0 else 1
-    return spectral.ModeOperator(
-        m=m, taus=taus, first=first, diag=diag[first:n],
-        offdiag=-flux[first : n - 1], weights=W[first:n],
-    )
-
-
-def _per_mode_eigen(curve, m, count, n):
-    """Reference: (eigenvalues, fine, coarse, fine eigenfunctions, residuals).
-
-    The fine pairs are refined from the coarse ones, as ``eigen_solve`` does
-    for the counts up to n // 32 that the callers below ask for.
-    """
-    op_c = _per_mode_assembly(curve, m, n)
-    op_f = _per_mode_assembly(curve, m, 2 * n)
-    vals_c, funcs_c = spectral._solve_pencil(op_c, count)
-    vals_f, funcs = spectral._refine(op_c, vals_c, funcs_c, op_f)
-    residuals = spectral._discrete_residual(op_f, vals_f, funcs)
-    return (4.0 * vals_f - vals_c) / 3.0, vals_f, vals_c, funcs, residuals
 
 
 @pytest.fixture(scope="module")
@@ -285,22 +292,28 @@ def sig12():
 def test_shared_sampling_gives_the_per_mode_bits(disc, request):
     sig = request.getfixturevalue(disc)
     curve = sig.curve
-    count, n = 6, 400
+    count = 6
+    joint = eigen_solve(curve, (0, 1, 2), count)
     for m in (0, 1, 2):
-        op, ref_op = assemble_mode(curve, m, n), _per_mode_assembly(curve, m, n)
-        for name in ("taus", "diag", "offdiag", "weights"):
-            assert np.array_equal(getattr(op, name), getattr(ref_op, name))
-        e = eigen_solve(curve, (m,), count, n=n)[m]
-        vals, vals_f, vals_c, funcs, residuals = _per_mode_eigen(curve, m, count, n)
-        assert np.array_equal(e.eigenvalues, vals)
-        assert np.array_equal(e.eigenvalues_fine, vals_f)
-        assert np.array_equal(e.eigenvalues_coarse, vals_c)
-        assert np.array_equal(e.eigenfunctions[(0 if m == 0 else 1) : -1], funcs)
-        assert np.array_equal(e.discrete_residuals, residuals)
-    cert = certify(sig, solve_h(curve), count=count, n=n)
+        shared = assemble_mode(spectral._sample(curve, 91), m, 91)
+        assert np.array_equal(assemble_mode(curve, m, 91), shared)
+        alone = eigen_solve(curve, (m,), count)[m]
+        assert joint[m].level.n == alone.level.n
+        assert np.array_equal(joint[m].matrix, alone.matrix)
+        for name in ("eigenvalues", "eigenvalues_coarse", "mesh", "eigenfunctions",
+                     "discrete_residuals"):
+            assert np.array_equal(getattr(joint[m], name), getattr(alone, name))
+    cert = certify(sig, solve_h(curve), count=count)
     for m in (0, 1, 2):
-        vals = _per_mode_eigen(curve, m, count, n)[0]
-        assert cert.diagnostics["eigenvalues"][m] == vals.tolist()
+        assert cert.diagnostics["eigenvalues"][m] == joint[m].eigenvalues.tolist()
+
+
+def _degrees(top):
+    """The self-convergence degrees from the first up to ``top``."""
+    degrees = [spectral._FIRST_DEGREE]
+    while degrees[-1] < top:
+        degrees.append(int(1.5 * degrees[-1]) | 1)
+    return degrees
 
 
 def test_certify_samples_the_disc_once_per_mesh(sig053, lin053, monkeypatch):
@@ -323,67 +336,29 @@ def test_certify_samples_the_disc_once_per_mesh(sig053, lin053, monkeypatch):
 
     monkeypatch.setattr(ProfileCurve, "state_at", counted_state_at)
     monkeypatch.setattr(spectral, "family_sweep", uncounted_sweep)
-    count, n = 6, 400
-    certify(sig053, lin053, count=count, n=n)
+    count = 6
+    nodes = certify(sig053, lin053, count=count).diagnostics["collocation_nodes"]
     shared = points[0]
     points[0] = 0
     for m in (0, 1, 2):
-        eigen_solve(sig053.curve, (m,), count, n=n)[m]
-    # n midpoints and 2n Gauss panels of 3 nodes on each of the two meshes
-    assert shared == 7 * n + 7 * 2 * n
-    assert points[0] == 3 * shared
+        eigen_solve(sig053.curve, (m,), count)[m]
+    # the (N + 1)/2 nodes tau > 0 of each degree N, sampled once per call
+    assert shared == sum((n + 1) // 2 for n in _degrees(max(nodes.values())))
+    assert points[0] == sum(
+        (n + 1) // 2 for top in nodes.values() for n in _degrees(top)
+    )
 
 
-# ------------------------------------- fine eigenpairs refined from the coarse
+# ------------------------------------------------------- failure of the solve
 
 
-def _pencil_pair(curve, m, n):
-    return assemble_mode(curve, m, n), assemble_mode(curve, m, 2 * n)
-
-
-@pytest.mark.parametrize("disc", ["sig053", "sig12"])
-@pytest.mark.parametrize("n", [400, 1536])
-def test_refine_matches_bisection_on_the_fine_pencil(disc, n, request):
-    curve = request.getfixturevalue(disc).curve
-    for m in (0, 1, 2):
-        op_c, op_f = _pencil_pair(curve, m, n)
-        vals_c, funcs_c = spectral._solve_pencil(op_c, 6)
-        vals, funcs = spectral._refine(op_c, vals_c, funcs_c, op_f)
-        ref_vals, ref_funcs = spectral._solve_pencil(op_f, 6)
-        # relative to the largest of the six: mode 1's lowest is rounding
-        # away from zero, so it has no relative size of its own
-        assert np.max(np.abs(vals - ref_vals)) <= 1e-9 * np.max(np.abs(ref_vals))
-        assert np.max(np.abs(funcs - ref_funcs)) <= 1e-8
-
-
-@pytest.mark.parametrize("dup, lost", [(3, 1), (2, 5), (5, 0)])
-def test_refine_refuses_a_duplicated_seed(sig053, dup, lost):
-    # seeding pair `lost` with pair `dup` refines the same pair twice: the
-    # set is then not B-orthonormal, or its window holds the wrong count
-    for m in (0, 1, 2):
-        op_c, op_f = _pencil_pair(sig053.curve, m, 400)
-        vals_c, funcs_c = spectral._solve_pencil(op_c, 6)
-        vals_c[lost], funcs_c[:, lost] = vals_c[dup], funcs_c[:, dup]
-        with pytest.raises(SolverFailure, match="refined pairs are not the lowest"):
-            spectral._refine(op_c, vals_c, funcs_c, op_f)
-
-
-def test_counts_above_n_over_32_are_bisected_on_the_fine_mesh(sig053):
-    # 12 > 200 // 32, so the fine pencil takes the bisection path
-    for m in (0, 1, 2):
-        e = eigen_solve(sig053.curve, (m,), 12, n=200)[m]
-        vals, funcs = spectral._solve_pencil(assemble_mode(sig053.curve, m, 400), 12)
-        assert np.array_equal(e.eigenvalues_fine, vals)
-        assert np.array_equal(e.eigenfunctions[(0 if m == 0 else 1) : -1], funcs)
-
-
-@pytest.mark.parametrize("disc", ["sig053", "sig12"])
-def test_three_gauss_nodes_match_twelve(disc, request, monkeypatch):
-    curve = request.getfixturevalue(disc).curve
-    got = eigen_solve(curve, (0, 1, 2), 6)
-    monkeypatch.setattr(spectral, "_GAUSS_PTS", 12)
-    ref = eigen_solve(curve, (0, 1, 2), 6)
-    for m in (0, 1, 2):
-        a, b = got[m].eigenvalues, ref[m].eigenvalues
-        # relative to the largest of the six, as above
-        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
+def test_eigen_solve_raises_when_no_two_degrees_agree(sig053, monkeypatch):
+    # the disc needs degree 91; a cap at the first degree leaves no pair
+    monkeypatch.setattr(spectral, "_MAX_DEGREE", spectral._FIRST_DEGREE)
+    with pytest.raises(SolverFailure, match="no two collocation degrees up to 61"):
+        eigen_solve(sig053.curve, (0, 1, 2), 6)
+    # a tighter agreement than the rounding plateau is never met
+    monkeypatch.setattr(spectral, "_MAX_DEGREE", 137)
+    monkeypatch.setattr(spectral, "_AGREE", 1e-18)
+    with pytest.raises(SolverFailure, match="the last two moved by"):
+        eigen_solve(sig053.curve, (1,), 6)
