@@ -346,7 +346,7 @@ def _family_csv(members, path):
         [m.c for m in members],
         [m.z_o for m in members],
         [m.contact_angle for m in members],
-        [m.curve.ell for m in members],
+        [m.ell for m in members],
         [m.match_residual for m in members],
     ]
     return export_csv(path, "c,z_o,contact_angle,ell,match_residual", columns, "family")
@@ -486,6 +486,7 @@ def _run_certify(config):
         "m2_gap": cert.m2_gap,
         "fold_c": cert.fold_c,
         "disc_tangent": cert.disc_tangent,
+        "contact_angle_slope": cert.contact_angle_slope,
         "diagnostics": cert.diagnostics,
         "sigma0": {"c_o": sig.params.c_o, "z_o": sig.params.z_o, "ell": sig.curve.ell},
     }

@@ -72,8 +72,6 @@ _AXIS_R_CUT = 1e-7
 #: largest |c_o z_o| integrated: beyond it the axis offset 1e-6 |z_o| is not
 #: small against the curvature radius 1/c_o, and the integrator stalls
 MAX_ABS_CZ = 1e4
-#: relative and absolute tolerance of the co-integrated z_o variation rows
-_VARIATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -193,9 +191,8 @@ class ProfileCurve:
     increasing in tau, ending exactly at the stop event).  Values between
     samples come from the integrator dense output through ``state_at``;
     below ``tau0`` the axis Taylor series is used, so tau = 0 evaluates to
-    the exact axis state (0, z_o, pi).  A curve integrated with
-    ``z_o_variation=True`` also carries d(r, z, phi)/dz_o (``variation_at``).
-    Instances are immutable and safe to share across threads.
+    the exact axis state (0, z_o, pi).  Instances are immutable and safe to
+    share across threads.
     """
 
     params: ModelParams
@@ -209,7 +206,6 @@ class ProfileCurve:
     rtol: float
     atol: float
     _dense: object = field(repr=False)
-    z_o_variation: bool = False
 
     def __post_init__(self):
         for arr in (self.taus, self.r, self.z, self.phi):
@@ -242,7 +238,7 @@ class ProfileCurve:
             t = min(max(t, 0.0), self.ell)
             if t < self.tau0:
                 return _axis_series(self.params, t)
-            return self._dense.at(t)[:3]
+            return self._dense.at(t)
         t = np.asarray(tau, dtype=float)
         if not np.all((t >= -1e-15) & (t <= self.ell * (1.0 + 1e-12) + 1e-300)):
             raise OutOfRange(f"tau must lie in [0, {self.ell}]")
@@ -250,22 +246,10 @@ class ProfileCurve:
         out = np.empty((3, t.size))
         seeded = t < self.tau0
         if np.any(~seeded):
-            out[:, ~seeded] = self._dense(t[~seeded])[:3]
+            out[:, ~seeded] = self._dense(t[~seeded])
         if np.any(seeded):
             out[:, seeded] = _axis_series(self.params, t[seeded])
         return out[0], out[1], out[2]
-
-    def variation_at(self, tau):
-        """d(r, z, phi)/dz_o at fixed tau in [tau0, ell], scalar or array.
-
-        Available on curves integrated with ``z_o_variation=True``.
-        """
-        if not self.z_o_variation:
-            raise ValueError("curve was integrated without its z_o variation")
-        t = np.asarray(tau, dtype=float)
-        if not np.all((t >= self.tau0) & (t <= self.ell)):
-            raise OutOfRange(f"tau must lie in [{self.tau0}, {self.ell}]")
-        return tuple(self._dense(t)[3:])
 
     def unit_speed_residual(self):
         """max |r'^2 + z'^2 - 1| with derivatives from the dense output.
@@ -348,44 +332,6 @@ def _profile_rhs(c_o):
     return rhs
 
 
-def _varied_rhs(c_o):
-    """Profile rows plus their variational equations (dr, dz, dphi), in tau."""
-
-    def rhs(tau, y):
-        r, z, phi, dr, dz, dphi = y
-        c = math.cos(phi)
-        s = math.sin(phi)
-        sor = s / r
-        return (
-            -c,
-            -s,
-            -dphi_ds(c, sor, z, c_o),
-            s * dphi,
-            -c * dphi,
-            -dphi_ds_variation(c, s, sor, r, z, dr, dz, dphi),
-        )
-
-    return rhs
-
-
-def _axis_seed_variation(params, tau0, dtau0, f0):
-    """d(r, z, phi)/dz_o at fixed tau = tau0, from the axis seed.
-
-    The seed y0 = ``_axis_series(params, tau0)`` sits at a tau0 that moves
-    by dtau0 per unit z_o, so the variation at fixed tau is the total
-    derivative dy0/dz_o minus the drift f0 * dtau0 along the right-hand side
-    value f0 at the seed.
-    """
-    a = params.axis_curvature
-    da = -1.0 / (params.z_o * params.z_o)
-    dy0 = (
-        dtau0,
-        1.0 - 0.5 * da * tau0 * tau0 - a * tau0 * dtau0,
-        -da * tau0 - a * dtau0,
-    )
-    return tuple(d - f * dtau0 for d, f in zip(dy0, f0))
-
-
 def check_tolerances(rtol, atol):
     """Raise ValueError unless the integrator would use rtol and atol as given."""
     if not (math.isfinite(rtol) and rtol >= MIN_RTOL):
@@ -403,8 +349,7 @@ def check_scale(params):
         )
 
 
-def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau0=None,
-                      z_o_variation=False):
+def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau0=None):
     """Integrate the generating curve outward from the axis seed.
 
     Adaptive DOP853 with dense output (``membranelab.ode``: scipy's
@@ -415,30 +360,14 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
     ArcLimitReached is raised with the partial curve attached.  A tolerance
     that ``check_tolerances`` rejects raises ValueError, and |c_o z_o| above
     ``MAX_ABS_CZ`` raises NotAdmissible.
-
-    ``z_o_variation=True`` co-integrates d(r, z, phi)/dz_o at fixed tau
-    (``ProfileCurve.variation_at``).  The state rows then keep the local
-    error of the plain solve: DOP853's RMS error norm runs over twice the
-    rows, so their tolerances are divided by sqrt(2), while the variation
-    rows are held only to ``_VARIATION_TOL``.
     """
     check_tolerances(rtol, atol)
     check_scale(params)
-    default_tau0 = tau0 is None
-    if default_tau0:
+    if tau0 is None:
         tau0 = DEFAULT_TAU0_FACTOR * abs(params.z_o)
     if tau0 <= 0.0:
         raise InvalidOffset("integration needs a strictly positive axis offset")
     seed = axis_seed(params, tau0)
-    y0 = (seed.r, seed.z, seed.phi)
-    rhs = _profile_rhs(params.c_o)
-    ivp_rtol, ivp_atol = rtol, atol
-    if z_o_variation:
-        dtau0 = tau0 / params.z_o if default_tau0 else 0.0
-        y0 += _axis_seed_variation(params, tau0, dtau0, rhs(tau0, y0))
-        rhs = _varied_rhs(params.c_o)
-        ivp_rtol = [max(rtol / math.sqrt(2.0), MIN_RTOL)] * 3 + [_VARIATION_TOL] * 3
-        ivp_atol = [atol / math.sqrt(2.0)] * 3 + [_VARIATION_TOL] * 3
     max_arc = stop.arc_guard(params)
     min_abs_z = DEFAULT_MIN_ABS_Z_FACTOR * abs(params.z_o)
     t_end = max_arc if stop.arc_length is None else min(stop.arc_length, max_arc)
@@ -472,12 +401,12 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
         events.append(phi_event)
 
     sol = solve_ivp(
-        rhs,
+        _profile_rhs(params.c_o),
         (tau0, t_end),
-        y0,
+        (seed.r, seed.z, seed.phi),
         events=events,
-        rtol=ivp_rtol,
-        atol=ivp_atol,
+        rtol=rtol,
+        atol=atol,
         # cap the step: the dense interpolant is one order below the
         # stepper, and downstream finite differences of the dense output
         # would otherwise see its error on long steps
@@ -490,7 +419,7 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
         # the dense output at a step node returns that node's state exactly
         kept = np.count_nonzero(sol.t < ell * (1.0 - 1e-14))
         taus = np.append(sol.t[:kept], ell)
-        r, z, phi = np.column_stack((sol.y[:3, :kept], sol.sol(ell)[:3]))
+        r, z, phi = np.column_stack((sol.y[:, :kept], sol.sol(ell)))
         return ProfileCurve(
             params=params,
             taus=taus,
@@ -503,7 +432,6 @@ def integrate_profile(params, stop, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, tau
             rtol=rtol,
             atol=atol,
             _dense=sol.sol,
-            z_o_variation=z_o_variation,
         )
 
     if sol.t_events[0].size:

@@ -1,42 +1,53 @@
 """Boundary matching: the tangential disc and its fixed-boundary family.
 
-Two problems are solved here by shooting from the axis seed:
+Two problems are solved here:
 
 * the tangential disc through a prescribed circle (R, Z): (c_o, z_o) with
-  z_o < -1/c_o whose profile, integrated until phi = 0, ends at (R, Z);
-  scale equivariance reduces it to one bracketed root in t = c_o z_o;
+  z_o < -1/c_o whose profile, integrated from the axis seed until phi = 0,
+  ends at (R, Z); scale equivariance reduces it to one bracketed root in
+  t = c_o z_o;
 * the fixed-boundary family through the disc: the profiles (c, z_o) that
-  pass through (R, Z) at arc length L.  The residual F(c, z_o, L) =
-  (r, z)(L) - (R, Z) comes with its whole 2x3 Jacobian from one
-  integration: the z_o-column from the variational equations integrated
-  along with the profile, the L-column from the curve velocity, the
-  c-column from the other two by scale equivariance.  Its null vector is
-  the tangent of the family.  One damped Newton corrector on a plane
-  (``_correct``) finds every member: at given c on the plane of fixed c,
-  from the tangent's predictor at a near member; farther along, or near a
-  fold, on the plane normal to the tangent, by pseudo-arclength
+  pass through (R, Z) at arc length L.  Each profile is collocated
+  (``_collocate``): psi = phi - pi is odd on [-L, L], so its values at the
+  nodes tau > 0 of the parity-folded Chebyshev grid (``chebyshev``) are
+  the unknowns, r and z are their integrals from the axis, and Newton's
+  method solves dphi/ds at every node, warm-started from the member or
+  disc the step comes from.  The degree is chosen once per disc, by
+  self-convergence (``_disc_residual``).  The residual F(c, z_o, L) =
+  (r, z)(L) - (R, Z) comes with its exact 2x3 Jacobian, and the contact
+  angle phi(L) with its gradient, by implicit differentiation of the
+  collocation equations (``_endpoint_jacobian``).  The Jacobian's null
+  vector is the tangent of the family.  One damped Newton corrector on a
+  plane (``_correct``) finds every member: at given c on the plane of
+  fixed c, from the tangent's predictor at a near member; farther along,
+  or near a fold, on the plane normal to the tangent, by pseudo-arclength
   continuation in y = (c, z_o, L) / |(c, z_o, L)| of the member a step
   starts from (Keller 1977; Allgower and Georg, *Introduction to
   Numerical Continuation Methods*), which passes through the folds where
   the family turns back in c; a sign change of the tangent's c-component
-  locates the fold.  The curve is truncated at the first passage and the
-  contact angle phi(L) is reported.
+  locates the fold.  A member's curve is integrated on first read.
 
 Both problems are scale equivariant: (R, Z) -> (mu R, mu Z) maps solutions
 to (c_o/mu, mu z_o).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.optimize import brentq
 
+from . import chebyshev
 from .errors import MembraneLabError, NoConvergence, NotAdmissible
 from .profile import (
+    DEFAULT_MAX_ARC_FACTOR,
     MAX_ABS_CZ,
     ModelParams,
     StopCondition,
+    dphi_ds,
+    dphi_ds_variation,
     integrate_profile,
     sigma0_stop,
 )
@@ -79,6 +90,17 @@ _MAX_FOLD_SECANTS = 6
 #: a requested c this close to the disc curvature, relative, is landed
 #: from the disc itself, and starts a sweep
 _DISC_SNAP = 1e-9
+#: collocation degrees of the member problem: the first, the cap (the fifth
+#: degree of the run; every disc that shoot_sigma0 reaches settles by 137),
+#: and the agreement of two successive ones at the disc (``_disc_residual``)
+_FIRST_DEGREE = 61
+_MAX_DEGREE = 461
+_DEGREE_AGREE = 1e-10
+#: Newton steps in psi of one collocation, the step size (radians) that
+#: ends it, and the largest that may end it as the rounding floor
+_MAX_PSI_STEPS = 12
+_PSI_TOL = 1e-14
+_PSI_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -110,20 +132,35 @@ class Sigma0Solution:
 class FamilyMember:
     """Fixed-boundary family member at spontaneous curvature c.
 
-    ``jacobian`` is d(r, z)(L)/d(c, z_o, L) at the member; its null vector
-    is the tangent of the family there.  ``previous`` is (c, z_o, L) of the
-    member or disc this one was continued from, or None.
+    The profile (c, z_o) passes through the circle at arc length ``ell``
+    with tangent angle ``contact_angle``.  ``jacobian`` is
+    d(r, z, phi)(L)/d(c, z_o, L) at the member; the null vector of its
+    (r, z) rows is the tangent of the family there.  ``previous`` is
+    (c, z_o, L) of the member or disc this one was continued from, or None;
+    ``psi`` is phi - pi at its collocation nodes (``_collocate``).
     """
 
     c: float
     z_o: float
-    curve: object
+    ell: float
     contact_angle: float
     match_residual: float
     circle: BoundaryCircle
     left_admissible_region: bool
     jacobian: np.ndarray | None = field(default=None, repr=False, compare=False)
     previous: tuple | None = field(default=None, repr=False, compare=False)
+    psi: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def curve(self):
+        """The member's profile integrated to ``ell`` at the shooting
+        tolerances, on first read."""
+        return integrate_profile(
+            ModelParams(self.c, self.z_o),
+            StopCondition.at_arc_length(self.ell),
+            rtol=SHOOT_RTOL,
+            atol=SHOOT_ATOL,
+        )
 
 
 @dataclass(frozen=True)
@@ -131,14 +168,16 @@ class FamilySweep:
     """Result of a family sweep: converged members plus failure records.
 
     ``tangent`` is the unit tangent of the family at the tangential disc in
-    scaled y = x / |x| of the sweep's first member, oriented toward larger c;
-    ``folds`` maps "above" and "below" to the first fold c* met walking
-    that way from the disc toward the requested curvatures, or None.
+    scaled y = x / |x| of the sweep's first member, oriented toward larger c,
+    and ``contact_angle_slope`` dphi(L)/dc along it; ``folds`` maps "above"
+    and "below" to the first fold c* met walking that way from the disc
+    toward the requested curvatures, or None.
     """
 
     members: list
     failures: list
     tangent: np.ndarray | None = None
+    contact_angle_slope: float | None = None
     folds: dict = field(default_factory=lambda: {"above": None, "below": None})
 
     def beyond_fold(self, c, c0):
@@ -238,65 +277,183 @@ def shoot_sigma0(circle, seed=None):
     )
 
 
-def _endpoint_jacobian(curve, phi_end):
-    """d(r, z)(L)/d(c, z_o, L) of a curve integrated with its z_o variation.
+@functools.lru_cache(maxsize=None)
+def _grid(n):
+    """(D_odd, Q_even, Q_odd) of degree n on [-1, 1], folded onto x > 0.
 
-    L is the curve's own end ``curve.ell``, where its residual was taken; a
-    corrector iterate rebuilt as x0 + Q u may lie an ulp beyond it.  The
-    z_o-column is the co-integrated variation and the L-column the curve
-    velocity (-cos phi, -sin phi).  Scale equivariance, (r, z)(mu L; c/mu,
-    mu z_o) = mu (r, z)(L; c, z_o), differentiated at mu = 1 gives the
-    c-column from the other two: c d(r, z)/dc = L d(r, z)/dL +
-    z_o d(r, z)/dz_o - (r, z).
+    D_odd is d/dx of odd functions, Q_s the integral from 0 of functions of
+    parity s (``chebyshev``); read-only, shared by every call at degree n.
     """
-    length = curve.ell
-    dr_z, dz_z, _ = curve.variation_at(length)
-    r, z, _ = curve.state_at(length)
-    c, z_o = curve.params.c_o, curve.params.z_o
-    dr_l, dz_l = -math.cos(phi_end), -math.sin(phi_end)
-    dr_c = (length * dr_l + z_o * dr_z - r) / c
-    dz_c = (length * dz_l + z_o * dz_z - z) / c
-    return np.array([[dr_c, dr_z, dr_l], [dz_c, dz_z, dz_l]])
+    D, Q = chebyshev.folded_derivative(n), chebyshev.folded_integral(n)
+    grid = (D[-1], Q[1], Q[-1])
+    for A in grid:
+        A.setflags(write=False)
+    return grid
 
 
-def _residual(circle, runs, x):
+@dataclass(frozen=True)
+class _Collocated:
+    """Collocated profile at x = (c, z_o, L) of odd degree n = 2 psi.size - 1.
+
+    ``psi`` = phi - pi, ``r`` and ``z`` at the nodes tau = L x_j > 0 of the
+    degree-n grid, tau = L first; ``lu`` is LAPACK's LU factors and pivots
+    of the last Newton matrix.
+    """
+
+    x: tuple
+    psi: np.ndarray
+    r: np.ndarray
+    z: np.ndarray
+    lu: tuple = field(repr=False)
+
+    @property
+    def end(self):
+        """(r, z, phi) at tau = L."""
+        return float(self.r[0]), float(self.z[0]), math.pi + float(self.psi[0])
+
+
+def _collocate(x, psi):
+    """The profile (c, z_o) on tau in [0, L] by collocation, or None.
+
+    psi = phi - pi is odd on [-L, L], so its values at the nodes tau > 0 of
+    the parity-folded Chebyshev grid (``chebyshev``) are the unknowns, and
+    r = L Q_even cos psi and z = z_o + L Q_odd sin psi are their integrals
+    from the axis.  Newton's method, from ``psi`` (whose size sets the
+    degree), solves D_odd psi / L + ``dphi_ds`` = 0 at every node, with the
+    partials of ``dphi_ds_variation``.  It stops at a step below
+    ``_PSI_TOL``, or at one below ``_PSI_FLOOR`` that is not half the one
+    before: that is the rounding floor, which the conditioning of the
+    profile raises to about 1e-11 as R/|Z| grows to 3.5.  Returns None for
+    no convergence in ``_MAX_PSI_STEPS`` steps or for a node off r > 0,
+    z < 0.
+    """
+    c, z_o, length = x
+    D, Q_even, Q_odd = _grid(2 * psi.size - 1)
+    D = D / length
+    eye = np.eye(psi.size)
+    size = before = math.inf
+    for _ in range(_MAX_PSI_STEPS + 1):
+        cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+        r = length * (Q_even @ cos_psi)
+        z = z_o + length * (Q_odd @ sin_psi)
+        # written so that a NaN fails it too
+        if not r.min() > 0.0 > z.max():
+            return None
+        if size <= _PSI_TOL or _PSI_FLOOR >= size > 0.5 * before:
+            return _Collocated(x=tuple(float(v) for v in x), psi=psi, r=r, z=z, lu=lu)
+        # cos and sin of phi = pi + psi
+        c_phi, s_phi = -cos_psi, -sin_psi
+        sor = s_phi / r
+        rows = (v[:, None] for v in (c_phi, s_phi, sor, r, z))
+        J = D + dphi_ds_variation(
+            *rows, length * Q_even * s_phi, -length * Q_odd * c_phi, eye
+        )
+        lu = dgetrf(J)[:2]
+        step = dgetrs(*lu, -(D @ psi + dphi_ds(c_phi, sor, z, c)))[0]
+        psi = psi + step
+        before, size = size, float(np.max(np.abs(step)))
+    return None
+
+
+def _node_jacobian(sol):
+    """d(r, z, psi)/d(c, z_o, L) at the nodes of the collocated profile ``sol``.
+
+    Implicit differentiation of its equations G(psi; c, z_o, L) = 0: dpsi/dp
+    = -J^-1 dG/dp, three back-substitutions on the LU of the last Newton
+    matrix J; r and z follow by their integrals.  Returns three (nodes, 3)
+    arrays, the node tau = L first.
+    """
+    c, z_o, length = sol.x
+    D, Q_even, Q_odd = _grid(2 * sol.psi.size - 1)
+    c_phi, s_phi, r, z = -np.cos(sol.psi), -np.sin(sol.psi), sol.r, sol.z
+    sor = s_phi / r
+
+    def partial(dr, dz):
+        return dphi_ds_variation(c_phi, s_phi, sor, r, z, dr, dz, 0.0)
+
+    dG = np.column_stack([
+        np.full(r.size, 2.0),
+        partial(0.0, 1.0),
+        partial(r / length, (z - z_o) / length) - (D @ sol.psi) / (length * length),
+    ])
+    dpsi = dgetrs(*sol.lu, -dG)[0]
+    dr = length * Q_even @ (s_phi[:, None] * dpsi)
+    dz = -length * Q_odd @ (c_phi[:, None] * dpsi)
+    dr[:, 2] += r / length
+    dz[:, 1] += 1.0
+    dz[:, 2] += (z - z_o) / length
+    return dr, dz, dpsi
+
+
+def _endpoint_jacobian(sol):
+    """d(r, z, phi)(L)/d(c, z_o, L) of the collocated profile ``sol``: the
+    node tau = L of ``_node_jacobian``."""
+    return np.array([d[0] for d in _node_jacobian(sol)])
+
+
+def _residual(circle, runs, x, psi):
     """Endpoint mismatch of the fixed-boundary family at x = (c, z_o, L).
 
-    Returns (r, z)(L) - (R, Z) of the profile (c, z_o) with aux (curve,
-    phi(L)), the curve carrying its z_o variation for
-    ``_endpoint_jacobian``; or None for an infeasible x or a failed
-    integration.  ``runs[0]`` counts the integrations started.
+    Returns (r, z)(L) - (R, Z) of the profile (c, z_o), collocated from the
+    warm start ``psi`` (``_collocate``), with that ``_Collocated`` as aux;
+    or None for an x outside the domain of ``integrate_profile`` (which the
+    members' curves are integrated with) or a failed collocation.
+    ``runs[0]`` counts the collocations started.
     """
     c, z_o, length = x
     if not (0.0 < c < math.inf and -math.inf < z_o < 0.0 < length < math.inf):
         return None
-    runs[0] += 1
-    try:
-        curve = integrate_profile(
-            ModelParams(c, z_o),
-            StopCondition.at_arc_length(length),
-            rtol=SHOOT_RTOL,
-            atol=SHOOT_ATOL,
-            z_o_variation=True,
-        )
-    except MembraneLabError:
+    if not (abs(c * z_o) <= MAX_ABS_CZ and length <= DEFAULT_MAX_ARC_FACTOR * -z_o):
         return None
-    return _match(circle, curve, length)
+    runs[0] += 1
+    sol = _collocate(x, psi)
+    if sol is None:
+        return None
+    r_end, z_end, _ = sol.end
+    return np.array([r_end - circle.R, z_end - circle.Z]), sol
 
 
-def _correct(circle, runs, trace, x0, Q, u, what, first=None):
+def _disc_residual(circle, runs, sigma0):
+    """``_residual`` at the disc's own (c0, z_o, L), at a self-converged degree.
+
+    The degree runs ``_FIRST_DEGREE``, then about 1.5x (odd) up to
+    ``_MAX_DEGREE``, each collocation starting from the disc's curve at its
+    nodes, until the end state (r, z, phi)(L) agrees with the degree
+    before's to ``_DEGREE_AGREE`` (r and z of the circle's scale, as
+    ``_match_tol``).  The members continued from the disc keep that degree.
+    """
+    x = _state(sigma0)
+    scale = max(circle.R, abs(circle.Z), 1.0)
+    n, before = _FIRST_DEGREE, None
+    while n <= _MAX_DEGREE:
+        taus = x[2] * chebyshev.points(n)[: (n + 1) // 2]
+        out = _residual(circle, runs, x, sigma0.curve.state_at(taus)[2] - math.pi)
+        if out is None:
+            raise NoConvergence(f"collocation of the disc failed at degree {n}", [])
+        end = np.array(out[1].end) / (scale, scale, 1.0)
+        if before is not None and np.max(np.abs(end - before)) <= _DEGREE_AGREE:
+            return out
+        n, before = chebyshev.next_degree(n), end
+    raise NoConvergence(
+        f"no two collocation degrees of the disc up to {_MAX_DEGREE} agree to "
+        f"{_DEGREE_AGREE:g}", []
+    )
+
+
+def _correct(circle, runs, trace, x0, Q, u, psi, what, first=None):
     """Zero (x, aux, norm) of ``_residual`` on the plane x = x0 + Q u.
 
     Damped Newton with step halving (Deuflhard 2004) solves F(x0 + Q u) = 0
     for u in R^2 from ``u``, whose residual ``first`` may be evaluated
-    already, with the Jacobian J Q, J from ``_endpoint_jacobian`` of each
-    iterate's integration.  A step is halved until the max-norm of F
-    decreases.  Accepted iterates go to ``trace`` as ((c, z_o, L), norm).
-    Returns once the norm is below ``_match_tol(circle)``; failures raise
-    NoConvergence naming ``what``.
+    already, with the Jacobian J Q, J the (r, z) rows of
+    ``_endpoint_jacobian`` of each iterate's collocation.  The first
+    collocation starts from ``psi``, each later one from the iterate's.  A
+    step is halved until the max-norm of F decreases.  Accepted iterates go
+    to ``trace`` as ((c, z_o, L), norm).  Returns once the norm is below
+    ``_match_tol(circle)``; failures raise NoConvergence naming ``what``.
     """
     x = x0 + Q @ u
-    out = _residual(circle, runs, x) if first is None else first
+    out = _residual(circle, runs, x, psi) if first is None else first
     if out is None:
         raise NoConvergence(f"{what} start infeasible", trace)
     for _ in range(_MAX_NEWTON):
@@ -306,14 +463,14 @@ def _correct(circle, runs, trace, x0, Q, u, what, first=None):
         if norm < _match_tol(circle):
             return x, aux, norm
         try:
-            delta = np.linalg.solve(_endpoint_jacobian(*aux) @ Q, -F)
+            delta = np.linalg.solve(_endpoint_jacobian(aux)[:2] @ Q, -F)
         except np.linalg.LinAlgError:
             raise NoConvergence(f"singular {what} Jacobian", trace) from None
         lam = 1.0
         for _ in range(_MAX_HALVINGS):
             u_new = u + lam * delta
             x_new = x0 + Q @ u_new
-            out = _residual(circle, runs, x_new)
+            out = _residual(circle, runs, x_new, aux.psi)
             if out is not None and np.max(np.abs(out[0])) < norm:
                 break
             lam *= 0.5
@@ -324,9 +481,9 @@ def _correct(circle, runs, trace, x0, Q, u, what, first=None):
 
 
 def _tangent(J, scale):
-    """Unit null vector of the 2x3 Jacobian J in scaled y = x / scale.
+    """Unit null vector of the (r, z) rows of J in scaled y = x / scale.
 
-    The cross product of the rows of J diag(scale) spans its null space;
+    The cross product of those rows of J diag(scale) spans their null space;
     the caller orients it.
     """
     t = np.cross(J[0] * scale, J[1] * scale)
@@ -337,24 +494,30 @@ def _state(seed):
     """(c, z_o, L) of a family member or a tangential disc."""
     if isinstance(seed, Sigma0Solution):
         return np.array([seed.params.c_o, seed.params.z_o, seed.curve.ell])
-    return np.array([seed.c, seed.z_o, seed.curve.ell])
+    return np.array([seed.c, seed.z_o, seed.ell])
 
 
-def _member(x, aux, norm, circle, previous):
-    """The member at x = (c, z_o, L), continued from ``previous``."""
-    c, z_o, _ = (float(v) for v in x)
-    curve, phi_end = aux
+def _member(aux, norm, circle, previous):
+    """The member collocated as ``aux``, continued from ``previous``."""
+    c, z_o, length = aux.x
     return FamilyMember(
         c=c,
         z_o=z_o,
-        curve=curve,
-        contact_angle=float(phi_end),
+        ell=length,
+        contact_angle=aux.end[2],
         match_residual=norm,
         circle=circle,
         left_admissible_region=not ModelParams(c, z_o).sigma0_admissible,
-        jacobian=_endpoint_jacobian(curve, phi_end),
+        jacobian=_endpoint_jacobian(aux),
         previous=previous,
+        psi=aux.psi,
     )
+
+
+def _angle_slope(J, t, scale):
+    """dphi(L)/dc along the tangent t in scaled y = x / scale, J as in
+    ``FamilyMember.jacobian``."""
+    return float(J[2] @ (t * scale) / (t[0] * scale[0]))
 
 
 def _oriented(J, scale, t_ref):
@@ -418,44 +581,48 @@ class _Unreached(NoConvergence):
         self.fold, self.last = fold, last
 
 
-def _land(circle, runs, trace, seed, c, predicted=None, first=None):
+def _land(circle, runs, trace, seed, c, psi, predicted=None, first=None):
     """Member at curvature c, corrected from ``seed`` on the plane of fixed c.
 
     The plane passes through (c, 0, 0) along the z_o- and L-axes, so
-    ``_correct`` runs on (z_o, L); both Jacobian columns are exact and cost
-    no extra integration: the L-column the curve velocity, the z_o-column
-    the co-integrated variation.  Newton starts at the ``predicted``
-    (z_o, L), with its residual ``first`` if already evaluated, unless that
-    is infeasible, and else at the seed's.
+    ``_correct`` runs on (z_o, L), collocating from ``psi``.  Newton starts
+    at the ``predicted`` (z_o, L), with its residual ``first`` if already
+    evaluated, unless that is infeasible, and else at the seed's, with its
+    residual ``first`` if ``predicted`` is None.
     """
     x0, Q = np.array([c, 0.0, 0.0]), np.eye(3)[:, 1:]
     u = _state(seed)[1:]
     if predicted is not None:
         if first is None:
-            first = _residual(circle, runs, (c, *predicted))
+            first = _residual(circle, runs, (c, *predicted), psi)
         if first is not None:
             u = np.array(predicted)
-    x, aux, norm = _correct(circle, runs, trace, x0, Q, u, "member", first)
-    return _member(x, aux, norm, circle, tuple(_state(seed)))
+    _, aux, norm = _correct(circle, runs, trace, x0, Q, u, psi, "member", first)
+    return _member(aux, norm, circle, tuple(_state(seed)))
 
 
 def _reach(circle, runs, trace, seed, c):
     """``shoot_family_member`` before the suffix of its messages."""
     if isinstance(seed, Sigma0Solution):
         c0 = seed.params.c_o
-        if abs(c - c0) <= _DISC_SNAP * c0:
-            return _land(circle, runs, trace, seed, c)
-        seed = _land(circle, runs, trace, seed, c0)
+        disc = _disc_residual(circle, runs, seed)
+        at = c if abs(c - c0) <= _DISC_SNAP * c0 else c0
+        first = disc
+        if at != c0:
+            first = _residual(circle, runs, (at, *_state(seed)[1:]), disc[1].psi)
+        seed = _land(circle, runs, trace, seed, at, disc[1].psi, first=first)
+        if at == c:
+            return seed
     scale = np.abs(_state(seed))
     z_p, l_p, h, ratio = _predict(seed, c, scale)
     first = None
     if ratio >= _LAND_RATIO and abs(h) <= _MAX_LAND_STEP:
-        first = _residual(circle, runs, (c, z_p, l_p))
+        first = _residual(circle, runs, (c, z_p, l_p), seed.psi)
         if first is not None:
             t_seed = _tangent(seed.jacobian, scale)
-            t_pred = _oriented(_endpoint_jacobian(*first[1]), scale, t_seed)
+            t_pred = _oriented(_endpoint_jacobian(first[1]), scale, t_seed)
             if t_pred[0] / t_seed[0] >= _LAND_RATIO:
-                return _land(circle, runs, trace, seed, c, (z_p, l_p), first)
+                return _land(circle, runs, trace, seed, c, seed.psi, (z_p, l_p), first)
     side = 1 if c > seed.c else -1
     try:
         base, fold = _walk(
@@ -471,7 +638,7 @@ def _reach(circle, runs, trace, seed, c):
             trace, fold, base,
         )
     z_p, l_p, _, _ = _predict(base, c, np.abs(_state(base)))
-    return _land(circle, runs, trace, base, c, (z_p, l_p))
+    return _land(circle, runs, trace, base, c, base.psi, (z_p, l_p))
 
 
 def shoot_family_member(c, circle, seed):
@@ -493,9 +660,9 @@ def shoot_family_member(c, circle, seed):
     Raises ValueError unless c is finite and positive.  A c past the first
     fold on its side of the seed has no member: NoConvergence names c, the
     side and c*.  Every NoConvergence message ends with ``(c = ...,
-    N integrations done)``, the requested c and the profile integrations of
-    the call; its trace holds ((c, z_o, L), max-norm residual) per accepted
-    iterate.
+    N collocations done)``, the requested c and the collocations
+    (``_collocate``) of the call; its trace holds ((c, z_o, L), max-norm
+    residual) per accepted iterate.
     """
     if not 0.0 < c < math.inf:
         raise ValueError(f"member curvature c must be finite and positive, not {c!r}")
@@ -503,7 +670,7 @@ def shoot_family_member(c, circle, seed):
     try:
         return _reach(circle, runs, trace, seed, c)
     except NoConvergence as exc:
-        exc.args = (f"{exc} (c = {c:.10g}, {runs[0]} integrations done)",)
+        exc.args = (f"{exc} (c = {c:.10g}, {runs[0]} collocations done)",)
         exc.trace = trace
         raise
 
@@ -525,10 +692,10 @@ def _arc_step(circle, runs, base, t_base, scale, ds, trace, bend=None, first=Non
     y_pred = y_plane if bend is None else y_plane + 0.5 * ds * ds * bend
     x, aux, norm = _correct(
         circle, runs, trace, y_plane * scale, scale[:, None] * basis,
-        basis.T @ (y_pred - y_plane), "arclength", first,
+        basis.T @ (y_pred - y_plane), base.psi, "arclength", first,
     )
     miss = float(np.linalg.norm(x / scale - y_pred))
-    return _member(x, aux, norm, circle, tuple(x_base)), miss
+    return _member(aux, norm, circle, tuple(x_base)), miss
 
 
 def _walk(circle, runs, trace, base, x_pred, out, c, side):
@@ -686,7 +853,8 @@ def family_sweep(circle, c_min, c_max, n, *, sigma0=None):
         failures.extend((c, str(exc)) for c in cs)
         return FamilySweep(members=[], failures=failures)
     members.update((i, start) for i in range(n) if cs[i] == c_start)
-    tangent = _tangent(start.jacobian, np.abs(_state(start)))
+    scale = np.abs(_state(start))
+    tangent = _tangent(start.jacobian, scale)
     tangent *= math.copysign(1.0, tangent[0])
     for side, name in ((1, "above"), (-1, "below")):
         pending = sorted(
@@ -722,5 +890,6 @@ def family_sweep(circle, c_min, c_max, n, *, sigma0=None):
         members=[members[i] for i in sorted(members)],
         failures=failures,
         tangent=tangent,
+        contact_angle_slope=_angle_slope(start.jacobian, tangent, scale),
         folds=folds,
     )

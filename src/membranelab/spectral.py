@@ -30,6 +30,7 @@ import numpy as np
 # not called: perfbench's tracer wraps spectral.eigh_tridiagonal by name
 from scipy.linalg import eigh_tridiagonal  # noqa: F401
 
+from . import chebyshev
 from .errors import GridTooCoarse, IncompleteEvidence, SolverFailure
 from .linearized import operator_residual, radial_operator_coeffs, solve_h
 from .shooting import family_sweep
@@ -54,8 +55,9 @@ _MAX_COUNT = (_MAX_DEGREE - 2) // 9
 _FAMILY_POINTS = 5
 _FAMILY_HALFWIDTH = 0.02
 #: condition (i): smallest |t_c| of the disc's unit tangent that makes the
-#: family a graph over c there; the tangent comes from variations held to
-#: 1e-6, and |t_c| lies between 0.035 and 0.62 on the benchmark's circles
+#: family a graph over c there; the tangent comes from the exact Jacobian of
+#: the collocated member problem (``shooting._endpoint_jacobian``), and |t_c|
+#: lies between 0.035 and 0.62 on the benchmark's circles
 _MIN_DISC_SLOPE = 1e-3
 #: condition (ii): zero band over the first mode-1 gap; on the reference discs
 #: the zero eigenvalue is ~1e-12 of the gap and the next one >= 2e-2 of it
@@ -107,9 +109,9 @@ class EigenResult:
         # unit r-weighted norm, by Gauss-Legendre on [0, ell]
         ell, x, w = level.taus[0], *np.polynomial.legendre.leggauss(level.n + 1)
         r_u = np.column_stack([np.concatenate([level.r, -level.r[::-1]]), full])
-        r_u = _barycentric(level.n, 0.5 * (x + 1.0), r_u)
+        r_u = chebyshev.barycentric(level.n, 0.5 * (x + 1.0), r_u)
         norms = np.sqrt(0.5 * ell * (w * r_u[:, 0]) @ r_u[:, 1:] ** 2)
-        funcs = _barycentric(level.n, self.mesh / ell, full) / norms
+        funcs = chebyshev.barycentric(level.n, self.mesh / ell, full) / norms
         peaks = np.argmax(np.abs(funcs), axis=0)
         funcs *= np.sign(funcs[peaks, np.arange(count)])
         funcs[[0, -1] if self.m else -1] = 0.0
@@ -133,7 +135,9 @@ class BifurcationCertificate:
     transversality scalar h_prime_boundary is nonzero.  ``fold_c`` holds
     the nearest fold curvature c* of the family above and below c0 within
     the followed window, or None; ``disc_tangent`` is the family's unit
-    tangent at the disc in scaled (c, z_o, L) (see ``FamilySweep``).
+    tangent at the disc in scaled (c, z_o, L) and ``contact_angle_slope``
+    dphi(L)/dc along it (see ``FamilySweep``), which the crossing form of
+    condition (iii) equates with -h_prime_boundary.
     """
 
     kernel_dim_even: int
@@ -146,44 +150,16 @@ class BifurcationCertificate:
     diagnostics: dict
     fold_c: dict = field(default_factory=lambda: {"above": None, "below": None})
     disc_tangent: tuple | None = None
-
-
-def _chebyshev_points(n):
-    """cos(pi j/n), j = 0..n, written so that point n - j is exactly -point j."""
-    return np.sin(0.5 * np.pi * (n - 2 * np.arange(n + 1)) / n)
-
-
-def _barycentric(n, x, values):
-    """The degree-n interpolant of ``values`` at ``_chebyshev_points(n)``, at x."""
-    w = (-1.0) ** np.arange(n + 1)
-    w[[0, -1]] *= 0.5
-    diff = x[:, None] - _chebyshev_points(n)
-    hit = diff == 0.0
-    diff[hit] = 1.0
-    c = w / diff
-    out = (c @ values) / c.sum(axis=1)[:, None]
-    rows, cols = np.nonzero(hit)
-    out[rows] = values[cols]
-    return out
+    contact_angle_slope: float | None = None
 
 
 def _sample(curve, n):
     """The ``_Level`` of the curve at degree n, from one ``state_at``."""
-    h = (n + 1) // 2
-    # the rows tau > 0 of the differentiation matrix (Trefethen, cheb.m), with
-    # the node differences x_i - x_j as a product of sines, free of cancellation
-    i, j = np.arange(h)[:, None], np.arange(n + 1)
-    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
-    dx = 2.0 * np.sin(0.5 * np.pi * (i + j) / n) * np.sin(0.5 * np.pi * (j - i) / n)
-    np.fill_diagonal(dx, np.inf)
-    D = c[:h, None] / (c * dx * curve.ell)
-    np.fill_diagonal(D, -D.sum(axis=1))
-    mirror = D[:, ::-1][:, :h]
-    taus = curve.ell * _chebyshev_points(n)[:h]
+    taus = curve.ell * chebyshev.points(n)[: (n + 1) // 2]
     r, z, phi = curve.state_at(taus)
     _, D_coef = radial_operator_coeffs(r, z, phi, curve.params)
     return _Level(n=n, taus=taus, r=r, z=z, U=D_coef / (z * z),
-                  derivative={1: D[:, :h] + mirror, -1: D[:, :h] - mirror})
+                  derivative=chebyshev.folded_derivative(n, curve.ell))
 
 
 def check_mode(m):
@@ -263,7 +239,7 @@ def eigen_solve(curve, modes, count, n=1536):
                                              mesh, level, A)
             previous[m] = vals
         pending = [m for m in pending if m not in results]
-        degree = int(1.5 * degree) | 1
+        degree = chebyshev.next_degree(degree)
     if pending:
         m = pending[0]
         last = f"; the last two moved by {moved[m]:.1e}" if m in moved else ""
@@ -303,7 +279,9 @@ def certify(sigma0, lin=None, *, count=6):
     eigen solve (at most 6e-11 on the benchmark's circles) and means only
     its size against ``zero_band``.  Condition (iii) is the transversality
     scalar h_prime_boundary exceeding 1000x the tolerance ``lin`` was solved at,
-    1e3 (lin.rtol max(1, |h_prime_boundary|) + lin.atol).  Surfaces
+    1e3 (lin.rtol max(1, |h_prime_boundary|) + lin.atol); the family's
+    ``contact_angle_slope`` at the disc, its crossing form, is recorded
+    beside it.  Surfaces
     outside the tangential-disc parameter region get verdict
     "not_applicable".  Sizes are checked by ``check_certify_size``.
     """
@@ -390,4 +368,5 @@ def certify(sigma0, lin=None, *, count=6):
         },
         fold_c=dict(sweep.folds),
         disc_tangent=disc_tangent,
+        contact_angle_slope=sweep.contact_angle_slope,
     )

@@ -77,19 +77,18 @@ def _close(ours, ref):
 
 
 @pytest.mark.parametrize(
-    "stop, variation",
+    "params, stop",
     [
-        (sigma0_stop(), False),
-        (StopCondition.at_arc_length(2.0), True),
+        (ANCHOR, sigma0_stop()),
+        (ModelParams(1.02 * ANCHOR.c_o, ANCHOR.z_o), StopCondition.at_arc_length(2.0)),
     ],
-    ids=["anchor disc, 3 rows", "member with z_o variation, 6 rows"],
+    ids=["anchor disc, 3 rows", "member, 3 rows"],
 )
-def test_profile_integration_matches_scipy_dop853(monkeypatch, stop, variation):
-    params = ANCHOR if not variation else ModelParams(1.02 * ANCHOR.c_o, ANCHOR.z_o)
-    args, kwargs, _ = _profile_problem(monkeypatch, params, stop, z_o_variation=variation)
+def test_profile_integration_matches_scipy_dop853(monkeypatch, params, stop):
+    args, kwargs, _ = _profile_problem(monkeypatch, params, stop)
     ours, counts = _counted_solve(monkeypatch, *args, **kwargs)
     ref = scipy_solve_ivp(*args, method="DOP853", dense_output=True, **kwargs)
-    assert ours.y.shape[0] == (6 if variation else 3)
+    assert ours.y.shape[0] == 3
     assert ours.status == ref.status and ours.success
     assert ours.t.size == ref.t.size
     assert ours.nfev == counts["fun"] == 2 + 12 * counts["step"] + 3 * len(counts["built_at"])
@@ -189,10 +188,10 @@ def test_nfev_counts_stages_of_attempted_and_accepted_steps(monkeypatch):
 def test_member_builds_interpolants_only_where_an_event_changes_sign(monkeypatch):
     params = ModelParams(1.02 * ANCHOR.c_o, ANCHOR.z_o)
     stop = StopCondition.at_arc_length(2.0)
-    args, kwargs, _ = _profile_problem(monkeypatch, params, stop, z_o_variation=True)
+    args, kwargs, _ = _profile_problem(monkeypatch, params, stop)
     out, counts = _counted_solve(monkeypatch, *args, **kwargs)
     sol = out.sol
-    assert out.y.shape[0] == 6 and out.status == 0
+    assert out.y.shape[0] == 3 and out.status == 0
     # no guard changes sign on the member, so it integrates building nothing
     assert [te.size for te in out.t_events] == [0, 0]
     assert counts["built_at"] == []
@@ -209,7 +208,7 @@ def test_member_builds_interpolants_only_where_an_event_changes_sign(monkeypatch
     sol(out.t)
     ref = scipy_solve_ivp(*args, method="DOP853", dense_output=True, **kwargs)
     assert counts["fun"] == ref.nfev
-    _, dense = eager_kernels(6)
+    _, dense = eager_kernels(3)
     for k, seg in enumerate(pending):
         assert sol._segments[k] == dense(args[0], sol._t_old[k], sol._h[k], *seg)
 

@@ -420,19 +420,20 @@ def test_state_at_one_tau_matches_the_array_path(curve26):
 
 
 @pytest.mark.parametrize(
-    "stop, variation",
+    "stop, member",
     [(sigma0_stop(), False), (StopCondition.at_arc_length(0.8), True)],
 )
-def test_numpy_scalar_params_integrate_like_floats(stop, variation):
-    as_float = integrate_profile(ModelParams(2.0, -0.6), stop, z_o_variation=variation)
+def test_numpy_scalar_params_integrate_like_floats(stop, member):
+    as_float = integrate_profile(ModelParams(2.0, -0.6), stop)
     params = ModelParams(np.float64(2.0), np.float64(-0.6))
     assert type(params.c_o) is float and type(params.z_o) is float
-    as_numpy = integrate_profile(params, stop, z_o_variation=variation)
+    as_numpy = integrate_profile(params, stop)
     assert as_numpy.ell == as_float.ell
     for name in ("taus", "r", "z", "phi"):
         assert np.array_equal(getattr(as_numpy, name), getattr(as_float, name))
-    if variation:
-        assert as_numpy.variation_at(0.8) == as_float.variation_at(0.8)
+    if member:
+        # a family member's curve is read at the arc length it stops at
+        assert as_numpy.state_at(0.8) == as_float.state_at(0.8)
 
 
 def test_dphi_ds_variation_is_its_derivative():
@@ -454,31 +455,12 @@ def test_dphi_ds_variation_is_its_derivative():
     assert profile_mod.dphi_ds_variation(c, s, s / r, r, z, 0.0, 0.0, 1.0) == -C
 
 
-def test_z_o_variation_keeps_the_state_rows():
-    params = ModelParams(1.4, -2.0)
-    stop = StopCondition.at_arc_length(3.0)
-    plain = integrate_profile(params, stop, rtol=1e-12, atol=1e-14)
-    varied = integrate_profile(params, stop, rtol=1e-12, atol=1e-14, z_o_variation=True)
-    assert (varied.rtol, varied.atol) == (plain.rtol, plain.atol)
-    end_plain = np.array(plain.state_at(plain.ell))
-    end_varied = np.array(varied.state_at(varied.ell))
-    assert np.max(np.abs(end_varied - end_plain)) < 1e-11
-    with pytest.raises(ValueError):
-        plain.variation_at(plain.ell)
-    with pytest.raises(OutOfRange):
-        varied.variation_at(0.0)
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_tau_is_out_of_range(bad):
     # a NaN fails every range comparison, so the check must be written to
     # reject it rather than pass it on to the segment lookup
-    curve = integrate_profile(
-        ModelParams(1.4, -2.0), StopCondition.at_arc_length(3.0), z_o_variation=True
-    )
-    mid = 0.5 * curve.ell
-    for method in (curve.state_at, curve.variation_at):
-        with pytest.raises(OutOfRange):
-            method(bad)
-        with pytest.raises(OutOfRange):
-            method(np.array([mid, bad]))
+    curve = integrate_profile(ModelParams(1.4, -2.0), StopCondition.at_arc_length(3.0))
+    with pytest.raises(OutOfRange):
+        curve.state_at(bad)
+    with pytest.raises(OutOfRange):
+        curve.state_at(np.array([0.5 * curve.ell, bad]))

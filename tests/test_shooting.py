@@ -174,6 +174,25 @@ def test_sweep_13_members(circle053, sig053):
         assert np.hypot(r_end - circle053.R, z_end - circle053.Z) < 1e-8 * circle053.R
 
 
+@pytest.mark.parametrize(
+    "R, Z, window",
+    [(0.5, -3.0, (1.2, 1.8, 13)), (1.5, -2.0, None), (2.0, -1.5, None)],
+    ids=["fig2 range of (0.5, -3)", "certify window of (1.5, -2)", "certify window of (2, -1.5)"],
+)
+def test_member_curves_end_where_their_collocation_did(R, Z, window):
+    # each member's curve, integrated on first read, ends on the circle
+    # with the collocated contact angle
+    circle = BoundaryCircle(R, Z)
+    sig = shoot_sigma0(circle)
+    c0 = sig.params.c_o
+    sw = family_sweep(circle, *(window or (0.98 * c0, 1.02 * c0, 5)), sigma0=sig)
+    assert len(sw.members) == (13 if window else 3)
+    for m in sw.members:
+        r, z, phi = m.curve.state_at(m.ell)
+        assert max(abs(r - R), abs(z - Z)) < shooting_mod._match_tol(circle)
+        assert phi == pytest.approx(m.contact_angle, abs=1e-10)
+
+
 def test_sweep_refinement_interleaves(circle053, sig053):
     coarse = family_sweep(circle053, 1.2, 1.8, 13, sigma0=sig053)
     fine = family_sweep(circle053, 1.2, 1.8, 25, sigma0=sig053)
@@ -231,34 +250,47 @@ def test_sweep_records_partial_failures(circle053, sig053, monkeypatch):
     assert len(sw.members) == 12
 
 
-@pytest.fixture
-def integrations(monkeypatch):
-    """Counter of the profile integrations that the shooting layer runs."""
+def _counter(monkeypatch, name):
     count = [0]
-    real = shooting_mod.integrate_profile
+    real = getattr(shooting_mod, name)
 
     def counting(*args, **kw):
         count[0] += 1
         return real(*args, **kw)
 
-    monkeypatch.setattr(shooting_mod, "integrate_profile", counting)
+    monkeypatch.setattr(shooting_mod, name, counting)
     return count
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """Counter of the profile integrations that the shooting layer runs."""
+    return _counter(monkeypatch, "integrate_profile")
+
+
+@pytest.fixture
+def collocations(monkeypatch):
+    """Counter of the shooting map's evaluations: the member collocations."""
+    return _counter(monkeypatch, "_collocate")
 
 
 def test_member_returns_the_curve_of_its_last_residual(circle053, sig053,
                                                        integrations):
     m = shoot_family_member(sig053.params.c_o, circle053, sig053)
-    assert integrations[0] == 1
+    assert integrations[0] == 0
     r, z, phi = m.curve.state_at(m.curve.ell)
+    assert integrations[0] == 1
+    assert m.curve is m.curve and integrations[0] == 1
+    assert m.curve.ell == m.ell
     assert max(abs(r - circle053.R), abs(z - circle053.Z)) < 1e-10
     assert phi == pytest.approx(m.contact_angle, abs=1e-12)
 
 
-def test_sweep_integration_budget(circle053, sig053, integrations):
+def test_sweep_integration_budget(circle053, sig053, collocations):
     c0 = sig053.params.c_o
     sw = shooting_mod.family_sweep(circle053, 0.98 * c0, 1.02 * c0, 5, sigma0=sig053)
     assert len(sw.members) == 5 and not sw.failures
-    assert integrations[0] <= 29
+    assert collocations[0] <= 29
 
 
 def test_member_stall_message_and_trace(circle053, sig053):
@@ -277,10 +309,10 @@ def test_member_stall_message_and_trace(circle053, sig053):
 
 @pytest.mark.parametrize("c", [math.inf, math.nan, -1.0, 0.0])
 def test_member_curvature_must_be_finite_and_positive(c, circle053, sig053,
-                                                      integrations):
+                                                      integrations, collocations):
     with pytest.raises(ValueError, match="finite and positive"):
         shoot_family_member(c, circle053, sig053)
-    assert integrations[0] == 0
+    assert integrations[0] == collocations[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -295,30 +327,69 @@ def test_sweep_rejects_its_range_before_integrating(circle053, integrations,
 
 
 def test_sweep_integration_budget_over_the_fig2_range(circle053, sig053,
-                                                      integrations):
+                                                      collocations):
     # one landing per member: the walk covers only gaps too long to land
     sw = shooting_mod.family_sweep(circle053, 1.2, 1.8, 13, sigma0=sig053)
     assert len(sw.members) == 13 and not sw.failures
-    assert integrations[0] <= 50
+    assert collocations[0] <= 50
+
+
+def _disc_map(R, Z):
+    """The circle, the disc's (c0, z_o, L) and its collocated residual."""
+    circle = BoundaryCircle(R, Z)
+    sig = shoot_sigma0(circle)
+    return circle, shooting_mod._state(sig), shooting_mod._disc_residual(circle, [0], sig)
+
+
+def _jacobian_column(R, Z, k):
+    """Column k of the disc's endpoint Jacobian and its central difference,
+    (r, z, phi)(L) of the collocated map at x +/- 1e-5 |x_k| e_k."""
+    circle, x, (_, sol) = _disc_map(R, Z)
+    step = np.zeros(3)
+    step[k] = 1e-5 * abs(x[k])
+    ends = [shooting_mod._residual(circle, [0], x + d, sol.psi)[1].end for d in (step, -step)]
+    central = (np.array(ends[0]) - np.array(ends[1])) / (2.0 * step[k])
+    return shooting_mod._endpoint_jacobian(sol)[:, k], central
 
 
 @pytest.mark.parametrize("R, Z", [(0.5, -3.0), (1.0, -2.0)])
 def test_member_jacobian_is_the_z_o_derivative(R, Z):
-    circle = BoundaryCircle(R, Z)
-    sig = shoot_sigma0(circle)
-    x = np.array([sig.params.c_o, sig.params.z_o, sig.curve.ell])
-    _, aux = shooting_mod._residual(circle, [0], x)
-    column = shooting_mod._endpoint_jacobian(*aux)[:, 1]
-    step = np.array([0.0, 1e-5 * abs(x[1]), 0.0])
-    ends = [shooting_mod._residual(circle, [0], x + d)[0] for d in (step, -step)]
-    central = (ends[0] - ends[1]) / (2.0 * step[1])
+    column, central = _jacobian_column(R, Z, 1)
     assert np.max(np.abs(column - central)) < 1e-7 * np.max(np.abs(column))
+
+
+@pytest.mark.parametrize("R, Z", [(0.5, -3.0), (1.0, -2.0), (2.0, -1.5)])
+def test_member_jacobian_is_the_L_derivative(R, Z):
+    column, central = _jacobian_column(R, Z, 2)
+    assert np.max(np.abs(column - central)) < 1e-7 * np.max(np.abs(column))
+
+
+@pytest.mark.parametrize("R, Z", [(0.5, -3.0), (1.0, -2.0), (2.0, -1.5), (3.5, -1.0)])
+def test_member_jacobian_is_scale_equivariant(R, Z):
+    # (r, z)(mu L; c/mu, mu z_o) = mu (r, z)(L; c, z_o) and phi is scale
+    # free, so at mu = 1: c J_c = L J_L + z_o J_z - ((r, z)(L), 0)
+    _, (c, z_o, length), (_, sol) = _disc_map(R, Z)
+    J = shooting_mod._endpoint_jacobian(sol)
+    lhs = c * J[:, 0]
+    rhs = length * J[:, 2] + z_o * J[:, 1] - np.array([*sol.end[:2], 0.0])
+    assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(lhs))
+
+
+def test_sweep_fails_when_no_two_disc_degrees_agree(circle053, sig053, monkeypatch):
+    # a cap at the first degree leaves nothing to compare it with
+    monkeypatch.setattr(shooting_mod, "_MAX_DEGREE", shooting_mod._FIRST_DEGREE)
+    sw = family_sweep(circle053, 1.2, 1.8, 3, sigma0=sig053)
+    assert sw.members == [] and len(sw.failures) == 3
+    for _, why in sw.failures:
+        assert why.startswith("no two collocation degrees of the disc up to 61 agree")
+        assert why.endswith("1 collocations done)")
 
 
 def test_landing_keeps_the_requested_c_bit_for_bit(circle053, sig053):
     c = 1.01 * sig053.params.c_o
     trace = []
-    m = shooting_mod._land(circle053, [0], trace, sig053, c)
+    psi = shooting_mod._disc_residual(circle053, [0], sig053)[1].psi
+    m = shooting_mod._land(circle053, [0], trace, sig053, c, psi)
     assert m.c == c
     assert len(trace) > 1 and all(point[0] == c for point, _ in trace)
 
@@ -337,22 +408,19 @@ def test_arclength_step_lands_on_its_plane(circle053, sig053, ds, bend):
 
 @pytest.mark.parametrize("R, Z", [(0.5, -3.0), (1.0, -2.0)])
 def test_z_o_variation_along_the_disc_is_the_kernel(R, Z):
-    sig = shoot_sigma0(BoundaryCircle(R, Z))
-    curve = integrate_profile(
-        sig.params,
-        StopCondition.phi_reaches(0.0),
-        rtol=shooting_mod.SHOOT_RTOL,
-        atol=shooting_mod.SHOOT_ATOL,
-        z_o_variation=True,
-    )
+    circle = BoundaryCircle(R, Z)
+    sig = shoot_sigma0(circle)
+    _, sol = shooting_mod._disc_residual(circle, [0], sig)
     kernel = solve_h(sig.curve).kernel
-    taus = curve.taus
-    dr, dz, _ = curve.variation_at(taus)
-    _, _, phi = curve.state_at(taus)
+    # the collocated z_o derivative at the nodes, tau = L first
+    dr, dz, _ = (d[:, 1] for d in shooting_mod._node_jacobian(sol))
+    n = 2 * sol.psi.size - 1
+    taus = sol.x[2] * shooting_mod.chebyshev.points(n)[: sol.psi.size]
+    phi = np.pi + sol.psi
     # normal projection on (sin phi, -cos phi); it starts at 1 on the axis
     normal = dr * np.sin(phi) - dz * np.cos(phi)
-    assert abs(normal[-1] - kernel.raw_boundary_value) < 1e-9
-    assert np.max(np.abs(normal / normal[-1] - kernel.psi_at(taus))) < 1e-9
+    assert abs(normal[0] - kernel.raw_boundary_value) < 1e-9
+    assert np.max(np.abs(normal / normal[0] - kernel.psi_at(taus))) < 1e-9
 
 
 def test_sweep_returns_every_grid_point_at_the_start_curvature(circle053, sig053):
@@ -362,20 +430,20 @@ def test_sweep_returns_every_grid_point_at_the_start_curvature(circle053, sig053
     assert [m.c for m in sw.members] == [c0, c0, c0]
 
 
-def test_sweep_integration_budget_exact_jacobian(circle053, sig053, integrations):
+def test_sweep_integration_budget_exact_jacobian(circle053, sig053, collocations):
     c0 = sig053.params.c_o
     sw = shooting_mod.family_sweep(circle053, 0.98 * c0, 1.02 * c0, 5, sigma0=sig053)
     assert len(sw.members) == 5 and not sw.failures
-    assert integrations[0] <= 17
+    assert collocations[0] <= 17
 
 
-def test_member_failure_names_curvature_and_work(circle053, sig053, integrations):
+def test_member_failure_names_curvature_and_work(circle053, sig053, collocations):
     with pytest.raises(NoConvergence) as info:
         shoot_family_member(0.6, circle053, sig053)
-    match = re.search(r" \(c = ([^,]+), (\d+) integrations done\)$", str(info.value))
+    match = re.search(r" \(c = ([^,]+), (\d+) collocations done\)$", str(info.value))
     assert match
     assert 0.6 <= float(match.group(1)) < sig053.params.c_o
-    assert int(match.group(2)) == integrations[0]
+    assert int(match.group(2)) == collocations[0]
 
 
 @pytest.mark.parametrize("mu", [1e-3, 0.3, 1.0, 7.0, 1e3])
@@ -387,14 +455,7 @@ def test_deepest_unit_disc_scales_inside_the_profile_bound(mu):
 
 @pytest.mark.parametrize("R, Z", [(0.5, -3.0), (1.0, -2.0)])
 def test_member_jacobian_is_the_c_derivative(R, Z):
-    circle = BoundaryCircle(R, Z)
-    sig = shoot_sigma0(circle)
-    x = np.array([sig.params.c_o, sig.params.z_o, sig.curve.ell])
-    _, aux = shooting_mod._residual(circle, [0], x)
-    column = shooting_mod._endpoint_jacobian(*aux)[:, 0]
-    step = np.array([1e-5 * x[0], 0.0, 0.0])
-    ends = [shooting_mod._residual(circle, [0], x + d)[0] for d in (step, -step)]
-    central = (ends[0] - ends[1]) / (2.0 * step[0])
+    column, central = _jacobian_column(R, Z, 0)
     assert np.max(np.abs(column - central)) < 1e-7 * np.max(np.abs(column))
 
 
@@ -448,13 +509,12 @@ def test_fold_is_scale_invariant(mu):
 
 
 @pytest.mark.parametrize("R, Z, budget", [(0.5, -3.0, 13), (1.5, -2.0, 20)])
-def test_sweep_integration_budget_through_folds(R, Z, budget, integrations):
+def test_sweep_integration_budget_through_folds(R, Z, budget, collocations):
     sig = shoot_sigma0(BoundaryCircle(R, Z))
     c0 = sig.params.c_o
-    integrations[0] = 0
     sw = shooting_mod.family_sweep(sig.circle, 0.98 * c0, 1.02 * c0, 5, sigma0=sig)
     assert len(sw.members) + len(sw.failures) == 5
-    assert integrations[0] <= budget
+    assert collocations[0] <= budget
 
 
 def test_sweep_walks_a_long_gap_to_the_fold():
@@ -486,17 +546,17 @@ def test_fold_secant_budget_exhausted_names_the_bracket(monkeypatch):
 def test_failed_fold_walk_is_not_repeated(monkeypatch):
     # c0 (1 + 2 %) lies past the bracket the walk toward c0 (1 + 1 %) failed
     # to locate; it is recorded with that walk's message, and nothing is
-    # integrated for it between that failure and the sweep's other side
+    # collocated for it between that failure and the sweep's other side
     monkeypatch.setattr(shooting_mod, "_MAX_FOLD_SECANTS", 1)
     monkeypatch.setattr(shooting_mod, "_FOLD_SLOPE", 0.0)
-    integrate, walk = shooting_mod.integrate_profile, shooting_mod._walk
+    collocate, walk = shooting_mod._collocate, shooting_mod._walk
     member = shooting_mod.shoot_family_member
     calls = [0]
     at_walk_failure, at_below = [], []
 
     def counted(*args, **kwargs):
         calls[0] += 1
-        return integrate(*args, **kwargs)
+        return collocate(*args, **kwargs)
 
     def walked(*args):
         try:
@@ -512,7 +572,7 @@ def test_failed_fold_walk_is_not_repeated(monkeypatch):
 
     sig = shoot_sigma0(BoundaryCircle(1.5, -2.0))
     c0 = sig.params.c_o
-    monkeypatch.setattr(shooting_mod, "integrate_profile", counted)
+    monkeypatch.setattr(shooting_mod, "_collocate", counted)
     monkeypatch.setattr(shooting_mod, "_walk", walked)
     monkeypatch.setattr(shooting_mod, "shoot_family_member", landed)
     sw = family_sweep(sig.circle, 0.98 * c0, 1.02 * c0, 5, sigma0=sig)

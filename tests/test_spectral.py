@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from membranelab import (
     assemble_mode,
     certify,
     eigen_solve,
+    family_sweep,
     integrate_profile,
     kernel_residual_m1,
     shoot_sigma0,
@@ -18,6 +20,8 @@ from membranelab import (
     solve_h,
     StopCondition,
 )
+import membranelab.profile as profile_mod
+import membranelab.shooting as shooting_mod
 import membranelab.spectral as spectral
 from membranelab.errors import GridTooCoarse, SolverFailure
 from membranelab.linearized import operator_residual
@@ -197,14 +201,78 @@ def test_certificate_pass(sig053, lin053):
     assert cert.m0_gap > 0.4 and cert.m2_gap > 0.8
 
 
+def _certificate(R, Z):
+    sig = shoot_sigma0(BoundaryCircle(R, Z))
+    return certify(sig, solve_h(sig.curve))
+
+
 def test_certificate_pass_on_a_wide_circle():
     # R/|Z| = 3: a family corrector iterate rebuilt from its plane lay one ulp
     # past the end of the curve its residual came from, and the endpoint
     # Jacobian read there raised OutOfRange
-    sig = shoot_sigma0(BoundaryCircle(3.0, -1.0))
-    cert = certify(sig, solve_h(sig.curve))
+    cert = _certificate(3.0, -1.0)
     assert cert.verdict == "pass"
     assert cert.conditions == {"i": True, "ii": True, "iii": True}
+    # c* as the profile integrations of the 6-row variational system found it
+    assert cert.fold_c["above"] == pytest.approx(2.503931383225467, rel=1e-9)
+
+
+def test_certificate_pass_on_a_wider_circle():
+    # R/|Z| = 3.5: the collocation's rounding floor is about 1e-11 of the
+    # circle's scale, and its degree rises to 137
+    cert = _certificate(3.5, -1.0)
+    assert cert.verdict == "pass"
+    assert cert.conditions == {"i": True, "ii": True, "iii": True}
+    assert cert.fold_c["above"] == pytest.approx(2.491019539553439, rel=1e-9)
+
+
+@pytest.mark.parametrize("R, Z", [(0.5, -3.0), (1.0, -2.0), (1.5, -2.0), (2.0, -1.5)])
+def test_contact_angle_slope_is_minus_h_prime(R, Z):
+    # condition (iii) in crossing form (Crandall and Rabinowitz 1971): sin phi
+    # solves mode 1 at lambda = 0 on every member, and dphi(L)/dc along the
+    # family at the disc is -h'
+    sig = shoot_sigma0(BoundaryCircle(R, Z))
+    cert = certify(sig, solve_h(sig.curve))
+    assert -cert.contact_angle_slope == pytest.approx(cert.h_prime_boundary, rel=1e-9)
+    # negative control: without the phi row's c-entry the slope misses h'
+    c0 = sig.params.c_o
+    sweep = family_sweep(sig.circle, c0, c0, 1, sigma0=sig)
+    disc = sweep.members[0]
+    scale = np.abs(shooting_mod._state(disc))
+    J = disc.jacobian.copy()
+    assert shooting_mod._angle_slope(J, sweep.tangent, scale) == cert.contact_angle_slope
+    J[2, 0] = 0.0
+    slope = shooting_mod._angle_slope(J, sweep.tangent, scale)
+    assert -slope != pytest.approx(cert.h_prime_boundary, rel=1e-9)
+
+
+def test_certify_integrates_no_family_member(monkeypatch):
+    # the members are collocated; only the disc is integrated, before certify
+    sig = shoot_sigma0(BoundaryCircle(1.5, -2.0))
+    lin = solve_h(sig.curve)
+    calls = []
+    real = profile_mod.integrate_profile
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (profile_mod, shooting_mod):
+        monkeypatch.setattr(module, "integrate_profile", counted)
+    cert = certify(sig, lin)
+    assert cert.verdict == "pass" and cert.diagnostics["family_count"] == 3
+    assert calls == []
+
+
+def test_certificate_does_not_depend_on_call_history():
+    # every member's collocation starts from the member or disc it is
+    # continued from, never from state an earlier call left behind
+    shooting_mod._grid.cache_clear()
+    alone = _certificate(1.5, -2.0)
+    for R, Z in [(0.5, -3.0), (1.0, -2.0), (2.0, -1.5), (0.05, -1.0), (2.5, -2.0)]:
+        _certificate(R, Z)
+    again = _certificate(1.5, -2.0)
+    assert repr(dataclasses.asdict(again)) == repr(dataclasses.asdict(alone))
 
 
 def test_transversality_floor_follows_the_solve_tolerance(sig053, lin053):
