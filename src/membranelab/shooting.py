@@ -4,8 +4,9 @@ Two problems are solved here:
 
 * the tangential disc through a prescribed circle (R, Z): (c_o, z_o) with
   z_o < -1/c_o whose profile, integrated from the axis seed until phi = 0,
-  ends at (R, Z); scale equivariance reduces it to one bracketed root in
-  t = c_o z_o;
+  ends at (R, Z); scale equivariance reduces it to the unit disc (1, t),
+  t = c_o z_o, which Newton's method solves on the same collocation as the
+  family, with phi(L) = 0 and the end direction as its two equations;
 * the fixed-boundary family through the disc: the profiles (c, z_o) that
   pass through (R, Z) at arc length L.  Each profile is collocated
   (``_collocate``): psi = phi - pi is odd on [-L, L], so its values at the
@@ -13,7 +14,7 @@ Two problems are solved here:
   the unknowns, r and z are their integrals from the axis, and Newton's
   method solves dphi/ds at every node, warm-started from the member or
   disc the step comes from.  The degree is chosen once per disc, by
-  self-convergence (``_disc_residual``).  The residual F(c, z_o, L) =
+  self-convergence in ``shoot_sigma0``.  The residual F(c, z_o, L) =
   (r, z)(L) - (R, Z) comes with its exact 2x3 Jacobian, and the contact
   angle phi(L) with its gradient, by implicit differentiation of the
   collocation equations (``_endpoint_jacobian``).  The Jacobian's null
@@ -37,10 +38,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
-from scipy.optimize import brentq
 
 from . import chebyshev
-from .errors import MembraneLabError, NoConvergence, NotAdmissible
+from .errors import IncompleteEvidence, MembraneLabError, NoConvergence, NotAdmissible
 from .profile import (
     DEFAULT_MAX_ARC_FACTOR,
     MAX_ABS_CZ,
@@ -62,8 +62,13 @@ _MAX_HALVINGS = 8
 #: deepest unit disc, a hair inside integrate_profile's |c_o z_o| bound so
 #: that the scaled disc (1/mu, mu t) still passes it after rounding
 _U_MAX = math.log((1.0 - 1e-9) * MAX_ABS_CZ - 1.0)
-#: six doubling steps span u from t = -1 after rounding to _U_MAX
-_MAX_BRACKET = 8
+#: first cap on a Newton step in u of the unit disc (``_unit_disc``)
+_FIRST_U_STEP = 1.0
+#: chord steps in u that a scaled disc missing the circle may take
+_MAX_CHORDS = 3
+#: a Newton step of the unit disc in (u, L / L) this small is its last: the
+#: quadratic convergence leaves an error far below _DEGREE_AGREE after it
+_LAST_STEP = 1e-9
 #: a member is landed at fixed c only while the tangent's c-component t_c at
 #: its predicted point keeps this share of the value at the last member: t_c
 #: falls linearly to 0 along a parabola with a fold, so the requested c then
@@ -90,9 +95,10 @@ _MAX_FOLD_SECANTS = 6
 #: a requested c this close to the disc curvature, relative, is landed
 #: from the disc itself, and starts a sweep
 _DISC_SNAP = 1e-9
-#: collocation degrees of the member problem: the first, the cap (the fifth
-#: degree of the run; every disc that shoot_sigma0 reaches settles by 137),
-#: and the agreement of two successive ones at the disc (``_disc_residual``)
+#: collocation degrees of the disc and its family: the first, the cap (the
+#: sixth degree of the run, which the narrowest discs, R/|Z| about 1.2e-6,
+#: reach), and the agreement of the unit disc's (u, L / L) at two successive
+#: ones (``shoot_sigma0``)
 _FIRST_DEGREE = 61
 _MAX_DEGREE = 461
 _DEGREE_AGREE = 1e-10
@@ -119,13 +125,19 @@ class BoundaryCircle:
 
 @dataclass(frozen=True)
 class Sigma0Solution:
-    """Tangential disc through a circle: parameters, curve and match data."""
+    """Tangential disc through a circle: parameters, curve and match data.
+
+    ``psi`` is phi - pi of the collocated disc at its nodes (``_collocate``),
+    at the degree ``shoot_sigma0`` settled on; the family through the disc
+    starts from it.
+    """
 
     params: ModelParams
     curve: object
     boundary_phi: float
     match_residual: float
     circle: BoundaryCircle
+    psi: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -204,40 +216,26 @@ def shoot_sigma0(circle, seed=None):
     Scale equivariance leaves one unknown, t = c_o z_o < -1: the unit disc
     (1, t) ends in a direction atan2(r, -z) that falls strictly in
     u = log(-t - 1), so one u matches the circle's direction atan2(R, -Z).
-    Doubling steps from u0 (0, or the seed's c_o z_o) bracket it and Brent's
-    method (Brent 1973) refines it.  The disc scaled by mu = |(R, Z)|/|(r, z)|
-    is integrated once at (1/mu, mu t) and accepted when its endpoint mismatch
-    is below ``_match_tol(circle)``.  A seed with c_o z_o >= -1 raises
-    NotAdmissible.  Failures raise NoConvergence, whose trace holds
-    ((c_o, z_o), direction residual or mismatch) per integration.
+    One integration at u0 (0, or the seed's c_o z_o) gives the arc length L
+    and psi = phi - pi at the nodes of the first collocation degree.
+    Newton's method in (u, L) on the collocated unit disc (``_unit_disc``)
+    then solves phi(L) = 0 and the direction, and the degree rises
+    (``chebyshev.next_degree``, psi interpolated onto the new nodes) until
+    two degrees' (u, L / L) agree to ``_DEGREE_AGREE``.  The disc scaled by
+    mu = |(R, Z)|/|(r, z)| is integrated once at (1/mu, mu t) and accepted
+    when its endpoint mismatch is below ``_match_tol(circle)``.  While it
+    misses, a chord step u <- u - g/g' moves it, at most ``_MAX_CHORDS``
+    times: g is the direction residual of that integrated disc, and g' its
+    slope in u along phi(L) = 0 from the collocation.  The solution
+    carries the collocated psi, which the family through it starts from.
+
+    A seed with c_o z_o >= -1 raises NotAdmissible.  Every other failure
+    raises NoConvergence, whose message names R/|Z| and ends ``(N
+    integrations, M collocations done)``.  Its trace holds ((c_o, z_o),
+    residual) per integration or collocation: the direction residual of the
+    first integration, the larger of |phi(L)| and the direction residual of
+    a Newton iterate, and the endpoint mismatch of a scaled disc.
     """
-    target = math.atan2(circle.R, -circle.Z)
-    trace = []
-    ends = {}
-
-    def fail(why):
-        at = f"R/|Z| = {circle.R / -circle.Z:.6g}, bracket at u = {u:.6g}"
-        done = f"{len(trace)} integrations done"
-        return NoConvergence(f"sigma0 {why} ({at}, {done})", trace)
-
-    def disc(c_o, z_o):
-        try:
-            return integrate_profile(
-                ModelParams(c_o, z_o), sigma0_stop(), rtol=SHOOT_RTOL, atol=SHOOT_ATOL
-            )
-        except MembraneLabError as exc:
-            raise fail(f"disc ({c_o:.6g}, {z_o:.17g}) failed: {exc}") from None
-
-    def direction(v):
-        """Direction residual of the unit disc (1, t), t = -1 - e^v, memoised."""
-        if v not in ends:
-            t = -1.0 - math.exp(v)
-            curve = disc(1.0, t)
-            r, z, _ = curve.state_at(curve.ell)
-            ends[v] = (t, r, z, math.atan2(r, -z) - target)
-            trace.append(((1.0, t), ends[v][3]))
-        return ends[v][3]
-
     u = 0.0
     if seed is not None:
         t_seed = seed.c_o * seed.z_o
@@ -247,34 +245,142 @@ def shoot_sigma0(circle, seed=None):
                 f"{t_seed:.6g}, not below -1: it spans no tangential disc"
             )
         u = min(math.log(-t_seed - 1.0), _U_MAX)
-    step = math.copysign(1.0, direction(u))
-    for _ in range(_MAX_BRACKET):
-        u_next = min(u + step, _U_MAX)
-        if direction(u) * direction(u_next) <= 0.0:
+    runs, trace, integrations = [0], [], [0]
+    try:
+        return _sigma0(circle, u, runs, trace, integrations)
+    except NoConvergence as exc:
+        done = f"{integrations[0]} integrations, {runs[0]} collocations done"
+        exc.args = (f"sigma0 {exc} (R/|Z| = {circle.R / -circle.Z:.6g}, {done})",)
+        exc.trace = trace
+        raise
+
+
+def _disc(c_o, z_o, integrations):
+    """The disc (c_o, z_o) integrated at the shooting tolerances;
+    ``integrations[0]`` counts the calls."""
+    integrations[0] += 1
+    try:
+        return integrate_profile(
+            ModelParams(c_o, z_o), sigma0_stop(), rtol=SHOOT_RTOL, atol=SHOOT_ATOL
+        )
+    except MembraneLabError as exc:
+        raise NoConvergence(f"disc ({c_o:.6g}, {z_o:.17g}) failed: {exc}") from None
+
+
+def _sigma0(circle, u, runs, trace, integrations):
+    """``shoot_sigma0`` from u before the suffix of its messages."""
+    target = math.atan2(circle.R, -circle.Z)
+    t = -1.0 - math.exp(u)
+    curve = _disc(1.0, t, integrations)
+    r, z, _ = curve.state_at(curve.ell)
+    trace.append(((1.0, t), math.atan2(r, -z) - target))
+    n, length, before = _FIRST_DEGREE, curve.ell, None
+    psi = curve.state_at(length * chebyshev.points(n)[: (n + 1) // 2])[2] - math.pi
+    while True:
+        u, length, psi, end, d_end = _unit_disc(target, u, length, psi, runs, trace)
+        if before is not None and max(
+            abs(u - before[0]), abs(length - before[1]) / length
+        ) <= _DEGREE_AGREE:
             break
-        u, step = u_next, 2.0 * step
-    else:
-        raise fail(f"bracket found no sign change in {_MAX_BRACKET} steps")
-    u, info = brentq(
-        direction, *sorted((u, u_next)), xtol=1e-13, full_output=True, disp=False
-    )
-    if not info.converged:
-        raise fail(f"Brent iteration did not converge ({info.flag})")
-    t, r, z, _ = ends[u]  # brentq returns a point it evaluated
-    mu = math.hypot(circle.R, circle.Z) / math.hypot(r, z)
-    curve = disc(1.0 / mu, mu * t)
-    F, (curve, phi_end) = _match(circle, curve, curve.ell)
-    norm = float(np.max(np.abs(F)))
-    trace.append(((curve.params.c_o, curve.params.z_o), norm))
-    if not norm < _match_tol(circle):
-        raise fail(f"scaled disc misses the circle by {norm:.3e}")
-    return Sigma0Solution(
-        params=curve.params,
-        curve=curve,
-        boundary_phi=float(phi_end),
-        match_residual=norm,
-        circle=circle,
-    )
+        if chebyshev.next_degree(n) > _MAX_DEGREE:
+            raise NoConvergence(
+                f"no two collocation degrees of the disc up to {_MAX_DEGREE} "
+                f"agree to {_DEGREE_AGREE:g}"
+            )
+        n, before = chebyshev.next_degree(n), (u, length)
+        full = np.concatenate([psi, -psi[::-1]])[:, None]
+        psi = chebyshev.barycentric(
+            2 * psi.size - 1, chebyshev.points(n)[: (n + 1) // 2], full
+        )[:, 0]
+    t = -1.0 - math.exp(u)
+    radius = math.hypot(circle.R, circle.Z)
+    for chord in range(_MAX_CHORDS + 1):
+        mu = radius / math.hypot(*end)
+        curve = _disc(1.0 / mu, mu * t, integrations)
+        F, (curve, phi_end) = _match(circle, curve, curve.ell)
+        norm = float(np.max(np.abs(F)))
+        trace.append(((curve.params.c_o, curve.params.z_o), norm))
+        if norm < _match_tol(circle):
+            return Sigma0Solution(
+                params=curve.params,
+                curve=curve,
+                boundary_phi=float(phi_end),
+                match_residual=norm,
+                circle=circle,
+                psi=psi,
+            )
+        if chord == _MAX_CHORDS:
+            raise NoConvergence(
+                f"scaled disc misses the circle by {norm:.3e} after "
+                f"{_MAX_CHORDS} chord steps"
+            )
+        # the chord in u of this disc's direction residual
+        r, z = (F + (circle.R, circle.Z)) / mu
+        slope = (r * d_end[1] - z * d_end[0]) / (r * r + z * z)
+        du = -(math.atan2(r, -z) - target) / slope
+        u += du
+        t, end = -1.0 - math.exp(u), np.array([r, z]) + d_end * du
+
+
+def _unit_disc(target, u, length, psi, runs, trace):
+    """The collocated unit disc (1, t), t = -1 - e^u, with phi(L) = 0 whose
+    end direction theta = atan2(r, -z)(L) is ``target``.
+
+    Newton's method in (u, L), from (u, ``length``), solves phi(L) = 0 and
+    theta = ``target``.  Each iterate is collocated
+    (``_solved``) from the one before, the first from ``psi``, whose size
+    sets the degree.  The 2x2 Jacobian is the phi row and the direction row
+    of ``_endpoint_jacobian`` J, with its z_o column times dt/du = t + 1.
+    A u step larger than its cap, at first ``_FIRST_U_STEP``, is cut to
+    the cap with its L step, and the cap doubles; u stays at or below
+    ``_U_MAX``.  A step whose collocation fails
+    is halved, at most ``_MAX_HALVINGS`` times.  The first step below
+    ``_LAST_STEP`` in (u, L / L) is taken as the last.  Returns (u, L, psi,
+    end, d_end): psi of the last collocation, the end (r, z)(L) at (u, L)
+    and its derivative in u along phi(L) = 0, both linear in that step from
+    J.  Iterates go to ``trace`` as ((1, t), the larger of |phi(L)| and
+    |theta - target|).
+    """
+    cap, back, halvings = _FIRST_U_STEP, None, 0
+    for _ in range(_MAX_NEWTON):
+        t = -1.0 - math.exp(u)
+        sol = _solved(runs, (1.0, t, length), psi) if t < -1.0 else None
+        if sol is None:
+            if back is None or halvings == _MAX_HALVINGS:
+                why = "failed" if t < -1.0 else "is flat: t rounds to -1"
+                raise NoConvergence(f"collocation of the unit disc {why} at u = {u:.6g}")
+            halvings += 1
+            u_back, length_back, du, dL = back
+            back = (u_back, length_back, 0.5 * du, 0.5 * dL)
+            u, length = u_back + 0.5 * du, length_back + 0.5 * dL
+            continue
+        halvings = 0
+        r, z, phi = sol.end
+        theta = math.atan2(r, -z)
+        F = np.array([phi, theta - target])
+        trace.append(((1.0, t), float(np.max(np.abs(F)))))
+        J = _endpoint_jacobian(sol)
+        J[:, 1] *= t + 1.0
+        direction = (r * J[1] - z * J[0]) / (r * r + z * z)
+        try:
+            du, dL = np.linalg.solve(np.array([J[2, 1:], direction[1:]]), -F)
+        except np.linalg.LinAlgError:
+            raise NoConvergence(f"singular unit disc Jacobian at u = {u:.6g}") from None
+        if max(abs(du), abs(dL) / length) <= _LAST_STEP:
+            end = np.array([r, z]) + J[:2, 1] * du + J[:2, 2] * dL
+            d_end = J[:2, 1] - J[:2, 2] * J[2, 1] / J[2, 2]
+            return u + du, length + dL, sol.psi, end, d_end
+        if abs(du) > cap:
+            du, dL = cap * du / abs(du), cap * dL / abs(du)
+            cap *= 2.0
+        du = min(u + du, _U_MAX) - u
+        if du == 0.0:
+            raise NoConvergence(
+                f"the circle is narrower than the deepest unit disc, t = {t:.6g}"
+            )
+        back = (u, length, du, dL)
+        u, length, psi = u + du, length + dL, sol.psi
+    raise NoConvergence(f"unit disc Newton did not converge in {_MAX_NEWTON} steps")
 
 
 @functools.lru_cache(maxsize=None)
@@ -391,14 +497,11 @@ def _endpoint_jacobian(sol):
     return np.array([d[0] for d in _node_jacobian(sol)])
 
 
-def _residual(circle, runs, x, psi):
-    """Endpoint mismatch of the fixed-boundary family at x = (c, z_o, L).
-
-    Returns (r, z)(L) - (R, Z) of the profile (c, z_o), collocated from the
-    warm start ``psi`` (``_collocate``), with that ``_Collocated`` as aux;
-    or None for an x outside the domain of ``integrate_profile`` (which the
-    members' curves are integrated with) or a failed collocation.
-    ``runs[0]`` counts the collocations started.
+def _solved(runs, x, psi):
+    """``_collocate`` at x = (c, z_o, L) from ``psi``, or None for an x
+    outside the domain of ``integrate_profile`` (which the curves of the
+    members are integrated with) or a failed collocation.  ``runs[0]``
+    counts the collocations started.
     """
     c, z_o, length = x
     if not (0.0 < c < math.inf and -math.inf < z_o < 0.0 < length < math.inf):
@@ -406,7 +509,17 @@ def _residual(circle, runs, x, psi):
     if not (abs(c * z_o) <= MAX_ABS_CZ and length <= DEFAULT_MAX_ARC_FACTOR * -z_o):
         return None
     runs[0] += 1
-    sol = _collocate(x, psi)
+    return _collocate(x, psi)
+
+
+def _residual(circle, runs, x, psi):
+    """Endpoint mismatch of the fixed-boundary family at x = (c, z_o, L).
+
+    Returns (r, z)(L) - (R, Z) of the profile (c, z_o), collocated from the
+    warm start ``psi`` (``_solved``), with that ``_Collocated`` as aux, or
+    None.
+    """
+    sol = _solved(runs, x, psi)
     if sol is None:
         return None
     r_end, z_end, _ = sol.end
@@ -414,30 +527,19 @@ def _residual(circle, runs, x, psi):
 
 
 def _disc_residual(circle, runs, sigma0):
-    """``_residual`` at the disc's own (c0, z_o, L), at a self-converged degree.
-
-    The degree runs ``_FIRST_DEGREE``, then about 1.5x (odd) up to
-    ``_MAX_DEGREE``, each collocation starting from the disc's curve at its
-    nodes, until the end state (r, z, phi)(L) agrees with the degree
-    before's to ``_DEGREE_AGREE`` (r and z of the circle's scale, as
-    ``_match_tol``).  The members continued from the disc keep that degree.
-    """
-    x = _state(sigma0)
-    scale = max(circle.R, abs(circle.Z), 1.0)
-    n, before = _FIRST_DEGREE, None
-    while n <= _MAX_DEGREE:
-        taus = x[2] * chebyshev.points(n)[: (n + 1) // 2]
-        out = _residual(circle, runs, x, sigma0.curve.state_at(taus)[2] - math.pi)
-        if out is None:
-            raise NoConvergence(f"collocation of the disc failed at degree {n}", [])
-        end = np.array(out[1].end) / (scale, scale, 1.0)
-        if before is not None and np.max(np.abs(end - before)) <= _DEGREE_AGREE:
-            return out
-        n, before = chebyshev.next_degree(n), end
-    raise NoConvergence(
-        f"no two collocation degrees of the disc up to {_MAX_DEGREE} agree to "
-        f"{_DEGREE_AGREE:g}", []
-    )
+    """``_residual`` at the disc's own (c0, z_o, L), collocated from its
+    ``psi`` at that degree, which the members continued from it keep.  A
+    disc without ``psi`` raises IncompleteEvidence."""
+    if sigma0.psi is None:
+        raise IncompleteEvidence(
+            "tangential disc has no collocated psi: solve it with shoot_sigma0",
+            ["psi"],
+        )
+    out = _residual(circle, runs, _state(sigma0), sigma0.psi)
+    if out is None:
+        n = 2 * sigma0.psi.size - 1
+        raise NoConvergence(f"collocation of the disc failed at degree {n}", [])
+    return out
 
 
 def _correct(circle, runs, trace, x0, Q, u, psi, what, first=None):
@@ -833,7 +935,9 @@ def family_sweep(circle, c_min, c_max, n, *, sigma0=None):
     is recorded for every later c on that side, which would walk the same
     stretch.  Other failures are recorded per member and do not abort the
     sweep.  Members are returned sorted by c.  A range that
-    ``check_family_range`` rejects raises ValueError before any integration.
+    ``check_family_range`` rejects raises ValueError before any integration,
+    and a disc ``sigma0`` without its collocated ``psi`` IncompleteEvidence
+    before any collocation.
     """
     check_family_range(c_min, c_max, n)
     if sigma0 is None:

@@ -281,7 +281,8 @@ def certify(sigma0, lin=None, *, count=6):
     scalar h_prime_boundary exceeding 1000x the tolerance ``lin`` was solved at,
     1e3 (lin.rtol max(1, |h_prime_boundary|) + lin.atol); the family's
     ``contact_angle_slope`` at the disc, its crossing form, is recorded
-    beside it.  Surfaces
+    beside it, and each member's (c, z_o, ell, contact_angle) goes to the
+    diagnostics as ``family_members``.  Surfaces
     outside the tangential-disc parameter region get verdict
     "not_applicable".  Sizes are checked by ``check_certify_size``.
     """
@@ -361,6 +362,10 @@ def certify(sigma0, lin=None, *, count=6):
             "near_zero_counts": near_zero,
             "eigenvalues": {m: e.eigenvalues.tolist() for m, e in eigs.items()},
             "family_count": len(sweep.members),
+            "family_members": [
+                {"c": m.c, "z_o": m.z_o, "ell": m.ell, "contact_angle": m.contact_angle}
+                for m in sweep.members
+            ],
             "family_failures": family_failures,
             "beyond_fold": beyond_fold,
             "transversality_floor": transversality_floor,

@@ -130,6 +130,22 @@ def test_cli_trace_bad_arc_exit_1(tmp_path, capsys, arc):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "R, Z", [("1e300", "-1"), ("1e-300", "-1"), ("1", "-1e300"), ("1e-300", "-1e300")]
+)
+def test_cli_sigma0_unreachable_direction_exit_2(tmp_path, capsys, R, Z):
+    # no unit disc ends in these directions: the Newton in u runs to a flat
+    # disc (t rounds to -1) or to the deepest one (t = -1e4); the last
+    # direction underflows to 0
+    out = tmp_path / "s"
+    assert run_cli(["sigma0", "--R", R, f"--Z={Z}", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("numerical failure: sigma0 ")
+    assert lines[0].endswith("collocations done)")
+    assert all(line.startswith("  trace: ") for line in lines[1:])
+    assert not out.exists()
+
+
 def test_cli_sigma0_underflowing_iterate_exit_2(tmp_path, capsys):
     # a Newton step drives log c_o so low that exp underflows to c_o = 0
     rc = run_cli(["sigma0", "--R", "100", "--Z", "-0.01", "--out", str(tmp_path)])
@@ -189,6 +205,16 @@ def test_cli_certify(tmp_path):
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["verdict"] == "pass"
     assert cert["conditions"] == {"i": True, "ii": True, "iii": True}
+    members = cert["diagnostics"]["family_members"]
+    assert len(members) == cert["diagnostics"]["family_count"] == 5
+    assert [sorted(m) for m in members] == [["c", "contact_angle", "ell", "z_o"]] * 5
+    assert [m["c"] for m in members] == sorted(m["c"] for m in members)
+    # the member at the disc: its curvature, tangent and length
+    disc = members[2]
+    assert disc["c"] == cert["sigma0"]["c_o"]
+    assert abs(disc["contact_angle"]) < 1e-8
+    assert disc["z_o"] == pytest.approx(cert["sigma0"]["z_o"], rel=1e-10)
+    assert disc["ell"] == pytest.approx(cert["sigma0"]["ell"], rel=1e-10)
 
 
 def test_cli_certify_reports_the_fold(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from membranelab import (
     shoot_sigma0,
     solve_h,
 )
-from membranelab.errors import NoConvergence, NotAdmissible
+from membranelab.errors import IncompleteEvidence, NoConvergence, NotAdmissible
 from membranelab.profile import check_scale
 import membranelab.shooting as shooting_mod
 
@@ -89,10 +90,15 @@ def test_unit_disc_direction_falls_strictly():
     assert np.all(np.diff(directions) < 0.0)
 
 
-@pytest.mark.parametrize("seed, budget", [(None, 16), (ModelParams(20.0, -5.0), 24)])
-def test_sigma0_integration_budget(circle053, sig053, integrations, seed, budget):
+@pytest.mark.parametrize(
+    "seed, budget, collocation_budget", [(None, 2, 6), (ModelParams(20.0, -5.0), 2, 9)]
+)
+def test_sigma0_integration_budget(circle053, sig053, integrations, collocations,
+                                   seed, budget, collocation_budget):
+    # one integration starts the collocated Newton, one scales its disc
     sig = shoot_sigma0(circle053, seed=seed)
     assert integrations[0] <= budget
+    assert collocations[0] <= collocation_budget
     assert sig.params.c_o == pytest.approx(sig053.params.c_o, rel=1e-12)
 
 
@@ -103,7 +109,9 @@ def test_sigma0_scale_free(sig053, mu):
     assert scaled.params.z_o == pytest.approx(mu * sig053.params.z_o, rel=1e-14)
 
 
-@pytest.mark.parametrize("R, Z", [(2.5, -2.0), (0.05, -1.0)])
+@pytest.mark.parametrize(
+    "R, Z", [(2.5, -2.0), (0.05, -1.0), (1e-5, -1.0), (1.3e-6, -1.0)]
+)
 def test_sigma0_wide_and_narrow_circles(R, Z):
     circle = BoundaryCircle(R, Z)
     sig = shoot_sigma0(circle)
@@ -111,13 +119,75 @@ def test_sigma0_wide_and_narrow_circles(R, Z):
     assert abs(sig.boundary_phi) < 1e-8
 
 
-def test_sigma0_failure_names_the_circle():
+@pytest.mark.parametrize("R", [3.6, 3.8, 4.0])
+def test_sigma0_matches_past_the_old_wide_edge(R):
+    # the bracketed disc missed these by 5.4e-11 to 6.3e-11
+    circle = BoundaryCircle(R, -1.0)
+    sig = shoot_sigma0(circle)
+    assert sig.match_residual < shooting_mod._match_tol(circle)
+    assert abs(sig.boundary_phi) < 1e-8
+
+
+def test_sigma0_chord_step_mends_a_scaled_disc_that_misses(circle053, sig053,
+                                                           integrations, monkeypatch):
+    # move the collocated u by 1e-8: the scaled disc then misses the circle,
+    # and one chord step on its own direction residual lands it
+    real = shooting_mod._unit_disc
+
+    def moved(*args):
+        u, *rest = real(*args)
+        return (u + 1e-8, *rest)
+
+    monkeypatch.setattr(shooting_mod, "_unit_disc", moved)
+    sig = shoot_sigma0(circle053)
+    assert integrations[0] == 3
+    assert sig.match_residual < shooting_mod._match_tol(circle053)
+    assert sig.params.c_o == pytest.approx(sig053.params.c_o, rel=1e-11)
+    assert sig.params.z_o == pytest.approx(sig053.params.z_o, rel=1e-11)
+
+
+def test_sigma0_chord_step_at_a_wide_circle(integrations):
+    # at R/|Z| = 3.5 the DOP853 disc at the collocated u misses by more than
+    # the tolerance: its own direction residual moves u once
+    circle = BoundaryCircle(3.5, -1.0)
+    sig = shoot_sigma0(circle)
+    assert integrations[0] == 3
+    assert sig.match_residual < shooting_mod._match_tol(circle)
+
+
+def test_sigma0_failure_names_the_circle(integrations, collocations):
     with pytest.raises(NoConvergence) as info:
         shoot_sigma0(BoundaryCircle(100.0, -0.01))
-    assert "R/|Z| = 10000" in str(info.value)
+    match = re.search(
+        r" \(R/\|Z\| = 10000, (\d+) integrations, (\d+) collocations done\)$",
+        str(info.value),
+    )
+    assert match
+    assert int(match.group(1)) == integrations[0]
+    assert int(match.group(2)) == collocations[0]
     assert info.value.trace
     for point, value in info.value.trace:
         assert len(point) == 2 and np.isfinite(value)
+
+
+def test_sigma0_fails_when_no_two_disc_degrees_agree(monkeypatch):
+    # a cap at the first degree leaves nothing to compare it with
+    monkeypatch.setattr(shooting_mod, "_MAX_DEGREE", shooting_mod._FIRST_DEGREE)
+    with pytest.raises(NoConvergence) as info:
+        shoot_sigma0(BoundaryCircle(0.5, -3.0))
+    message = str(info.value)
+    assert message.startswith("sigma0 no two collocation degrees of the disc up to 61 agree")
+    assert message.endswith("1 integrations, 5 collocations done)")
+
+
+def test_family_needs_the_collocated_disc(circle053, sig053, integrations,
+                                          collocations):
+    bare = replace(sig053, psi=None)
+    with pytest.raises(IncompleteEvidence, match="psi"):
+        family_sweep(circle053, 1.2, 1.8, 3, sigma0=bare)
+    with pytest.raises(IncompleteEvidence, match="psi"):
+        shoot_family_member(1.4, circle053, bare)
+    assert integrations[0] == collocations[0] == 0
 
 
 def test_member_reproduces_sigma0(circle053, sig053):
@@ -375,16 +445,6 @@ def test_member_jacobian_is_scale_equivariant(R, Z):
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(lhs))
 
 
-def test_sweep_fails_when_no_two_disc_degrees_agree(circle053, sig053, monkeypatch):
-    # a cap at the first degree leaves nothing to compare it with
-    monkeypatch.setattr(shooting_mod, "_MAX_DEGREE", shooting_mod._FIRST_DEGREE)
-    sw = family_sweep(circle053, 1.2, 1.8, 3, sigma0=sig053)
-    assert sw.members == [] and len(sw.failures) == 3
-    for _, why in sw.failures:
-        assert why.startswith("no two collocation degrees of the disc up to 61 agree")
-        assert why.endswith("1 collocations done)")
-
-
 def test_landing_keeps_the_requested_c_bit_for_bit(circle053, sig053):
     c = 1.01 * sig053.params.c_o
     trace = []
@@ -512,6 +572,7 @@ def test_fold_is_scale_invariant(mu):
 def test_sweep_integration_budget_through_folds(R, Z, budget, collocations):
     sig = shoot_sigma0(BoundaryCircle(R, Z))
     c0 = sig.params.c_o
+    collocations[0] = 0  # the sweep's own, not the disc's
     sw = shooting_mod.family_sweep(sig.circle, 0.98 * c0, 1.02 * c0, 5, sigma0=sig)
     assert len(sw.members) + len(sw.failures) == 5
     assert collocations[0] <= budget
