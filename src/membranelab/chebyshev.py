@@ -27,13 +27,15 @@ def barycentric(n, x, values):
     """The degree-n interpolant of ``values`` at ``points(n)``, at x."""
     w = (-1.0) ** np.arange(n + 1)
     w[[0, -1]] *= 0.5
-    diff = x[:, None] - points(n)
-    hit = diff == 0.0
-    diff[hit] = 1.0
-    c = w / diff
+    # one (x, nodes) array: the differences, then the weights over them
+    c = np.subtract.outer(x, points(n))
+    hit = c == 0.0
+    c[hit] = 1.0
+    np.divide(w, c, out=c)
     out = (c @ values) / c.sum(axis=1)[:, None]
-    rows, cols = np.nonzero(hit)
-    out[rows] = values[cols]
+    # an x on a node reads its value; the nodes are distinct
+    rows = np.flatnonzero(hit.any(axis=1))
+    out[rows] = values[hit[rows].argmax(axis=1)]
     return out
 
 

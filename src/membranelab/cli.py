@@ -246,9 +246,9 @@ def _default_out(name):
     return os.path.join(os.environ.get("MEMBRANELAB_OUT", "runs"), name)
 
 
-def _tolerances(solution):
-    """The rtol and atol a curve or linearized solution was integrated at."""
-    return {"rtol": solution.rtol, "atol": solution.atol}
+def _tolerances(curve):
+    """The rtol and atol a curve was integrated at."""
+    return {"rtol": curve.rtol, "atol": curve.atol}
 
 
 def _finish(outdir, inputs, curve, derived, artifacts):
@@ -384,9 +384,7 @@ def _run_linearize(config):
     curve = _integrate(params, p)
     lin = solve_h(curve)
     taus = np.linspace(0.0, curve.ell, p["samples"])
-    psi = lin.kernel.psi_at(taus)
-    h = lin.h_at(taus)
-    w = lin.w_at(taus)
+    psi, h, w = lin.fields_at(taus)
     artifacts = [
         export_csv(
             os.path.join(outdir, "linearized.csv"),
@@ -398,7 +396,6 @@ def _run_linearize(config):
     derived = {
         "h_prime_boundary": lin.h_prime_boundary,
         "alpha": lin.alpha,
-        "h_tolerances": _tolerances(lin),
     }
     print(f"linearize: h_prime_boundary = {lin.h_prime_boundary:.10g}")
     return outdir, curve, derived, artifacts
@@ -434,7 +431,6 @@ def _run_table1(config):
     artifacts.append(export_json(meta, os.path.join(outdir, "table1_meta.json")))
     derived = {
         "h_prime_boundary": {str(z): h for z, h in zip(z_list, slopes)},
-        "h_tolerances": _tolerances(lin),
     }
     return outdir, curve, derived, artifacts
 
@@ -494,7 +490,6 @@ def _run_certify(config):
     derived = {
         "verdict": cert.verdict,
         "h_prime_boundary": cert.h_prime_boundary,
-        "h_tolerances": _tolerances(lin),
     }
     print(f"certify: verdict = {cert.verdict}, conditions = {cert.conditions}")
     return outdir, sig.curve, derived, artifacts
@@ -525,9 +520,8 @@ def _run_mesh(config):
         if kind == "branch":
             mesh = branch_linear_mesh(sig, p["amplitude"], p["n_theta"], p["n_profile"])
         else:
-            lin = solve_h(sig.curve)
             mesh = family_linear_mesh(
-                sig, lin, p["amplitude"], p["n_theta"], p["n_profile"]
+                sig, solve_h(sig.curve), p["amplitude"], p["n_theta"], p["n_profile"]
             )
     artifacts = [export_mesh_obj(mesh, os.path.join(outdir, f"{kind}.obj"))]
     derived = {
@@ -536,8 +530,6 @@ def _run_mesh(config):
         "euler_characteristic": int(mesh.euler_characteristic()),
         "amplitude": p["amplitude"],
     }
-    if kind == "family":
-        derived["h_tolerances"] = _tolerances(lin)
     print(f"mesh: {derived['vertices']} vertices, {derived['faces']} faces")
     return outdir, curve, derived, artifacts
 

@@ -18,37 +18,40 @@ separated first angular mode of P at eigenvalue zero.
 
 This module solves the radial kernel P[psi] = 0 (normalized to 1 at the
 boundary) and the displacement response P[h] = -2 with h = 0 on the
-boundary, by augmenting the profile system with (h, w = h_s) and starting
-from an even power series at the axis.  The boundary slope of h in the
-boundary-based orientation, h_prime_boundary, is the transversality scalar
-of the bifurcation certificate.
-
-The 7-row system (profile, psi and the particular response) has one
-right-hand side, ``_extended_rhs_tau``, which ``solve_h`` integrates on
-``membranelab.ode.solve_ivp``, the DOP853 stepper of the profile curves.
-``certify`` reads only node values, so the step interpolants are built only
-when ``psi_at``, ``w_at`` or ``h_at`` first read them.
+boundary.  P[u] = z^2 L_0 u, where L_m is the separated mode-m operator of
+``spectral``, so both are dense solves with the matrix ``assemble_mode``
+collocates for the mode spectra: one Chebyshev collocation with the polar
+parity fold (Trefethen, *Spectral Methods in MATLAB*, ch. 11), on which
+psi and h are even in tau.  The boundary slope of h in the boundary-based
+orientation, h_prime_boundary, is the transversality scalar of the
+bifurcation certificate.
 
 C and D (and dphi/ds inside D) come from the single coefficient function
-``membranelab.profile.operator_coeffs``, which every right-hand side here
-and the sampled ``radial_operator_coeffs`` call.
+``membranelab.profile.operator_coeffs``, which the sampled
+``radial_operator_coeffs`` calls.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import chebyshev
 from ._util import fd1, fd2, fd_interior_slice
-from .errors import BoundaryValueVanishes
-from .ode import solve_ivp
-from .profile import (
-    _safe_sin_over_r,
-    axis_seed,
-    geometry_at,
-    operator_coeffs,
-)
+from .errors import BoundaryValueVanishes, GridTooCoarse, SolverFailure
+# not called: perfbench's tracer wraps linearized.solve_ivp by name
+from .ode import solve_ivp  # noqa: F401
+from .profile import _safe_sin_over_r, geometry_at, operator_coeffs
 from .shooting import shoot_family_member, shoot_sigma0
+
+#: h's degree runs 61, 91, 137, ... (``chebyshev.next_degree``) up to
+#: _MAX_DEGREE until two degrees agree on h_prime_boundary to _AGREE of it;
+#: the Table 1 discs and the circles up to R/|Z| = 2 settle at 91
+_FIRST_DEGREE = 61
+_MAX_DEGREE = 691
+_AGREE = 1e-10
+#: psi above this has a kernel that (nearly) vanishes at the boundary
+_KERNEL_BLOWUP = 1e10
 
 
 @dataclass(frozen=True)
@@ -66,32 +69,65 @@ class LinearizedCoeffs:
 
 
 @dataclass(frozen=True)
+class _Level:
+    """A curve at the nodes ``taus`` > 0 of the degree-n grid, tau = ell
+    first; ``derivative[s]`` is d/dtau there for functions of parity s."""
+
+    n: int
+    taus: np.ndarray
+    r: np.ndarray
+    z: np.ndarray
+    U: np.ndarray
+    derivative: dict
+
+
+def _interpolate(taus, columns, signs, tau):
+    """The degree-n interpolants of node values, at tau.
+
+    ``columns`` hold values at the ascending nodes ``taus`` > 0 of the
+    degree n = 2 taus.size - 1 grid, ending at ell, continued to tau < 0
+    with the parities ``signs``.  Returns an array of tau's shape plus one
+    axis for the columns; a node, such as the boundary, reads its own value.
+    """
+    half = np.column_stack(columns)
+    full = np.concatenate([half[::-1], np.asarray(signs, dtype=float) * half])
+    tau = np.asarray(tau, dtype=float)
+    out = chebyshev.barycentric(2 * taus.size - 1, tau.reshape(-1) / taus[-1], full)
+    return out.reshape(tau.shape + (half.shape[1],))
+
+
+@dataclass(frozen=True)
 class KernelSolution:
-    """Radial kernel psi of P (normalized to psi = 1 at the boundary)."""
+    """Radial kernel psi of P (normalized to psi = 1 at the boundary).
+
+    ``psi`` and ``w`` = psi_s (boundary orientation) hold the values at the
+    collocation nodes ``taus`` (ascending, ending at ell); ``psi_at`` and
+    ``w_at`` read their interpolants.  ``raw_boundary_value`` is the
+    boundary value of the kernel normalized to 1 at the axis, 1/psi(axis).
+    """
 
     taus: np.ndarray
     psi: np.ndarray
-    w: np.ndarray  # boundary-oriented derivative psi_s
+    w: np.ndarray
     raw_boundary_value: float
-    _dense: object = field(repr=False)
 
     def psi_at(self, tau):
-        vals = self._dense(np.asarray(tau, dtype=float))
-        return vals[3] / self.raw_boundary_value
+        return _interpolate(self.taus, [self.psi], (1,), tau)[..., 0][()]
 
     def w_at(self, tau):
-        vals = self._dense(np.asarray(tau, dtype=float))
-        return vals[4] / self.raw_boundary_value
+        return _interpolate(self.taus, [self.w], (-1,), tau)[..., 0][()]
 
 
 @dataclass(frozen=True)
 class LinearizedSolution:
     """Kernel psi, response h of P[h] = -2 with h(boundary) = 0, and slopes.
 
-    w holds h_s in the boundary-based orientation; h_prime_boundary is its
-    boundary value (the transversality scalar).  alpha is the kernel
-    admixture used to enforce the boundary condition on h.  rtol and atol
-    are the tolerances the extended system was integrated at.
+    The node arrays are those of ``kernel``.  w holds h_s in the
+    boundary-based orientation; h_prime_boundary is its boundary value (the
+    transversality scalar).  alpha = h(axis) is the kernel admixture that
+    the particular response vanishing at the axis needs to vanish at the
+    boundary.  rtol and atol are the tolerances of the curve, which bound
+    the accuracy of h_prime_boundary.
     """
 
     taus: np.ndarray
@@ -103,21 +139,21 @@ class LinearizedSolution:
     kernel: KernelSolution
     rtol: float
     atol: float
-    _dense: object = field(repr=False)
 
     @property
     def ell(self):
         return float(self.taus[-1])
 
+    def fields_at(self, tau):
+        """(psi, h, w) at tau from one interpolation, stacked on a first axis."""
+        out = _interpolate(self.taus, [self.psi, self.h, self.w], (1, 1, -1), tau)
+        return np.moveaxis(out, -1, 0)
+
     def h_at(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        vals = self._dense(tau)
-        # the boundary holds the exact Dirichlet zero, as the node array h does
-        return np.where(tau == self.ell, 0.0, vals[5] + self.alpha * vals[3])[()]
+        return _interpolate(self.taus, [self.h], (1,), tau)[..., 0][()]
 
     def w_at(self, tau):
-        vals = self._dense(np.asarray(tau, dtype=float))
-        return vals[6] + self.alpha * vals[4]
+        return _interpolate(self.taus, [self.w], (-1,), tau)[..., 0][()]
 
 
 def radial_operator_coeffs(r, z, phi, params):
@@ -138,108 +174,95 @@ def linearized_coeffs(curve, taus):
     )
 
 
-def _extended_rhs_tau(c_o):
-    """Integrated right-hand side: (r, z, phi), P[psi] = 0 and P[p] = -2 in tau.
+def _sample(curve, n):
+    """The ``_Level`` of the curve at degree n, from one ``state_at``."""
+    taus = curve.ell * chebyshev.points(n)[: (n + 1) // 2]
+    r, z, phi = curve.state_at(taus)
+    _, D_coef = radial_operator_coeffs(r, z, phi, curve.params)
+    return _Level(n=n, taus=taus, r=r, z=z, U=D_coef / (z * z),
+                  derivative=chebyshev.folded_derivative(n, curve.ell))
 
-    State (r, z, phi, psi, psi_s, p, p_s) with s the boundary-based arc
-    length; tau runs against s, so each row is the negated s-derivative of
-    P[u] = -inhom in first order form, u_ss = -D u - C u_s - inhom.
+
+def check_mode(m):
+    """Raise ValueError unless m is a mode index ``assemble_mode`` accepts."""
+    if m < 0 or m != int(m):
+        raise ValueError("mode index m must be a nonnegative integer")
+
+
+def assemble_mode(curve, m, n):
+    """-L_m collocated at odd degree n, on the nodes of ``_sample(curve, n)``.
+
+    L_m = diag(1/r) D diag(p) D + diag(U - m^2/(r^2 z^2)) on the Chebyshev
+    grid of [-ell, ell], folded by the parity (-1)^m onto the nodes tau > 0,
+    without the boundary row and column.  ``curve`` may also be its
+    ``_sample`` at n, which lets several modes share one sampling.
     """
+    check_mode(m)
+    if n < 3 or n % 2 != 1:
+        raise GridTooCoarse(f"collocation needs an odd degree n >= 3, so that "
+                            f"no node lies on the axis; got {n}")
+    level = curve if isinstance(curve, _Level) else _sample(curve, n)
+    D, r, z = level.derivative[(-1) ** m], level.r, level.z
+    L = (D * (r / (z * z))) @ D / r[:, None]
+    L[np.diag_indices_from(L)] += level.U - m * m / (r * r * z * z)
+    return -L[1:, 1:]
 
-    def rhs(tau, y):
-        r, z, phi, psi, wpsi, p, wp = y
-        c = math.cos(phi)
-        s = math.sin(phi)
-        phi_s, C, D = operator_coeffs(c, s, s / r, r, z, c_o)
-        return (-c, -s, -phi_s, -wpsi, D * psi + C * wpsi, -wp, D * p + C * wp + 2.0)
 
-    return rhs
+def solve_h(curve):
+    """Response h of P[h] = -2 vanishing at the boundary, and the kernel psi.
 
+    P[u] = z^2 L_0 u, so with A = ``assemble_mode(level, 0, n)``, which is
+    -L_0 without the boundary row and column, h solves A h = 2/z^2 at the
+    interior nodes with h(ell) = 0, and psi = 1 + v with A v = U (as
+    L_0 1 = U), so psi(ell) = 1.  w = h_s = -dh/dtau in the boundary
+    orientation, and h_prime_boundary = w(ell).  The degree rises from
+    ``_FIRST_DEGREE`` until two degrees agree on h_prime_boundary to
+    ``_AGREE`` of it; none by ``_MAX_DEGREE`` raises SolverFailure.
 
-def _axis_series_start(params, u0, inhom, tau0):
-    """(u, u_s) at tau0 of the even axis start u = u0 + u2 tau^2 of P[u] = -inhom.
-
-    Near the axis P reduces to u'' + u'/tau + D(0) u with
-    D(0) = 2 a^2 - 2/z_o^2, so 4 u2 + D(0) u0 = -inhom.
+    The kernel's boundary value must not vanish (the radial kernel meets
+    the boundary nontrivially): psi, the kernel over its boundary value,
+    above ``_KERNEL_BLOWUP`` raises BoundaryValueVanishes rather than being
+    absorbed.
     """
-    a = params.axis_curvature
-    D0 = 2.0 * a * a - 2.0 / (params.z_o * params.z_o)
-    u2 = -(inhom + D0 * u0) / 4.0
-    return u0 + u2 * tau0 * tau0, -2.0 * u2 * tau0
-
-
-def solve_h(curve, *, rtol=None, atol=None, tau0=None):
-    """Response h of P[h] = -2 vanishing at the boundary, by superposition.
-
-    One integration from the axis (``_extended_rhs_tau``) carries the
-    profile, the raw radial kernel psi_raw of P (psi = 1 at the axis, even
-    series start) and the particular solution p (p(axis) = 0).  The kernel
-    is normalized to 1 at the boundary; its boundary value must not vanish
-    (the radial kernel meets the boundary nontrivially), and a vanishing
-    value is reported as a numerical failure rather than absorbed.
-    h = p + alpha * psi_raw with alpha = -p(boundary)/psi_raw(boundary); the
-    boundary node of ``h`` holds the exact 0 that this alpha prescribes.
-    The reported slope h_prime_boundary is taken in the boundary-based
-    orientation.  ``rtol``/``atol`` default to min(curve.rtol, 1e-13) and
-    min(curve.atol, 1e-15); an rtol below ``ode.MIN_RTOL`` (100 eps) raises
-    ValueError, it is not clamped to that floor.  ``tau0`` defaults to the
-    curve's axis offset.
-    """
-    params = curve.params
-    # tighter than the profile defaults: downstream finite-difference
-    # recomputations of P[h] + 2 divide dense-output noise by h^2
-    if rtol is None:
-        rtol = min(curve.rtol, 1e-13)
-    if atol is None:
-        atol = min(curve.atol, 1e-15)
-    if tau0 is None:
-        tau0 = curve.tau0
-    seed = axis_seed(params, tau0)
-    y0 = (
-        seed.r,
-        seed.z,
-        seed.phi,
-        *_axis_series_start(params, 1.0, 0.0, tau0),
-        *_axis_series_start(params, 0.0, 2.0, tau0),
-    )
-    sol = solve_ivp(
-        _extended_rhs_tau(params.c_o),
-        (tau0, curve.ell),
-        y0,
-        rtol=rtol,
-        atol=atol,
-        max_step=0.1 * abs(params.z_o),
-    )
-    if not sol.success:
-        raise BoundaryValueVanishes(f"extended integration failed: {sol.message}")
-    raw_b = float(sol.y[3, -1])
-    if abs(raw_b) < 1e-10 * float(np.max(np.abs(sol.y[3]))):
-        raise BoundaryValueVanishes(
-            "radial kernel vanished at the boundary within tolerance"
-        )
+    n, before = _FIRST_DEGREE, None
+    while True:
+        # node values with tau = ell first, the boundary values prepended
+        level = _sample(curve, n)
+        rhs = np.column_stack([2.0 / (level.z[1:] * level.z[1:]), level.U[1:]])
+        h, v = np.linalg.solve(assemble_mode(level, 0, n), rhs).T
+        h, psi = np.concatenate([[0.0], h]), np.concatenate([[1.0], 1.0 + v])
+        if not np.max(np.abs(psi)) < _KERNEL_BLOWUP:
+            raise BoundaryValueVanishes(
+                f"radial kernel vanished at the boundary within tolerance (degree {n})"
+            )
+        w = -level.derivative[1] @ h
+        if before is not None and abs(w[0] - before) <= _AGREE * abs(w[0]):
+            break
+        if chebyshev.next_degree(n) > _MAX_DEGREE:
+            moved = "" if before is None else (
+                f"; the last two moved by {abs(w[0] - before) / abs(w[0]):.1e}")
+            raise SolverFailure(
+                f"h: no two collocation degrees up to {_MAX_DEGREE} agree on "
+                f"h_prime_boundary to {_AGREE:g} of it{moved}"
+            )
+        n, before = chebyshev.next_degree(n), w[0]
+    w_psi = -level.derivative[1] @ psi
+    # ascending in tau, the boundary last
+    taus, psi, h, w, w_psi = (a[::-1] for a in (level.taus, psi, h, w, w_psi))
+    psi_axis, h_axis = _interpolate(taus, [psi, h], (1, 1), 0.0)
     kernel = KernelSolution(
-        taus=sol.t,
-        psi=sol.y[3] / raw_b,
-        w=sol.y[4] / raw_b,
-        raw_boundary_value=raw_b,
-        _dense=sol.sol,
+        taus=taus, psi=psi, w=w_psi, raw_boundary_value=float(1.0 / psi_axis)
     )
-    alpha = -float(sol.y[5, -1]) / raw_b
-    h = sol.y[5] + alpha * sol.y[3]
-    # h(ell) = 0 by the choice of alpha; store that zero, not its rounding
-    h[-1] = 0.0
-    w = sol.y[6] + alpha * sol.y[4]
     return LinearizedSolution(
-        taus=sol.t,
-        psi=kernel.psi,
+        taus=taus,
+        psi=psi,
         h=h,
         w=w,
         h_prime_boundary=float(w[-1]),
-        alpha=alpha,
+        alpha=float(h_axis),
         kernel=kernel,
-        rtol=rtol,
-        atol=atol,
-        _dense=sol.sol,
+        rtol=curve.rtol,
+        atol=curve.atol,
     )
 
 
@@ -249,7 +272,7 @@ def h_from_support(curve, kernel):
     q(0) is the boundary value of the support function q = r sin(phi)
     - z cos(phi) and psi the normalized kernel.  Independent of solve_h
     except for sharing psi, this follows from P[q] = 2 c_o and serves as an
-    oracle for the integrated response.
+    oracle for the collocated response.
     """
     g = geometry_at(curve, kernel.taus)
     q_b = float(geometry_at(curve, curve.ell).q)

@@ -1,7 +1,7 @@
 """Adaptive DOP853 with dense output and events, stepped on Python floats.
 
 ``solve_ivp`` runs the subset of ``scipy.integrate.solve_ivp(method="DOP853")``
-that ``profile.integrate_profile`` and ``linearized.solve_h`` use, with
+that ``profile.integrate_profile`` uses, with
 scipy's algorithm unchanged: its tableau
 (``scipy.integrate._ivp.dop853_coefficients``), initial-step choice, RMS
 error norm with the 5th/3rd order correction, step controller
@@ -18,8 +18,8 @@ because Brent's root needs it there.  Every other step keeps its two states
 and its stages, and ``DenseOutput`` builds its interpolant on first use,
 with the same kernel and the same inputs, so every value is the same.
 
-The systems here have 3, 6 or 7 rows, where numpy's per-call overhead on
-tiny arrays dominates.  The stages therefore run as straight-line float
+The profile system has 3 rows, where numpy's per-call overhead on tiny
+arrays dominates.  The stages therefore run as straight-line float
 arithmetic, generated once per state size from the tableau (``_kernels``).
 ``fun(t, y)`` takes and returns a sequence of floats.  Only the rounding of
 the stage sums differs from scipy's matrix products.  At tight tolerances
@@ -105,13 +105,11 @@ def _kernels(n):
         *(_stage(s, n) for s in range(1, _tableau.N_STAGES)),
         *(f"    yn_{i} = y_{i} + h * {_dot(_tableau.B, i)}" for i in range(n)),
         f"    {_names(f'k{last}', n)}= fun(t + h, ({yns}))",
-        f"    {_names('rt', n)}= rtol",
-        f"    {_names('at', n)}= atol",
     ]
     for i in range(n):
         src += [
             f"    a = abs(y_{i}); b = abs(yn_{i})",
-            f"    sc = at_{i} + (a if a > b else b) * rt_{i}",
+            "    sc = atol + (a if a > b else b) * rtol",
             f"    e5_{i} = {_dot(_tableau.E5, i)} / sc",
             f"    e3_{i} = {_dot(_tableau.E3, i)} / sc",
         ]
@@ -151,7 +149,7 @@ def _rms(values):
 def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol):
     """First step size (Hairer, Norsett and Wanner, Sec. II.4), as in scipy."""
     interval = t_bound - t0
-    scale = [a + abs(v) * r for v, r, a in zip(y0, rtol, atol)]
+    scale = [atol + abs(v) * rtol for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
     d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -256,11 +254,11 @@ class OdeResult:
         return self.status >= 0
 
 
-def _per_row(tol, n, name):
-    rows = tuple(float(v) for v in np.broadcast_to(tol, (n,)))
-    if not all(math.isfinite(v) and v >= 0.0 for v in rows):
+def _tolerance(tol, name):
+    value = float(tol)
+    if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be finite and nonnegative, got {tol!r}")
-    return rows
+    return value
 
 
 def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), max_step=math.inf):
@@ -270,8 +268,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), max_step=math.inf):
     with the same arguments and every event terminal, forward integration
     only.  ``events`` are callables ``event(t, y)`` with an optional
     ``direction`` attribute; the earliest root among them ends the
-    integration.  rtol and atol are scalars or one value per row; an rtol
-    below ``MIN_RTOL`` raises ValueError.  Returns an ``OdeResult``: ``t``
+    integration.  rtol and atol are scalars; an rtol below ``MIN_RTOL``
+    raises ValueError.  Returns an ``OdeResult``: ``t``
     and ``y`` at the accepted steps (ending at the event), the interpolant
     ``sol``, ``t_events``, ``nfev`` and ``status`` (-1 step too small, 0 end
     reached, 1 event).
@@ -287,10 +285,10 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), max_step=math.inf):
         raise ValueError("t_span must be increasing")
     y = tuple(float(v) for v in y0)
     n = len(y)
-    rtol = _per_row(rtol, n, "rtol")
-    atol = _per_row(atol, n, "atol")
-    if min(rtol) < MIN_RTOL:
-        raise ValueError(f"rtol must be >= {MIN_RTOL:.3g}, got {min(rtol)!r}")
+    rtol = _tolerance(rtol, "rtol")
+    atol = _tolerance(atol, "atol")
+    if rtol < MIN_RTOL:
+        raise ValueError(f"rtol must be >= {MIN_RTOL:.3g}, got {rtol!r}")
     max_step = float(max_step)
     if not max_step > 0.0:
         raise ValueError("max_step must be positive")

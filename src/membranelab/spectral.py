@@ -11,7 +11,9 @@ analytic, so each mode is discretized by one Chebyshev collocation with the
 polar parity fold (Trefethen, *Spectral Methods in MATLAB*, ch. 11): on tau
 in [-ell, ell], r and p = r/z^2 are odd, z and U are even, and a mode-m
 eigenfunction has parity (-1)^m, which is also its axis condition.  With N
-odd, no node of the N + 1 Chebyshev points lies on the axis.
+odd, no node of the N + 1 Chebyshev points lies on the axis.  The
+collocated operator, ``assemble_mode``, lives in ``linearized``, whose
+``solve_h`` solves the kernel and the response h with its mode-0 matrix.
 
 Known structure used as cross-checks: the first mode-1 eigenvalue is zero
 with eigenfunction sin(phi) (horizontal translations), the mode-0 Dirichlet
@@ -31,8 +33,15 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal  # noqa: F401
 
 from . import chebyshev
-from .errors import GridTooCoarse, IncompleteEvidence, SolverFailure
-from .linearized import operator_residual, radial_operator_coeffs, solve_h
+from .errors import IncompleteEvidence, SolverFailure
+from .linearized import (
+    _Level,
+    _sample,
+    assemble_mode,
+    check_mode,
+    operator_residual,
+    solve_h,
+)
 from .shooting import family_sweep
 
 #: eigenfunctions are reported on the mesh tau_k = ell (k/n)^1.5, graded
@@ -65,35 +74,28 @@ _ZERO_BAND_FACTOR = 1e-6
 
 
 @dataclass(frozen=True)
-class _Level:
-    """A curve at the nodes ``taus`` > 0 of the degree-n grid, tau = ell
-    first; ``derivative[s]`` is d/dtau there for functions of parity s."""
-
-    n: int
-    taus: np.ndarray
-    r: np.ndarray
-    z: np.ndarray
-    U: np.ndarray
-    derivative: dict
-
-
-@dataclass(frozen=True)
 class EigenResult:
     """Lowest eigenpairs of one angular mode.
 
     ``eigenvalues`` are those of ``matrix``, ``assemble_mode`` on ``level``,
     the first degree that agreed with the one before (``eigenvalues_coarse``).
-    ``eigenfunctions`` on ``mesh`` (Dirichlet zeros in place, unit r-weighted
-    norm, largest value positive) and ``discrete_residuals``, the pairs'
-    backward errors, are computed on first read.
+    ``mesh``, tau_k = ell (k/mesh_cells)^1.5, ``eigenfunctions`` on it
+    (Dirichlet zeros in place, unit r-weighted norm, largest value positive)
+    and ``discrete_residuals``, the pairs' backward errors, are computed on
+    first read.
     """
 
     m: int
     eigenvalues: np.ndarray
     eigenvalues_coarse: np.ndarray
-    mesh: np.ndarray
+    mesh_cells: int
     level: _Level = field(repr=False)
     matrix: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def mesh(self):
+        cells = self.mesh_cells
+        return self.level.taus[0] * (np.arange(cells + 1, dtype=float) / cells) ** 1.5
 
     @functools.cached_property
     def _vectors(self):
@@ -153,40 +155,6 @@ class BifurcationCertificate:
     contact_angle_slope: float | None = None
 
 
-def _sample(curve, n):
-    """The ``_Level`` of the curve at degree n, from one ``state_at``."""
-    taus = curve.ell * chebyshev.points(n)[: (n + 1) // 2]
-    r, z, phi = curve.state_at(taus)
-    _, D_coef = radial_operator_coeffs(r, z, phi, curve.params)
-    return _Level(n=n, taus=taus, r=r, z=z, U=D_coef / (z * z),
-                  derivative=chebyshev.folded_derivative(n, curve.ell))
-
-
-def check_mode(m):
-    """Raise ValueError unless m is a mode index ``assemble_mode`` accepts."""
-    if m < 0 or m != int(m):
-        raise ValueError("mode index m must be a nonnegative integer")
-
-
-def assemble_mode(curve, m, n):
-    """-L_m collocated at odd degree n, on the nodes of ``_sample(curve, n)``.
-
-    L_m = diag(1/r) D diag(p) D + diag(U - m^2/(r^2 z^2)) on the Chebyshev
-    grid of [-ell, ell], folded by the parity (-1)^m onto the nodes tau > 0,
-    without the boundary row and column.  ``curve`` may also be its
-    ``_sample`` at n, which lets several modes share one sampling.
-    """
-    check_mode(m)
-    if n < 3 or n % 2 != 1:
-        raise GridTooCoarse(f"collocation needs an odd degree n >= 3, so that "
-                            f"no node lies on the axis; got {n}")
-    level = curve if isinstance(curve, _Level) else _sample(curve, n)
-    D, r, z = level.derivative[(-1) ** m], level.r, level.z
-    L = (D * (r / (z * z))) @ D / r[:, None]
-    L[np.diag_indices_from(L)] += level.U - m * m / (r * r * z * z)
-    return -L[1:, 1:]
-
-
 def check_eigen_size(n, count):
     """Raise ValueError unless ``eigen_solve`` takes n cells and count pairs."""
     if n < _MIN_CELLS:
@@ -218,7 +186,6 @@ def eigen_solve(curve, modes, count, n=1536):
     check_eigen_size(n, count)
     for m in modes:
         check_mode(m)
-    mesh = curve.ell * (np.arange(2 * n + 1, dtype=float) / (2 * n)) ** 1.5
     checked = max(count, _CHECKED)
     results, previous, moved = {}, {}, {}
     pending = list(dict.fromkeys(modes))
@@ -236,7 +203,7 @@ def eigen_solve(curve, modes, count, n=1536):
                 moved[m] = np.max(np.abs(vals - previous[m])) / np.max(np.abs(vals))
                 if moved[m] <= _AGREE:
                     results[m] = EigenResult(m, vals[:count], previous[m][:count],
-                                             mesh, level, A)
+                                             2 * n, level, A)
             previous[m] = vals
         pending = [m for m in pending if m not in results]
         degree = chebyshev.next_degree(degree)
@@ -278,11 +245,11 @@ def certify(sigma0, lin=None, *, count=6):
     ``m1_zero_residual``, that eigenvalue's modulus, is rounding of the
     eigen solve (at most 6e-11 on the benchmark's circles) and means only
     its size against ``zero_band``.  Condition (iii) is the transversality
-    scalar h_prime_boundary exceeding 1000x the tolerance ``lin`` was solved at,
-    1e3 (lin.rtol max(1, |h_prime_boundary|) + lin.atol); the family's
-    ``contact_angle_slope`` at the disc, its crossing form, is recorded
-    beside it, and each member's (c, z_o, ell, contact_angle) goes to the
-    diagnostics as ``family_members``.  Surfaces
+    scalar h_prime_boundary exceeding 1000x the tolerance of the curve
+    ``lin`` was solved on, 1e3 (lin.rtol max(1, |h_prime_boundary|) +
+    lin.atol); the family's ``contact_angle_slope`` at the disc, its
+    crossing form, is recorded beside it, and each member's (c, z_o, ell,
+    contact_angle) goes to the diagnostics as ``family_members``.  Surfaces
     outside the tangential-disc parameter region get verdict
     "not_applicable".  Sizes are checked by ``check_certify_size``.
     """

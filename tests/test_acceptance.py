@@ -39,7 +39,8 @@ from _oracles import M2_GAP_05_3, TABLE1_REFERENCE, TABLE1_ZO
 
 def test_criterion_1_table_reproduction():
     """h_prime_boundary matches the published table within 2 percent and is
-    internally converged to 0.1 percent under halved tau0 and tolerances."""
+    internally converged to 0.1 percent on a curve with halved tau0 and
+    tolerances."""
     t0 = time.time()
     worst_rel = 0.0
     worst_conv = 0.0
@@ -53,9 +54,7 @@ def test_criterion_1_table_reproduction():
             params, sigma0_stop(), rtol=0.5e-10, atol=0.5e-12,
             tau0=0.5e-6 * abs(z_o),
         )
-        hp_ref = solve_h(
-            refined_curve, tau0=refined_curve.tau0, rtol=0.5e-13, atol=0.5e-15
-        ).h_prime_boundary
+        hp_ref = solve_h(refined_curve).h_prime_boundary
         worst_conv = max(worst_conv, abs(hp_ref - hp) / abs(hp))
         assert rel < 0.02, f"z_o={z_o}: {hp} vs {TABLE1_REFERENCE[z_o]}"
     elapsed = time.time() - t0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import membranelab
-from membranelab import cli, spectral
+from membranelab import cli, linearized, spectral
 from membranelab.cli import load_config, main
 from membranelab.errors import ParseError
 from membranelab.shooting import SHOOT_ATOL, SHOOT_RTOL
@@ -158,12 +158,14 @@ def test_cli_sigma0_underflowing_iterate_exit_2(tmp_path, capsys):
     "args",
     [
         ["trace", "--c_o", "2", "--z_o", "-0.6", "--samples", "10000000000000000"],
-        ["eigen", "--c_o", "2", "--z_o", "-0.6", "--n", "10000000000000000"],
+        ["eigen", "--c_o", "2", "--z_o", "-0.6", "--n", "10000000000000000",
+         "--eigenfunctions", "true"],
     ],
 )
 def test_cli_unallocatable_size_exit_1(tmp_path, capsys, args):
     # 10**16 samples or cells ask for 71 PiB, more than a 64-bit process can
-    # map, so the allocation fails whatever the memory overcommit policy
+    # map, so the allocation fails whatever the memory overcommit policy; the
+    # eigen mesh is built only when the eigenfunctions are written
     assert run_cli(args + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
@@ -287,6 +289,18 @@ def test_cli_linearize(tmp_path):
     assert record["derived"]["h_prime_boundary"] == pytest.approx(-13.577, rel=0.02)
     lines = (out / "linearized.csv").read_text().splitlines()
     assert lines[0] == "tau,sigma,psi,h,w"
+
+
+def test_cli_linearize_unsettled_exit_2(tmp_path, capsys, monkeypatch):
+    # h's degree capped at its first: a numerical failure, and the --out the
+    # command made is removed again
+    monkeypatch.setattr(linearized, "_MAX_DEGREE", linearized._FIRST_DEGREE)
+    out = tmp_path / "lin"
+    assert run_cli(["linearize", "--c_o", "2", "--z_o", "-0.6", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: h: no two collocation degrees")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_mesh_kinds(tmp_path):
@@ -486,18 +500,6 @@ def test_cli_record_tolerances_of_the_curve(tmp_path, args, rtol, atol):
     record = json.loads((out / "run_record.json").read_text())
     assert record["tolerances"] == {"rtol": rtol, "atol": atol}
     assert ("rtol" in record["inputs"]) == (args[0] == "linearize")
-
-
-@pytest.mark.parametrize(
-    "extra, rtol, atol",
-    [([], 1e-13, 1e-15), (["--rtol", "5e-14"], 5e-14, 1e-15)],
-)
-def test_cli_record_tolerances_of_h(tmp_path, extra, rtol, atol):
-    out = tmp_path / "o"
-    args = ["linearize", "--c_o", "2", "--z_o", "-0.6", "--samples", "20"]
-    assert run_cli(args + extra + ["--out", str(out)]) == 0
-    record = json.loads((out / "run_record.json").read_text())
-    assert record["derived"]["h_tolerances"] == {"rtol": rtol, "atol": atol}
 
 
 def test_python_dash_m_prints_version():

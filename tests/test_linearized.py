@@ -15,14 +15,14 @@ from membranelab import (
     sigma0_stop,
     solve_h,
 )
-from membranelab.errors import NoConvergence
+import membranelab.linearized as linearized
+from membranelab.errors import BoundaryValueVanishes, NoConvergence, SolverFailure
 from membranelab.linearized import (
-    _extended_rhs_tau,
     linearized_coeffs,
     operator_residual,
     radial_operator_coeffs,
 )
-from membranelab.profile import _profile_rhs
+from membranelab.profile import _profile_rhs, operator_coeffs
 from membranelab._util import gauss_panels
 
 from _oracles import (
@@ -36,16 +36,17 @@ from _oracles import (
 # ------------------------------------------------------------- extended rhs
 
 
-def _boundary_rows(state, params):
-    """(r_s, z_s, phi_s, h_s, w_s) of P[h] = -2 at state (r, z, phi, h, w).
+def _boundary_rows(state, params, inhom=2.0):
+    """(r_s, z_s, phi_s, h_s, w_s) of P[h] = -inhom at state (r, z, phi, h, w).
 
-    Read off the right-hand side solve_h integrates, with (h, w) in both the
-    kernel and the response rows; its tau runs against the boundary-based
-    arc length s, so the response rows come out negated.
+    The profile and P[h] = -inhom as one first order system in the
+    boundary-based arc length s, with the coefficients of
+    ``operator_coeffs``: h_ss = -D h - C h_s - inhom.
     """
     r, z, phi, h, w = state
-    out = _extended_rhs_tau(params.c_o)(0.0, (r, z, phi, h, w, h, w))
-    return -np.array(out[:3] + out[5:])
+    c, s = math.cos(phi), math.sin(phi)
+    phi_s, C, D = operator_coeffs(c, s, s / r, r, z, params.c_o)
+    return np.array([c, s, phi_s, w, -D * h - C * w - inhom])
 
 
 def test_extended_rhs_pure_inhomogeneity():
@@ -54,7 +55,7 @@ def test_extended_rhs_pure_inhomogeneity():
         assert out[4] == pytest.approx(-2.0, abs=1e-14)
         assert out[3] == 0.0
         # the kernel rows, P[psi] = 0, carry no inhomogeneity
-        rows = _extended_rhs_tau(2.0)(0.0, state + (0.0, 0.0))
+        rows = _boundary_rows(state, ModelParams(2.0, -0.6), inhom=0.0)
         assert rows[3] == rows[4] == 0.0
 
 
@@ -83,24 +84,20 @@ def test_extended_rhs_matches_geometry(curve26):
     assert out[2] == pytest.approx(-g.kappa, rel=1e-12)
 
 
-def test_integrated_rhs_matches_extended_rhs(curve26):
-    # the 7-row right-hand side carries the profile rows of the curve's own
-    # right-hand side, and the kernel and response rows are one operator
-    # P, with the inhomogeneity -2 in the response rows only
+def test_profile_rhs_matches_operator_coeffs(curve26):
+    # the curve's own right-hand side runs the dphi/ds of operator_coeffs,
+    # and the kernel and response rows are one operator P, with the
+    # inhomogeneity in the response rows only
     params = curve26.params
-    rhs_tau = _extended_rhs_tau(params.c_o)
     profile_tau = _profile_rhs(params.c_o)
     for tau in np.linspace(0.05, 0.95, 7) * curve26.ell:
         r, z, phi = curve26.state_at(tau)
-        psi, wpsi, p, wp = 0.8, -0.3, 0.21, -0.37
-        out = rhs_tau(tau, (r, z, phi, psi, wpsi, p, wp))
-        p_rows = _boundary_rows((r, z, phi, p, wp), params)
-        psi_rows = _boundary_rows((r, z, phi, psi, wpsi), params)
-        assert out[5:] == (-p_rows[3], -p_rows[4])
-        assert out[3] == -psi_rows[3]
-        assert out[4] == pytest.approx(-(psi_rows[4] + 2.0), rel=1e-14, abs=1e-14)
-        assert out[:3] == tuple(-psi_rows[:3])
-        assert profile_tau(tau, (r, z, phi)) == out[:3]
+        p_rows = _boundary_rows((r, z, phi, 0.21, -0.37), params)
+        psi_rows = _boundary_rows((r, z, phi, 0.21, -0.37), params, inhom=0.0)
+        assert p_rows[4] == pytest.approx(psi_rows[4] - 2.0, rel=1e-14, abs=1e-14)
+        assert tuple(p_rows[:4]) == tuple(psi_rows[:4])
+        # tau runs against s
+        assert profile_tau(tau, (r, z, phi)) == tuple(-p_rows[:3])
 
 
 def test_extended_rhs_scaling_homogeneity():
@@ -141,16 +138,53 @@ def test_kernel_operator_residual(curve26, lin26):
 
 
 def test_h_boundary_and_axis(lin26, curve26):
-    assert lin26.h[-1] == 0.0
-    assert abs(lin26.w[0]) <= 2.0 * curve26.tau0
+    assert lin26.h[-1] == 0.0 and lin26.psi[-1] == 1.0
+    assert lin26.taus[-1] == curve26.ell
+    # w is odd in tau: it vanishes on the axis, up to rounding
+    assert abs(lin26.w_at(0.0)) <= 1e-12 * np.max(np.abs(lin26.w))
+    # alpha, the admixture of the kernel psi(axis) = 1, is h on the axis
     assert math.isfinite(lin26.alpha)
+    assert lin26.h_at(0.0) == pytest.approx(lin26.alpha, rel=1e-14)
+    psi_axis = lin26.kernel.psi_at(0.0)
+    assert psi_axis == pytest.approx(1.0 / lin26.kernel.raw_boundary_value, rel=1e-14)
+    # the tolerances are the curve's
+    assert (lin26.rtol, lin26.atol) == (curve26.rtol, curve26.atol)
 
 
-def test_rtol_below_the_integrator_floor_is_rejected(curve26):
-    # below ode.MIN_RTOL round-off swamps the error estimate: refused, not
-    # clamped to the floor
-    with pytest.raises(ValueError, match="rtol"):
-        solve_h(curve26, rtol=1e-15)
+def test_readers_share_one_interpolant(curve26, lin26):
+    taus = np.linspace(0.0, curve26.ell, 333)
+    psi, h, w = lin26.fields_at(taus)
+    reads = (lin26.kernel.psi_at(taus), lin26.h_at(taus), lin26.w_at(taus))
+    for got, want in zip((psi, h, w), reads):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    # the boundary reads the exact node values, as the node arrays hold them
+    assert (psi[-1], h[-1], w[-1]) == (1.0, 0.0, lin26.h_prime_boundary)
+    assert lin26.kernel.w_at(curve26.ell) == lin26.kernel.w[-1]
+    assert float(lin26.h_at(float(taus[100]))) == pytest.approx(h[100], rel=1e-13)
+
+
+def test_h_prime_settles_from_a_finer_first_degree(monkeypatch, curve26, lin26):
+    # a schedule that starts at 121 settles on the same slope
+    monkeypatch.setattr(linearized, "_FIRST_DEGREE", 121)
+    finer = solve_h(curve26)
+    assert finer.taus.size > lin26.taus.size
+    assert finer.h_prime_boundary == pytest.approx(lin26.h_prime_boundary, rel=1e-10)
+
+
+def test_vanishing_kernel_is_reported_not_absorbed(monkeypatch, curve26, lin26):
+    # psi peaks at about 2.9 on this disc; below that it counts as a kernel
+    # that vanished at the boundary
+    assert 1.0 < np.max(np.abs(lin26.psi)) < 5.0
+    monkeypatch.setattr(linearized, "_KERNEL_BLOWUP", 1.0)
+    with pytest.raises(BoundaryValueVanishes, match="degree 61"):
+        solve_h(curve26)
+
+
+def test_h_unsettled_raises_solver_failure(monkeypatch, curve26):
+    # a cap at the first degree leaves no second degree to agree with
+    monkeypatch.setattr(linearized, "_MAX_DEGREE", linearized._FIRST_DEGREE)
+    with pytest.raises(SolverFailure, match="no two collocation degrees up to 61"):
+        solve_h(curve26)
 
 
 def test_h_operator_residual(curve26, lin26):
@@ -191,8 +225,6 @@ def test_h_prime_from_support_route(curve26, lin26):
 
 def test_h_prime_stability_under_refinement(curve26, lin26):
     ref = lin26.h_prime_boundary
-    halved = solve_h(curve26, tau0=curve26.tau0 / 2, rtol=5e-14, atol=5e-16)
-    assert abs(halved.h_prime_boundary - ref) < 1e-6 * abs(ref)
     coarse = integrate_profile(ModelParams(2.0, -0.6), sigma0_stop(),
                                rtol=5e-11, atol=5e-13)
     assert abs(solve_h(coarse).h_prime_boundary - ref) < 1e-6 * abs(ref)

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from membranelab import ModelParams, StopCondition, integrate_profile, sigma0_stop
+from membranelab.profile import axis_seed, operator_coeffs
 import membranelab.ode as ode
 from membranelab.ode import _kernels as eager_kernels
 import membranelab.profile as profile_mod
@@ -263,31 +264,76 @@ def test_rtol_below_the_floor_is_rejected():
         )
 
 
-def _extended_problem(monkeypatch, curve):
-    """solve_h on curve, the arguments it hands its integrator and that run."""
-    return _recorded(monkeypatch, linearized, lambda: linearized.solve_h(curve))
+@pytest.mark.parametrize("rtol, atol", [(1e-8, -1e-12), (1e-8, math.nan), (math.inf, 0.0)])
+def test_negative_or_nonfinite_tolerance_is_rejected(rtol, atol):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        ode.solve_ivp(lambda t, y: (1.0,), (0.0, 1.0), (0.0,), rtol=rtol, atol=atol)
 
 
-def _scipy_extended(curve, args, kwargs):
-    """scipy's DOP853 on the 7-row system, with solve_h's y0 and tolerances."""
+# ------------------------------------------------- the 7-row scipy oracle of h
+
+
+def _extended_rhs_tau(c_o):
+    """(r, z, phi), P[psi] = 0 and P[p] = -2 as one first order system in tau.
+
+    State (r, z, phi, psi, psi_s, p, p_s) with s the boundary-based arc
+    length; tau runs against s, so each row is the negated s-derivative of
+    P[u] = -inhom in first order form, u_ss = -D u - C u_s - inhom.
+    """
+
+    def rhs(tau, y):
+        r, z, phi, psi, wpsi, p, wp = y
+        c = math.cos(phi)
+        s = math.sin(phi)
+        phi_s, C, D = operator_coeffs(c, s, s / r, r, z, c_o)
+        return (-c, -s, -phi_s, -wpsi, D * psi + C * wpsi, -wp, D * p + C * wp + 2.0)
+
+    return rhs
+
+
+def _axis_series_start(params, u0, inhom, tau0):
+    """(u, u_s) at tau0 of the even axis start u = u0 + u2 tau^2 of P[u] = -inhom.
+
+    Near the axis P reduces to u'' + u'/tau + D(0) u with
+    D(0) = 2 a^2 - 2/z_o^2, so 4 u2 + D(0) u0 = -inhom.
+    """
+    a = params.axis_curvature
+    D0 = 2.0 * a * a - 2.0 / (params.z_o * params.z_o)
+    u2 = -(inhom + D0 * u0) / 4.0
+    return u0 + u2 * tau0 * tau0, -2.0 * u2 * tau0
+
+
+def _scipy_extended(curve):
+    """scipy's DOP853 on the 7-row system from the axis series at the curve's
+    offset, tighter than the curve: the raw kernel psi (psi(axis) = 1) and
+    the particular response p (p(axis) = 0) that ``solve_h`` superposes."""
+    params, tau0 = curve.params, curve.tau0
+    seed = axis_seed(params, tau0)
+    y0 = (
+        seed.r,
+        seed.z,
+        seed.phi,
+        *_axis_series_start(params, 1.0, 0.0, tau0),
+        *_axis_series_start(params, 0.0, 2.0, tau0),
+    )
     return scipy_solve_ivp(
-        linearized._extended_rhs_tau(curve.params.c_o),
-        *args[1:],
+        _extended_rhs_tau(params.c_o),
+        (tau0, curve.ell),
+        y0,
         method="DOP853",
         dense_output=True,
-        **kwargs,
+        rtol=min(curve.rtol, 1e-13),
+        atol=min(curve.atol, 1e-15),
+        max_step=0.1 * abs(params.z_o),
     )
 
 
-def test_scipy_extended_profile_rows_match_the_in_house_curve(monkeypatch, sig053):
+def test_scipy_extended_profile_rows_match_the_in_house_curve(sig053):
     # scipy's solve_ivp integrates the profile rows of the 7-row system
     # again, tighter than the curve; its dense output at the curve's nodes
     # must give the in-house node states
     curve = sig053.curve
-    _, args, kwargs, _ = _extended_problem(monkeypatch, curve)
-    assert kwargs["rtol"] < curve.rtol
-    assert kwargs["max_step"] == 0.1 * abs(curve.params.z_o)
-    sol = _scipy_extended(curve, args, kwargs)
+    sol = _scipy_extended(curve)
     assert sol.success
     assert sol.t[-1] == curve.ell
     rows = sol.sol(curve.taus)[:3]
@@ -296,38 +342,16 @@ def test_scipy_extended_profile_rows_match_the_in_house_curve(monkeypatch, sig05
 
 
 @pytest.mark.parametrize("where", ["circle (0.5, -3)", "params (2, -0.6)"])
-def test_solve_h_matches_scipy_dop853(monkeypatch, where, sig053, curve26):
+def test_solve_h_matches_scipy_dop853(where, sig053, curve26):
+    # the collocated h and psi against the superposition h = p + alpha psi
+    # integrated by scipy, alpha = -p/psi at the boundary
     curve = sig053.curve if where.startswith("circle") else curve26
-    lin, args, kwargs, ours = _extended_problem(monkeypatch, curve)
-    ref = _scipy_extended(curve, args, kwargs)
-    assert ref.success and ours.status == ref.status == 0
-    assert ours.t.size == ref.t.size
+    lin = linearized.solve_h(curve)
+    ref = _scipy_extended(curve)
+    assert ref.success and ref.status == 0
     psi_b, p_b = ref.y[3, -1], ref.y[5, -1]
     alpha = -p_b / psi_b
     slope = ref.y[6, -1] + alpha * ref.y[4, -1]
     assert lin.kernel.raw_boundary_value == pytest.approx(psi_b, rel=1e-10, abs=0)
-    assert ours.y[5, -1] == pytest.approx(p_b, rel=1e-10, abs=0)
     assert lin.h_prime_boundary == pytest.approx(slope, rel=1e-10, abs=0)
-
-
-def test_solve_h_builds_no_interpolant_until_one_is_read(monkeypatch, curve26):
-    assert linearized.solve_ivp is ode.solve_ivp
-    runs = []
-
-    def counted(fun, *args, **kwargs):
-        runs.append(_counted_solve(monkeypatch, fun, *args, **kwargs))
-        return runs[-1][0]
-
-    monkeypatch.setattr(linearized, "solve_ivp", counted)
-    lin = linearized.solve_h(curve26)
-    (out, counts), = runs
-    assert out.y.shape[0] == 7 and out.status == 0
-    # node values only: one integration, no interpolant
-    assert counts["built_at"] == []
-    assert out.nfev == counts["fun"] == 2 + 12 * counts["step"]
-    # an array argument builds every segment, once each
-    taus = np.linspace(curve26.tau0, curve26.ell, 50)
-    lin.h_at(taus)
-    assert lin.h_at(taus)[-1] == 0.0  # the Dirichlet zero, as at the node
-    assert counts["built_at"] == list(out.t[:-1])
-    assert counts["fun"] == out.nfev + 3 * (out.t.size - 1)
+    assert lin.alpha == pytest.approx(alpha, rel=1e-9, abs=0)

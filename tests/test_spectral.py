@@ -276,8 +276,10 @@ def test_certificate_does_not_depend_on_call_history():
 
 
 def test_transversality_floor_follows_the_solve_tolerance(sig053, lin053):
-    # 1000x the tolerance h_prime_boundary was solved at: 10x looser, 10x higher
-    loose = solve_h(sig053.curve, rtol=1e-12, atol=1e-14)
+    # 1000x the tolerance of the curve h_prime_boundary was solved on: 10x
+    # looser, 10x higher
+    assert (lin053.rtol, lin053.atol) == (sig053.curve.rtol, sig053.curve.atol)
+    loose = dataclasses.replace(lin053, rtol=10.0 * lin053.rtol, atol=10.0 * lin053.atol)
     floor = certify(sig053, lin053).diagnostics["transversality_floor"]
     looser = certify(sig053, loose).diagnostics["transversality_floor"]
     assert looser == pytest.approx(10.0 * floor, rel=1e-9)
