@@ -16,6 +16,7 @@ from membranelab import (
     solve_h,
 )
 import membranelab.linearized as linearized
+import membranelab.ode as ode
 from membranelab.errors import BoundaryValueVanishes, NoConvergence, SolverFailure
 from membranelab.linearized import (
     linearized_coeffs,
@@ -84,10 +85,10 @@ def test_extended_rhs_matches_geometry(curve26):
     assert out[2] == pytest.approx(-g.kappa, rel=1e-12)
 
 
-def test_profile_rhs_matches_operator_coeffs(curve26):
-    # the curve's own right-hand side runs the dphi/ds of operator_coeffs,
-    # and the kernel and response rows are one operator P, with the
-    # inhomogeneity in the response rows only
+def test_integrated_rhs_matches_extended_rhs(curve26):
+    # the curve's integrated right-hand side runs the dphi/ds of the extended
+    # rows, which are built from operator_coeffs, and the kernel and response
+    # rows are one operator P, with the inhomogeneity in the response rows only
     params = curve26.params
     profile_tau = _profile_rhs(params.c_o)
     for tau in np.linspace(0.05, 0.95, 7) * curve26.ell:
@@ -161,6 +162,14 @@ def test_readers_share_one_interpolant(curve26, lin26):
     assert (psi[-1], h[-1], w[-1]) == (1.0, 0.0, lin26.h_prime_boundary)
     assert lin26.kernel.w_at(curve26.ell) == lin26.kernel.w[-1]
     assert float(lin26.h_at(float(taus[100]))) == pytest.approx(h[100], rel=1e-13)
+
+
+def test_rtol_below_the_integrator_floor_is_rejected(curve26):
+    # h carries the tolerances of its curve (test_h_boundary_and_axis), and
+    # below ode.MIN_RTOL round-off swamps the curve's error estimate: such a
+    # curve is refused, not clamped to the floor, so solve_h never reads one
+    with pytest.raises(ValueError, match="rtol"):
+        integrate_profile(curve26.params, sigma0_stop(), rtol=0.5 * ode.MIN_RTOL)
 
 
 def test_h_prime_settles_from_a_finer_first_degree(monkeypatch, curve26, lin26):

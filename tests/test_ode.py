@@ -355,3 +355,30 @@ def test_solve_h_matches_scipy_dop853(where, sig053, curve26):
     assert lin.kernel.raw_boundary_value == pytest.approx(psi_b, rel=1e-10, abs=0)
     assert lin.h_prime_boundary == pytest.approx(slope, rel=1e-10, abs=0)
     assert lin.alpha == pytest.approx(alpha, rel=1e-9, abs=0)
+
+
+def test_solve_h_builds_no_interpolant_until_one_is_read(monkeypatch, curve26):
+    # perfbench's tracer wraps linearized.solve_ivp by name
+    assert linearized.solve_ivp is ode.solve_ivp
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("solve_h integrates nothing")
+
+    for module in (ode, profile_mod, linearized):
+        monkeypatch.setattr(module, "solve_ivp", no_integration)
+    reads = []
+    barycentric = linearized.chebyshev.barycentric
+
+    def counted(n, x, values):
+        reads.append(np.size(x))
+        return barycentric(n, x, values)
+
+    monkeypatch.setattr(linearized.chebyshev, "barycentric", counted)
+    lin = linearized.solve_h(curve26)
+    # node values only: the one interpolation is the axis value
+    assert reads == [1]
+    # an array argument interpolates once
+    taus = np.linspace(0.0, curve26.ell, 50)
+    h = lin.h_at(taus)
+    assert reads == [1, 50]
+    assert h[-1] == 0.0  # the Dirichlet zero, as at the node
