@@ -5,28 +5,28 @@ Two problems are solved here:
 * the tangential disc through a prescribed circle (R, Z): (c_o, z_o) with
   z_o < -1/c_o whose profile, integrated from the axis seed until phi = 0,
   ends at (R, Z); scale equivariance reduces it to the unit disc (1, t),
-  t = c_o z_o, which Newton's method solves on the same collocation as the
-  family, with phi(L) = 0 and the end direction as its two equations;
+  t = c_o z_o, with phi(L) = 0 and the end direction as its two equations;
 * the fixed-boundary family through the disc: the profiles (c, z_o) that
-  pass through (R, Z) at arc length L.  Each profile is collocated
-  (``_collocate``): psi = phi - pi is odd on [-L, L], so its values at the
-  nodes tau > 0 of the parity-folded Chebyshev grid (``chebyshev``) are
-  the unknowns, r and z are their integrals from the axis, and Newton's
-  method solves dphi/ds at every node, warm-started from the member or
-  disc the step comes from.  The degree is chosen once per disc, by
-  self-convergence in ``shoot_sigma0``.  The residual F(c, z_o, L) =
-  (r, z)(L) - (R, Z) comes with its exact 2x3 Jacobian, and the contact
-  angle phi(L) with its gradient, by implicit differentiation of the
-  collocation equations (``_endpoint_jacobian``).  The Jacobian's null
-  vector is the tangent of the family.  One damped Newton corrector on a
-  plane (``_correct``) finds every member: at given c on the plane of
-  fixed c, from the tangent's predictor at a near member; farther along,
-  or near a fold, on the plane normal to the tangent, by pseudo-arclength
-  continuation in y = (c, z_o, L) / |(c, z_o, L)| of the member a step
-  starts from (Keller 1977; Allgower and Georg, *Introduction to
-  Numerical Continuation Methods*), which passes through the folds where
-  the family turns back in c; a sign change of the tangent's c-component
-  locates the fold.  A member's curve is integrated on first read.
+  pass through (R, Z) at arc length L, its two equations.
+
+Both are collocated (``_collocate``): psi = phi - pi is odd on [-L, L], so
+its values at the nodes tau > 0 of the parity-folded Chebyshev grid
+(``chebyshev``) are unknowns, r and z are their integrals from the axis,
+and dphi/ds holds at every node.  The degree is chosen once per disc, by
+self-convergence in ``shoot_sigma0``.  Newton's method solves psi and two
+parameters together, the collocation bordered by the two equations
+(``_bordered``; Keller 1977), with one LU factorization per iterate.  A
+member's exact Jacobian d(r, z, phi)(L)/d(c, z_o, L) follows by implicit
+differentiation (``_endpoint_jacobian``); the null vector of its (r, z)
+rows is the tangent of the family.  One damped Newton corrector on a plane
+(``_correct``) finds every member: at given c on the plane of fixed c, from
+the tangent's predictor at a near member; farther along, or near a fold,
+on the plane normal to the tangent, by pseudo-arclength continuation in
+y = (c, z_o, L) / |(c, z_o, L)| of the member a step starts from (Keller
+1977; Allgower and Georg, *Introduction to Numerical Continuation
+Methods*), which passes through the folds where the family turns back in
+c; a sign change of the tangent's c-component locates the fold.  A
+member's curve is integrated on first read.
 
 Both problems are scale equivariant: (R, Z) -> (mu R, mu Z) maps solutions
 to (c_o/mu, mu z_o).
@@ -102,11 +102,6 @@ _DISC_SNAP = 1e-9
 _FIRST_DEGREE = 61
 _MAX_DEGREE = 461
 _DEGREE_AGREE = 1e-10
-#: Newton steps in psi of one collocation, the step size (radians) that
-#: ends it, and the largest that may end it as the rounding floor
-_MAX_PSI_STEPS = 12
-_PSI_TOL = 1e-14
-_PSI_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -204,12 +199,6 @@ def _match_tol(circle):
     return 1e-11 * max(circle.R, abs(circle.Z), 1.0)
 
 
-def _match(circle, curve, length):
-    """Match residual (r, z)(length) - (R, Z), with aux (curve, phi(length))."""
-    r_end, z_end, phi_end = curve.state_at(length)
-    return np.array([r_end - circle.R, z_end - circle.Z]), (curve, phi_end)
-
-
 def shoot_sigma0(circle, seed=None):
     """Solve for the tangential disc spanning the circle.
 
@@ -218,12 +207,12 @@ def shoot_sigma0(circle, seed=None):
     u = log(-t - 1), so one u matches the circle's direction atan2(R, -Z).
     One integration at u0 (0, or the seed's c_o z_o) gives the arc length L
     and psi = phi - pi at the nodes of the first collocation degree.
-    Newton's method in (u, L) on the collocated unit disc (``_unit_disc``)
-    then solves phi(L) = 0 and the direction, and the degree rises
-    (``chebyshev.next_degree``, psi interpolated onto the new nodes) until
-    two degrees' (u, L / L) agree to ``_DEGREE_AGREE``.  The disc scaled by
-    mu = |(R, Z)|/|(r, z)| is integrated once at (1/mu, mu t) and accepted
-    when its endpoint mismatch is below ``_match_tol(circle)``.  While it
+    Newton's method on (psi, u, L) (``_unit_disc``) then solves the
+    collocation of the unit disc with phi(L) = 0 and the direction, and the
+    degree rises (``chebyshev.next_degree``, psi interpolated onto the new
+    nodes) until two degrees' (u, L / L) agree to ``_DEGREE_AGREE``.  The
+    disc scaled by mu = |(R, Z)|/|(r, z)| is integrated once at (1/mu, mu t)
+    and accepted when its endpoint mismatch is below ``_match_tol(circle)``.  While it
     misses, a chord step u <- u - g/g' moves it, at most ``_MAX_CHORDS``
     times: g is the direction residual of that integrated disc, and g' its
     slope in u along phi(L) = 0 from the collocation.  The solution
@@ -297,7 +286,8 @@ def _sigma0(circle, u, runs, trace, integrations):
     for chord in range(_MAX_CHORDS + 1):
         mu = radius / math.hypot(*end)
         curve = _disc(1.0 / mu, mu * t, integrations)
-        F, (curve, phi_end) = _match(circle, curve, curve.ell)
+        r, z, phi_end = curve.state_at(curve.ell)
+        F = np.array([r - circle.R, z - circle.Z])
         norm = float(np.max(np.abs(F)))
         trace.append(((curve.params.c_o, curve.params.z_o), norm))
         if norm < _match_tol(circle):
@@ -315,7 +305,7 @@ def _sigma0(circle, u, runs, trace, integrations):
                 f"{_MAX_CHORDS} chord steps"
             )
         # the chord in u of this disc's direction residual
-        r, z = (F + (circle.R, circle.Z)) / mu
+        r, z = r / mu, z / mu
         slope = (r * d_end[1] - z * d_end[0]) / (r * r + z * z)
         du = -(math.atan2(r, -z) - target) / slope
         u += du
@@ -326,23 +316,22 @@ def _unit_disc(target, u, length, psi, runs, trace):
     """The collocated unit disc (1, t), t = -1 - e^u, with phi(L) = 0 whose
     end direction theta = atan2(r, -z)(L) is ``target``.
 
-    Newton's method in (u, L), from (u, ``length``), solves phi(L) = 0 and
-    theta = ``target``.  Each iterate is collocated
-    (``_solved``) from the one before, the first from ``psi``, whose size
-    sets the degree.  The 2x2 Jacobian is the phi row and the direction row
-    of ``_endpoint_jacobian`` J, with its z_o column times dt/du = t + 1.
-    A u step larger than its cap, at first ``_FIRST_U_STEP``, is cut to
-    the cap with its L step, and the cap doubles; u stays at or below
-    ``_U_MAX``.  A step whose collocation fails
-    is halved, at most ``_MAX_HALVINGS`` times.  The first step below
-    ``_LAST_STEP`` in (u, L / L) is taken as the last.  Returns (u, L, psi,
-    end, d_end): psi of the last collocation, the end (r, z)(L) at (u, L)
-    and its derivative in u along phi(L) = 0, both linear in that step from
-    J.  Iterates go to ``trace`` as ((1, t), the larger of |phi(L)| and
-    |theta - target|).
+    Newton's method on (psi, u, L), from (``psi``, u, ``length``), solves
+    the collocation with phi(L) = 0 and theta = ``target`` as its two
+    rows (``_bordered``, with dt/du = t + 1); the size of psi sets the
+    degree.  A u step larger than its cap, at first ``_FIRST_U_STEP``, is
+    cut to the cap with its psi and L steps, and the cap doubles; u stays
+    at or below ``_U_MAX``.  A step whose collocation fails is halved, at
+    most ``_MAX_HALVINGS`` times.  The first step below ``_LAST_STEP`` in
+    (psi, u, L / L) is taken as the last.  Returns (u, L, psi, end, d_end):
+    the end (r, z)(L) and its derivative in u along the collocation and
+    phi(L) = 0, both linear in that step.  Iterates go to ``trace`` as
+    ((1, t), the larger of |phi(L)| and |theta - target|).
     """
+    v = np.concatenate([psi, [u, length]])
     cap, back, halvings = _FIRST_U_STEP, None, 0
     for _ in range(_MAX_NEWTON):
+        psi, (u, length) = v[:-2], v[-2:]
         t = -1.0 - math.exp(u)
         sol = _solved(runs, (1.0, t, length), psi) if t < -1.0 else None
         if sol is None:
@@ -350,36 +339,39 @@ def _unit_disc(target, u, length, psi, runs, trace):
                 why = "failed" if t < -1.0 else "is flat: t rounds to -1"
                 raise NoConvergence(f"collocation of the unit disc {why} at u = {u:.6g}")
             halvings += 1
-            u_back, length_back, du, dL = back
-            back = (u_back, length_back, 0.5 * du, 0.5 * dL)
-            u, length = u_back + 0.5 * du, length_back + 0.5 * dL
+            back = (back[0], 0.5 * back[1])
+            v = back[0] + back[1]
             continue
         halvings = 0
         r, z, phi = sol.end
-        theta = math.atan2(r, -z)
-        F = np.array([phi, theta - target])
+        F = np.array([phi, math.atan2(r, -z) - target])
         trace.append(((1.0, t), float(np.max(np.abs(F)))))
-        J = _endpoint_jacobian(sol)
-        J[:, 1] *= t + 1.0
-        direction = (r * J[1] - z * J[0]) / (r * r + z * z)
-        try:
-            du, dL = np.linalg.solve(np.array([J[2, 1:], direction[1:]]), -F)
-        except np.linalg.LinAlgError:
-            raise NoConvergence(f"singular unit disc Jacobian at u = {u:.6g}") from None
-        if max(abs(du), abs(dL) / length) <= _LAST_STEP:
-            end = np.array([r, z]) + J[:2, 1] * du + J[:2, 2] * dL
-            d_end = J[:2, 1] - J[:2, 2] * J[2, 1] / J[2, 2]
-            return u + du, length + dL, sol.psi, end, d_end
-        if abs(du) > cap:
-            du, dL = cap * du / abs(du), cap * dL / abs(du)
+        # the phi row and the direction row, d theta = (r dz - z dr) / |(r, z)|^2
+        W = np.array([[0.0, 0.0, 1.0], [-z, r, 0.0]]) / [[1.0], [r * r + z * z]]
+        P = np.array([[0.0, 0.0], [t + 1.0, 0.0], [0.0, 1.0]])
+        solve = _bordered(sol, P, W @ sol.E_psi, W @ sol.E_x)
+        if solve is None:
+            raise NoConvergence(f"singular unit disc Jacobian at u = {u:.6g}")
+        step = solve(-np.concatenate([sol.G, F]))
+        if max(np.max(np.abs(step[:-1])), abs(step[-1]) / length) <= _LAST_STEP:
+            # the solution with direction row 1 is the tangent of the curve
+            # G = 0, phi(L) = 0; per unit u it moves the end by d_end
+            along = solve(np.eye(v.size)[-1])
+            end, d_end = (
+                sol.E_psi[:2] @ w[:-2] + sol.E_x[:2] @ P @ w[-2:] for w in (step, along)
+            )
+            v = v + step
+            return v[-2], v[-1], v[:-2], np.array([r, z]) + end, d_end / along[-2]
+        if abs(step[-2]) > cap:
+            step *= cap / abs(step[-2])
             cap *= 2.0
-        du = min(u + du, _U_MAX) - u
-        if du == 0.0:
+        step[-2] = min(u + step[-2], _U_MAX) - u
+        if step[-2] == 0.0:
             raise NoConvergence(
                 f"the circle is narrower than the deepest unit disc, t = {t:.6g}"
             )
-        back = (u, length, du, dL)
-        u, length, psi = u + du, length + dL, sol.psi
+        back = (v, step)
+        v = v + step
     raise NoConvergence(f"unit disc Newton did not converge in {_MAX_NEWTON} steps")
 
 
@@ -399,106 +391,106 @@ def _grid(n):
 
 @dataclass(frozen=True)
 class _Collocated:
-    """Collocated profile at x = (c, z_o, L) of odd degree n = 2 psi.size - 1.
+    """Collocation of the profile at x = (c, z_o, L) and psi, of odd degree
+    n = 2 psi.size - 1.
 
-    ``psi`` = phi - pi, ``r`` and ``z`` at the nodes tau = L x_j > 0 of the
-    degree-n grid, tau = L first; ``lu`` is LAPACK's LU factors and pivots
-    of the last Newton matrix.
+    ``psi`` = phi - pi at the nodes tau = L x_j > 0 of the degree-n grid,
+    tau = L first, and ``end`` = (r, z, phi)(L).  ``G`` is the collocation
+    residual, and ``G_psi`` and ``G_x`` its partials in psi and x;
+    ``E_psi`` and ``E_x`` are those of ``end``.
     """
 
     x: tuple
     psi: np.ndarray
-    r: np.ndarray
-    z: np.ndarray
-    lu: tuple = field(repr=False)
-
-    @property
-    def end(self):
-        """(r, z, phi) at tau = L."""
-        return float(self.r[0]), float(self.z[0]), math.pi + float(self.psi[0])
+    end: tuple
+    G: np.ndarray = field(repr=False)
+    G_psi: np.ndarray = field(repr=False)
+    G_x: np.ndarray = field(repr=False)
+    E_psi: np.ndarray = field(repr=False)
+    E_x: np.ndarray = field(repr=False)
 
 
 def _collocate(x, psi):
-    """The profile (c, z_o) on tau in [0, L] by collocation, or None.
+    """The profile (c, z_o) on tau in [0, L] collocated at psi, or None.
 
     psi = phi - pi is odd on [-L, L], so its values at the nodes tau > 0 of
-    the parity-folded Chebyshev grid (``chebyshev``) are the unknowns, and
-    r = L Q_even cos psi and z = z_o + L Q_odd sin psi are their integrals
-    from the axis.  Newton's method, from ``psi`` (whose size sets the
-    degree), solves D_odd psi / L + ``dphi_ds`` = 0 at every node, with the
-    partials of ``dphi_ds_variation``.  It stops at a step below
-    ``_PSI_TOL``, or at one below ``_PSI_FLOOR`` that is not half the one
-    before: that is the rounding floor, which the conditioning of the
-    profile raises to about 1e-11 as R/|Z| grows to 3.5.  Returns None for
-    no convergence in ``_MAX_PSI_STEPS`` steps or for a node off r > 0,
-    z < 0.
+    the parity-folded Chebyshev grid (``chebyshev``) are the unknowns, whose
+    size sets the degree, and r = L Q_even cos psi and z = z_o + L Q_odd
+    sin psi are their integrals from the axis.  The residual G = D_odd psi
+    / L + ``dphi_ds`` at every node comes with its partials, from those of
+    ``dphi_ds_variation``, and with those of the end (r, z, phi)(L), the
+    first rows of L Q_even diag(sin phi), -L Q_odd diag(cos phi) and e_0 in
+    psi.  Returns None for a node off r > 0, z < 0.
     """
     c, z_o, length = x
     D, Q_even, Q_odd = _grid(2 * psi.size - 1)
-    D = D / length
-    eye = np.eye(psi.size)
-    size = before = math.inf
-    for _ in range(_MAX_PSI_STEPS + 1):
-        cos_psi, sin_psi = np.cos(psi), np.sin(psi)
-        r = length * (Q_even @ cos_psi)
-        z = z_o + length * (Q_odd @ sin_psi)
-        # written so that a NaN fails it too
-        if not r.min() > 0.0 > z.max():
-            return None
-        if size <= _PSI_TOL or _PSI_FLOOR >= size > 0.5 * before:
-            return _Collocated(x=tuple(float(v) for v in x), psi=psi, r=r, z=z, lu=lu)
-        # cos and sin of phi = pi + psi
-        c_phi, s_phi = -cos_psi, -sin_psi
-        sor = s_phi / r
-        rows = (v[:, None] for v in (c_phi, s_phi, sor, r, z))
-        J = D + dphi_ds_variation(
-            *rows, length * Q_even * s_phi, -length * Q_odd * c_phi, eye
-        )
-        lu = dgetrf(J)[:2]
-        step = dgetrs(*lu, -(D @ psi + dphi_ds(c_phi, sor, z, c)))[0]
-        psi = psi + step
-        before, size = size, float(np.max(np.abs(step)))
-    return None
-
-
-def _node_jacobian(sol):
-    """d(r, z, psi)/d(c, z_o, L) at the nodes of the collocated profile ``sol``.
-
-    Implicit differentiation of its equations G(psi; c, z_o, L) = 0: dpsi/dp
-    = -J^-1 dG/dp, three back-substitutions on the LU of the last Newton
-    matrix J; r and z follow by their integrals.  Returns three (nodes, 3)
-    arrays, the node tau = L first.
-    """
-    c, z_o, length = sol.x
-    D, Q_even, Q_odd = _grid(2 * sol.psi.size - 1)
-    c_phi, s_phi, r, z = -np.cos(sol.psi), -np.sin(sol.psi), sol.r, sol.z
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    r = length * (Q_even @ cos_psi)
+    z = z_o + length * (Q_odd @ sin_psi)
+    # written so that a NaN fails it too
+    if not r.min() > 0.0 > z.max():
+        return None
+    # cos and sin of phi = pi + psi
+    c_phi, s_phi = -cos_psi, -sin_psi
     sor = s_phi / r
+    r_psi, z_psi = length * Q_even * s_phi, -length * Q_odd * c_phi
+    rows = (v[:, None] for v in (c_phi, s_phi, sor, r, z))
+    eye = np.eye(psi.size)
+    D_psi = (D @ psi) / length
 
     def partial(dr, dz):
         return dphi_ds_variation(c_phi, s_phi, sor, r, z, dr, dz, 0.0)
 
-    dG = np.column_stack([
-        np.full(r.size, 2.0),
-        partial(0.0, 1.0),
-        partial(r / length, (z - z_o) / length) - (D @ sol.psi) / (length * length),
-    ])
-    dpsi = dgetrs(*sol.lu, -dG)[0]
-    dr = length * Q_even @ (s_phi[:, None] * dpsi)
-    dz = -length * Q_odd @ (c_phi[:, None] * dpsi)
-    dr[:, 2] += r / length
-    dz[:, 1] += 1.0
-    dz[:, 2] += (z - z_o) / length
-    return dr, dz, dpsi
+    return _Collocated(
+        x=tuple(float(v) for v in x),
+        psi=psi,
+        end=(float(r[0]), float(z[0]), math.pi + float(psi[0])),
+        G=D_psi + dphi_ds(c_phi, sor, z, c),
+        G_psi=D / length + dphi_ds_variation(*rows, r_psi, z_psi, eye),
+        G_x=np.column_stack([
+            np.full(r.size, 2.0),
+            partial(0.0, 1.0),
+            partial(r / length, (z - z_o) / length) - D_psi / length,
+        ]),
+        E_psi=np.array([r_psi[0], z_psi[0], eye[0]]),
+        E_x=np.array([
+            [0.0, 0.0, r[0] / length],
+            [0.0, 1.0, (z[0] - z_o) / length],
+            [0.0, 0.0, 0.0],
+        ]),
+    )
+
+
+def _bordered(sol, P, rows_psi, rows_x):
+    """Solver of the Newton system on (psi, p) at the collocation ``sol``,
+    or None when it is singular.
+
+    The parameters x move with p as dx/dp = P, and two endpoint rows, with
+    partials ``rows_psi`` and ``rows_x``, border the collocation (Keller
+    1977): the (psi.size + 2)-square matrix [[G_psi, G_x P], [rows_psi,
+    rows_x P]] is factored once by LAPACK ``dgetrf`` and the returned
+    function back-substitutes a right-hand side on it.
+    """
+    M = np.block([[sol.G_psi, sol.G_x @ P], [rows_psi, rows_x @ P]])
+    lu, piv, info = dgetrf(M)
+    if info != 0:
+        return None
+    return lambda rhs: dgetrs(lu, piv, rhs)[0]
 
 
 def _endpoint_jacobian(sol):
-    """d(r, z, phi)(L)/d(c, z_o, L) of the collocated profile ``sol``: the
-    node tau = L of ``_node_jacobian``."""
-    return np.array([d[0] for d in _node_jacobian(sol)])
+    """d(r, z, phi)(L)/d(c, z_o, L) of the collocated profile ``sol``.
+
+    Implicit differentiation of its equations G(psi; c, z_o, L) = 0 gives
+    E_x - E_psi G_psi^-1 G_x, by one transposed back-substitution of the
+    three endpoint rows on the LU of G_psi.
+    """
+    lu, piv, _ = dgetrf(sol.G_psi)
+    return sol.E_x - dgetrs(lu, piv, sol.E_psi.T, trans=1)[0].T @ sol.G_x
 
 
 def _solved(runs, x, psi):
-    """``_collocate`` at x = (c, z_o, L) from ``psi``, or None for an x
+    """``_collocate`` at x = (c, z_o, L) and ``psi``, or None for an x
     outside the domain of ``integrate_profile`` (which the curves of the
     members are integrated with) or a failed collocation.  ``runs[0]``
     counts the collocations started.
@@ -512,73 +504,74 @@ def _solved(runs, x, psi):
     return _collocate(x, psi)
 
 
-def _residual(circle, runs, x, psi):
-    """Endpoint mismatch of the fixed-boundary family at x = (c, z_o, L).
-
-    Returns (r, z)(L) - (R, Z) of the profile (c, z_o), collocated from the
-    warm start ``psi`` (``_solved``), with that ``_Collocated`` as aux, or
-    None.
-    """
-    sol = _solved(runs, x, psi)
-    if sol is None:
-        return None
-    r_end, z_end, _ = sol.end
-    return np.array([r_end - circle.R, z_end - circle.Z]), sol
-
-
-def _disc_residual(circle, runs, sigma0):
-    """``_residual`` at the disc's own (c0, z_o, L), collocated from its
-    ``psi`` at that degree, which the members continued from it keep.  A
-    disc without ``psi`` raises IncompleteEvidence."""
+def _disc_collocation(runs, sigma0, c):
+    """``_solved`` at (c, z_o, L) of the disc and its ``psi``, at the degree
+    which the members continued from it keep.  A disc without ``psi``
+    raises IncompleteEvidence."""
     if sigma0.psi is None:
         raise IncompleteEvidence(
             "tangential disc has no collocated psi: solve it with shoot_sigma0",
             ["psi"],
         )
-    out = _residual(circle, runs, _state(sigma0), sigma0.psi)
-    if out is None:
+    sol = _solved(runs, (c, *_state(sigma0)[1:]), sigma0.psi)
+    if sol is None:
         n = 2 * sigma0.psi.size - 1
         raise NoConvergence(f"collocation of the disc failed at degree {n}", [])
-    return out
+    return sol
 
 
 def _correct(circle, runs, trace, x0, Q, u, psi, what, first=None):
-    """Zero (x, aux, norm) of ``_residual`` on the plane x = x0 + Q u.
+    """Member (sol, norm) on the plane x = x0 + Q u through the circle.
 
-    Damped Newton with step halving (Deuflhard 2004) solves F(x0 + Q u) = 0
-    for u in R^2 from ``u``, whose residual ``first`` may be evaluated
-    already, with the Jacobian J Q, J the (r, z) rows of
-    ``_endpoint_jacobian`` of each iterate's collocation.  The first
-    collocation starts from ``psi``, each later one from the iterate's.  A
-    step is halved until the max-norm of F decreases.  Accepted iterates go
-    to ``trace`` as ((c, z_o, L), norm).  Returns once the norm is below
-    ``_match_tol(circle)``; failures raise NoConvergence naming ``what``.
+    Newton's method on (psi, u), from ``u`` and ``psi`` or from their
+    collocation ``first``, solves the collocation with F = (r, z)(L) - (R,
+    Z) = 0 as its two rows (``_bordered``, with P = Q).  Steps are measured
+    with psi in radians and x relative to its size.  A step is halved until
+    it passes Deuflhard's natural monotonicity test (Deuflhard 2004): the
+    simplified correction at the new iterate, a back-substitution on the
+    same LU, is smaller than the step.  A step of at most ``_LAST_STEP`` is
+    taken whole, as the last: the iterate after it is the member when the
+    max-norm of F is below ``_match_tol(circle)``.  Iterates go to
+    ``trace`` as ((c, z_o, L), norm); failures raise NoConvergence naming
+    ``what``.
     """
-    x = x0 + Q @ u
-    out = _residual(circle, runs, x, psi) if first is None else first
-    if out is None:
+    sol = _solved(runs, x0 + Q @ u, psi) if first is None else first
+    if sol is None:
         raise NoConvergence(f"{what} start infeasible", trace)
+    target = np.array([circle.R, circle.Z])
+
+    def equations(sol):
+        return np.concatenate([sol.G, np.array(sol.end[:2]) - target])
+
+    def size(v, x):
+        return max(np.max(np.abs(v[:-2])), np.max(np.abs(Q @ v[-2:] / x)))
+
+    last = False
     for _ in range(_MAX_NEWTON):
-        F, aux = out
-        norm = float(np.max(np.abs(F)))
-        trace.append((tuple(x), norm))
-        if norm < _match_tol(circle):
-            return x, aux, norm
-        try:
-            delta = np.linalg.solve(_endpoint_jacobian(aux)[:2] @ Q, -F)
-        except np.linalg.LinAlgError:
-            raise NoConvergence(f"singular {what} Jacobian", trace) from None
+        eqs = equations(sol)
+        norm = float(np.max(np.abs(eqs[-2:])))
+        trace.append((sol.x, norm))
+        if last:
+            if norm < _match_tol(circle):
+                return sol, norm
+            raise NoConvergence(f"{what} stalled at {norm:.3e}", trace)
+        solve = _bordered(sol, Q, sol.E_psi[:2], sol.E_x[:2])
+        if solve is None:
+            raise NoConvergence(f"singular {what} Jacobian", trace)
+        step = solve(-eqs)
+        last = size(step, sol.x) <= _LAST_STEP
         lam = 1.0
         for _ in range(_MAX_HALVINGS):
-            u_new = u + lam * delta
-            x_new = x0 + Q @ u_new
-            out = _residual(circle, runs, x_new, aux.psi)
-            if out is not None and np.max(np.abs(out[0])) < norm:
+            trial = lam * step
+            new = _solved(runs, x0 + Q @ (u + trial[-2:]), sol.psi + trial[:-2])
+            if new is not None and (
+                last or size(solve(-equations(new)), sol.x) < size(step, sol.x)
+            ):
                 break
             lam *= 0.5
         else:
             raise NoConvergence(f"{what} damping stalled at {norm:.3e}", trace)
-        u, x = u_new, x_new
+        u, sol = u + trial[-2:], new
     raise NoConvergence(f"{what} did not converge in {_MAX_NEWTON} iterations", trace)
 
 
@@ -599,20 +592,20 @@ def _state(seed):
     return np.array([seed.c, seed.z_o, seed.ell])
 
 
-def _member(aux, norm, circle, previous):
-    """The member collocated as ``aux``, continued from ``previous``."""
-    c, z_o, length = aux.x
+def _member(sol, norm, circle, previous):
+    """The member collocated as ``sol``, continued from ``previous``."""
+    c, z_o, length = sol.x
     return FamilyMember(
         c=c,
         z_o=z_o,
         ell=length,
-        contact_angle=aux.end[2],
+        contact_angle=sol.end[2],
         match_residual=norm,
         circle=circle,
         left_admissible_region=not ModelParams(c, z_o).sigma0_admissible,
-        jacobian=_endpoint_jacobian(aux),
+        jacobian=_endpoint_jacobian(sol),
         previous=previous,
-        psi=aux.psi,
+        psi=sol.psi,
     )
 
 
@@ -687,42 +680,44 @@ def _land(circle, runs, trace, seed, c, psi, predicted=None, first=None):
     """Member at curvature c, corrected from ``seed`` on the plane of fixed c.
 
     The plane passes through (c, 0, 0) along the z_o- and L-axes, so
-    ``_correct`` runs on (z_o, L), collocating from ``psi``.  Newton starts
-    at the ``predicted`` (z_o, L), with its residual ``first`` if already
+    ``_correct`` runs on (psi, z_o, L), from ``psi``.  Newton starts at the
+    ``predicted`` (z_o, L), with its collocation ``first`` if already
     evaluated, unless that is infeasible, and else at the seed's, with its
-    residual ``first`` if ``predicted`` is None.
+    collocation ``first`` if ``predicted`` is None.
     """
     x0, Q = np.array([c, 0.0, 0.0]), np.eye(3)[:, 1:]
     u = _state(seed)[1:]
     if predicted is not None:
         if first is None:
-            first = _residual(circle, runs, (c, *predicted), psi)
+            first = _solved(runs, (c, *predicted), psi)
         if first is not None:
             u = np.array(predicted)
-    _, aux, norm = _correct(circle, runs, trace, x0, Q, u, psi, "member", first)
-    return _member(aux, norm, circle, tuple(_state(seed)))
+    sol, norm = _correct(circle, runs, trace, x0, Q, u, psi, "member", first)
+    return _member(sol, norm, circle, tuple(_state(seed)))
 
 
 def _reach(circle, runs, trace, seed, c):
     """``shoot_family_member`` before the suffix of its messages."""
     if isinstance(seed, Sigma0Solution):
         c0 = seed.params.c_o
-        disc = _disc_residual(circle, runs, seed)
         at = c if abs(c - c0) <= _DISC_SNAP * c0 else c0
-        first = disc
-        if at != c0:
-            first = _residual(circle, runs, (at, *_state(seed)[1:]), disc[1].psi)
-        seed = _land(circle, runs, trace, seed, at, disc[1].psi, first=first)
+        first = _disc_collocation(runs, seed, at)
+        seed = _land(circle, runs, trace, seed, at, seed.psi, first=first)
         if at == c:
             return seed
     scale = np.abs(_state(seed))
     z_p, l_p, h, ratio = _predict(seed, c, scale)
     first = None
     if ratio >= _LAND_RATIO and abs(h) <= _MAX_LAND_STEP:
-        first = _residual(circle, runs, (c, z_p, l_p), seed.psi)
+        first = _solved(runs, (c, z_p, l_p), seed.psi)
+        if first is not None:
+            # the tangent there is read after one Newton step in psi at
+            # fixed x: at the seed's psi it would be off by the step in x
+            lu, piv, _ = dgetrf(first.G_psi)
+            first = _solved(runs, first.x, first.psi - dgetrs(lu, piv, first.G)[0])
         if first is not None:
             t_seed = _tangent(seed.jacobian, scale)
-            t_pred = _oriented(_endpoint_jacobian(first[1]), scale, t_seed)
+            t_pred = _oriented(_endpoint_jacobian(first), scale, t_seed)
             if t_pred[0] / t_seed[0] >= _LAND_RATIO:
                 return _land(circle, runs, trace, seed, c, seed.psi, (z_p, l_p), first)
     side = 1 if c > seed.c else -1
@@ -792,12 +787,12 @@ def _arc_step(circle, runs, base, t_base, scale, ds, trace, bend=None, first=Non
     y_plane = x_base / scale + ds * t_base
     basis = np.linalg.qr(t_base[:, None], mode="complete")[0][:, 1:]
     y_pred = y_plane if bend is None else y_plane + 0.5 * ds * ds * bend
-    x, aux, norm = _correct(
+    sol, norm = _correct(
         circle, runs, trace, y_plane * scale, scale[:, None] * basis,
         basis.T @ (y_pred - y_plane), base.psi, "arclength", first,
     )
-    miss = float(np.linalg.norm(x / scale - y_pred))
-    return _member(aux, norm, circle, tuple(x_base)), miss
+    miss = float(np.linalg.norm(np.array(sol.x) / scale - y_pred))
+    return _member(sol, norm, circle, tuple(x_base)), miss
 
 
 def _walk(circle, runs, trace, base, x_pred, out, c, side):

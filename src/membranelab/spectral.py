@@ -65,8 +65,9 @@ _FAMILY_POINTS = 5
 _FAMILY_HALFWIDTH = 0.02
 #: condition (i): smallest |t_c| of the disc's unit tangent that makes the
 #: family a graph over c there; the tangent comes from the exact Jacobian of
-#: the collocated member problem (``shooting._endpoint_jacobian``), and |t_c|
-#: lies between 0.035 and 0.62 on the benchmark's circles
+#: the member at c0, by implicit differentiation of its accepted collocation
+#: (``shooting._endpoint_jacobian``), and |t_c| lies between 0.035 and 0.62
+#: on the benchmark's circles
 _MIN_DISC_SLOPE = 1e-3
 #: condition (ii): zero band over the first mode-1 gap; on the reference discs
 #: the zero eigenvalue is ~1e-12 of the gap and the next one >= 2e-2 of it

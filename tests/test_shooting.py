@@ -94,11 +94,13 @@ def test_unit_disc_direction_falls_strictly():
     "seed, budget, collocation_budget", [(None, 2, 6), (ModelParams(20.0, -5.0), 2, 9)]
 )
 def test_sigma0_integration_budget(circle053, sig053, integrations, collocations,
-                                   seed, budget, collocation_budget):
-    # one integration starts the collocated Newton, one scales its disc
+                                   factorizations, seed, budget, collocation_budget):
+    # one integration starts the collocated Newton, one scales its disc, and
+    # each Newton iterate factors one matrix
     sig = shoot_sigma0(circle053, seed=seed)
     assert integrations[0] <= budget
     assert collocations[0] <= collocation_budget
+    assert factorizations[0] <= (19 if seed is None else 34)
     assert sig.params.c_o == pytest.approx(sig053.params.c_o, rel=1e-12)
 
 
@@ -344,6 +346,22 @@ def collocations(monkeypatch):
     return _counter(monkeypatch, "_collocate")
 
 
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Counter of the LU factorizations of the shooting layer: one per Newton
+    iterate, one per member's Jacobian."""
+    return _counter(monkeypatch, "dgetrf")
+
+
+def _settled(x, psi):
+    """The collocation at x with psi re-solved at fixed x: six steps of
+    Newton's method in psi alone, ample from a start within 1e-5."""
+    for _ in range(6):
+        sol = shooting_mod._collocate(x, psi)
+        psi = sol.psi + np.linalg.solve(sol.G_psi, -sol.G)
+    return shooting_mod._collocate(x, psi)
+
+
 def test_member_returns_the_curve_of_its_last_residual(circle053, sig053,
                                                        integrations):
     m = shoot_family_member(sig053.params.c_o, circle053, sig053)
@@ -356,11 +374,11 @@ def test_member_returns_the_curve_of_its_last_residual(circle053, sig053,
     assert phi == pytest.approx(m.contact_angle, abs=1e-12)
 
 
-def test_sweep_integration_budget(circle053, sig053, collocations):
+def test_sweep_integration_budget(circle053, sig053, factorizations):
     c0 = sig053.params.c_o
     sw = shooting_mod.family_sweep(circle053, 0.98 * c0, 1.02 * c0, 5, sigma0=sig053)
     assert len(sw.members) == 5 and not sw.failures
-    assert collocations[0] <= 29
+    assert factorizations[0] <= 34
 
 
 def test_member_stall_message_and_trace(circle053, sig053):
@@ -374,7 +392,8 @@ def test_member_stall_message_and_trace(circle053, sig053):
     assert info.value.trace
     for point, norm in info.value.trace:
         c, z_o, length = point
-        assert c > 0.0 and z_o < 0.0 < length and norm > 0.0
+        # a collocated end may land on the circle exactly
+        assert c > 0.0 and z_o < 0.0 < length and 0.0 <= norm < math.inf
 
 
 @pytest.mark.parametrize("c", [math.inf, math.nan, -1.0, 0.0])
@@ -397,27 +416,27 @@ def test_sweep_rejects_its_range_before_integrating(circle053, integrations,
 
 
 def test_sweep_integration_budget_over_the_fig2_range(circle053, sig053,
-                                                      collocations):
+                                                      factorizations):
     # one landing per member: the walk covers only gaps too long to land
     sw = shooting_mod.family_sweep(circle053, 1.2, 1.8, 13, sigma0=sig053)
     assert len(sw.members) == 13 and not sw.failures
-    assert collocations[0] <= 50
+    assert factorizations[0] <= 141
 
 
 def _disc_map(R, Z):
-    """The circle, the disc's (c0, z_o, L) and its collocated residual."""
-    circle = BoundaryCircle(R, Z)
-    sig = shoot_sigma0(circle)
-    return circle, shooting_mod._state(sig), shooting_mod._disc_residual(circle, [0], sig)
+    """The disc's (c0, z_o, L) and its collocation re-solved there."""
+    sig = shoot_sigma0(BoundaryCircle(R, Z))
+    x = shooting_mod._state(sig)
+    return x, _settled(x, sig.psi)
 
 
 def _jacobian_column(R, Z, k):
     """Column k of the disc's endpoint Jacobian and its central difference,
-    (r, z, phi)(L) of the collocated map at x +/- 1e-5 |x_k| e_k."""
-    circle, x, (_, sol) = _disc_map(R, Z)
+    (r, z, phi)(L) of the collocation re-solved at x +/- 1e-5 |x_k| e_k."""
+    x, sol = _disc_map(R, Z)
     step = np.zeros(3)
     step[k] = 1e-5 * abs(x[k])
-    ends = [shooting_mod._residual(circle, [0], x + d, sol.psi)[1].end for d in (step, -step)]
+    ends = [_settled(x + d, sol.psi).end for d in (step, -step)]
     central = (np.array(ends[0]) - np.array(ends[1])) / (2.0 * step[k])
     return shooting_mod._endpoint_jacobian(sol)[:, k], central
 
@@ -438,7 +457,7 @@ def test_member_jacobian_is_the_L_derivative(R, Z):
 def test_member_jacobian_is_scale_equivariant(R, Z):
     # (r, z)(mu L; c/mu, mu z_o) = mu (r, z)(L; c, z_o) and phi is scale
     # free, so at mu = 1: c J_c = L J_L + z_o J_z - ((r, z)(L), 0)
-    _, (c, z_o, length), (_, sol) = _disc_map(R, Z)
+    (c, z_o, length), sol = _disc_map(R, Z)
     J = shooting_mod._endpoint_jacobian(sol)
     lhs = c * J[:, 0]
     rhs = length * J[:, 2] + z_o * J[:, 1] - np.array([*sol.end[:2], 0.0])
@@ -448,8 +467,7 @@ def test_member_jacobian_is_scale_equivariant(R, Z):
 def test_landing_keeps_the_requested_c_bit_for_bit(circle053, sig053):
     c = 1.01 * sig053.params.c_o
     trace = []
-    psi = shooting_mod._disc_residual(circle053, [0], sig053)[1].psi
-    m = shooting_mod._land(circle053, [0], trace, sig053, c, psi)
+    m = shooting_mod._land(circle053, [0], trace, sig053, c, sig053.psi)
     assert m.c == c
     assert len(trace) > 1 and all(point[0] == c for point, _ in trace)
 
@@ -468,15 +486,19 @@ def test_arclength_step_lands_on_its_plane(circle053, sig053, ds, bend):
 
 @pytest.mark.parametrize("R, Z", [(0.5, -3.0), (1.0, -2.0)])
 def test_z_o_variation_along_the_disc_is_the_kernel(R, Z):
-    circle = BoundaryCircle(R, Z)
-    sig = shoot_sigma0(circle)
-    _, sol = shooting_mod._disc_residual(circle, [0], sig)
+    sig = shoot_sigma0(BoundaryCircle(R, Z))
+    _, sol = _disc_map(R, Z)
     kernel = solve_h(sig.curve).kernel
-    # the collocated z_o derivative at the nodes, tau = L first
-    dr, dz, _ = (d[:, 1] for d in shooting_mod._node_jacobian(sol))
+    # the collocated z_o derivative at the nodes, tau = L first: dpsi =
+    # -G_psi^-1 G_z_o, and r = L Q_even cos psi, z = z_o + L Q_odd sin psi
     n = 2 * sol.psi.size - 1
-    taus = sol.x[2] * shooting_mod.chebyshev.points(n)[: sol.psi.size]
+    _, Q_even, Q_odd = shooting_mod._grid(n)
+    length = sol.x[2]
+    dpsi = np.linalg.solve(sol.G_psi, -sol.G_x[:, 1])
     phi = np.pi + sol.psi
+    dr = length * Q_even @ (np.sin(phi) * dpsi)
+    dz = 1.0 - length * Q_odd @ (np.cos(phi) * dpsi)
+    taus = length * shooting_mod.chebyshev.points(n)[: sol.psi.size]
     # normal projection on (sin phi, -cos phi); it starts at 1 on the axis
     normal = dr * np.sin(phi) - dz * np.cos(phi)
     assert abs(normal[0] - kernel.raw_boundary_value) < 1e-9
@@ -490,11 +512,11 @@ def test_sweep_returns_every_grid_point_at_the_start_curvature(circle053, sig053
     assert [m.c for m in sw.members] == [c0, c0, c0]
 
 
-def test_sweep_integration_budget_exact_jacobian(circle053, sig053, collocations):
+def test_sweep_integration_budget_exact_jacobian(circle053, sig053, factorizations):
     c0 = sig053.params.c_o
     sw = shooting_mod.family_sweep(circle053, 0.98 * c0, 1.02 * c0, 5, sigma0=sig053)
     assert len(sw.members) == 5 and not sw.failures
-    assert collocations[0] <= 17
+    assert factorizations[0] <= 34
 
 
 def test_member_failure_names_curvature_and_work(circle053, sig053, collocations):
@@ -568,14 +590,14 @@ def test_fold_is_scale_invariant(mu):
     assert fold_mu == pytest.approx(fold / mu, rel=1e-9)
 
 
-@pytest.mark.parametrize("R, Z, budget", [(0.5, -3.0, 13), (1.5, -2.0, 20)])
-def test_sweep_integration_budget_through_folds(R, Z, budget, collocations):
+@pytest.mark.parametrize("R, Z, budget", [(0.5, -3.0, 34), (1.5, -2.0, 64)])
+def test_sweep_integration_budget_through_folds(R, Z, budget, factorizations):
     sig = shoot_sigma0(BoundaryCircle(R, Z))
     c0 = sig.params.c_o
-    collocations[0] = 0  # the sweep's own, not the disc's
+    factorizations[0] = 0  # the sweep's own, not the disc's
     sw = shooting_mod.family_sweep(sig.circle, 0.98 * c0, 1.02 * c0, 5, sigma0=sig)
     assert len(sw.members) + len(sw.failures) == 5
-    assert collocations[0] <= budget
+    assert factorizations[0] <= budget
 
 
 def test_sweep_walks_a_long_gap_to_the_fold():
@@ -666,3 +688,25 @@ def test_fold_secant_retries_a_failed_corrector_at_the_midpoint(monkeypatch):
     sw = family_sweep(sig.circle, 0.98 * c0, 1.02 * c0, 5, sigma0=sig)
     assert failed == [True]
     assert sw.folds["above"] / c0 - 1.0 == pytest.approx(3.692e-3, abs=2e-6)
+
+
+@pytest.mark.parametrize("R, Z", [(0.5, -3.0), (3.5, -1.0)])
+def test_accepted_psi_is_the_fixed_x_solution(R, Z, monkeypatch):
+    # Newton's method on (psi, x) stops on its step alone: the psi of the
+    # accepted unit disc and of an accepted member solves the collocation
+    # at their x
+    discs = []
+    unit_disc = shooting_mod._unit_disc
+
+    def kept(*args):
+        discs.append(unit_disc(*args))
+        return discs[-1]
+
+    monkeypatch.setattr(shooting_mod, "_unit_disc", kept)
+    sig = shoot_sigma0(BoundaryCircle(R, Z))
+    u, length, psi = discs[-1][:3]
+    x = (1.0, -1.0 - math.exp(u), length)
+    assert np.max(np.abs(_settled(x, psi).psi - psi)) < 1e-10
+    m = shoot_family_member(0.99 * sig.params.c_o, sig.circle, sig)
+    x = (m.c, m.z_o, m.ell)
+    assert np.max(np.abs(_settled(x, m.psi).psi - m.psi)) < 1e-10

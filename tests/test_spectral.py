@@ -226,14 +226,19 @@ def test_certificate_pass_on_a_wider_circle():
     assert cert.fold_c["above"] == pytest.approx(2.491019539553439, rel=1e-9)
 
 
-@pytest.mark.parametrize("R, Z", [(0.5, -3.0), (1.0, -2.0), (1.5, -2.0), (2.0, -1.5)])
+@pytest.mark.parametrize("R, Z", [
+    (0.5, -3.0), (1.0, -2.0), (1.5, -2.0), (2.0, -1.5),
+    (0.05, -1.0), (1e-3, -1.0), (3.5, -1.0), (4.0, -1.0),
+])
 def test_contact_angle_slope_is_minus_h_prime(R, Z):
     # condition (iii) in crossing form (Crandall and Rabinowitz 1971): sin phi
     # solves mode 1 at lambda = 0 on every member, and dphi(L)/dc along the
-    # family at the disc is -h'
+    # family at the disc is -h'; outside 0.1 <= R/|Z| <= 2 the profile's
+    # conditioning costs a digit
     sig = shoot_sigma0(BoundaryCircle(R, Z))
     cert = certify(sig, solve_h(sig.curve))
-    assert -cert.contact_angle_slope == pytest.approx(cert.h_prime_boundary, rel=1e-9)
+    rel = 1e-9 if 0.1 <= R / -Z <= 2.0 else 1e-8
+    assert -cert.contact_angle_slope == pytest.approx(cert.h_prime_boundary, rel=rel)
     # negative control: without the phi row's c-entry the slope misses h'
     c0 = sig.params.c_o
     sweep = family_sweep(sig.circle, c0, c0, 1, sigma0=sig)
