@@ -6,8 +6,12 @@ known from its values at the (n + 1)/2 nodes x > 0 (n odd, so no node lies
 at 0), and a matrix acting on the whole grid folds onto those nodes: the
 columns of the mirror nodes add to those of their images with the sign s
 (Trefethen, *Spectral Methods in MATLAB*, ch. 11).  ``spectral`` and
-``shooting`` both work on this grid.
+``shooting`` both work on this grid, and ``FoldedInterpolant`` reads a
+collocated curve between its nodes.
 """
+
+import functools
+import types
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -39,32 +43,69 @@ def barycentric(n, x, values):
     return out
 
 
+class FoldedInterpolant:
+    """Degree-n interpolants of columns given at the nodes tau > 0 of the
+    degree-n grid stretched to [-ell, ell].
+
+    ``taus`` ascend to ell, so n = 2 taus.size - 1; column k of ``columns``
+    is continued to tau < 0 with the parity signs[k], and read back plus
+    shifts[k] if given (phi = pi + psi, psi odd).  Called on an array of
+    tau it returns one row per column, as ``ode.DenseOutput`` does; ``at``
+    takes a float and returns a tuple of floats.  A node reads its own
+    value.
+    """
+
+    def __init__(self, taus, columns, signs, shifts=None):
+        half = np.column_stack(columns)
+        self._n = 2 * taus.size - 1
+        self._ell = taus[-1]
+        self._full = np.concatenate([half[::-1], np.asarray(signs, dtype=float) * half])
+        self._shifts = shifts
+
+    def __call__(self, tau):
+        out = barycentric(self._n, np.reshape(tau, -1) / self._ell, self._full)
+        if self._shifts is not None:
+            out += self._shifts
+        return out.T
+
+    def at(self, tau):
+        return tuple(self(float(tau))[:, 0].tolist())
+
+
 def _fold(A, h):
-    """{s: A folded onto the first h nodes for functions of parity s}."""
+    """{s: A folded onto the first h nodes for functions of parity s},
+    read-only."""
     mirror = A[:, ::-1][:, :h]
-    return {1: A[:, :h] + mirror, -1: A[:, :h] - mirror}
+    folded = {1: A[:, :h] + mirror, -1: A[:, :h] - mirror}
+    for B in folded.values():
+        B.setflags(write=False)
+    return types.MappingProxyType(folded)
 
 
-def folded_derivative(n, length=1.0):
-    """d/dtau at the nodes x > 0 of the grid stretched to [-length, length].
+@functools.cache
+def folded_derivative(n):
+    """d/dx at the nodes x > 0 of the degree-n grid on [-1, 1].
 
-    Returns {s: (n + 1)/2-square matrix} for functions of parity s: the rows
-    x > 0 of the differentiation matrix (Trefethen, cheb.m), with the node
-    differences x_i - x_j as a product of sines, free of cancellation.
+    Returns the mapping {s: (n + 1)/2-square matrix} for functions of
+    parity s: the rows x > 0 of the differentiation matrix (Trefethen,
+    cheb.m), with the node differences x_i - x_j as a product of sines,
+    free of cancellation.  It is computed once per degree and read-only:
+    d/dtau on [-ell, ell] is it over ell.
     """
     h = (n + 1) // 2
     i, j = np.arange(h)[:, None], np.arange(n + 1)
     c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
     dx = 2.0 * np.sin(0.5 * np.pi * (i + j) / n) * np.sin(0.5 * np.pi * (j - i) / n)
     np.fill_diagonal(dx, np.inf)
-    D = c[:h, None] / (c * dx * length)
+    D = c[:h, None] / (c * dx)
     np.fill_diagonal(D, -D.sum(axis=1))
     return _fold(D, h)
 
 
+@functools.cache
 def folded_integral(n):
-    """Integral from 0 to x at the nodes x > 0, as {s: matrix} like
-    ``folded_derivative``.
+    """Integral from 0 to x at the nodes x > 0, as the read-only {s:
+    matrix} like ``folded_derivative``, computed once per degree.
 
     It is that of the degree-n interpolant, exact in its Chebyshev
     coefficients (a discrete cosine transform of the values), so the

@@ -89,11 +89,9 @@ def _interpolate(taus, columns, signs, tau):
     with the parities ``signs``.  Returns an array of tau's shape plus one
     axis for the columns; a node, such as the boundary, reads its own value.
     """
-    half = np.column_stack(columns)
-    full = np.concatenate([half[::-1], np.asarray(signs, dtype=float) * half])
     tau = np.asarray(tau, dtype=float)
-    out = chebyshev.barycentric(2 * taus.size - 1, tau.reshape(-1) / taus[-1], full)
-    return out.reshape(tau.shape + (half.shape[1],))
+    out = chebyshev.FoldedInterpolant(taus, columns, signs)(tau)
+    return out.T.reshape(tau.shape + (len(columns),))
 
 
 @dataclass(frozen=True)
@@ -175,12 +173,25 @@ def linearized_coeffs(curve, taus):
 
 
 def _sample(curve, n):
-    """The ``_Level`` of the curve at degree n, from one ``state_at``."""
-    taus = curve.ell * chebyshev.points(n)[: (n + 1) // 2]
-    r, z, phi = curve.state_at(taus)
-    _, D_coef = radial_operator_coeffs(r, z, phi, curve.params)
-    return _Level(n=n, taus=taus, r=r, z=z, U=D_coef / (z * z),
-                  derivative=chebyshev.folded_derivative(n, curve.ell))
+    """The ``_Level`` of the curve at degree n, from one ``state_at``.
+
+    It is read-only and memoized on the curve (``ProfileCurve._levels``),
+    so ``solve_h`` and ``eigen_solve`` on one curve sample each degree once.
+    """
+    level = curve._levels.get(n)
+    if level is None:
+        taus = curve.ell * chebyshev.points(n)[: (n + 1) // 2]
+        r, z, phi = curve.state_at(taus)
+        _, D_coef = radial_operator_coeffs(r, z, phi, curve.params)
+        derivative = {
+            s: A / curve.ell for s, A in chebyshev.folded_derivative(n).items()
+        }
+        level = _Level(n=n, taus=taus, r=r, z=z, U=D_coef / (z * z),
+                       derivative=derivative)
+        for a in (taus, r, z, level.U, *derivative.values()):
+            a.setflags(write=False)
+        curve._levels[n] = level
+    return level
 
 
 def check_mode(m):

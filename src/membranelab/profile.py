@@ -185,13 +185,15 @@ class ShapeDiagnostics:
 
 @dataclass(frozen=True)
 class ProfileCurve:
-    """Densely sampled generating curve together with its dense output.
+    """Sampled generating curve together with its interpolant.
 
-    ``taus``/``r``/``z``/``phi`` hold the accepted integrator steps (strictly
-    increasing in tau, ending exactly at the stop event).  Values between
-    samples come from the integrator dense output through ``state_at``;
-    below ``tau0`` the axis Taylor series is used, so tau = 0 evaluates to
-    the exact axis state (0, z_o, pi).  Instances are immutable and safe to
+    ``taus``/``r``/``z``/``phi`` hold the accepted integrator steps, or the
+    nodes of a collocated curve (``shooting``), strictly increasing in tau
+    and ending exactly at the stop event.  Values between samples come from
+    ``_dense`` through ``state_at``: the integrator's dense output, or the
+    ``chebyshev.FoldedInterpolant`` of the nodes, with tau0 = 0.  Below
+    ``tau0`` the axis Taylor series is used, so tau = 0 evaluates to the
+    exact axis state (0, z_o, pi).  Instances are immutable and safe to
     share across threads.
     """
 
@@ -210,6 +212,13 @@ class ProfileCurve:
     def __post_init__(self):
         for arr in (self.taus, self.r, self.z, self.phi):
             arr.setflags(write=False)
+
+    @functools.cached_property
+    def _levels(self):
+        """{n: the curve sampled at degree n}, which ``linearized._sample``
+        fills, so every solve on the curve shares each degree's sampling;
+        threads that fill one degree at once store equal levels."""
+        return {}
 
     @functools.cached_property
     def vertical_tangent_tau(self):

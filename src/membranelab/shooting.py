@@ -25,8 +25,9 @@ on the plane normal to the tangent, by pseudo-arclength continuation in
 y = (c, z_o, L) / |(c, z_o, L)| of the member a step starts from (Keller
 1977; Allgower and Georg, *Introduction to Numerical Continuation
 Methods*), which passes through the folds where the family turns back in
-c; a sign change of the tangent's c-component locates the fold.  A
-member's curve is integrated on first read.
+c; a sign change of the tangent's c-component locates the fold.  The
+curve of a disc or member is its collocation, read between the nodes by
+parity-continued barycentric interpolation (``_curve``).
 
 Both problems are scale equivariant: (R, Z) -> (mu R, mu Z) maps solutions
 to (c_o/mu, mu z_o).
@@ -45,27 +46,27 @@ from .profile import (
     DEFAULT_MAX_ARC_FACTOR,
     MAX_ABS_CZ,
     ModelParams,
-    StopCondition,
+    ProfileCurve,
+    StopReason,
     dphi_ds,
     dphi_ds_variation,
     integrate_profile,
     sigma0_stop,
 )
 
-#: integration tolerances used inside the shooting loops; tighter than the
-#: profile defaults so the matched endpoint is trustworthy to ~1e-11
+#: tolerances of the shooting layer's integration and curves; tighter than
+#: the profile defaults so the matched endpoint is trustworthy to ~1e-11
 SHOOT_RTOL = 1e-12
 SHOOT_ATOL = 1e-14
 
 _MAX_NEWTON = 50
 _MAX_HALVINGS = 8
-#: deepest unit disc, a hair inside integrate_profile's |c_o z_o| bound so
-#: that the scaled disc (1/mu, mu t) still passes it after rounding
+#: deepest unit disc, a hair inside the |c_o z_o| bound of
+#: ``integrate_profile`` and ``_solved``, so that the scaled disc
+#: (1/mu, mu t) still passes it after rounding
 _U_MAX = math.log((1.0 - 1e-9) * MAX_ABS_CZ - 1.0)
 #: first cap on a Newton step in u of the unit disc (``_unit_disc``)
 _FIRST_U_STEP = 1.0
-#: chord steps in u that a scaled disc missing the circle may take
-_MAX_CHORDS = 3
 #: a Newton step of the unit disc in (u, L / L) this small is its last: the
 #: quadratic convergence leaves an error far below _DEGREE_AGREE after it
 _LAST_STEP = 1e-9
@@ -124,7 +125,9 @@ class Sigma0Solution:
 
     ``psi`` is phi - pi of the collocated disc at its nodes (``_collocate``),
     at the degree ``shoot_sigma0`` settled on; the family through the disc
-    starts from it.
+    starts from it, and ``curve`` is that collocation (``_curve``).
+    ``match_residual`` is the max-norm distance of the curve's end from
+    (R, Z), and ``boundary_phi`` phi there.
     """
 
     params: ModelParams
@@ -160,14 +163,9 @@ class FamilyMember:
 
     @functools.cached_property
     def curve(self):
-        """The member's profile integrated to ``ell`` at the shooting
-        tolerances, on first read."""
-        return integrate_profile(
-            ModelParams(self.c, self.z_o),
-            StopCondition.at_arc_length(self.ell),
-            rtol=SHOOT_RTOL,
-            atol=SHOOT_ATOL,
-        )
+        """The member's collocation as a curve (``_curve``), on first read;
+        it ends at the point its ``match_residual`` was taken on."""
+        return _curve((self.c, self.z_o, self.ell), self.psi, StopReason.ARC_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -205,27 +203,26 @@ def shoot_sigma0(circle, seed=None):
     Scale equivariance leaves one unknown, t = c_o z_o < -1: the unit disc
     (1, t) ends in a direction atan2(r, -z) that falls strictly in
     u = log(-t - 1), so one u matches the circle's direction atan2(R, -Z).
-    One integration at u0 (0, or the seed's c_o z_o) gives the arc length L
-    and psi = phi - pi at the nodes of the first collocation degree.
-    Newton's method on (psi, u, L) (``_unit_disc``) then solves the
-    collocation of the unit disc with phi(L) = 0 and the direction, and the
-    degree rises (``chebyshev.next_degree``, psi interpolated onto the new
-    nodes) until two degrees' (u, L / L) agree to ``_DEGREE_AGREE``.  The
-    disc scaled by mu = |(R, Z)|/|(r, z)| is integrated once at (1/mu, mu t)
-    and accepted when its endpoint mismatch is below ``_match_tol(circle)``.  While it
-    misses, a chord step u <- u - g/g' moves it, at most ``_MAX_CHORDS``
-    times: g is the direction residual of that integrated disc, and g' its
-    slope in u along phi(L) = 0 from the collocation.  The solution
+    One integration at u0 (the seed's, else 0, whose start ``_warm_start``
+    integrates once per process) gives the arc length L and psi = phi - pi
+    at the nodes of the first collocation degree.  Newton's method on (psi,
+    u, L) (``_unit_disc``) then solves the collocation of the unit disc
+    with phi(L) = 0 and the direction, and the degree rises
+    (``chebyshev.next_degree``, psi interpolated onto the new nodes) until
+    two degrees' (u, L / L) agree to ``_DEGREE_AGREE``.  The last one,
+    scaled by mu = |(R, Z)|/|(r, z)(L)|, is the disc (1/mu, mu t) of arc
+    length mu L: its curve is that collocation (``_curve``), accepted when
+    its end lies within ``_match_tol(circle)`` of (R, Z).  The solution
     carries the collocated psi, which the family through it starts from.
 
     A seed with c_o z_o >= -1 raises NotAdmissible.  Every other failure
     raises NoConvergence, whose message names R/|Z| and ends ``(N
     integrations, M collocations done)``.  Its trace holds ((c_o, z_o),
-    residual) per integration or collocation: the direction residual of the
-    first integration, the larger of |phi(L)| and the direction residual of
-    a Newton iterate, and the endpoint mismatch of a scaled disc.
+    residual): the direction residual of the start, the larger of |phi(L)|
+    and the direction residual of each Newton iterate, and the endpoint
+    mismatch of the scaled disc.
     """
-    u = 0.0
+    u = None
     if seed is not None:
         t_seed = seed.c_o * seed.z_o
         if not t_seed < -1.0:
@@ -244,29 +241,38 @@ def shoot_sigma0(circle, seed=None):
         raise
 
 
-def _disc(c_o, z_o, integrations):
-    """The disc (c_o, z_o) integrated at the shooting tolerances;
-    ``integrations[0]`` counts the calls."""
-    integrations[0] += 1
+def _start(u):
+    """(L, psi, theta) of the unit disc (1, -1 - e^u) integrated at the
+    shooting tolerances: psi = phi - pi read-only at the nodes of the first
+    degree, and theta = atan2(r, -z)(L)."""
+    params = ModelParams(1.0, -1.0 - math.exp(u))
     try:
-        return integrate_profile(
-            ModelParams(c_o, z_o), sigma0_stop(), rtol=SHOOT_RTOL, atol=SHOOT_ATOL
-        )
+        curve = integrate_profile(params, sigma0_stop(), rtol=SHOOT_RTOL, atol=SHOOT_ATOL)
     except MembraneLabError as exc:
-        raise NoConvergence(f"disc ({c_o:.6g}, {z_o:.17g}) failed: {exc}") from None
+        raise NoConvergence(f"disc (1, {params.z_o:.17g}) failed: {exc}") from None
+    n = _FIRST_DEGREE
+    psi = curve.state_at(curve.ell * chebyshev.points(n)[: (n + 1) // 2])[2] - math.pi
+    psi.setflags(write=False)
+    r, z, _ = curve.state_at(curve.ell)
+    return curve.ell, psi, math.atan2(r, -z)
+
+
+#: ``_start`` at u = 0, the start of every unseeded disc, integrated on the
+#: first call in a process
+_warm_start = functools.cache(functools.partial(_start, 0.0))
 
 
 def _sigma0(circle, u, runs, trace, integrations):
-    """``shoot_sigma0`` from u before the suffix of its messages."""
+    """``shoot_sigma0`` from u (None: the warm start) before the suffix of
+    its messages."""
     target = math.atan2(circle.R, -circle.Z)
-    t = -1.0 - math.exp(u)
-    curve = _disc(1.0, t, integrations)
-    r, z, _ = curve.state_at(curve.ell)
-    trace.append(((1.0, t), math.atan2(r, -z) - target))
-    n, length, before = _FIRST_DEGREE, curve.ell, None
-    psi = curve.state_at(length * chebyshev.points(n)[: (n + 1) // 2])[2] - math.pi
+    integrations[0] += u is not None or not _warm_start.cache_info().currsize
+    length, psi, theta = _warm_start() if u is None else _start(u)
+    u = 0.0 if u is None else u
+    trace.append(((1.0, -1.0 - math.exp(u)), theta - target))
+    n, before = _FIRST_DEGREE, None
     while True:
-        u, length, psi, end, d_end = _unit_disc(target, u, length, psi, runs, trace)
+        u, length, psi = _unit_disc(target, u, length, psi, runs, trace)
         if before is not None and max(
             abs(u - before[0]), abs(length - before[1]) / length
         ) <= _DEGREE_AGREE:
@@ -282,34 +288,17 @@ def _sigma0(circle, u, runs, trace, integrations):
             2 * psi.size - 1, chebyshev.points(n)[: (n + 1) // 2], full
         )[:, 0]
     t = -1.0 - math.exp(u)
-    radius = math.hypot(circle.R, circle.Z)
-    for chord in range(_MAX_CHORDS + 1):
-        mu = radius / math.hypot(*end)
-        curve = _disc(1.0 / mu, mu * t, integrations)
-        r, z, phi_end = curve.state_at(curve.ell)
-        F = np.array([r - circle.R, z - circle.Z])
-        norm = float(np.max(np.abs(F)))
-        trace.append(((curve.params.c_o, curve.params.z_o), norm))
-        if norm < _match_tol(circle):
-            return Sigma0Solution(
-                params=curve.params,
-                curve=curve,
-                boundary_phi=float(phi_end),
-                match_residual=norm,
-                circle=circle,
-                psi=psi,
-            )
-        if chord == _MAX_CHORDS:
-            raise NoConvergence(
-                f"scaled disc misses the circle by {norm:.3e} after "
-                f"{_MAX_CHORDS} chord steps"
-            )
-        # the chord in u of this disc's direction residual
-        r, z = r / mu, z / mu
-        slope = (r * d_end[1] - z * d_end[0]) / (r * r + z * z)
-        du = -(math.atan2(r, -z) - target) / slope
-        u += du
-        t, end = -1.0 - math.exp(u), np.array([r, z]) + d_end * du
+    _, _, r, z = _nodes((1.0, t, length), psi)
+    mu = math.hypot(circle.R, circle.Z) / math.hypot(r[0], z[0])
+    curve = _curve((1.0 / mu, mu * t, mu * length), psi, StopReason.TANGENT_HORIZONTAL)
+    norm = float(max(abs(curve.r[-1] - circle.R), abs(curve.z[-1] - circle.Z)))
+    trace.append(((curve.params.c_o, curve.params.z_o), norm))
+    if not norm < _match_tol(circle):
+        raise NoConvergence(f"scaled disc misses the circle by {norm:.3e}")
+    return Sigma0Solution(
+        params=curve.params, curve=curve, boundary_phi=float(curve.phi[-1]),
+        match_residual=norm, circle=circle, psi=psi,
+    )
 
 
 def _unit_disc(target, u, length, psi, runs, trace):
@@ -323,10 +312,8 @@ def _unit_disc(target, u, length, psi, runs, trace):
     cut to the cap with its psi and L steps, and the cap doubles; u stays
     at or below ``_U_MAX``.  A step whose collocation fails is halved, at
     most ``_MAX_HALVINGS`` times.  The first step below ``_LAST_STEP`` in
-    (psi, u, L / L) is taken as the last.  Returns (u, L, psi, end, d_end):
-    the end (r, z)(L) and its derivative in u along the collocation and
-    phi(L) = 0, both linear in that step.  Iterates go to ``trace`` as
-    ((1, t), the larger of |phi(L)| and |theta - target|).
+    (psi, u, L / L) is taken as the last; (u, L, psi) is returned.  Each
+    iterate goes to ``trace`` as ((1, t), max(|phi(L)|, |theta - target|)).
     """
     v = np.concatenate([psi, [u, length]])
     cap, back, halvings = _FIRST_U_STEP, None, 0
@@ -354,14 +341,8 @@ def _unit_disc(target, u, length, psi, runs, trace):
             raise NoConvergence(f"singular unit disc Jacobian at u = {u:.6g}")
         step = solve(-np.concatenate([sol.G, F]))
         if max(np.max(np.abs(step[:-1])), abs(step[-1]) / length) <= _LAST_STEP:
-            # the solution with direction row 1 is the tangent of the curve
-            # G = 0, phi(L) = 0; per unit u it moves the end by d_end
-            along = solve(np.eye(v.size)[-1])
-            end, d_end = (
-                sol.E_psi[:2] @ w[:-2] + sol.E_x[:2] @ P @ w[-2:] for w in (step, along)
-            )
             v = v + step
-            return v[-2], v[-1], v[:-2], np.array([r, z]) + end, d_end / along[-2]
+            return v[-2], v[-1], v[:-2]
         if abs(step[-2]) > cap:
             step *= cap / abs(step[-2])
             cap *= 2.0
@@ -375,18 +356,32 @@ def _unit_disc(target, u, length, psi, runs, trace):
     raise NoConvergence(f"unit disc Newton did not converge in {_MAX_NEWTON} steps")
 
 
-@functools.lru_cache(maxsize=None)
-def _grid(n):
-    """(D_odd, Q_even, Q_odd) of degree n on [-1, 1], folded onto x > 0.
+def _nodes(x, psi):
+    """(cos psi, sin psi, r, z) at the nodes of psi's grid for x = (c, z_o,
+    L): r = L Q_even cos psi and z = z_o + L Q_odd sin psi, with Q_s the
+    integral from 0 of functions of parity s (``chebyshev``)."""
+    _, z_o, length = x
+    Q = chebyshev.folded_integral(2 * psi.size - 1)
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    return cos_psi, sin_psi, length * (Q[1] @ cos_psi), z_o + length * (Q[-1] @ sin_psi)
 
-    D_odd is d/dx of odd functions, Q_s the integral from 0 of functions of
-    parity s (``chebyshev``); read-only, shared by every call at degree n.
+
+def _curve(x, psi, stop_reason):
+    """The profile x = (c, z_o, L) collocated at psi as a ``ProfileCurve``.
+
+    Its samples are the nodes (``_nodes``) in ascending tau, tau0 = 0, and
+    ``chebyshev.FoldedInterpolant`` reads it between them: r odd, z even
+    and psi odd in tau.  Its tolerances are the shooting ones.
     """
-    D, Q = chebyshev.folded_derivative(n), chebyshev.folded_integral(n)
-    grid = (D[-1], Q[1], Q[-1])
-    for A in grid:
-        A.setflags(write=False)
-    return grid
+    c, z_o, length = (float(v) for v in x)
+    _, _, r, z = _nodes(x, psi)
+    taus = (length * chebyshev.points(2 * psi.size - 1)[: psi.size])[::-1]
+    r, z, psi = r[::-1], z[::-1], psi[::-1]
+    dense = chebyshev.FoldedInterpolant(taus, (r, z, psi), (-1, 1, -1), (0, 0, math.pi))
+    return ProfileCurve(
+        params=ModelParams(c, z_o), taus=taus, r=r, z=z, phi=math.pi + psi, ell=length,
+        stop_reason=stop_reason, tau0=0.0, rtol=SHOOT_RTOL, atol=SHOOT_ATOL, _dense=dense,
+    )
 
 
 @dataclass(frozen=True)
@@ -423,17 +418,16 @@ def _collocate(x, psi):
     psi.  Returns None for a node off r > 0, z < 0.
     """
     c, z_o, length = x
-    D, Q_even, Q_odd = _grid(2 * psi.size - 1)
-    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
-    r = length * (Q_even @ cos_psi)
-    z = z_o + length * (Q_odd @ sin_psi)
+    n = 2 * psi.size - 1
+    D, Q = chebyshev.folded_derivative(n)[-1], chebyshev.folded_integral(n)
+    cos_psi, sin_psi, r, z = _nodes(x, psi)
     # written so that a NaN fails it too
     if not r.min() > 0.0 > z.max():
         return None
     # cos and sin of phi = pi + psi
     c_phi, s_phi = -cos_psi, -sin_psi
     sor = s_phi / r
-    r_psi, z_psi = length * Q_even * s_phi, -length * Q_odd * c_phi
+    r_psi, z_psi = length * Q[1] * s_phi, -length * Q[-1] * c_phi
     rows = (v[:, None] for v in (c_phi, s_phi, sor, r, z))
     eye = np.eye(psi.size)
     D_psi = (D @ psi) / length
@@ -468,11 +462,16 @@ def _bordered(sol, P, rows_psi, rows_x):
     The parameters x move with p as dx/dp = P, and two endpoint rows, with
     partials ``rows_psi`` and ``rows_x``, border the collocation (Keller
     1977): the (psi.size + 2)-square matrix [[G_psi, G_x P], [rows_psi,
-    rows_x P]] is factored once by LAPACK ``dgetrf`` and the returned
-    function back-substitutes a right-hand side on it.
+    rows_x P]] is filled in and factored in place by LAPACK ``dgetrf``, and
+    the returned function back-substitutes a right-hand side on it.
     """
-    M = np.block([[sol.G_psi, sol.G_x @ P], [rows_psi, rows_x @ P]])
-    lu, piv, info = dgetrf(M)
+    h = sol.psi.size
+    M = np.empty((h + 2, h + 2), order="F")
+    M[:h, :h] = sol.G_psi
+    M[:h, h:] = sol.G_x @ P
+    M[h:, :h] = rows_psi
+    M[h:, h:] = rows_x @ P
+    lu, piv, info = dgetrf(M, overwrite_a=True)
     if info != 0:
         return None
     return lambda rhs: dgetrs(lu, piv, rhs)[0]
@@ -491,9 +490,8 @@ def _endpoint_jacobian(sol):
 
 def _solved(runs, x, psi):
     """``_collocate`` at x = (c, z_o, L) and ``psi``, or None for an x
-    outside the domain of ``integrate_profile`` (which the curves of the
-    members are integrated with) or a failed collocation.  ``runs[0]``
-    counts the collocations started.
+    outside the domain of ``integrate_profile`` (|c z_o| and the arc guard)
+    or a failed collocation.  ``runs[0]`` counts the collocations started.
     """
     c, z_o, length = x
     if not (0.0 < c < math.inf and -math.inf < z_o < 0.0 < length < math.inf):
@@ -581,7 +579,8 @@ def _tangent(J, scale):
     The cross product of those rows of J diag(scale) spans their null space;
     the caller orients it.
     """
-    t = np.cross(J[0] * scale, J[1] * scale)
+    (a0, a1, a2), (b0, b1, b2) = (J[:2] * scale).tolist()
+    t = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
     return t / np.linalg.norm(t)
 
 

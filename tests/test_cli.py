@@ -12,7 +12,7 @@ import membranelab
 from membranelab import cli, linearized, spectral
 from membranelab.cli import load_config, main
 from membranelab.errors import ParseError
-from membranelab.shooting import SHOOT_ATOL, SHOOT_RTOL
+from membranelab.shooting import SHOOT_ATOL, SHOOT_RTOL, BoundaryCircle, _match_tol
 from membranelab.surfaces import read_profile_csv
 
 
@@ -279,6 +279,28 @@ def test_cli_family(tmp_path):
     assert lines[0] == "c,z_o,contact_angle,ell,match_residual"
     assert len(lines) == 6
     assert (out / "member_00.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "R, Z, c_min, c_max, n",
+    [(0.5, -3.0, 1.4, 1.6, 5), (3.5, -1.0, 2.491005057, 2.4911, 2)],
+)
+def test_cli_family_member_csvs_end_on_the_circle(tmp_path, R, Z, c_min, c_max, n):
+    # each member's curve is its collocation: its last row is the end its
+    # match_residual was taken on (at R/|Z| = 3.5 an integrated curve
+    # missed by 6.5e-11)
+    out = tmp_path / "f"
+    assert run_cli([
+        "family", "--R", str(R), "--Z", str(Z), "--c_min", str(c_min),
+        "--c_max", str(c_max), "--n", str(n), "--out", str(out),
+    ]) == 0
+    tol = _match_tol(BoundaryCircle(R, Z))
+    paths = sorted(out.glob("member_*.csv"))
+    rows = (out / "family.csv").read_text().strip().splitlines()[1:]
+    assert len(paths) == len(rows) >= 1
+    for path in paths:
+        data = read_profile_csv(path)
+        assert max(abs(data["r"][-1] - R), abs(data["z"][-1] - Z)) < tol
 
 
 def test_cli_linearize(tmp_path):

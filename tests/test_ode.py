@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from membranelab import ModelParams, StopCondition, integrate_profile, sigma0_stop
-from membranelab.profile import axis_seed, operator_coeffs
+from membranelab.profile import DEFAULT_TAU0_FACTOR, axis_seed, operator_coeffs
 import membranelab.ode as ode
 from membranelab.ode import _kernels as eager_kernels
 import membranelab.profile as profile_mod
@@ -305,9 +305,11 @@ def _axis_series_start(params, u0, inhom, tau0):
 
 def _scipy_extended(curve):
     """scipy's DOP853 on the 7-row system from the axis series at the curve's
-    offset, tighter than the curve: the raw kernel psi (psi(axis) = 1) and
-    the particular response p (p(axis) = 0) that ``solve_h`` superposes."""
-    params, tau0 = curve.params, curve.tau0
+    offset, or the profile's default one for a collocated curve (tau0 = 0),
+    tighter than the curve: the raw kernel psi (psi(axis) = 1) and the
+    particular response p (p(axis) = 0) that ``solve_h`` superposes."""
+    params = curve.params
+    tau0 = curve.tau0 or DEFAULT_TAU0_FACTOR * abs(params.z_o)
     seed = axis_seed(params, tau0)
     y0 = (
         seed.r,

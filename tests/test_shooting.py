@@ -93,11 +93,13 @@ def test_unit_disc_direction_falls_strictly():
 @pytest.mark.parametrize(
     "seed, budget, collocation_budget", [(None, 2, 6), (ModelParams(20.0, -5.0), 2, 9)]
 )
-def test_sigma0_integration_budget(circle053, sig053, integrations, collocations,
-                                   factorizations, seed, budget, collocation_budget):
-    # one integration starts the collocated Newton, one scales its disc, and
-    # each Newton iterate factors one matrix
+def test_sigma0_integration_budget(circle053, sig053, cold_start, integrations,
+                                   collocations, factorizations, seed, budget,
+                                   collocation_budget):
+    # one integration starts the collocated Newton, which factors one matrix
+    # per iterate, and the collocation is the disc
     sig = shoot_sigma0(circle053, seed=seed)
+    assert integrations[0] == 1
     assert integrations[0] <= budget
     assert collocations[0] <= collocation_budget
     assert factorizations[0] <= (19 if seed is None else 34)
@@ -130,10 +132,9 @@ def test_sigma0_matches_past_the_old_wide_edge(R):
     assert abs(sig.boundary_phi) < 1e-8
 
 
-def test_sigma0_chord_step_mends_a_scaled_disc_that_misses(circle053, sig053,
-                                                           integrations, monkeypatch):
-    # move the collocated u by 1e-8: the scaled disc then misses the circle,
-    # and one chord step on its own direction residual lands it
+def test_sigma0_never_accepts_a_disc_that_misses(circle053, monkeypatch):
+    # move the collocated u by 1e-8: the scaled disc then misses the circle
+    # by far more than the tolerance, and is refused
     real = shooting_mod._unit_disc
 
     def moved(*args):
@@ -141,20 +142,41 @@ def test_sigma0_chord_step_mends_a_scaled_disc_that_misses(circle053, sig053,
         return (u + 1e-8, *rest)
 
     monkeypatch.setattr(shooting_mod, "_unit_disc", moved)
-    sig = shoot_sigma0(circle053)
-    assert integrations[0] == 3
-    assert sig.match_residual < shooting_mod._match_tol(circle053)
-    assert sig.params.c_o == pytest.approx(sig053.params.c_o, rel=1e-11)
-    assert sig.params.z_o == pytest.approx(sig053.params.z_o, rel=1e-11)
+    with pytest.raises(NoConvergence, match="scaled disc misses the circle") as info:
+        shoot_sigma0(circle053)
+    _, norm = info.value.trace[-1]
+    assert norm >= shooting_mod._match_tol(circle053)
 
 
-def test_sigma0_chord_step_at_a_wide_circle(integrations):
-    # at R/|Z| = 3.5 the DOP853 disc at the collocated u misses by more than
-    # the tolerance: its own direction residual moves u once
-    circle = BoundaryCircle(3.5, -1.0)
-    sig = shoot_sigma0(circle)
-    assert integrations[0] == 3
-    assert sig.match_residual < shooting_mod._match_tol(circle)
+@pytest.mark.parametrize(
+    "R, Z", [(0.5, -3.0), (0.05, -1.0), (1e-3, -1.0), (3.5, -1.0), (4.0, -1.0)]
+)
+def test_sigma0_collocated_disc_against_dop853(R, Z):
+    # DOP853 at the accepted (c_o, z_o) and the shooting tolerances ends on
+    # the circle and follows the collocated curve
+    sig = shoot_sigma0(BoundaryCircle(R, Z))
+    curve = integrate_profile(
+        sig.params, StopCondition.phi_reaches(0.0),
+        rtol=shooting_mod.SHOOT_RTOL, atol=shooting_mod.SHOOT_ATOL,
+    )
+    r, z, _ = curve.state_at(curve.ell)
+    assert max(abs(r - R), abs(z - Z)) < 1e-9 * max(R, abs(Z), 1.0)
+    taus = np.linspace(0.0, sig.curve.ell, 400)
+    ours = np.array(sig.curve.state_at(taus))
+    theirs = np.array(curve.state_at(np.minimum(taus, curve.ell)))
+    assert np.max(np.abs(ours - theirs)) < 1e-8
+
+
+def test_unseeded_sigma0_integrates_once_per_process(circle053, cold_start,
+                                                     integrations):
+    first = shoot_sigma0(circle053)
+    assert integrations[0] == 1
+    again = shoot_sigma0(BoundaryCircle(1.0, -2.0))
+    assert integrations[0] == 1
+    assert shoot_sigma0(circle053).params == first.params
+    assert integrations[0] == 1 and again.match_residual < 1e-10
+    # the cached start is shared, so it is read-only
+    assert not shooting_mod._warm_start()[1].flags.writeable
 
 
 def test_sigma0_failure_names_the_circle(integrations, collocations):
@@ -172,7 +194,7 @@ def test_sigma0_failure_names_the_circle(integrations, collocations):
         assert len(point) == 2 and np.isfinite(value)
 
 
-def test_sigma0_fails_when_no_two_disc_degrees_agree(monkeypatch):
+def test_sigma0_fails_when_no_two_disc_degrees_agree(cold_start, monkeypatch):
     # a cap at the first degree leaves nothing to compare it with
     monkeypatch.setattr(shooting_mod, "_MAX_DEGREE", shooting_mod._FIRST_DEGREE)
     with pytest.raises(NoConvergence) as info:
@@ -252,8 +274,8 @@ def test_sweep_13_members(circle053, sig053):
     ids=["fig2 range of (0.5, -3)", "certify window of (1.5, -2)", "certify window of (2, -1.5)"],
 )
 def test_member_curves_end_where_their_collocation_did(R, Z, window):
-    # each member's curve, integrated on first read, ends on the circle
-    # with the collocated contact angle
+    # each member's curve, its collocation, ends on the circle with the
+    # collocated contact angle
     circle = BoundaryCircle(R, Z)
     sig = shoot_sigma0(circle)
     c0 = sig.params.c_o
@@ -335,6 +357,12 @@ def _counter(monkeypatch, name):
 
 
 @pytest.fixture
+def cold_start():
+    """An empty warm-start cache: the next unseeded disc integrates its start."""
+    shooting_mod._warm_start.cache_clear()
+
+
+@pytest.fixture
 def integrations(monkeypatch):
     """Counter of the profile integrations that the shooting layer runs."""
     return _counter(monkeypatch, "integrate_profile")
@@ -364,14 +392,15 @@ def _settled(x, psi):
 
 def test_member_returns_the_curve_of_its_last_residual(circle053, sig053,
                                                        integrations):
+    # the curve is the collocation the residual was taken on: its end is
+    # that collocation's, bit for bit, and nothing is integrated
     m = shoot_family_member(sig053.params.c_o, circle053, sig053)
-    assert integrations[0] == 0
     r, z, phi = m.curve.state_at(m.curve.ell)
-    assert integrations[0] == 1
-    assert m.curve is m.curve and integrations[0] == 1
-    assert m.curve.ell == m.ell
-    assert max(abs(r - circle053.R), abs(z - circle053.Z)) < 1e-10
-    assert phi == pytest.approx(m.contact_angle, abs=1e-12)
+    assert m.curve is m.curve and integrations[0] == 0
+    assert m.curve.ell == m.ell and m.curve.tau0 == 0.0
+    assert (r, z, phi) == (m.curve.r[-1], m.curve.z[-1], m.curve.phi[-1])
+    assert max(abs(r - circle053.R), abs(z - circle053.Z)) == m.match_residual
+    assert phi == m.contact_angle
 
 
 def test_sweep_integration_budget(circle053, sig053, factorizations):
@@ -492,12 +521,12 @@ def test_z_o_variation_along_the_disc_is_the_kernel(R, Z):
     # the collocated z_o derivative at the nodes, tau = L first: dpsi =
     # -G_psi^-1 G_z_o, and r = L Q_even cos psi, z = z_o + L Q_odd sin psi
     n = 2 * sol.psi.size - 1
-    _, Q_even, Q_odd = shooting_mod._grid(n)
+    Q = shooting_mod.chebyshev.folded_integral(n)
     length = sol.x[2]
     dpsi = np.linalg.solve(sol.G_psi, -sol.G_x[:, 1])
     phi = np.pi + sol.psi
-    dr = length * Q_even @ (np.sin(phi) * dpsi)
-    dz = 1.0 - length * Q_odd @ (np.cos(phi) * dpsi)
+    dr = length * Q[1] @ (np.sin(phi) * dpsi)
+    dz = 1.0 - length * Q[-1] @ (np.cos(phi) * dpsi)
     taus = length * shooting_mod.chebyshev.points(n)[: sol.psi.size]
     # normal projection on (sin phi, -cos phi); it starts at 1 on the axis
     normal = dr * np.sin(phi) - dz * np.cos(phi)
@@ -510,13 +539,6 @@ def test_sweep_returns_every_grid_point_at_the_start_curvature(circle053, sig053
     sw = family_sweep(circle053, c0, c0, 3, sigma0=sig053)
     assert len(sw.members) + len(sw.failures) == 3
     assert [m.c for m in sw.members] == [c0, c0, c0]
-
-
-def test_sweep_integration_budget_exact_jacobian(circle053, sig053, factorizations):
-    c0 = sig053.params.c_o
-    sw = shooting_mod.family_sweep(circle053, 0.98 * c0, 1.02 * c0, 5, sigma0=sig053)
-    assert len(sw.members) == 5 and not sw.failures
-    assert factorizations[0] <= 34
 
 
 def test_member_failure_names_curvature_and_work(circle053, sig053, collocations):

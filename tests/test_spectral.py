@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from membranelab import (
     solve_h,
     StopCondition,
 )
+from membranelab import chebyshev
 import membranelab.profile as profile_mod
 import membranelab.shooting as shooting_mod
 import membranelab.spectral as spectral
@@ -272,7 +275,9 @@ def test_certify_integrates_no_family_member(monkeypatch):
 def test_certificate_does_not_depend_on_call_history():
     # every member's collocation starts from the member or disc it is
     # continued from, never from state an earlier call left behind
-    shooting_mod._grid.cache_clear()
+    for cached in (shooting_mod._warm_start, chebyshev.folded_derivative,
+                   chebyshev.folded_integral):
+        cached.cache_clear()
     alone = _certificate(1.5, -2.0)
     for R, Z in [(0.5, -3.0), (1.0, -2.0), (2.0, -1.5), (0.05, -1.0), (2.5, -2.0)]:
         _certificate(R, Z)
@@ -391,37 +396,29 @@ def _degrees(top):
     return degrees
 
 
-def test_certify_samples_the_disc_once_per_mesh(sig053, lin053, monkeypatch):
-    points = [0]
-    counting = [True]
+def test_certify_samples_the_disc_once_per_mesh(circle053, monkeypatch):
+    # solve_h and then certify sample each degree of a new disc once in
+    # total: the levels are memoized on the curve, which later solves reuse
+    sig = shoot_sigma0(circle053)
+    points = []
     state_at = ProfileCurve.state_at
-    sweep = spectral.family_sweep
 
     def counted_state_at(self, tau):
-        if counting[0]:
-            points[0] += np.size(tau)
+        if self is sig.curve:
+            points.append(np.size(tau))
         return state_at(self, tau)
 
-    def uncounted_sweep(*args, **kwargs):
-        counting[0] = False
-        try:
-            return sweep(*args, **kwargs)
-        finally:
-            counting[0] = True
-
     monkeypatch.setattr(ProfileCurve, "state_at", counted_state_at)
-    monkeypatch.setattr(spectral, "family_sweep", uncounted_sweep)
     count = 6
-    nodes = certify(sig053, lin053, count=count).diagnostics["collocation_nodes"]
-    shared = points[0]
-    points[0] = 0
+    lin = solve_h(sig.curve)
+    nodes = certify(sig, lin, count=count).diagnostics["collocation_nodes"]
+    degrees = set(_degrees(2 * lin.taus.size - 1)) | set(_degrees(max(nodes.values())))
+    # the (N + 1)/2 nodes tau > 0 of each degree N
+    assert sorted(points) == sorted((n + 1) // 2 for n in degrees)
     for m in (0, 1, 2):
-        eigen_solve(sig053.curve, (m,), count)[m]
-    # the (N + 1)/2 nodes tau > 0 of each degree N, sampled once per call
-    assert shared == sum((n + 1) // 2 for n in _degrees(max(nodes.values())))
-    assert points[0] == sum(
-        (n + 1) // 2 for top in nodes.values() for n in _degrees(top)
-    )
+        eigen_solve(sig.curve, (m,), count)
+    solve_h(sig.curve)
+    assert len(points) == len(degrees)
 
 
 # ------------------------------------------------------- failure of the solve
@@ -437,3 +434,35 @@ def test_eigen_solve_raises_when_no_two_degrees_agree(sig053, monkeypatch):
     monkeypatch.setattr(spectral, "_AGREE", 1e-18)
     with pytest.raises(SolverFailure, match="the last two moved by"):
         eigen_solve(sig053.curve, (1,), 6)
+
+
+def test_threads_sharing_a_disc_share_its_levels(circle053):
+    # solve_h and eigen_solve in threads on one new disc, while its levels
+    # are being memoized: every thread gets the bits of a serial solve
+    serial = shoot_sigma0(circle053).curve
+    expected = (solve_h(serial).h_prime_boundary,
+                eigen_solve(serial, (0, 1, 2), 6)[1].eigenvalues)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            curve = shoot_sigma0(circle053).curve
+            got = [None] * 8
+
+            def solve(i):
+                got[i] = (solve_h(curve).h_prime_boundary,
+                          eigen_solve(curve, (0, 1, 2), 6)[1].eigenvalues)
+
+            threads = [threading.Thread(target=solve, args=(i,)) for i in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+            for h_prime, eigenvalues in got:
+                assert h_prime == expected[0]
+                assert np.array_equal(eigenvalues, expected[1])
+            assert all(not a.flags.writeable for level in curve._levels.values()
+                       for a in (level.taus, level.r, level.z, level.U))
+    finally:
+        sys.setswitchinterval(interval)
