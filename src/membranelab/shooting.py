@@ -127,7 +127,9 @@ class Sigma0Solution:
     at the degree ``shoot_sigma0`` settled on; the family through the disc
     starts from it, and ``curve`` is that collocation (``_curve``).
     ``match_residual`` is the max-norm distance of the curve's end from
-    (R, Z), and ``boundary_phi`` phi there.
+    (R, Z), and ``boundary_phi`` phi there; the scaling puts that end on
+    the circle up to rounding, so the disc's accuracy is the agreement of
+    its collocation degrees, not ``match_residual``.
     """
 
     params: ModelParams
@@ -164,7 +166,13 @@ class FamilyMember:
     @functools.cached_property
     def curve(self):
         """The member's collocation as a curve (``_curve``), on first read;
-        it ends at the point its ``match_residual`` was taken on."""
+        it ends at the point its ``match_residual`` was taken on.  A member
+        without ``psi`` raises IncompleteEvidence."""
+        if self.psi is None:
+            raise IncompleteEvidence(
+                "family member has no collocated psi: shoot it with shoot_family_member",
+                ["psi"],
+            )
         return _curve((self.c, self.z_o, self.ell), self.psi, StopReason.ARC_LIMIT)
 
 
@@ -203,26 +211,28 @@ def shoot_sigma0(circle, seed=None):
     Scale equivariance leaves one unknown, t = c_o z_o < -1: the unit disc
     (1, t) ends in a direction atan2(r, -z) that falls strictly in
     u = log(-t - 1), so one u matches the circle's direction atan2(R, -Z).
-    One integration at u0 (the seed's, else 0, whose start ``_warm_start``
-    integrates once per process) gives the arc length L and psi = phi - pi
-    at the nodes of the first collocation degree.  Newton's method on (psi,
-    u, L) (``_unit_disc``) then solves the collocation of the unit disc
-    with phi(L) = 0 and the direction, and the degree rises
+    One integration at u0 (the seed's, else 0) gives the arc length L and
+    psi = phi - pi at the nodes of the first collocation degree.  Newton's
+    method on (psi, u, L) (``_unit_disc``) then solves the collocation of
+    the unit disc with phi(L) = 0 and the direction, and the degree rises
     (``chebyshev.next_degree``, psi interpolated onto the new nodes) until
     two degrees' (u, L / L) agree to ``_DEGREE_AGREE``.  The last one,
     scaled by mu = |(R, Z)|/|(r, z)(L)|, is the disc (1/mu, mu t) of arc
     length mu L: its curve is that collocation (``_curve``), accepted when
-    its end lies within ``_match_tol(circle)`` of (R, Z).  The solution
-    carries the collocated psi, which the family through it starts from.
+    its end lies within ``_match_tol(circle)`` of (R, Z) (once the
+    direction is solved, the scaling puts it there to rounding).  The
+    solution carries the collocated psi, which the family through it starts
+    from.
 
     A seed with c_o z_o >= -1 raises NotAdmissible.  Every other failure
-    raises NoConvergence, whose message names R/|Z| and ends ``(N
-    integrations, M collocations done)``.  Its trace holds ((c_o, z_o),
-    residual): the direction residual of the start, the larger of |phi(L)|
-    and the direction residual of each Newton iterate, and the endpoint
-    mismatch of the scaled disc.
+    raises NoConvergence, whose message names R/|Z| and ends ``(1
+    integrations, M collocations done)``, the start being the one
+    integration.  Its trace holds ((c_o, z_o), residual): the direction
+    residual of the start, the larger of |phi(L)| and the direction
+    residual of each Newton iterate, and the endpoint mismatch of the
+    scaled disc.
     """
-    u = None
+    u = 0.0
     if seed is not None:
         t_seed = seed.c_o * seed.z_o
         if not t_seed < -1.0:
@@ -231,11 +241,11 @@ def shoot_sigma0(circle, seed=None):
                 f"{t_seed:.6g}, not below -1: it spans no tangential disc"
             )
         u = min(math.log(-t_seed - 1.0), _U_MAX)
-    runs, trace, integrations = [0], [], [0]
+    runs, trace = [0], []
     try:
-        return _sigma0(circle, u, runs, trace, integrations)
+        return _sigma0(circle, u, runs, trace)
     except NoConvergence as exc:
-        done = f"{integrations[0]} integrations, {runs[0]} collocations done"
+        done = f"1 integrations, {runs[0]} collocations done"
         exc.args = (f"sigma0 {exc} (R/|Z| = {circle.R / -circle.Z:.6g}, {done})",)
         exc.trace = trace
         raise
@@ -243,8 +253,8 @@ def shoot_sigma0(circle, seed=None):
 
 def _start(u):
     """(L, psi, theta) of the unit disc (1, -1 - e^u) integrated at the
-    shooting tolerances: psi = phi - pi read-only at the nodes of the first
-    degree, and theta = atan2(r, -z)(L)."""
+    shooting tolerances: psi = phi - pi at the nodes of the first degree,
+    and theta = atan2(r, -z)(L)."""
     params = ModelParams(1.0, -1.0 - math.exp(u))
     try:
         curve = integrate_profile(params, sigma0_stop(), rtol=SHOOT_RTOL, atol=SHOOT_ATOL)
@@ -252,23 +262,14 @@ def _start(u):
         raise NoConvergence(f"disc (1, {params.z_o:.17g}) failed: {exc}") from None
     n = _FIRST_DEGREE
     psi = curve.state_at(curve.ell * chebyshev.points(n)[: (n + 1) // 2])[2] - math.pi
-    psi.setflags(write=False)
     r, z, _ = curve.state_at(curve.ell)
     return curve.ell, psi, math.atan2(r, -z)
 
 
-#: ``_start`` at u = 0, the start of every unseeded disc, integrated on the
-#: first call in a process
-_warm_start = functools.cache(functools.partial(_start, 0.0))
-
-
-def _sigma0(circle, u, runs, trace, integrations):
-    """``shoot_sigma0`` from u (None: the warm start) before the suffix of
-    its messages."""
+def _sigma0(circle, u, runs, trace):
+    """``shoot_sigma0`` from u before the suffix of its messages."""
     target = math.atan2(circle.R, -circle.Z)
-    integrations[0] += u is not None or not _warm_start.cache_info().currsize
-    length, psi, theta = _warm_start() if u is None else _start(u)
-    u = 0.0 if u is None else u
+    length, psi, theta = _start(u)
     trace.append(((1.0, -1.0 - math.exp(u)), theta - target))
     n, before = _FIRST_DEGREE, None
     while True:

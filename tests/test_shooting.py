@@ -7,6 +7,7 @@ import pytest
 
 from membranelab import (
     BoundaryCircle,
+    FamilyMember,
     ModelParams,
     StopCondition,
     integrate_profile,
@@ -93,9 +94,8 @@ def test_unit_disc_direction_falls_strictly():
 @pytest.mark.parametrize(
     "seed, budget, collocation_budget", [(None, 2, 6), (ModelParams(20.0, -5.0), 2, 9)]
 )
-def test_sigma0_integration_budget(circle053, sig053, cold_start, integrations,
-                                   collocations, factorizations, seed, budget,
-                                   collocation_budget):
+def test_sigma0_integration_budget(circle053, sig053, integrations, collocations,
+                                   factorizations, seed, budget, collocation_budget):
     # one integration starts the collocated Newton, which factors one matrix
     # per iterate, and the collocation is the disc
     sig = shoot_sigma0(circle053, seed=seed)
@@ -123,13 +123,34 @@ def test_sigma0_wide_and_narrow_circles(R, Z):
     assert abs(sig.boundary_phi) < 1e-8
 
 
+def _against_dop853(sig):
+    """DOP853 at the disc's (c_o, z_o) and the shooting tolerances, to phi =
+    0: how far its end misses the circle, and its largest distance from the
+    collocated curve on [0, L], both relative to max(R, |Z|, 1)."""
+    circle = sig.circle
+    scale = max(circle.R, abs(circle.Z), 1.0)
+    curve = integrate_profile(
+        sig.params, StopCondition.phi_reaches(0.0),
+        rtol=shooting_mod.SHOOT_RTOL, atol=shooting_mod.SHOOT_ATOL,
+    )
+    r, z, _ = curve.state_at(curve.ell)
+    taus = np.linspace(0.0, sig.curve.ell, 400)
+    ours = np.array(sig.curve.state_at(taus))
+    theirs = np.array(curve.state_at(np.minimum(taus, curve.ell)))
+    miss = max(abs(r - circle.R), abs(z - circle.Z))
+    return miss / scale, float(np.max(np.abs(ours - theirs))) / scale
+
+
 @pytest.mark.parametrize("R", [3.6, 3.8, 4.0])
 def test_sigma0_matches_past_the_old_wide_edge(R):
-    # the bracketed disc missed these by 5.4e-11 to 6.3e-11
+    # the bracketed disc missed these by 5.4e-11 to 6.3e-11; the collocated
+    # one is checked against DOP853 (2.7e-11 of the scale at most)
     circle = BoundaryCircle(R, -1.0)
     sig = shoot_sigma0(circle)
     assert sig.match_residual < shooting_mod._match_tol(circle)
     assert abs(sig.boundary_phi) < 1e-8
+    miss, _ = _against_dop853(sig)
+    assert miss < 1e-10
 
 
 def test_sigma0_never_accepts_a_disc_that_misses(circle053, monkeypatch):
@@ -152,31 +173,11 @@ def test_sigma0_never_accepts_a_disc_that_misses(circle053, monkeypatch):
     "R, Z", [(0.5, -3.0), (0.05, -1.0), (1e-3, -1.0), (3.5, -1.0), (4.0, -1.0)]
 )
 def test_sigma0_collocated_disc_against_dop853(R, Z):
-    # DOP853 at the accepted (c_o, z_o) and the shooting tolerances ends on
-    # the circle and follows the collocated curve
-    sig = shoot_sigma0(BoundaryCircle(R, Z))
-    curve = integrate_profile(
-        sig.params, StopCondition.phi_reaches(0.0),
-        rtol=shooting_mod.SHOOT_RTOL, atol=shooting_mod.SHOOT_ATOL,
-    )
-    r, z, _ = curve.state_at(curve.ell)
-    assert max(abs(r - R), abs(z - Z)) < 1e-9 * max(R, abs(Z), 1.0)
-    taus = np.linspace(0.0, sig.curve.ell, 400)
-    ours = np.array(sig.curve.state_at(taus))
-    theirs = np.array(curve.state_at(np.minimum(taus, curve.ell)))
-    assert np.max(np.abs(ours - theirs)) < 1e-8
-
-
-def test_unseeded_sigma0_integrates_once_per_process(circle053, cold_start,
-                                                     integrations):
-    first = shoot_sigma0(circle053)
-    assert integrations[0] == 1
-    again = shoot_sigma0(BoundaryCircle(1.0, -2.0))
-    assert integrations[0] == 1
-    assert shoot_sigma0(circle053).params == first.params
-    assert integrations[0] == 1 and again.match_residual < 1e-10
-    # the cached start is shared, so it is read-only
-    assert not shooting_mod._warm_start()[1].flags.writeable
+    # DOP853 at the accepted (c_o, z_o) ends on the circle and follows the
+    # collocated curve: at most 2.1e-11 and 1.5e-10 of the scale measured
+    miss, deviation = _against_dop853(shoot_sigma0(BoundaryCircle(R, Z)))
+    assert miss < 1e-10
+    assert deviation < 1e-9
 
 
 def test_sigma0_failure_names_the_circle(integrations, collocations):
@@ -194,7 +195,7 @@ def test_sigma0_failure_names_the_circle(integrations, collocations):
         assert len(point) == 2 and np.isfinite(value)
 
 
-def test_sigma0_fails_when_no_two_disc_degrees_agree(cold_start, monkeypatch):
+def test_sigma0_fails_when_no_two_disc_degrees_agree(monkeypatch):
     # a cap at the first degree leaves nothing to compare it with
     monkeypatch.setattr(shooting_mod, "_MAX_DEGREE", shooting_mod._FIRST_DEGREE)
     with pytest.raises(NoConvergence) as info:
@@ -211,6 +212,11 @@ def test_family_needs_the_collocated_disc(circle053, sig053, integrations,
         family_sweep(circle053, 1.2, 1.8, 3, sigma0=bare)
     with pytest.raises(IncompleteEvidence, match="psi"):
         shoot_family_member(1.4, circle053, bare)
+    # nor is a member's curve drawn without its psi
+    member = FamilyMember(1.5, -1.8, 1.9, 0.0, 0.0, circle053, False)
+    with pytest.raises(IncompleteEvidence, match="psi") as info:
+        member.curve
+    assert info.value.missing == ["psi"]
     assert integrations[0] == collocations[0] == 0
 
 
@@ -354,12 +360,6 @@ def _counter(monkeypatch, name):
 
     monkeypatch.setattr(shooting_mod, name, counting)
     return count
-
-
-@pytest.fixture
-def cold_start():
-    """An empty warm-start cache: the next unseeded disc integrates its start."""
-    shooting_mod._warm_start.cache_clear()
 
 
 @pytest.fixture

@@ -275,8 +275,7 @@ def test_certify_integrates_no_family_member(monkeypatch):
 def test_certificate_does_not_depend_on_call_history():
     # every member's collocation starts from the member or disc it is
     # continued from, never from state an earlier call left behind
-    for cached in (shooting_mod._warm_start, chebyshev.folded_derivative,
-                   chebyshev.folded_integral):
+    for cached in (chebyshev.folded_derivative, chebyshev.folded_integral):
         cached.cache_clear()
     alone = _certificate(1.5, -2.0)
     for R, Z in [(0.5, -3.0), (1.0, -2.0), (2.0, -1.5), (0.05, -1.0), (2.5, -2.0)]:
