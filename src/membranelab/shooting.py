@@ -15,19 +15,23 @@ its values at the nodes tau > 0 of the parity-folded Chebyshev grid
 and dphi/ds holds at every node.  The degree is chosen once per disc, by
 self-convergence in ``shoot_sigma0``.  Newton's method solves psi and two
 parameters together, the collocation bordered by the two equations
-(``_bordered``; Keller 1977), with one LU factorization per iterate.  A
-member's exact Jacobian d(r, z, phi)(L)/d(c, z_o, L) follows by implicit
-differentiation (``_endpoint_jacobian``); the null vector of its (r, z)
-rows is the tangent of the family.  One damped Newton corrector on a plane
-(``_correct``) finds every member: at given c on the plane of fixed c, from
-the tangent's predictor at a near member; farther along, or near a fold,
-on the plane normal to the tangent, by pseudo-arclength continuation in
-y = (c, z_o, L) / |(c, z_o, L)| of the member a step starts from (Keller
-1977; Allgower and Georg, *Introduction to Numerical Continuation
-Methods*), which passes through the folds where the family turns back in
-c; a sign change of the tangent's c-component locates the fold.  The
-curve of a disc or member is its collocation, read between the nodes by
-parity-continued barycentric interpolation (``_curve``).
+(``_bordered``; Keller 1977), with one LU factorization per iterate.  At a
+member, one LU of the collocation's psi-block gives by implicit
+differentiation both d psi/d(c, z_o, L) and the exact Jacobian d(r, z,
+phi)(L)/d(c, z_o, L) (``_sensitivity``); the null vector of the
+Jacobian's (r, z) rows is the tangent of the family.  One damped Newton
+corrector on a plane (``_correct``) finds every member: at given c on the
+plane of fixed c, from the tangent's predictor at a near member; farther
+along, or near a fold, on the plane normal to the tangent, by
+pseudo-arclength continuation in y = (c, z_o, L) / |(c, z_o, L)| of the
+member a step starts from (Keller 1977; Allgower and Georg, *Introduction
+to Numerical Continuation Methods*), which passes through the folds where
+the family turns back in c; a sign change of the tangent's c-component
+locates the fold.  Every predictor moves the whole state: psi follows x
+along d psi/dx, with a second-order term from the member before
+(``_psi_at``).  The curve of a disc or member is its collocation, read
+between the nodes by parity-continued barycentric interpolation
+(``_curve``).
 
 Both problems are scale equivariant: (R, Z) -> (mu R, mu Z) maps solutions
 to (c_o/mu, mu z_o).
@@ -103,6 +107,9 @@ _DISC_SNAP = 1e-9
 _FIRST_DEGREE = 61
 _MAX_DEGREE = 461
 _DEGREE_AGREE = 1e-10
+#: the unit variations (dr, dz, dphi) as stacked columns: ``dphi_ds_variation``
+#: at them gives the partials of dphi/ds in r, z and phi at every node
+_UNIT_VARIATIONS = np.eye(3)[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -147,9 +154,11 @@ class FamilyMember:
     The profile (c, z_o) passes through the circle at arc length ``ell``
     with tangent angle ``contact_angle``.  ``jacobian`` is
     d(r, z, phi)(L)/d(c, z_o, L) at the member; the null vector of its
-    (r, z) rows is the tangent of the family there.  ``previous`` is
-    (c, z_o, L) of the member or disc this one was continued from, or None;
-    ``psi`` is phi - pi at its collocation nodes (``_collocate``).
+    (r, z) rows is the tangent of the family there.  ``psi`` is phi - pi
+    at its collocation nodes (``_collocate``) and ``psi_x`` its derivative
+    d psi/d(c, z_o, L) along the family's equations (``_sensitivity``).
+    ``previous`` is (c, z_o, L) of the member or disc this one was
+    continued from, or None, and ``previous_psi`` that one's psi.
     """
 
     c: float
@@ -162,6 +171,8 @@ class FamilyMember:
     jacobian: np.ndarray | None = field(default=None, repr=False, compare=False)
     previous: tuple | None = field(default=None, repr=False, compare=False)
     psi: np.ndarray | None = field(default=None, repr=False, compare=False)
+    psi_x: np.ndarray | None = field(default=None, repr=False, compare=False)
+    previous_psi: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @functools.cached_property
     def curve(self):
@@ -224,13 +235,14 @@ def shoot_sigma0(circle, seed=None):
     solution carries the collocated psi, which the family through it starts
     from.
 
-    A seed with c_o z_o >= -1 raises NotAdmissible.  Every other failure
-    raises NoConvergence, whose message names R/|Z| and ends ``(1
-    integrations, M collocations done)``, the start being the one
-    integration.  Its trace holds ((c_o, z_o), residual): the direction
-    residual of the start, the larger of |phi(L)| and the direction
-    residual of each Newton iterate, and the endpoint mismatch of the
-    scaled disc.
+    A seed with c_o z_o >= -1 raises NotAdmissible, and so does a circle
+    narrower than the deepest unit disc, t = -1 - exp(``_U_MAX``), which no
+    disc reaches.  Every other failure raises NoConvergence.  The messages
+    of both, but for the seed's, name R/|Z| and end ``(1 integrations, M
+    collocations done)``, the start being the one integration.  The trace
+    holds ((c_o, z_o), residual): the direction residual of the start, the
+    larger of |phi(L)| and the direction residual of each Newton iterate,
+    and the endpoint mismatch of the scaled disc.
     """
     u = 0.0
     if seed is not None:
@@ -244,7 +256,7 @@ def shoot_sigma0(circle, seed=None):
     runs, trace = [0], []
     try:
         return _sigma0(circle, u, runs, trace)
-    except NoConvergence as exc:
+    except (NoConvergence, NotAdmissible) as exc:
         done = f"1 integrations, {runs[0]} collocations done"
         exc.args = (f"sigma0 {exc} (R/|Z| = {circle.R / -circle.Z:.6g}, {done})",)
         exc.trace = trace
@@ -311,7 +323,9 @@ def _unit_disc(target, u, length, psi, runs, trace):
     rows (``_bordered``, with dt/du = t + 1); the size of psi sets the
     degree.  A u step larger than its cap, at first ``_FIRST_U_STEP``, is
     cut to the cap with its psi and L steps, and the cap doubles; u stays
-    at or below ``_U_MAX``.  A step whose collocation fails is halved, at
+    at or below ``_U_MAX``, and a step beyond it from u = ``_U_MAX`` raises
+    NotAdmissible: theta falls strictly in u, so the circle is narrower
+    than every unit disc.  A step whose collocation fails is halved, at
     most ``_MAX_HALVINGS`` times.  The first step below ``_LAST_STEP`` in
     (psi, u, L / L) is taken as the last; (u, L, psi) is returned.  Each
     iterate goes to ``trace`` as ((1, t), max(|phi(L)|, |theta - target|)).
@@ -349,7 +363,7 @@ def _unit_disc(target, u, length, psi, runs, trace):
             cap *= 2.0
         step[-2] = min(u + step[-2], _U_MAX) - u
         if step[-2] == 0.0:
-            raise NoConvergence(
+            raise NotAdmissible(
                 f"the circle is narrower than the deepest unit disc, t = {t:.6g}"
             )
         back = (v, step)
@@ -413,13 +427,17 @@ def _collocate(x, psi):
     the parity-folded Chebyshev grid (``chebyshev``) are the unknowns, whose
     size sets the degree, and r = L Q_even cos psi and z = z_o + L Q_odd
     sin psi are their integrals from the axis.  The residual G = D_odd psi
-    / L + ``dphi_ds`` at every node comes with its partials, from those of
-    ``dphi_ds_variation``, and with those of the end (r, z, phi)(L), the
-    first rows of L Q_even diag(sin phi), -L Q_odd diag(cos phi) and e_0 in
-    psi.  Returns None for a node off r > 0, z < 0.
+    / L + ``dphi_ds`` at every node comes with its partials.  Those of
+    dphi/ds in (r, z, phi) are three node vectors, ``dphi_ds_variation`` at
+    the unit variations; G_psi is D_odd / L plus the r- and z-partials
+    times L Q_even diag(sin phi) and -L Q_odd diag(cos phi), row by row, and
+    the phi-partial on its diagonal, filled in place.  The end (r, z,
+    phi)(L) comes with its partials, in psi the first rows of those two
+    matrices and e_0.  Returns None for a node off r > 0, z < 0.
     """
     c, z_o, length = x
-    n = 2 * psi.size - 1
+    h = psi.size
+    n = 2 * h - 1
     D, Q = chebyshev.folded_derivative(n)[-1], chebyshev.folded_integral(n)
     cos_psi, sin_psi, r, z = _nodes(x, psi)
     # written so that a NaN fails it too
@@ -428,26 +446,33 @@ def _collocate(x, psi):
     # cos and sin of phi = pi + psi
     c_phi, s_phi = -cos_psi, -sin_psi
     sor = s_phi / r
-    r_psi, z_psi = length * Q[1] * s_phi, -length * Q[-1] * c_phi
-    rows = (v[:, None] for v in (c_phi, s_phi, sor, r, z))
-    eye = np.eye(psi.size)
+    d_r, d_z, d_phi = dphi_ds_variation(c_phi, s_phi, sor, r, z, *_UNIT_VARIATIONS)
     D_psi = (D @ psi) / length
-
-    def partial(dr, dz):
-        return dphi_ds_variation(c_phi, s_phi, sor, r, z, dr, dz, 0.0)
-
+    G_psi = Q[1] * length
+    G_psi *= s_phi
+    G_psi *= d_r[:, None]
+    work = Q[-1] * -length
+    work *= c_phi
+    work *= d_z[:, None]
+    G_psi += work
+    G_psi.flat[:: h + 1] += d_phi
+    G_psi += np.divide(D, length, out=work)
+    E_psi = np.zeros((3, h))
+    E_psi[0] = length * Q[1][0] * s_phi
+    E_psi[1] = -length * Q[-1][0] * c_phi
+    E_psi[2, 0] = 1.0
+    G_x = np.empty((h, 3))
+    G_x[:, 0] = 2.0
+    G_x[:, 1] = d_z
+    G_x[:, 2] = d_r * (r / length) + d_z * ((z - z_o) / length) - D_psi / length
     return _Collocated(
         x=tuple(float(v) for v in x),
         psi=psi,
         end=(float(r[0]), float(z[0]), math.pi + float(psi[0])),
         G=D_psi + dphi_ds(c_phi, sor, z, c),
-        G_psi=D / length + dphi_ds_variation(*rows, r_psi, z_psi, eye),
-        G_x=np.column_stack([
-            np.full(r.size, 2.0),
-            partial(0.0, 1.0),
-            partial(r / length, (z - z_o) / length) - D_psi / length,
-        ]),
-        E_psi=np.array([r_psi[0], z_psi[0], eye[0]]),
+        G_psi=G_psi,
+        G_x=G_x,
+        E_psi=E_psi,
         E_x=np.array([
             [0.0, 0.0, r[0] / length],
             [0.0, 1.0, (z[0] - z_o) / length],
@@ -478,15 +503,23 @@ def _bordered(sol, P, rows_psi, rows_x):
     return lambda rhs: dgetrs(lu, piv, rhs)[0]
 
 
-def _endpoint_jacobian(sol):
-    """d(r, z, phi)(L)/d(c, z_o, L) of the collocated profile ``sol``.
+def _sensitivity(sol):
+    """(J, psi_x) of the collocated profile ``sol``.
 
     Implicit differentiation of its equations G(psi; c, z_o, L) = 0 gives
-    E_x - E_psi G_psi^-1 G_x, by one transposed back-substitution of the
-    three endpoint rows on the LU of G_psi.
+    psi_x = -G_psi^-1 G_x, dpsi/d(c, z_o, L) at the nodes, by one
+    back-substitution of G_x's three columns on the LU of G_psi, and J =
+    E_x + E_psi psi_x = d(r, z, phi)(L)/d(c, z_o, L).
     """
     lu, piv, _ = dgetrf(sol.G_psi)
-    return sol.E_x - dgetrs(lu, piv, sol.E_psi.T, trans=1)[0].T @ sol.G_x
+    psi_x = -dgetrs(lu, piv, sol.G_x)[0]
+    return sol.E_x + sol.E_psi @ psi_x, psi_x
+
+
+def _endpoint_jacobian(sol):
+    """d(r, z, phi)(L)/d(c, z_o, L) of the collocated profile ``sol``
+    (``_sensitivity``)."""
+    return _sensitivity(sol)[0]
 
 
 def _solved(runs, x, psi):
@@ -592,9 +625,11 @@ def _state(seed):
     return np.array([seed.c, seed.z_o, seed.ell])
 
 
-def _member(sol, norm, circle, previous):
-    """The member collocated as ``sol``, continued from ``previous``."""
+def _member(sol, norm, circle, seed):
+    """The member collocated as ``sol``, continued from the member or disc
+    ``seed``."""
     c, z_o, length = sol.x
+    jacobian, psi_x = _sensitivity(sol)
     return FamilyMember(
         c=c,
         z_o=z_o,
@@ -603,9 +638,11 @@ def _member(sol, norm, circle, previous):
         match_residual=norm,
         circle=circle,
         left_admissible_region=not ModelParams(c, z_o).sigma0_admissible,
-        jacobian=_endpoint_jacobian(sol),
-        previous=previous,
+        jacobian=jacobian,
+        previous=tuple(_state(seed)),
         psi=sol.psi,
+        psi_x=psi_x,
+        previous_psi=seed.psi,
     )
 
 
@@ -637,14 +674,37 @@ def _bend(x, t, x_other, scale):
     return 2.0 * (dy - h * t) / (h * h)
 
 
-def _predict(base, c, scale):
-    """Predicted (z_o, L) at c on the parabola of the family through ``base``.
+def _psi_at(base, x, scale):
+    """psi predicted at x = (c, z_o, L) on the family through the member
+    ``base``.
 
-    It bends through ``base.previous``.  Returns ``(z_o, L, h, ratio)``: the
+    The linear part is psi + psi_x (x - x_base).  The second-order part is
+    the remainder e = psi_prev - psi - psi_x (x_prev - x_base) of that
+    linear part at ``base.previous``, scaled by (h / h_prev)^2, with h and
+    h_prev the steps to x and to x_prev along the tangent in y = x /
+    ``scale``; it is left out when h_prev is shorter than
+    ``_MIN_BEND_STEP``, as ``_bend`` leaves out its bend.
+    """
+    x_base = _state(base)
+    psi = base.psi + base.psi_x @ (np.asarray(x) - x_base)
+    t = _tangent(base.jacobian, scale)
+    dx_prev = np.asarray(base.previous) - x_base
+    h_prev = float(t @ (dx_prev / scale))
+    if abs(h_prev) < _MIN_BEND_STEP:
+        return psi
+    h = float(t @ ((np.asarray(x) - x_base) / scale))
+    remainder = base.previous_psi - base.psi - base.psi_x @ dx_prev
+    return psi + (h / h_prev) ** 2 * remainder
+
+
+def _predict(base, c, scale):
+    """Predicted state at c on the parabola of the family through ``base``.
+
+    It bends through ``base.previous``.  Returns ``(x, psi, h, ratio)``: x
+    = (c, z_o, L) on that parabola, psi predicted there (``_psi_at``), the
     step h in scaled arclength and the share of the tangent's c-component
-    left at the predicted point on that parabola (1 on a straight line; 0
-    at its fold, where the c-equation has no root and the linear step is
-    returned).
+    left at x (1 on a straight line; 0 at its fold, where the c-equation
+    has no root and the linear step is returned).
     """
     t = _tangent(base.jacobian, scale)
     bend = _bend(_state(base), t, base.previous, scale)
@@ -661,7 +721,8 @@ def _predict(base, c, scale):
         else:
             ratio = 0.0
     y = y + h * t
-    return y[1] * scale[1], y[2] * scale[2], h, ratio
+    x = np.array([c, y[1] * scale[1], y[2] * scale[2]])
+    return x, _psi_at(base, x, scale), h, ratio
 
 
 class _Unreached(NoConvergence):
@@ -693,11 +754,18 @@ def _land(circle, runs, trace, seed, c, psi, predicted=None, first=None):
         if first is not None:
             u = np.array(predicted)
     sol, norm = _correct(circle, runs, trace, x0, Q, u, psi, "member", first)
-    return _member(sol, norm, circle, tuple(_state(seed)))
+    return _member(sol, norm, circle, seed)
 
 
 def _reach(circle, runs, trace, seed, c):
-    """``shoot_family_member`` before the suffix of its messages."""
+    """``shoot_family_member`` before the suffix of its messages.
+
+    A landing from a member starts at the whole state (psi, x) that
+    ``_predict`` gives at c, and the tangent there, which decides between
+    landing and walking, is read from that collocation as it stands: the
+    predicted psi misses the member's by about 1e-3 or less, so no Newton
+    step in psi alone comes first.
+    """
     if isinstance(seed, Sigma0Solution):
         c0 = seed.params.c_o
         at = c if abs(c - c0) <= _DISC_SNAP * c0 else c0
@@ -706,25 +774,18 @@ def _reach(circle, runs, trace, seed, c):
         if at == c:
             return seed
     scale = np.abs(_state(seed))
-    z_p, l_p, h, ratio = _predict(seed, c, scale)
+    x_pred, psi_pred, h, ratio = _predict(seed, c, scale)
     first = None
     if ratio >= _LAND_RATIO and abs(h) <= _MAX_LAND_STEP:
-        first = _solved(runs, (c, z_p, l_p), seed.psi)
-        if first is not None:
-            # the tangent there is read after one Newton step in psi at
-            # fixed x: at the seed's psi it would be off by the step in x
-            lu, piv, _ = dgetrf(first.G_psi)
-            first = _solved(runs, first.x, first.psi - dgetrs(lu, piv, first.G)[0])
+        first = _solved(runs, x_pred, psi_pred)
         if first is not None:
             t_seed = _tangent(seed.jacobian, scale)
             t_pred = _oriented(_endpoint_jacobian(first), scale, t_seed)
             if t_pred[0] / t_seed[0] >= _LAND_RATIO:
-                return _land(circle, runs, trace, seed, c, seed.psi, (z_p, l_p), first)
+                return _land(circle, runs, trace, seed, c, psi_pred, x_pred[1:], first)
     side = 1 if c > seed.c else -1
     try:
-        base, fold = _walk(
-            circle, runs, trace, seed, np.array([c, z_p, l_p]), first, c, side
-        )
+        base, fold = _walk(circle, runs, trace, seed, x_pred, first, c, side)
     except NoConvergence as exc:
         raise _Unreached(str(exc), trace, None, seed) from None
     if fold is not None and side * (c - fold) > 0.0:
@@ -734,8 +795,8 @@ def _reach(circle, runs, trace, seed, c):
             f"{fold:.10g}: no member exists there",
             trace, fold, base,
         )
-    z_p, l_p, _, _ = _predict(base, c, np.abs(_state(base)))
-    return _land(circle, runs, trace, base, c, base.psi, (z_p, l_p))
+    x_pred, psi_pred, _, _ = _predict(base, c, np.abs(_state(base)))
+    return _land(circle, runs, trace, base, c, psi_pred, x_pred[1:])
 
 
 def shoot_family_member(c, circle, seed):
@@ -778,10 +839,11 @@ def _arc_step(circle, runs, base, t_base, scale, ds, trace, bend=None, first=Non
     ``_correct`` solves on the plane t_base . (y - y_base) = ds in scaled
     y = x / ``scale`` (Keller 1977), through y_base + ds t_base and along
     an orthonormal basis of the complement of t_base.  Newton starts from
-    the predictor y_base + ds t_base + ds^2 bend / 2 projected onto the
-    plane, with ``bend`` the family's curvature vector d^2 y/ds^2 or None;
-    its residual ``first`` may be evaluated already.  Returns the member
-    and the predictor's distance from it in y.
+    the predictor y_pred = y_base + ds t_base + ds^2 bend / 2 projected onto
+    the plane, with ``bend`` the family's curvature vector d^2 y/ds^2 or
+    None, and from the psi predicted at y_pred (``_psi_at``); its residual
+    ``first`` there may be evaluated already.  Returns the member and the
+    predictor's distance from it in y.
     """
     x_base = _state(base)
     y_plane = x_base / scale + ds * t_base
@@ -789,10 +851,11 @@ def _arc_step(circle, runs, base, t_base, scale, ds, trace, bend=None, first=Non
     y_pred = y_plane if bend is None else y_plane + 0.5 * ds * ds * bend
     sol, norm = _correct(
         circle, runs, trace, y_plane * scale, scale[:, None] * basis,
-        basis.T @ (y_pred - y_plane), base.psi, "arclength", first,
+        basis.T @ (y_pred - y_plane), _psi_at(base, y_pred * scale, scale),
+        "arclength", first,
     )
     miss = float(np.linalg.norm(np.array(sol.x) / scale - y_pred))
-    return _member(sol, norm, circle, tuple(x_base)), miss
+    return _member(sol, norm, circle, base), miss
 
 
 def _walk(circle, runs, trace, base, x_pred, out, c, side):
@@ -983,8 +1046,8 @@ def family_sweep(circle, c_min, c_max, n, *, sigma0=None):
             seed = member
         if seed is not start:
             # the other side's first predictor bends through this side's
-            # last member
-            start = replace(start, previous=tuple(_state(seed)))
+            # last member, and its psi through that member's
+            start = replace(start, previous=tuple(_state(seed)), previous_psi=seed.psi)
     return FamilySweep(
         members=[members[i] for i in sorted(members)],
         failures=failures,

@@ -130,19 +130,32 @@ def test_cli_trace_bad_arc_exit_1(tmp_path, capsys, arc):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "R, Z", [("1e300", "-1"), ("1e-300", "-1"), ("1", "-1e300"), ("1e-300", "-1e300")]
-)
+@pytest.mark.parametrize("R, Z", [("1e300", "-1")])
 def test_cli_sigma0_unreachable_direction_exit_2(tmp_path, capsys, R, Z):
-    # no unit disc ends in these directions: the Newton in u runs to a flat
-    # disc (t rounds to -1) or to the deepest one (t = -1e4); the last
-    # direction underflows to 0
+    # no unit disc ends in this direction: the Newton in u runs toward a
+    # flat disc and its collocation fails, a numerical failure
     out = tmp_path / "s"
     assert run_cli(["sigma0", "--R", R, f"--Z={Z}", "--out", str(out)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines[0].startswith("numerical failure: sigma0 ")
     assert lines[0].endswith("collocations done)")
     assert all(line.startswith("  trace: ") for line in lines[1:])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "R, Z", [("1e-300", "-1"), ("1", "-1e300"), ("1e-300", "-1e300")]
+)
+def test_cli_sigma0_narrower_than_every_disc_exit_1(tmp_path, capsys, R, Z):
+    # the direction falls strictly in u, so a Newton step past the deepest
+    # unit disc (t = -1e4) means that no disc reaches the circle: bad input,
+    # refused on one line; the last direction underflows to 0
+    out = tmp_path / "s"
+    assert run_cli(["sigma0", "--R", R, f"--Z={Z}", "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: sigma0 the circle is narrower than the deepest")
+    assert lines[0].endswith("collocations done)")
     assert not out.exists()
 
 
