@@ -58,8 +58,9 @@ from .profile import (
     sigma0_stop,
 )
 
-#: tolerances of the shooting layer's integration and curves; tighter than
-#: the profile defaults so the matched endpoint is trustworthy to ~1e-11
+#: tolerances that the collocated curves of the disc and its members carry
+#: (``_curve``): tighter than the profile defaults, as their matched endpoint
+#: is trustworthy to ~1e-11; nothing is integrated at them
 SHOOT_RTOL = 1e-12
 SHOOT_ATOL = 1e-14
 
@@ -71,8 +72,9 @@ _MAX_HALVINGS = 8
 _U_MAX = math.log((1.0 - 1e-9) * MAX_ABS_CZ - 1.0)
 #: first cap on a Newton step in u of the unit disc (``_unit_disc``)
 _FIRST_U_STEP = 1.0
-#: a Newton step of the unit disc in (u, L / L) this small is its last: the
-#: quadratic convergence leaves an error far below _DEGREE_AGREE after it
+#: a Newton step of the unit disc in (u, L / L), or of a member, this small
+#: is taken whole as its last: the quadratic convergence leaves an error far
+#: below _DEGREE_AGREE after it
 _LAST_STEP = 1e-9
 #: a member is landed at fixed c only while the tangent's c-component t_c at
 #: its predicted point keeps this share of the value at the last member: t_c
@@ -158,7 +160,8 @@ class FamilyMember:
     at its collocation nodes (``_collocate``) and ``psi_x`` its derivative
     d psi/d(c, z_o, L) along the family's equations (``_sensitivity``).
     ``previous`` is (c, z_o, L) of the member or disc this one was
-    continued from, or None, and ``previous_psi`` that one's psi.
+    continued from, and ``previous_psi`` that one's psi.  A member that
+    lacks any of these fields seeds no other (``shoot_family_member``).
     """
 
     c: float
@@ -222,10 +225,12 @@ def shoot_sigma0(circle, seed=None):
     Scale equivariance leaves one unknown, t = c_o z_o < -1: the unit disc
     (1, t) ends in a direction atan2(r, -z) that falls strictly in
     u = log(-t - 1), so one u matches the circle's direction atan2(R, -Z).
-    One integration at u0 (the seed's, else 0) gives the arc length L and
-    psi = phi - pi at the nodes of the first collocation degree.  Newton's
-    method on (psi, u, L) (``_unit_disc``) then solves the collocation of
-    the unit disc with phi(L) = 0 and the direction, and the degree rises
+    One integration at u0 (the seed's, else 0), at the profile's default
+    tolerances, gives Newton's start (``_start``): the arc length L and psi
+    = phi - pi at the nodes of the first collocation degree; the disc does
+    not depend on that start's accuracy.  Newton's method on (psi, u, L)
+    (``_unit_disc``) then solves the collocation of the unit disc with
+    phi(L) = 0 and the direction, and the degree rises
     (``chebyshev.next_degree``, psi interpolated onto the new nodes) until
     two degrees' (u, L / L) agree to ``_DEGREE_AGREE``.  The last one,
     scaled by mu = |(R, Z)|/|(r, z)(L)|, is the disc (1/mu, mu t) of arc
@@ -264,18 +269,23 @@ def shoot_sigma0(circle, seed=None):
 
 
 def _start(u):
-    """(L, psi, theta) of the unit disc (1, -1 - e^u) integrated at the
-    shooting tolerances: psi = phi - pi at the nodes of the first degree,
-    and theta = atan2(r, -z)(L)."""
+    """(L, psi, theta) of the unit disc (1, -1 - e^u), Newton's start.
+
+    It is integrated at the profile's default tolerances, psi = phi - pi is
+    read at the nodes of the first degree by linear interpolation between
+    the integrator's steps, and theta = atan2(r, -z)(L) from its last
+    sample, with no dense output: Newton starts O(1) away in u, and the
+    disc it settles on does not depend on the start's accuracy.
+    """
     params = ModelParams(1.0, -1.0 - math.exp(u))
     try:
-        curve = integrate_profile(params, sigma0_stop(), rtol=SHOOT_RTOL, atol=SHOOT_ATOL)
+        curve = integrate_profile(params, sigma0_stop())
     except MembraneLabError as exc:
         raise NoConvergence(f"disc (1, {params.z_o:.17g}) failed: {exc}") from None
     n = _FIRST_DEGREE
-    psi = curve.state_at(curve.ell * chebyshev.points(n)[: (n + 1) // 2])[2] - math.pi
-    r, z, _ = curve.state_at(curve.ell)
-    return curve.ell, psi, math.atan2(r, -z)
+    taus = curve.ell * chebyshev.points(n)[: (n + 1) // 2]
+    psi = np.interp(taus, curve.taus, curve.phi) - math.pi
+    return curve.ell, psi, math.atan2(curve.r[-1], -curve.z[-1])
 
 
 def _sigma0(circle, u, runs, trace):
@@ -561,11 +571,16 @@ def _correct(circle, runs, trace, x0, Q, u, psi, what, first=None):
     with psi in radians and x relative to its size.  A step is halved until
     it passes Deuflhard's natural monotonicity test (Deuflhard 2004): the
     simplified correction at the new iterate, a back-substitution on the
-    same LU, is smaller than the step.  A step of at most ``_LAST_STEP`` is
-    taken whole, as the last: the iterate after it is the member when the
-    max-norm of F is below ``_match_tol(circle)``.  Iterates go to
-    ``trace`` as ((c, z_o, L), norm); failures raise NoConvergence naming
-    ``what``.
+    same LU, is smaller than the step.  An iterate's correction is that
+    simplified correction when a whole step reached it, and else the Newton
+    step at it.  An iterate whose correction is at most ``_DEGREE_AGREE``,
+    the accuracy the disc's degree is chosen for, and whose max-norm of F
+    is below ``_match_tol(circle)`` is the member: nothing is collocated or
+    factored after it.  A step of at most ``_LAST_STEP`` is taken whole,
+    untested, as the last: the iterate after it is the member when its F is
+    below ``_match_tol(circle)``, and else Newton has stalled.  Iterates go
+    to ``trace`` as ((c, z_o, L), norm); failures raise NoConvergence
+    naming ``what``.
     """
     sol = _solved(runs, x0 + Q @ u, psi) if first is None else first
     if sol is None:
@@ -578,32 +593,37 @@ def _correct(circle, runs, trace, x0, Q, u, psi, what, first=None):
     def size(v, x):
         return max(np.max(np.abs(v[:-2])), np.max(np.abs(Q @ v[-2:] / x)))
 
-    last = False
+    eqs, correction, last = equations(sol), math.inf, False
     for _ in range(_MAX_NEWTON):
-        eqs = equations(sol)
         norm = float(np.max(np.abs(eqs[-2:])))
         trace.append((sol.x, norm))
+        matched = norm < _match_tol(circle)
+        if matched and (last or correction <= _DEGREE_AGREE):
+            return sol, norm
         if last:
-            if norm < _match_tol(circle):
-                return sol, norm
             raise NoConvergence(f"{what} stalled at {norm:.3e}", trace)
         solve = _bordered(sol, Q, sol.E_psi[:2], sol.E_x[:2])
         if solve is None:
             raise NoConvergence(f"singular {what} Jacobian", trace)
         step = solve(-eqs)
-        last = size(step, sol.x) <= _LAST_STEP
+        correction = size(step, sol.x)
+        if matched and correction <= _DEGREE_AGREE:
+            return sol, norm
+        last = correction <= _LAST_STEP
         lam = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = lam * step
             new = _solved(runs, x0 + Q @ (u + trial[-2:]), sol.psi + trial[:-2])
-            if new is not None and (
-                last or size(solve(-equations(new)), sol.x) < size(step, sol.x)
-            ):
-                break
+            if new is not None:
+                new_eqs = equations(new)
+                simplified = size(solve(-new_eqs), sol.x)
+                if last or simplified < correction:
+                    break
             lam *= 0.5
         else:
             raise NoConvergence(f"{what} damping stalled at {norm:.3e}", trace)
-        u, sol = u + trial[-2:], new
+        u, sol, eqs = u + trial[-2:], new, new_eqs
+        correction = simplified if lam == 1.0 else math.inf
     raise NoConvergence(f"{what} did not converge in {_MAX_NEWTON} iterations", trace)
 
 
@@ -773,6 +793,15 @@ def _reach(circle, runs, trace, seed, c):
         seed = _land(circle, runs, trace, seed, at, seed.psi, first=first)
         if at == c:
             return seed
+    else:
+        fields = ("jacobian", "psi", "psi_x", "previous", "previous_psi")
+        missing = [name for name in fields if getattr(seed, name) is None]
+        if missing:
+            raise IncompleteEvidence(
+                f"family member seed has no {', '.join(missing)}: shoot it with "
+                "shoot_family_member",
+                missing,
+            )
     scale = np.abs(_state(seed))
     x_pred, psi_pred, h, ratio = _predict(seed, c, scale)
     first = None
@@ -815,12 +844,15 @@ def shoot_family_member(c, circle, seed):
     is walked (``_walk``) until c or a fold is passed, and c is landed from
     the member nearer to it.
 
-    Raises ValueError unless c is finite and positive.  A c past the first
-    fold on its side of the seed has no member: NoConvergence names c, the
-    side and c*.  Every NoConvergence message ends with ``(c = ...,
-    N collocations done)``, the requested c and the collocations
-    (``_collocate``) of the call; its trace holds ((c, z_o, L), max-norm
-    residual) per accepted iterate.
+    Raises ValueError unless c is finite and positive, and
+    IncompleteEvidence before any collocation for a disc seed without
+    ``psi`` or a member seed without the fields that ``shoot_family_member``
+    fills (``jacobian``, ``psi``, ``psi_x``, ``previous``,
+    ``previous_psi``), naming them.  A c past the first fold on its side of
+    the seed has no member: NoConvergence names c, the side and c*.  Every
+    NoConvergence message ends with ``(c = ..., N collocations done)``, the
+    requested c and the collocations (``_collocate``) of the call; its
+    trace holds ((c, z_o, L), max-norm residual) per accepted iterate.
     """
     if not 0.0 < c < math.inf:
         raise ValueError(f"member curvature c must be finite and positive, not {c!r}")

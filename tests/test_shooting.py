@@ -18,6 +18,7 @@ from membranelab import (
 )
 from membranelab.errors import IncompleteEvidence, NoConvergence, NotAdmissible
 from membranelab.profile import check_scale
+from membranelab import chebyshev
 import membranelab.shooting as shooting_mod
 
 from _oracles import MEMBER_ANGLES_05_3, SIGMA0_05_3, polyline_distance
@@ -184,6 +185,35 @@ def test_sigma0_collocated_disc_against_dop853(R, Z):
     assert deviation < 1e-9
 
 
+def _dense_start(u):
+    """``shooting._start`` at the shooting tolerances, psi and the end read
+    from DOP853's dense output."""
+    curve = integrate_profile(
+        ModelParams(1.0, -1.0 - math.exp(u)),
+        StopCondition.phi_reaches(0.0),
+        rtol=shooting_mod.SHOOT_RTOL,
+        atol=shooting_mod.SHOOT_ATOL,
+    )
+    n = shooting_mod._FIRST_DEGREE
+    psi = curve.state_at(curve.ell * chebyshev.points(n)[: (n + 1) // 2])[2] - math.pi
+    r, z, _ = curve.state_at(curve.ell)
+    return curve.ell, psi, math.atan2(r, -z)
+
+
+@pytest.mark.parametrize("R, Z", [(0.5, -3.0), (0.05, -1.0), (3.5, -1.0), (4.0, -1.0)])
+def test_sigma0_does_not_depend_on_its_start(R, Z, monkeypatch):
+    # Newton starts O(1) away in u: a start integrated at the shooting
+    # tolerances and sampled through the dense output settles on the same
+    # degree and the same disc (at most 2.4e-15 relative measured)
+    circle = BoundaryCircle(R, Z)
+    sig = shoot_sigma0(circle)
+    monkeypatch.setattr(shooting_mod, "_start", _dense_start)
+    dense = shoot_sigma0(circle)
+    assert dense.psi.size == sig.psi.size
+    assert dense.params.c_o == pytest.approx(sig.params.c_o, rel=1e-13, abs=0.0)
+    assert dense.params.z_o == pytest.approx(sig.params.z_o, rel=1e-13, abs=0.0)
+
+
 def test_sigma0_failure_names_the_circle(integrations, collocations):
     with pytest.raises(NoConvergence) as info:
         shoot_sigma0(BoundaryCircle(100.0, -0.01))
@@ -221,6 +251,24 @@ def test_family_needs_the_collocated_disc(circle053, sig053, integrations,
     with pytest.raises(IncompleteEvidence, match="psi") as info:
         member.curve
     assert info.value.missing == ["psi"]
+    assert integrations[0] == collocations[0] == 0
+
+
+def test_member_seed_without_its_fields_is_incomplete_evidence(circle053, sig053,
+                                                              integrations,
+                                                              collocations):
+    # a hand-made member has none of the fields shoot_family_member fills,
+    # and a shot one stripped of one field lacks just that one
+    bare = FamilyMember(1.5, -1.8, 1.9, 0.0, 0.0, BoundaryCircle(0.5, -3), False)
+    with pytest.raises(IncompleteEvidence, match="shoot_family_member") as info:
+        shoot_family_member(1.52, BoundaryCircle(0.5, -3), bare)
+    assert info.value.missing == ["jacobian", "psi", "psi_x", "previous", "previous_psi"]
+    member = shoot_family_member(sig053.params.c_o, circle053, sig053)
+    integrations[0] = collocations[0] = 0
+    for name in ("psi_x", "previous_psi"):
+        with pytest.raises(IncompleteEvidence, match=name) as info:
+            shoot_family_member(1.52, circle053, replace(member, **{name: None}))
+        assert info.value.missing == [name]
     assert integrations[0] == collocations[0] == 0
 
 
@@ -395,10 +443,13 @@ def _settled(x, psi):
 
 
 def test_member_returns_the_curve_of_its_last_residual(circle053, sig053,
-                                                       integrations):
+                                                       integrations, collocations):
     # the curve is the collocation the residual was taken on: its end is
-    # that collocation's, bit for bit, and nothing is integrated
+    # that collocation's, bit for bit, and nothing is integrated.  At c0
+    # that is the disc's own collocation, whose Newton step is already
+    # below _DEGREE_AGREE: the member costs that one collocation alone
     m = shoot_family_member(sig053.params.c_o, circle053, sig053)
+    assert collocations[0] == 1 and m.psi is sig053.psi
     r, z, phi = m.curve.state_at(m.curve.ell)
     assert m.curve is m.curve and integrations[0] == 0
     assert m.curve.ell == m.ell and m.curve.tau0 == 0.0
@@ -411,9 +462,10 @@ def test_sweep_integration_budget(circle053, sig053, factorizations):
     c0 = sig053.params.c_o
     sw = shooting_mod.family_sweep(circle053, 0.98 * c0, 1.02 * c0, 5, sigma0=sig053)
     assert len(sw.members) == 5 and not sw.failures
-    # 19 measured: each landing starts from the predicted psi, with no
-    # Newton step in psi alone before it (26 did)
-    assert factorizations[0] <= 21
+    # 17 measured: a landing stops at the first iterate whose simplified
+    # correction is below _DEGREE_AGREE, with no iterate collocated and
+    # factored after it to confirm it (19 were)
+    assert factorizations[0] <= 17
 
 
 def test_member_stall_message_and_trace(circle053, sig053):
@@ -455,8 +507,9 @@ def test_sweep_integration_budget_over_the_fig2_range(circle053, sig053,
     # one landing per member: the walk covers only gaps too long to land
     sw = shooting_mod.family_sweep(circle053, 1.2, 1.8, 13, sigma0=sig053)
     assert len(sw.members) == 13 and not sw.failures
-    # 69 measured (82 with a Newton step in psi alone before each landing)
-    assert factorizations[0] <= 74
+    # 57 measured (69 with an iterate collocated and factored after each
+    # member's last step to confirm it)
+    assert factorizations[0] <= 57
 
 
 def _disc_map(R, Z):
@@ -619,9 +672,9 @@ def test_fold_is_scale_invariant(mu):
     assert fold_mu == pytest.approx(fold / mu, rel=1e-9)
 
 
-# 19 and 24 measured (26 and 30 with a Newton step in psi alone before each
-# landing)
-@pytest.mark.parametrize("R, Z, budget", [(0.5, -3.0, 21), (1.5, -2.0, 26)])
+# 17 and 21 measured (19 and 24 with an iterate collocated and factored
+# after each member's last step to confirm it)
+@pytest.mark.parametrize("R, Z, budget", [(0.5, -3.0, 17), (1.5, -2.0, 21)])
 def test_sweep_integration_budget_through_folds(R, Z, budget, factorizations):
     sig = shoot_sigma0(BoundaryCircle(R, Z))
     c0 = sig.params.c_o
@@ -769,7 +822,9 @@ def test_landing_starts_from_the_predicted_psi(circle053, sig053, monkeypatch):
         assert miss < bound
         assert np.max(np.abs(seed.psi - member.psi)) >= 10.0 * miss
         # every collocation is a Newton iterate on (psi, z_o, L), from the
-        # predicted state: none re-solves psi alone at an x already seen
+        # predicted state: none re-solves psi alone at an x already seen,
+        # and the last is the member, with nothing collocated to confirm it
         assert len(set(xs)) == len(xs) == len(trace)
+        assert xs[-1] == tuple(x) and trace[-1] == (xs[-1], member.match_residual)
         assert member.previous_psi is seed.psi
         seed = member
