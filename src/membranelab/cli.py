@@ -15,6 +15,7 @@ path, 2 numerical non-convergence (diagnostics on standard error).
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -661,8 +662,10 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+@functools.cache
 def _build_parser():
-    # an option left out is absent from the namespace, so a subparser cannot
+    # built once per process: parse_args leaves the parser as it is.  An
+    # option left out is absent from the namespace, so a subparser cannot
     # reset an --out or --config given before its command
     omit = argparse.SUPPRESS
     shared = argparse.ArgumentParser(add_help=False, argument_default=omit)

@@ -74,6 +74,16 @@ _MIN_DISC_SLOPE = 1e-3
 _ZERO_BAND_FACTOR = 1e-6
 
 
+@functools.cache
+def _gauss_legendre(n):
+    """The n-point Gauss-Legendre rule on [-1, 1], computed once per n and
+    read-only, like ``chebyshev.folded_derivative``."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 @dataclass(frozen=True)
 class EigenResult:
     """Lowest eigenpairs of one angular mode.
@@ -110,7 +120,7 @@ class EigenResult:
         half[1:] = self._vectors
         full = np.concatenate([half, (-1.0) ** self.m * half[::-1]])
         # unit r-weighted norm, by Gauss-Legendre on [0, ell]
-        ell, x, w = level.taus[0], *np.polynomial.legendre.leggauss(level.n + 1)
+        ell, x, w = level.taus[0], *_gauss_legendre(level.n + 1)
         r_u = np.column_stack([np.concatenate([level.r, -level.r[::-1]]), full])
         r_u = chebyshev.barycentric(level.n, 0.5 * (x + 1.0), r_u)
         norms = np.sqrt(0.5 * ell * (w * r_u[:, 0]) @ r_u[:, 1:] ** 2)

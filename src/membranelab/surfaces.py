@@ -24,12 +24,17 @@ numpy to the very bytes of ``%.17g`` and ``%d``: Dekker's exact product of
 zeros, |x| outside [1e-4, 1e17) and non-finite values are formatted by
 ``%``, one value at a time.
 
+A block of integers that spans no more values than it holds, as a block of
+face indices does, is encoded by value range: the integers from its least to
+its largest once, then each row gathered from that table.
+
 Building, checking and writing a mesh take at most about one block of
 memory beyond the mesh's own arrays (and, for the edge count, its key
 array): vertices and faces are computed in place in their final arrays, the
 degeneracy guard takes the minimum triangle area ``_BLOCK_ROWS`` faces at a
-time, the edge keys are filled ``_BLOCK_ROWS`` faces at a time, and the OBJ
-writer adds the 1 of the 1-based face indices block by block.
+time, from the coordinate columns of the vertex array, the edge keys are
+filled ``_BLOCK_ROWS`` faces at a time, and the OBJ writer adds the 1 of the
+1-based face indices block by block.
 """
 
 import functools
@@ -101,9 +106,24 @@ class SurfaceMesh:
 
 
 def _triangle_areas(vertices, faces):
-    a = vertices[faces[:, 1]] - vertices[faces[:, 0]]
-    b = vertices[faces[:, 2]] - vertices[faces[:, 0]]
-    return 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
+    """Area of each face, bit for bit ``0.5 * |np.cross(p1 - p0, p2 - p0)|``.
+
+    Each coordinate is read as a column of the vertex array and gathered
+    once per face column; the cross product and the norm are written out
+    in ``np.cross``'s and ``np.linalg.norm``'s order of operations, so every
+    area has the very bits of the row-wise formula, and a face with a NaN
+    vertex has a NaN area.
+    """
+    a, b = [], []
+    for column in vertices.T:
+        p0 = column[faces[:, 0]]
+        a.append(column[faces[:, 1]] - p0)
+        b.append(column[faces[:, 2]] - p0)
+    (ax, ay, az), (bx, by, bz) = a, b
+    cx = ay * bz - az * by
+    cy = az * bx - ax * bz
+    cz = ax * by - ay * bx
+    return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
 
 
 def _min_triangle_area(mesh):
@@ -559,10 +579,26 @@ def _encode_ints(v):
     """(v.size, width) uint8: row i is ``'%d' % v[i]``, NUL-padded.
 
     The width is 4 bytes per digit group of the largest magnitude, plus 4
-    for a sign when a value is negative.
+    for a sign when a value is negative.  When the values span no more
+    integers than there are values, as the indices of a block of faces do,
+    the integers from the least to the largest are encoded once, which
+    gives the same width, and each row is gathered from that table as one
+    fixed-width record.
     """
-    groups4 = _tables().groups4
     v = np.asarray(v, dtype=np.int64)
+    if v.size:
+        lo, hi = int(v.min()), int(v.max())
+        # Python integers: the span of [-2**63, 2**63 - 1] overflows int64
+        if hi - lo < v.size:
+            table = _encode_int_digits(lo + np.arange(hi - lo + 1, dtype=np.int64))
+            records = table.view(f"V{table.shape[1]}").ravel()
+            return records[v - lo].view(np.uint8).reshape(v.size, -1)
+    return _encode_int_digits(v)
+
+
+def _encode_int_digits(v):
+    """``_encode_ints`` of the int64 array ``v``, digit group by digit group."""
+    groups4 = _tables().groups4
     mag = np.abs(v).astype(np.uint64)  # 2**63 for the most negative int64 too
     count = -(-len(str(int(mag.max(initial=0)))) // 4)
     sign = int((v < 0).any())

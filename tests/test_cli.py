@@ -591,3 +591,24 @@ def test_cli_rerun_byte_identical(tmp_path):
     }
     assert first == second
     assert "run_record.json" in first and "linearized.csv" in first
+
+
+def test_cli_one_parser_per_process(tmp_path):
+    # main parses every call with the one parser it builds; an option given
+    # to an earlier call does not reach a later one
+    assert cli._build_parser() is cli._build_parser()
+    mesh = ["mesh", "--kind", "revolve", "--c_o", "2", "--z_o", "-0.6",
+            "--n_theta", "16", "--n_profile", "20"]
+    assert run_cli(mesh + ["--out", str(tmp_path / "a")]) == 0
+    assert run_cli(["trace", "--c_o", "2", "--z_o", "-0.6", "--samples", "20",
+                    "--rtol", "1e-9", "--out", str(tmp_path / "t")]) == 0
+    assert run_cli(mesh + ["--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "revolve.obj").read_bytes() == (
+        tmp_path / "b" / "revolve.obj"
+    ).read_bytes()
+    first, second = [
+        json.loads((tmp_path / d / "run_record.json").read_text())["inputs"]
+        for d in ("a", "b")
+    ]
+    assert first.pop("out") != second.pop("out")
+    assert first == second and second["rtol"] != 1e-9

@@ -98,12 +98,13 @@ def test_unit_disc_direction_falls_strictly():
 def test_sigma0_integration_budget(circle053, sig053, integrations, collocations,
                                    factorizations, seed, budget, collocation_budget):
     # one integration starts the collocated Newton, which factors one matrix
-    # per iterate, and the collocation is the disc
+    # per iterate, and the collocation is the disc: as many LUs as
+    # collocations, 6 and 9 measured
     sig = shoot_sigma0(circle053, seed=seed)
     assert integrations[0] == 1
     assert integrations[0] <= budget
     assert collocations[0] <= collocation_budget
-    assert factorizations[0] <= (19 if seed is None else 34)
+    assert factorizations[0] <= collocation_budget
     assert sig.params.c_o == pytest.approx(sig053.params.c_o, rel=1e-12)
 
 
@@ -122,6 +123,11 @@ def test_sigma0_wide_and_narrow_circles(R, Z):
     sig = shoot_sigma0(circle)
     assert sig.match_residual < shooting_mod._match_tol(circle)
     assert abs(sig.boundary_phi) < 1e-8
+    # relative in each coordinate, which _match_tol is not: the narrowest
+    # disc ends 1.6e-14 R from the circle
+    r, z, _ = sig.curve.state_at(sig.curve.ell)
+    assert abs(r - R) <= 1e-12 * R
+    assert abs(z - Z) <= 1e-12 * abs(Z)
 
 
 def _against_dop853(sig):

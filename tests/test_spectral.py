@@ -465,3 +465,11 @@ def test_threads_sharing_a_disc_share_its_levels(circle053):
                        for a in (level.taus, level.r, level.z, level.U))
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_gauss_rule_is_computed_once_per_degree_and_read_only():
+    x, w = spectral._gauss_legendre(92)
+    assert spectral._gauss_legendre(92)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    ref_x, ref_w = np.polynomial.legendre.leggauss(92)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)

@@ -231,19 +231,52 @@ def test_guard_reads_the_last_partial_block(sig053, monkeypatch):
         surfaces_mod._assemble(curve, 16, 5, collapse, "collapse", 1.0)
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, 7])
-def test_edge_count_across_blocks(sig053, monkeypatch, block_rows):
-    tetrahedron = SurfaceMesh(
-        vertices=np.eye(4)[:, :3].copy(),
+def _tetrahedron(vertices=None):
+    return SurfaceMesh(
+        vertices=np.eye(4)[:, :3].copy() if vertices is None else vertices,
         faces=np.array([[0, 1, 2], [0, 3, 1], [1, 3, 2], [2, 3, 0]], dtype=np.int64),
         displacement=np.zeros(4),
         meta={},
     )
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+def test_edge_count_across_blocks(sig053, monkeypatch, block_rows):
     sizes = [(16, 2), (17, 3), (32, 7)]
     discs = [revolve(sig053.curve, n_theta, n_profile) for n_theta, n_profile in sizes]
     monkeypatch.setattr(surfaces_mod, "_BLOCK_ROWS", block_rows)
-    for m in [tetrahedron] + discs:
+    for m in [_tetrahedron()] + discs:
         assert m.edge_count() == _edge_set_count(m.faces)
+
+
+def _row_wise_areas(mesh):
+    """The triangle areas by the row-wise formula, the oracle of the guard."""
+    v, f = mesh.vertices, mesh.faces
+    a = v[f[:, 1]] - v[f[:, 0]]
+    b = v[f[:, 2]] - v[f[:, 0]]
+    return 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
+
+
+def test_triangle_areas_are_the_row_wise_formula(sig053, lin053):
+    meshes = [
+        revolve(sig053.curve, 64, 200),
+        branch_linear_mesh(sig053, 0.15, 64, 200),
+        family_linear_mesh(sig053, lin053, 0.05, 64, 200),
+        _tetrahedron(),
+    ]
+    for m in meshes:
+        expected = _row_wise_areas(m)
+        assert np.array_equal(m.triangle_areas(), expected)
+        assert surfaces_mod._min_triangle_area(m) == expected.min()
+        assert m.area() == float(expected.sum())
+    # a NaN vertex gives its faces NaN areas, and the guard's minimum is NaN
+    vertices = np.eye(4)[:, :3].copy()
+    vertices[3, 1] = math.nan
+    m = _tetrahedron(vertices)
+    areas = m.triangle_areas()
+    assert np.isnan(areas[1:]).all() and not np.isnan(areas[0])
+    assert np.array_equal(areas, _row_wise_areas(m), equal_nan=True)
+    assert np.isnan(surfaces_mod._min_triangle_area(m))
 
 
 # ------------------------------------------------------------------ exports
@@ -340,14 +373,18 @@ def test_csv_literal_text(tmp_path):
     assert path.read_bytes() == b"a,b\n"
 
 
-def test_obj_and_csv_match_per_line_reference(tmp_path, sig053):
+def test_obj_and_csv_match_per_line_reference(tmp_path, sig053, monkeypatch):
     m = revolve(sig053.curve, 64, 200)
     assert m.vertices.shape[0] > _BLOCK_ROWS and m.faces.shape[0] > 2 * _BLOCK_ROWS
     lines = ["v " + " ".join("%.17g" % x for x in v) for v in m.vertices]
     lines += ["f %d %d %d" % (f[0] + 1, f[1] + 1, f[2] + 1) for f in m.faces]
     path = tmp_path / "mesh.obj"
+    seen = _digit_encoder_inputs(monkeypatch)
     export_mesh_obj(m, path)
     assert path.read_text(encoding="ascii") == "\n".join(lines) + "\n"
+    # every block of faces, the last partial one too, is encoded by value range
+    blocks = -(-m.faces.shape[0] // _BLOCK_ROWS)
+    assert len(seen) == blocks and all(map(_is_range, seen))
 
     n = _BLOCK_ROWS + 17
     table = profile_table(sig053.curve, n=n)
@@ -476,11 +513,63 @@ def test_float_encoding_rounds_ties_to_even(values):
     assert _encoded("%.17g\n", values, float) == _reference("%.17g\n", values)
 
 
+def _digit_encoder_inputs(monkeypatch):
+    """The list of the arrays that ``_encode_ints`` passes on to be encoded
+    digit by digit, filled as it runs."""
+    seen = []
+    digits = surfaces_mod._encode_int_digits
+    monkeypatch.setattr(
+        surfaces_mod, "_encode_int_digits", lambda v: seen.append(v) or digits(v)
+    )
+    return seen
+
+
+def _is_range(v):
+    return np.array_equal(v, v[0] + np.arange(v.size))
+
+
+_SHUFFLED = np.random.default_rng(7).permutation(3 * 10**4) - 10**4
+
+
 @_ENCODING
 @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
 @example([0, -1, 1, 9999, 10000, -10000, 2**63 - 1, -(2**63)])
+@example(_SHUFFLED.tolist())
+@example([10000, 9999, 10000, 10000, 9998, 9999])
+@example([0, -3, -1, 0, -2, 1])
+@example([-(2**63)])
+@example([2**63 - 1, 2**63 - 1])
+@example([-(2**63), 2**63 - 1])
 def test_int_encoding_is_percent_d(values):
     assert _encoded("%d\n", values, np.int64) == _reference("%d\n", values)
+
+
+@pytest.mark.parametrize(
+    "values, by_range",
+    [
+        (_SHUFFLED, True),
+        ([10000, 9999, 10000, 10000, 9998, 9999], True),
+        ([0, -3, -1, 0, -2, 1], True),
+        ([0], True),
+        ([-(2**63)], True),
+        ([2**63 - 1, 2**63 - 2], True),
+        ([1, 0], True),
+        ([2, 0], False),
+        ([-10000, 10000], False),
+        # a span that overflows int64 is computed exactly, and not tabled
+        ([-(2**63), 2**63 - 1], False),
+        ([2**63 - 1, -(2**63), 0], False),
+    ],
+)
+def test_int_encoding_by_value_range(monkeypatch, values, by_range):
+    # values spanning no more integers than they count are encoded through
+    # the table of the integers from their least to their largest
+    seen = _digit_encoder_inputs(monkeypatch)
+    values = np.asarray(values, dtype=np.int64)
+    assert _encoded("%d\n", values, np.int64) == _reference("%d\n", values.tolist())
+    lo, hi = int(values.min()), int(values.max())
+    table = lo + np.arange(hi - lo + 1) if by_range else values
+    assert len(seen) == 1 and np.array_equal(seen[0], table)
 
 
 def _awkward_floats(rng, shape):
@@ -497,20 +586,22 @@ def _awkward_floats(rng, shape):
 )
 def test_every_row_template_matches_per_line_reference(tmp_path, n):
     rng = np.random.default_rng(n)
-    faces = rng.integers(0, 10**7, (n, 3))
-    faces[0] = 0
-    mesh = SurfaceMesh(
-        vertices=_awkward_floats(rng, (n, 3)),
-        faces=faces,
-        displacement=np.zeros(n),
-        meta={},
-    )
-    export_mesh_obj(mesh, tmp_path / "m.obj")
-    vertices = map(tuple, mesh.vertices.tolist())
-    faces = map(tuple, (mesh.faces + 1).tolist())
-    expected = _reference("v %.17g %.17g %.17g\n", vertices)
-    expected += _reference("f %d %d %d\n", faces)
-    assert (tmp_path / "m.obj").read_bytes() == expected
+    vertices = _awkward_floats(rng, (n, 3))
+    # indices up to 10**7 are encoded digit by digit; those up to n fill
+    # every whole block with more values than they span, so a whole block of
+    # them is encoded by value range
+    sparse = rng.integers(0, 10**7, (n, 3))
+    sparse[0] = 0
+    dense = rng.integers(0, n, (n, 3))
+    dense[-1] = n - 1
+    for faces in (sparse, dense):
+        mesh = SurfaceMesh(
+            vertices=vertices, faces=faces, displacement=np.zeros(n), meta={}
+        )
+        export_mesh_obj(mesh, tmp_path / "m.obj")
+        expected = _reference("v %.17g %.17g %.17g\n", map(tuple, vertices.tolist()))
+        expected += _reference("f %d %d %d\n", map(tuple, (faces + 1).tolist()))
+        assert (tmp_path / "m.obj").read_bytes() == expected
     for width in (1, 5, 7, 11):
         table = _awkward_floats(rng, (n, width))
         export_csv(tmp_path / "t.csv", "h", list(table.T), "table")
