@@ -562,6 +562,11 @@ def _disc_collocation(runs, sigma0, c):
     return sol
 
 
+def _miss(sol, circle):
+    """Max-norm of (r, z)(L) - (R, Z) of the collocated profile ``sol``."""
+    return float(np.max(np.abs(np.array(sol.end[:2]) - (circle.R, circle.Z))))
+
+
 def _correct(circle, runs, trace, x0, Q, u, psi, what, first=None):
     """Member (sol, norm) on the plane x = x0 + Q u through the circle.
 
@@ -595,7 +600,7 @@ def _correct(circle, runs, trace, x0, Q, u, psi, what, first=None):
 
     eqs, correction, last = equations(sol), math.inf, False
     for _ in range(_MAX_NEWTON):
-        norm = float(np.max(np.abs(eqs[-2:])))
+        norm = _miss(sol, circle)
         trace.append((sol.x, norm))
         matched = norm < _match_tol(circle)
         if matched and (last or correction <= _DEGREE_AGREE):
@@ -790,7 +795,14 @@ def _reach(circle, runs, trace, seed, c):
         c0 = seed.params.c_o
         at = c if abs(c - c0) <= _DISC_SNAP * c0 else c0
         first = _disc_collocation(runs, seed, at)
-        seed = _land(circle, runs, trace, seed, at, seed.psi, first=first)
+        norm = _miss(first, circle)
+        if at == c0 and norm < _match_tol(circle):
+            # the disc's own collocation is the member at c0: its Newton
+            # step is at rounding, so no bordered matrix is factored for it
+            trace.append((first.x, norm))
+            seed = _member(first, norm, circle, seed)
+        else:
+            seed = _land(circle, runs, trace, seed, at, seed.psi, first=first)
         if at == c:
             return seed
     else:
@@ -836,11 +848,12 @@ def shoot_family_member(c, circle, seed):
     fatal.  That problem has several solutions away from the seed, so the
     member is reached along the family from it.  A disc seed is landed on
     at c when c lies within ``_DISC_SNAP`` of its curvature c0, and else
-    gives way to its member at c0.  From a member, c is landed at fixed c
-    from the tangent's predictor (``_predict``) when the step is at most
-    ``_MAX_LAND_STEP`` in scaled arclength and keeps ``_LAND_RATIO`` of the
-    tangent's c-component, on the predictor's parabola and at the evaluated
-    point.  Otherwise the step would reach near or past a fold: the family
+    gives way to its member at c0; at c0 itself the disc's own collocation
+    is that member when it ends within ``_match_tol(circle)`` of the circle.
+    From a member, c is landed at fixed c from the tangent's predictor
+    (``_predict``) when the step is at most ``_MAX_LAND_STEP`` in scaled
+    arclength and keeps ``_LAND_RATIO`` of the tangent's c-component, on the
+    predictor's parabola and at the evaluated point.  Otherwise the step would reach near or past a fold: the family
     is walked (``_walk``) until c or a fold is passed, and c is landed from
     the member nearer to it.
 

@@ -29,12 +29,13 @@ face indices does, is encoded by value range: the integers from its least to
 its largest once, then each row gathered from that table.
 
 Building, checking and writing a mesh take at most about one block of
-memory beyond the mesh's own arrays (and, for the edge count, its key
-array): vertices and faces are computed in place in their final arrays, the
-degeneracy guard takes the minimum triangle area ``_BLOCK_ROWS`` faces at a
-time, from the coordinate columns of the vertex array, the edge keys are
-filled ``_BLOCK_ROWS`` faces at a time, and the OBJ writer adds the 1 of the
-1-based face indices block by block.
+memory beyond the mesh's own arrays: vertices and faces are computed in
+place in their final arrays, the degeneracy guard takes the minimum
+triangle area ``_BLOCK_ROWS`` faces at a time, from the coordinate columns
+of the vertex array, the edges are counted one range of their lower vertex
+index at a time, each range's keys gathered from the blocks of faces that
+reach into it and freed before the next range, and the OBJ writer adds the 1
+of the 1-based face indices block by block.
 """
 
 import functools
@@ -71,24 +72,45 @@ class SurfaceMesh:
     def edge_count(self):
         # each undirected edge (lo, hi) as the single key lo * n + hi; a sort
         # and a count of the steps between neighbours is far cheaper than
-        # np.unique, with or without axis=0.  The keys are filled in place
-        # ``_BLOCK_ROWS`` faces at a time, so the one key array is all the
-        # memory it takes beyond a block.
+        # np.unique, with or without axis=0.  Every key falls in one range of
+        # lo, so the distinct keys are counted one range at a time and
+        # summed, for any list of triangles: a range of vertices gathers its
+        # keys from the blocks of faces whose index span meets it, sorts and
+        # counts them, and frees them before the next.  Within a range the
+        # keys are taken relative to its first vertex a, (lo - a) n + hi <
+        # width n, in the narrowest unsigned type that holds them, which
+        # sorts fastest; a block's entries outside the range wrap around in
+        # it and are dropped.  A range of 4 _BLOCK_ROWS vertices holds about
+        # 100k keys of a disc, 0.4 MB as uint32, the type below 262144
+        # vertices.
         n = self.vertices.shape[0]
-        faces = self.faces.astype(np.int64, copy=False)
-        keys = np.empty((3, faces.shape[0]), dtype=np.int64)
-        for start in range(0, faces.shape[0], _BLOCK_ROWS):
-            block = faces[start : start + _BLOCK_ROWS]
-            rows = keys[:, start : start + _BLOCK_ROWS]
-            for row, (p, q) in zip(rows, ((0, 1), (1, 2), (2, 0))):
-                np.minimum(block[:, p], block[:, q], out=row)
-                row *= n
-                row += np.maximum(block[:, p], block[:, q])
-        keys = keys.ravel()
-        if keys.size == 0:
-            return 0
-        keys.sort()
-        return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+        blocks = [
+            self.faces[start : start + _BLOCK_ROWS]
+            for start in range(0, self.faces.shape[0], _BLOCK_ROWS)
+        ]
+        lows = np.array([block.min() for block in blocks], dtype=np.int64)
+        highs = np.array([block.max() for block in blocks], dtype=np.int64)
+        count = 0
+        for a in range(0, n, 4 * _BLOCK_ROWS):
+            width = min(4 * _BLOCK_ROWS, n - a)
+            kind = np.min_scalar_type(width * n)
+            parts = []
+            for k in np.flatnonzero((lows < a + width) & (highs >= a)).tolist():
+                # the (3, rows) columns of the block and their turn (1, 2, 0):
+                # edges (0, 1), (1, 2) and (2, 0) of every face
+                cols = blocks[k].T.astype(kind, order="C")
+                turned = cols[(1, 2, 0), :]
+                keys = np.minimum(cols, turned)
+                hi = np.maximum(cols, turned, out=turned)
+                keys -= a
+                inside = keys < width
+                keys *= n
+                keys += hi
+                parts.append(keys[inside])
+            keys = np.concatenate(parts) if parts else np.empty(0, kind)
+            keys.sort()
+            count += min(keys.size, 1) + int(np.count_nonzero(keys[1:] != keys[:-1]))
+        return count
 
     def euler_characteristic(self):
         return self.vertices.shape[0] - self.edge_count() + self.faces.shape[0]
@@ -260,7 +282,7 @@ def revolve(curve, n_theta, n_profile=200):
     Vertex count is (n_profile - 1) * n_theta + 1: one apex plus one ring
     per resampled interior/boundary station.
     """
-    zero = lambda taus, phi, thetas: np.zeros((taus.size, thetas.size))
+    zero = lambda taus, phi, thetas: np.broadcast_to(0.0, (taus.size, thetas.size))
     return _assemble(curve, n_theta, n_profile, zero, "revolve", 0.0)
 
 

@@ -449,13 +449,16 @@ def _settled(x, psi):
 
 
 def test_member_returns_the_curve_of_its_last_residual(circle053, sig053,
-                                                       integrations, collocations):
+                                                       integrations, collocations,
+                                                       factorizations):
     # the curve is the collocation the residual was taken on: its end is
     # that collocation's, bit for bit, and nothing is integrated.  At c0
-    # that is the disc's own collocation, whose Newton step is already
-    # below _DEGREE_AGREE: the member costs that one collocation alone
+    # that is the disc's own collocation, matched on the circle: the member
+    # costs that one collocation and the one LU of its Jacobian, with no
+    # bordered matrix factored for a Newton step at rounding
     m = shoot_family_member(sig053.params.c_o, circle053, sig053)
     assert collocations[0] == 1 and m.psi is sig053.psi
+    assert factorizations[0] == 1
     r, z, phi = m.curve.state_at(m.curve.ell)
     assert m.curve is m.curve and integrations[0] == 0
     assert m.curve.ell == m.ell and m.curve.tau0 == 0.0
@@ -468,10 +471,11 @@ def test_sweep_integration_budget(circle053, sig053, factorizations):
     c0 = sig053.params.c_o
     sw = shooting_mod.family_sweep(circle053, 0.98 * c0, 1.02 * c0, 5, sigma0=sig053)
     assert len(sw.members) == 5 and not sw.failures
-    # 17 measured: a landing stops at the first iterate whose simplified
+    # 16 measured: a landing stops at the first iterate whose simplified
     # correction is below _DEGREE_AGREE, with no iterate collocated and
-    # factored after it to confirm it (19 were)
-    assert factorizations[0] <= 17
+    # factored after it to confirm it (19 were), and the member at c0 is
+    # the disc's collocation, with no bordered LU (17 were)
+    assert factorizations[0] <= 16
 
 
 def test_member_stall_message_and_trace(circle053, sig053):
@@ -513,9 +517,10 @@ def test_sweep_integration_budget_over_the_fig2_range(circle053, sig053,
     # one landing per member: the walk covers only gaps too long to land
     sw = shooting_mod.family_sweep(circle053, 1.2, 1.8, 13, sigma0=sig053)
     assert len(sw.members) == 13 and not sw.failures
-    # 57 measured (69 with an iterate collocated and factored after each
-    # member's last step to confirm it)
-    assert factorizations[0] <= 57
+    # 56 measured (69 with an iterate collocated and factored after each
+    # member's last step to confirm it, 57 with a bordered LU for the member
+    # at c0)
+    assert factorizations[0] <= 56
 
 
 def _disc_map(R, Z):
@@ -678,9 +683,10 @@ def test_fold_is_scale_invariant(mu):
     assert fold_mu == pytest.approx(fold / mu, rel=1e-9)
 
 
-# 17 and 21 measured (19 and 24 with an iterate collocated and factored
-# after each member's last step to confirm it)
-@pytest.mark.parametrize("R, Z, budget", [(0.5, -3.0, 17), (1.5, -2.0, 21)])
+# 16 and 20 measured (19 and 24 with an iterate collocated and factored
+# after each member's last step to confirm it, 17 and 21 with a bordered LU
+# for the member at c0)
+@pytest.mark.parametrize("R, Z, budget", [(0.5, -3.0, 16), (1.5, -2.0, 20)])
 def test_sweep_integration_budget_through_folds(R, Z, budget, factorizations):
     sig = shoot_sigma0(BoundaryCircle(R, Z))
     c0 = sig.params.c_o

@@ -240,13 +240,51 @@ def _tetrahedron(vertices=None):
     )
 
 
+def _with_faces(faces, n):
+    """A mesh of ``faces`` over ``n`` vertices at the origin."""
+    return SurfaceMesh(
+        vertices=np.zeros((n, 3)), faces=faces, displacement=np.zeros(n), meta={}
+    )
+
+
+def _counted_meshes(curve):
+    """Meshes whose edges are counted: discs in ring order and with their
+    faces shuffled, so that each block of faces spans the whole index range,
+    random triangle lists of three distinct vertices per face drawn from few
+    vertices, so that many edges are shared, and the tetrahedron."""
+    rng = np.random.default_rng(5)
+    sizes = [(16, 2), (17, 3), (32, 7)]
+    discs = [revolve(curve, n_theta, n_profile) for n_theta, n_profile in sizes]
+    shuffled = [_with_faces(rng.permutation(m.faces), m.vertices.shape[0]) for m in discs]
+    triangles = [
+        _with_faces(np.array([rng.choice(n, 3, replace=False) for _ in range(m)]), n)
+        for n, m in [(3, 4), (9, 40), (40, 300)]
+    ]
+    # faces of a narrower integer type than the disc's int64 count the same
+    triangles.append(_with_faces(triangles[-1].faces.astype(np.int32), 40))
+    return [_tetrahedron()] + discs + shuffled + triangles
+
+
 @pytest.mark.parametrize("block_rows", [1, 3, 7])
 def test_edge_count_across_blocks(sig053, monkeypatch, block_rows):
-    sizes = [(16, 2), (17, 3), (32, 7)]
-    discs = [revolve(sig053.curve, n_theta, n_profile) for n_theta, n_profile in sizes]
+    # ranges of 4, 12 and 28 vertices cut through the rings of every disc
+    meshes = _counted_meshes(sig053.curve)
     monkeypatch.setattr(surfaces_mod, "_BLOCK_ROWS", block_rows)
-    for m in [_tetrahedron()] + discs:
+    for m in meshes:
         assert m.edge_count() == _edge_set_count(m.faces)
+
+
+def test_edge_count_by_vertex_range(sig053):
+    # at the default block size: a disc of two ranges of vertices, with its
+    # faces in ring order and shuffled, and the small meshes in one range
+    rng = np.random.default_rng(6)
+    m = revolve(sig053.curve, 32, 600)
+    assert 4 * _BLOCK_ROWS < m.vertices.shape[0] <= 8 * _BLOCK_ROWS
+    edges = _edge_set_count(m.faces)
+    assert m.edge_count() == edges == m.vertices.shape[0] + m.faces.shape[0] - 1
+    assert _with_faces(rng.permutation(m.faces), m.vertices.shape[0]).edge_count() == edges
+    for small in _counted_meshes(sig053.curve):
+        assert small.edge_count() == _edge_set_count(small.faces)
 
 
 def _row_wise_areas(mesh):
@@ -410,9 +448,10 @@ def _traced_rise(fn):
 
 def test_mesh_path_memory_is_bounded(tmp_path, curve26):
     # building and checking a 256 x 1000 mesh takes little beyond its own
-    # 20.5 MB of arrays; the edge keys alone are 12.3 MB.  The OBJ writer
-    # holds one block of rows at a time, so writing a 64 x 1000 mesh (3 MB
-    # of faces) takes no more than a block's text and numbers.
+    # 20.5 MB of arrays (0.49 MB measured), and counting its edges, one range
+    # of vertices at a time, less than two blocks (0.97 MB measured).  The
+    # OBJ writer holds one block of rows at a time, so writing a 64 x 1000
+    # mesh (3 MB of faces) takes no more than a block's text and numbers.
     # the curve's interpolants are built on first use; build them untraced
     curve26.state_at([0.0, curve26.ell])
     small = revolve(curve26, 64, 1000)
@@ -425,8 +464,8 @@ def test_mesh_path_memory_is_bounded(tmp_path, curve26):
     finally:
         tracemalloc.stop()
     assert chi == 1
-    assert built - own < 20e6
-    assert counted < 20e6
+    assert built - own < 1e6
+    assert counted < 3e6
     assert small.faces.nbytes > 3e6 and written < 2e6
 
 
